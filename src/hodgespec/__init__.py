@@ -7,8 +7,6 @@ algorithms that read parameters back off a spectrum.  Everything is exact:
 rationals throughout, no floating point anywhere.
 """
 
-from __future__ import annotations
-
 from . import exterior, isospec, lattice, linalg, multiset, rationals, sphere, torus
 from .errors import (
     BoxTooLarge,
@@ -61,7 +59,6 @@ from .lattice import (
     DEFAULT_BUDGET,
     DualData,
     Lattice,
-    NormTable,
     brute_force_enumerate,
     count_norm,
     dual,
@@ -98,91 +95,6 @@ from .torus import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUDGET_ENV_VAR",
-    "Branch",
-    "BoxTooLarge",
-    "BranchAmbiguous",
-    "BudgetExceeded",
-    "CovectorAction",
-    "CutoffExceeded",
-    "CutoffTooSmall",
-    "DEFAULT_BUDGET",
-    "DegreeOutOfRange",
-    "DegreeZero",
-    "DimensionMismatch",
-    "DualData",
-    "EmptyInput",
-    "EmptySpectrum",
-    "Error",
-    "Lattice",
-    "NonpositiveMin",
-    "NonpositiveScalar",
-    "NormTable",
-    "NotInImage",
-    "ParseError",
-    "Poly",
-    "PolyForm",
-    "RecoveryResult",
-    "Series",
-    "SingularBasis",
-    "SphereEigenvalue",
-    "SphereOperator",
-    "TorusOperator",
-    "Unit",
-    "UnitMismatch",
-    "UnrepresentedNorm",
-    "WeightedSpectrum",
-    "ZeroCovector",
-    "brute_force_enumerate",
-    "coincidences",
-    "contract",
-    "contract_position",
-    "count_norm",
-    "d_flat",
-    "delta_flat",
-    "dim_V",
-    "dim_W",
-    "dual",
-    "eigenvalue_details",
-    "eigenvalue_multiplicity",
-    "enumerate_norms",
-    "exterior",
-    "f_spectrum",
-    "f_spectrum_parts",
-    "first_divergence",
-    "format_rational",
-    "harmonic_form_dims_oracle",
-    "harmonic_polynomial_dim",
-    "hodge_star",
-    "hodge_star_inverse",
-    "homogeneous_exponents",
-    "is_isospectral_upto",
-    "isospec",
-    "lambda_k",
-    "lambda_series_spectrum",
-    "laplace0_spectrum",
-    "lattice",
-    "linalg",
-    "mu_k",
-    "mu_series_spectrum",
-    "multiset",
-    "parallel_kernel_dim",
-    "parse_rational",
-    "principal_symbol",
-    "principal_symbol_inverse",
-    "rationals",
-    "reconstruct_base",
-    "recover_radius",
-    "recover_sphere_params",
-    "recover_torus_params",
-    "repeated_union",
-    "scalar_series_spectrum",
-    "scaling_transfer",
-    "sphere",
-    "sqrt_floor",
-    "sqrt_upper_bound",
-    "standard_lattice",
-    "torus",
-    "wedge",
-]
+# Every public name bound above is a re-export, apart from the errors module
+# itself (its classes are re-exported one by one).
+__all__ = sorted(name for name in globals() if not name.startswith("_") and name != "errors")

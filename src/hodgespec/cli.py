@@ -26,7 +26,6 @@ from pathlib import Path
 from .errors import BranchAmbiguous, CutoffTooSmall, Error, ParseError
 from .isospec import (
     first_divergence,
-    is_isospectral_upto,
     reconstruct_base,
     recover_radius,
     recover_sphere_params,
@@ -196,10 +195,11 @@ def _cmd_isospec(args) -> int:
     left = _side_spectrum(args, "left")
     right = _side_spectrum(args, "right")
     cutoff = format_rational(args.cutoff)
-    if is_isospectral_upto(left, right, args.cutoff):
+    divergence = first_divergence(left, right, args.cutoff)
+    if divergence is None:
         _write_json(args.output, {"isospectral": True, "cutoff": cutoff})
         return 0
-    key, left_mult, right_mult = first_divergence(left, right, args.cutoff)
+    key, left_mult, right_mult = divergence
     _write_json(
         args.output,
         {
@@ -241,8 +241,17 @@ def _cmd_recover_sphere(args) -> int:
 
 def _cmd_recover_radius(args) -> int:
     m_spec = _load_spectrum(args.spectrum)
-    minimum = m_spec.min_entry()[0]
-    r_squared = recover_radius(args.alpha, args.beta, args.n, args.p, minimum)
+    leading = m_spec.min_entry()
+    r_squared = recover_radius(args.alpha, args.beta, args.n, args.p, leading[0])
+    # the recovered sphere must start with exactly the input's leading entry
+    op = SphereOperator(args.n, args.p, args.alpha, args.beta, r_squared)
+    expected = sphere_spectrum(op, leading[0]).entries
+    if expected != (leading,):
+        raise BranchAmbiguous(
+            f"leading entry {format_rational(leading[0])} x {leading[1]} is not the first "
+            f"eigenvalue of a sphere with these parameters, which has multiplicity "
+            f"{expected[0][1]}"
+        )
     _write_json(args.output, format_rational(r_squared))
     return 0
 
@@ -250,8 +259,8 @@ def _cmd_recover_radius(args) -> int:
 def _cmd_enumerate(args) -> int:
     dual_data = dual(_load_lattice(args))
     enumerate_fn = brute_force_enumerate if args.box else enumerate_norms
-    table = enumerate_fn(dual_data, args.bound)
-    _write_json(args.output, table.to_json_dict())
+    payload = enumerate_fn(dual_data, args.bound).to_json_dict()
+    _write_json(args.output, {"bound": payload["cutoff"], "counts": payload["entries"]})
     return 0
 
 

@@ -13,10 +13,12 @@ so tests can demand that engineered inputs exercise every case.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
-from typing import Iterable
+from operator import itemgetter
 
 from .errors import (
     BranchAmbiguous,
@@ -29,7 +31,7 @@ from .errors import (
     NotInImage,
     UnitMismatch,
 )
-from .multiset import WeightedSpectrum, repeated_union
+from .multiset import WeightedSpectrum
 from .rationals import format_rational
 from .sphere import dim_V, dim_W, lambda_series_spectrum, mu_series_spectrum
 
@@ -76,29 +78,34 @@ class RecoveryResult:
 
 def is_isospectral_upto(left: WeightedSpectrum, right: WeightedSpectrum, bound) -> bool:
     """Exact multiset equality of eigenvalue keys on [0, bound]."""
-    return left.equal_upto(right, bound)
+    return first_divergence(left, right, bound) is None
 
 
 def first_divergence(
     left: WeightedSpectrum, right: WeightedSpectrum, bound
 ) -> tuple[Fraction, int, int] | None:
-    """Smallest key <= bound where multiplicities differ, or None."""
-    if left.unit is not right.unit:
-        raise UnitMismatch(
-            f"cannot compare {left.unit.value} spectrum with {right.unit.value} spectrum"
-        )
+    """Smallest key <= bound where multiplicities differ, or None.
+
+    One lockstep walk over both entry lists: while the entries agree the
+    keys line up, so the first disagreement is either one key with two
+    multiplicities or the smaller key, missing from the other side.
+    """
+    left._require_same_unit(right)
     bound = Fraction(bound)
     if bound > left.cutoff or bound > right.cutoff:
         raise CutoffExceeded(
             f"comparison bound {bound} exceeds a cutoff ({left.cutoff}, {right.cutoff})"
         )
-    keys = sorted(
-        {k for k, _ in left.entries if k <= bound} | {k for k, _ in right.entries if k <= bound}
-    )
-    for key in keys:
-        lm, rm = left.multiplicity(key), right.multiplicity(key)
+    upto = [
+        spec.entries[: bisect_right(spec.entries, bound, key=itemgetter(0))]
+        for spec in (left, right)
+    ]
+    past_bound = (bound + 1, 0)
+    for (lk, lm), (rk, rm) in zip_longest(*upto, fillvalue=past_bound):
+        if lk != rk:
+            return (lk, lm, 0) if lk < rk else (rk, 0, rm)
         if lm != rm:
-            return key, lm, rm
+            return lk, lm, rm
     return None
 
 
@@ -154,10 +161,8 @@ def _remove_scaled_copies(
     m_spec: WeightedSpectrum, base: WeightedSpectrum, coefficient: Fraction, copies: int
 ) -> WeightedSpectrum:
     scaled = base.scale(coefficient)
-    block = repeated_union(
-        scaled, copies, WeightedSpectrum.empty(scaled.unit, scaled.cutoff), 0
-    )
-    return m_spec.difference(block)
+    block = tuple((key, copies * mult) for key, mult in scaled.entries)
+    return m_spec.difference(WeightedSpectrum(scaled.unit, scaled.cutoff, block))
 
 
 def recover_torus_params(
@@ -248,17 +253,8 @@ def recover_sphere_params(
     if lead_key <= 0:
         raise BranchAmbiguous(f"leading eigenvalue {lead_key} is not positive")
 
-    def after_mu_removal(gamma: Fraction) -> Fraction:
-        series = mu_series_spectrum(n, p, gamma, r_squared, m_spec.cutoff, m_spec.unit)
-        rest = m_spec.difference(series)
-        if rest.is_empty():
-            raise CutoffTooSmall(
-                "remaining spectrum is empty before the second parameter appears"
-            )
-        return rest.min_entry()[0]
-
-    def after_lambda_removal(delta: Fraction) -> Fraction:
-        series = lambda_series_spectrum(n, p, delta, r_squared, m_spec.cutoff, m_spec.unit)
+    def after_removal(series_spectrum, coefficient: Fraction) -> Fraction:
+        series = series_spectrum(n, p, coefficient, r_squared, m_spec.cutoff, m_spec.unit)
         rest = m_spec.difference(series)
         if rest.is_empty():
             raise CutoffTooSmall(
@@ -272,19 +268,19 @@ def recover_sphere_params(
                 f"leading multiplicity {lead_mult} fits no half-dimension case"
             )
         gamma = r_squared * lead_key / alpha_weight
-        second = after_mu_removal(gamma)
+        second = after_removal(mu_series_spectrum, gamma)
         delta = r_squared * second / alpha_weight
         pair = tuple(sorted((gamma, delta)))
         return RecoveryResult("unordered", pair, (BRANCH_UNORDERED,))
 
     if lead_mult == first_v:
         delta = r_squared * lead_key / beta_weight
-        second = after_lambda_removal(delta)
+        second = after_removal(lambda_series_spectrum, delta)
         gamma = r_squared * second / alpha_weight
         return RecoveryResult("ordered", (gamma, delta), (BRANCH_BETA_FIRST,))
     if lead_mult == first_w:
         gamma = r_squared * lead_key / alpha_weight
-        second = after_mu_removal(gamma)
+        second = after_removal(mu_series_spectrum, gamma)
         delta = r_squared * second / beta_weight
         return RecoveryResult("ordered", (gamma, delta), (BRANCH_ALPHA_FIRST,))
     if lead_mult == first_v + first_w:

@@ -4,7 +4,9 @@ A lattice is given by a basis of R^n with rational coordinates.  The dual
 basis pairs to the identity against the primal one, so spectra of flat tori
 R^n / Lambda reduce to counting dual vectors of a given squared length.
 
-Two enumeration routes are provided.  ``enumerate_norms`` walks coordinate
+Two enumeration routes are provided; both return a FOUR_PI_SQUARED
+:class:`WeightedSpectrum` whose keys are the dual squared norms, complete up
+to ``cutoff = bound``.  ``enumerate_norms`` walks coordinate
 layers using the LDL^T factorization of the dual Gram matrix: at each layer
 the admissible integer range is bracketed by exact integer square roots of
 cleared-denominator quantities (rounded outward, then filtered by an exact
@@ -23,16 +25,16 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import linalg
 from .errors import BoxTooLarge, BudgetExceeded, ParseError, SingularBasis
+from .multiset import Unit, WeightedSpectrum
 from .rationals import format_rational, parse_rational, sqrt_floor, sqrt_upper_bound
 
 __all__ = [
     "Lattice",
     "DualData",
-    "NormTable",
     "standard_lattice",
     "dual",
     "enumerate_norms",
@@ -59,6 +61,10 @@ def _resolve_budget(budget: int | None) -> int:
     if value < 1:
         raise ParseError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
     return value
+
+
+def _is_list_of(value, length: int) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == length
 
 
 @dataclass(frozen=True)
@@ -105,7 +111,7 @@ class Lattice:
         layout = payload.get("layout", "row-major")
         if layout not in ("row-major", "column-major"):
             raise ParseError(f"unknown basis layout {layout!r}")
-        if len(rows) != n or any(len(row) != n for row in rows):
+        if not _is_list_of(rows, n) or not all(_is_list_of(row, n) for row in rows):
             raise ParseError(f"basis must be {n}x{n}")
         matrix = tuple(tuple(parse_rational(str(x)) for x in row) for row in rows)
         if layout == "column-major":
@@ -154,33 +160,11 @@ def dual(lattice: Lattice) -> DualData:
     )
 
 
-@dataclass(frozen=True)
-class NormTable:
-    """Counts of dual vectors by squared norm, complete up to ``bound``."""
-
-    bound: Fraction
-    counts: tuple[tuple[Fraction, int], ...]
-
-    def count(self, norm) -> int:
-        norm = Fraction(norm)
-        for value, count in self.counts:
-            if value == norm:
-                return count
-            if value > norm:
-                break
-        return 0
-
-    def norms(self) -> tuple[Fraction, ...]:
-        return tuple(value for value, _ in self.counts)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bound": format_rational(self.bound),
-            "counts": [[format_rational(value), count] for value, count in self.counts],
-        }
+def _norm_spectrum(bound: Fraction, counts: dict[Fraction, int]) -> WeightedSpectrum:
+    return WeightedSpectrum(Unit.FOUR_PI_SQUARED, bound, tuple(sorted(counts.items())))
 
 
-def enumerate_norms(dual_data: DualData, bound, budget: int | None = None) -> NormTable:
+def enumerate_norms(dual_data: DualData, bound, budget: int | None = None) -> WeightedSpectrum:
     """Exact counts of dual vectors with squared norm <= bound (zero included)."""
     bound = Fraction(bound)
     if bound < 0:
@@ -217,7 +201,7 @@ def enumerate_norms(dual_data: DualData, bound, budget: int | None = None) -> No
         coords[level] = 0
 
     descend(n - 1, bound, Fraction(0))
-    return NormTable(bound=bound, counts=tuple(sorted(counts.items())))
+    return _norm_spectrum(bound, counts)
 
 
 def count_norm(dual_data: DualData, norm, budget: int | None = None) -> int:
@@ -225,10 +209,12 @@ def count_norm(dual_data: DualData, norm, budget: int | None = None) -> int:
     norm = Fraction(norm)
     if norm < 0:
         return 0
-    return enumerate_norms(dual_data, norm, budget=budget).count(norm)
+    return enumerate_norms(dual_data, norm, budget=budget).multiplicity(norm)
 
 
-def brute_force_enumerate(dual_data: DualData, bound, budget: int | None = None) -> NormTable:
+def brute_force_enumerate(
+    dual_data: DualData, bound, budget: int | None = None
+) -> WeightedSpectrum:
     """Reference enumeration: scan the Cauchy-Schwarz box, recheck every cell."""
     bound = Fraction(bound)
     if bound < 0:
@@ -255,4 +241,4 @@ def brute_force_enumerate(dual_data: DualData, bound, budget: int | None = None)
                     norm += 2 * row[j] * coords[i] * coords[j]
         if norm <= bound:
             counts[norm] = counts.get(norm, 0) + 1
-    return NormTable(bound=bound, counts=tuple(sorted(counts.items())))
+    return _norm_spectrum(bound, counts)

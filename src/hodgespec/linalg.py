@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-__all__ = ["identity", "invert", "ldlt", "rank", "matvec", "gram"]
+__all__ = ["identity", "invert", "ldlt", "rank", "gram"]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -19,10 +19,6 @@ def identity(n: int) -> Matrix:
     return tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
     )
-
-
-def matvec(matrix: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(sum(row[j] * vector[j] for j in range(len(vector))) for row in matrix)
 
 
 def gram(vectors: Sequence[Sequence[Fraction]]) -> Matrix:

@@ -15,8 +15,10 @@ by accident.  Cross-unit operations are hard errors, never coercions.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
@@ -99,11 +101,9 @@ class WeightedSpectrum:
 
     def multiplicity(self, key) -> int:
         key = Fraction(key)
-        for k, mult in self.entries:
-            if k == key:
-                return mult
-            if k > key:
-                break
+        i = bisect_left(self.entries, key, key=itemgetter(0))
+        if i < len(self.entries) and self.entries[i][0] == key:
+            return self.entries[i][1]
         return 0
 
     def is_empty(self) -> bool:
@@ -175,19 +175,6 @@ class WeightedSpectrum:
         """
         return WeightedSpectrum(unit, self.cutoff, self.entries)
 
-    def equal_upto(self, other: "WeightedSpectrum", bound) -> bool:
-        """Exact equality of multiplicity functions on [0, bound]."""
-        self._require_same_unit(other)
-        bound = Fraction(bound)
-        if bound > self.cutoff or bound > other.cutoff:
-            raise CutoffExceeded(
-                f"comparison bound {bound} exceeds a cutoff "
-                f"({self.cutoff}, {other.cutoff})"
-            )
-        left = [(k, m) for k, m in self.entries if k <= bound]
-        right = [(k, m) for k, m in other.entries if k <= bound]
-        return left == right
-
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -206,6 +193,8 @@ class WeightedSpectrum:
         if "cutoff" not in payload or "entries" not in payload:
             raise ParseError("spectrum payload needs 'unit', 'cutoff' and 'entries'")
         cutoff = parse_rational(str(payload["cutoff"]))
+        if not isinstance(payload["entries"], list):
+            raise ParseError(f"spectrum entries must be a list: {payload['entries']!r}")
         pairs = []
         for item in payload["entries"]:
             try:

@@ -48,14 +48,8 @@ def sqrt_floor(value: Fraction) -> int:
     """Largest integer m with m*m <= value (value must be nonnegative)."""
     if value < 0:
         raise ValueError("sqrt of a negative rational")
-    # floor(sqrt(a/b)) = floor(sqrt(floor(a/b))) does not hold in general;
-    # isqrt(a*b)//b does: sqrt(a/b) = sqrt(a*b)/b.
-    m = math.isqrt(value.numerator * value.denominator) // value.denominator
-    while Fraction((m + 1) * (m + 1)) <= value:
-        m += 1
-    while m > 0 and Fraction(m * m) > value:
-        m -= 1
-    return m
+    # sqrt(a/b) = sqrt(a*b)/b, and floor(x/b) = floor(floor(x)/b) for an integer b.
+    return math.isqrt(value.numerator * value.denominator) // value.denominator
 
 
 def sqrt_upper_bound(value: Fraction) -> Fraction:

@@ -24,7 +24,9 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
+from typing import Callable, Iterator
 
 from . import linalg
 from .errors import BudgetExceeded, DegreeOutOfRange, NonpositiveScalar
@@ -148,12 +150,76 @@ def harmonic_polynomial_dim(nvars: int, degree: int) -> int:
     return total
 
 
+@dataclass(frozen=True)
+class _SeriesFormula:
+    """One eigenvalue series: value(k) = scale (k+a)(k+b) for k >= start.
+
+    ``scale`` is the coefficient over r^2.  Values strictly increase in k, so
+    the terms come out as sorted entries.
+    """
+
+    series: Series
+    start: int
+    scale: Fraction
+    a: int
+    b: int
+    dim: Callable[[int], int]
+
+    def value(self, k: int) -> Fraction:
+        return self.scale * (k + self.a) * (k + self.b)
+
+    def terms(self, cutoff: Fraction) -> Iterator[tuple[int, Fraction, int]]:
+        """(k, value, dim) of every nonzero term with value <= cutoff."""
+        k = self.start
+        while (value := self.value(k)) <= cutoff:
+            dim = self.dim(k)
+            if dim:
+                yield k, value, dim
+            k += 1
+
+    def spectrum(self, cutoff, unit: Unit = Unit.PLAIN) -> WeightedSpectrum:
+        cutoff = Fraction(cutoff)
+        entries = tuple((value, dim) for _, value, dim in self.terms(cutoff))
+        return WeightedSpectrum(unit, cutoff, entries)
+
+
+def _lambda_series(n: int, p: int, coefficient, r_squared) -> _SeriesFormula:
+    scale = Fraction(coefficient) / Fraction(r_squared)
+    return _SeriesFormula(Series.LAMBDA, 1, scale, p, n - p - 1, partial(dim_V, n, p))
+
+
+def _mu_series(n: int, p: int, coefficient, r_squared) -> _SeriesFormula:
+    scale = Fraction(coefficient) / Fraction(r_squared)
+    return _SeriesFormula(Series.MU, 0, scale, p, n - p + 1, partial(dim_W, n, p))
+
+
+def _scalar_series(n: int, coefficient, r_squared, series: Series) -> _SeriesFormula:
+    scale = Fraction(coefficient) / Fraction(r_squared)
+    return _SeriesFormula(series, 0, scale, 0, n - 1, partial(harmonic_polynomial_dim, n + 1))
+
+
+def _series_of(op: SphereOperator) -> tuple[_SeriesFormula, ...]:
+    """The operator's series: lambda (beta side) before mu (alpha side).
+
+    p = 0 has only the beta-scaled scalar series, tagged lambda; p = n only
+    the alpha-scaled one, tagged mu.
+    """
+    if op.p == 0:
+        return (_scalar_series(op.n, op.beta, op.r_squared, Series.LAMBDA),)
+    if op.p == op.n:
+        return (_scalar_series(op.n, op.alpha, op.r_squared, Series.MU),)
+    return (
+        _lambda_series(op.n, op.p, op.beta, op.r_squared),
+        _mu_series(op.n, op.p, op.alpha, op.r_squared),
+    )
+
+
 def lambda_k(op: SphereOperator, k: int) -> Fraction:
     """k-th eigenvalue of the beta series, k >= 1."""
     op._require_interior()
     if k < 1:
         raise ValueError("lambda series starts at k = 1")
-    return op.beta * (k + op.p) * (k + op.n - op.p - 1) / op.r_squared
+    return _lambda_series(op.n, op.p, op.beta, op.r_squared).value(k)
 
 
 def mu_k(op: SphereOperator, k: int) -> Fraction:
@@ -161,62 +227,28 @@ def mu_k(op: SphereOperator, k: int) -> Fraction:
     op._require_interior()
     if k < 0:
         raise ValueError("mu series starts at k = 0")
-    return op.alpha * (k + op.p) * (k + op.n - op.p + 1) / op.r_squared
-
-
-def _series_spectrum(unit: Unit, cutoff: Fraction, values) -> WeightedSpectrum:
-    pairs = []
-    for value, mult in values:
-        if value > cutoff:
-            break
-        if mult:
-            pairs.append((value, mult))
-    return WeightedSpectrum.from_pairs(unit, cutoff, pairs)
+    return _mu_series(op.n, op.p, op.alpha, op.r_squared).value(k)
 
 
 def lambda_series_spectrum(
     n: int, p: int, coefficient, r_squared, cutoff, unit: Unit = Unit.PLAIN
 ) -> WeightedSpectrum:
     """The beta-scaled series as a weighted set, truncated at ``cutoff``."""
-    coefficient, r_squared, cutoff = Fraction(coefficient), Fraction(r_squared), Fraction(cutoff)
-
-    def values():
-        k = 1
-        while True:
-            yield coefficient * (k + p) * (k + n - p - 1) / r_squared, dim_V(n, p, k)
-            k += 1
-
-    return _series_spectrum(unit, cutoff, values())
+    return _lambda_series(n, p, coefficient, r_squared).spectrum(cutoff, unit)
 
 
 def mu_series_spectrum(
     n: int, p: int, coefficient, r_squared, cutoff, unit: Unit = Unit.PLAIN
 ) -> WeightedSpectrum:
     """The alpha-scaled series as a weighted set, truncated at ``cutoff``."""
-    coefficient, r_squared, cutoff = Fraction(coefficient), Fraction(r_squared), Fraction(cutoff)
-
-    def values():
-        k = 0
-        while True:
-            yield coefficient * (k + p) * (k + n - p + 1) / r_squared, dim_W(n, p, k)
-            k += 1
-
-    return _series_spectrum(unit, cutoff, values())
+    return _mu_series(n, p, coefficient, r_squared).spectrum(cutoff, unit)
 
 
 def scalar_series_spectrum(
     n: int, coefficient, r_squared, cutoff, unit: Unit = Unit.PLAIN
 ) -> WeightedSpectrum:
     """Scaled scalar Laplace series k(k+n-1)/r^2 with harmonic multiplicities."""
-    coefficient, r_squared, cutoff = Fraction(coefficient), Fraction(r_squared), Fraction(cutoff)
-
-    def values():
-        k = 0
-        while True:
-            yield coefficient * k * (k + n - 1) / r_squared, harmonic_polynomial_dim(n + 1, k)
-            k += 1
-
-    return _series_spectrum(unit, cutoff, values())
+    return _scalar_series(n, coefficient, r_squared, Series.LAMBDA).spectrum(cutoff, unit)
 
 
 def spectrum_parts(
@@ -226,18 +258,14 @@ def spectrum_parts(
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    if op.p == 0:
-        alpha_part = WeightedSpectrum.empty(Unit.PLAIN, cutoff)
-        beta_part = scalar_series_spectrum(op.n, op.beta, op.r_squared, cutoff)
-        return alpha_part, beta_part
+    empty = WeightedSpectrum.empty(Unit.PLAIN, cutoff)
+    sides = {formula.series: formula.spectrum(cutoff) for formula in _series_of(op)}
+    alpha_part, beta_part = sides.get(Series.MU, empty), sides.get(Series.LAMBDA, empty)
     if op.p == op.n:
         # Duality image of p = 0: the alpha-scaled scalar series; its zero
         # eigenvalue (the volume form) sits on the beta side of the split.
-        full = scalar_series_spectrum(op.n, op.alpha, op.r_squared, cutoff)
-        beta_part = WeightedSpectrum.from_pairs(Unit.PLAIN, cutoff, [(Fraction(0), 1)])
-        return full.difference(beta_part), beta_part
-    alpha_part = mu_series_spectrum(op.n, op.p, op.alpha, op.r_squared, cutoff)
-    beta_part = lambda_series_spectrum(op.n, op.p, op.beta, op.r_squared, cutoff)
+        beta_part = WeightedSpectrum(Unit.PLAIN, cutoff, ((Fraction(0), 1),))
+        alpha_part = alpha_part.difference(beta_part)
     return alpha_part, beta_part
 
 
@@ -274,29 +302,9 @@ def eigenvalue_details(op: SphereOperator, cutoff) -> tuple[SphereEigenvalue, ..
         raise ValueError("generic-mode operators do not merge series")
     cutoff = Fraction(cutoff)
     found: dict[Fraction, list[SeriesTerm]] = {}
-
-    def collect(series: Series, start: int, value_at, dim_at) -> None:
-        k = start
-        while True:
-            value = value_at(k)
-            if value > cutoff:
-                break
-            dim = dim_at(k)
-            if dim:
-                found.setdefault(value, []).append(SeriesTerm(series, k, dim))
-            k += 1
-
-    if op.p == 0 or op.p == op.n:
-        coefficient = op.beta if op.p == 0 else op.alpha
-        collect(
-            Series.LAMBDA if op.p == 0 else Series.MU,
-            0,
-            lambda k: coefficient * k * (k + op.n - 1) / op.r_squared,
-            lambda k: harmonic_polynomial_dim(op.n + 1, k),
-        )
-    else:
-        collect(Series.LAMBDA, 1, lambda k: lambda_k(op, k), lambda k: dim_V(op.n, op.p, k))
-        collect(Series.MU, 0, lambda k: mu_k(op, k), lambda k: dim_W(op.n, op.p, k))
+    for formula in _series_of(op):
+        for k, value, dim in formula.terms(cutoff):
+            found.setdefault(value, []).append(SeriesTerm(formula.series, k, dim))
     return tuple(
         SphereEigenvalue(value, tuple(terms)) for value, terms in sorted(found.items())
     )
@@ -304,19 +312,15 @@ def eigenvalue_details(op: SphereOperator, cutoff) -> tuple[SphereEigenvalue, ..
 
 def coincidences(op: SphereOperator, cutoff) -> tuple[tuple[int, int], ...]:
     """Pairs (k, l) with lambda_k = mu_l <= cutoff; empty in generic mode."""
-    if op.generic:
+    if op.generic or op.duality_extension:
         return ()
-    if not 1 <= op.p <= op.n - 1:
-        return ()
-    pairs = []
-    for detail in eigenvalue_details(op, cutoff):
-        lambda_terms = [t for t in detail.terms if t.series is Series.LAMBDA]
-        mu_terms = [t for t in detail.terms if t.series is Series.MU]
-        # A coincidence inside one series is impossible (values are strictly
-        # increasing in k), so each list has at most one element.
-        if lambda_terms and mu_terms:
-            pairs.append((lambda_terms[0].k, mu_terms[0].k))
-    return tuple(pairs)
+    cutoff = Fraction(cutoff)
+    lambda_series, mu_series = _series_of(op)
+    # values strictly increase in k, so each value names at most one mu term
+    mu_at = {value: k for k, value, _ in mu_series.terms(cutoff)}
+    return tuple(
+        (k, mu_at[value]) for k, value, _ in lambda_series.terms(cutoff) if value in mu_at
+    )
 
 
 # -- polynomial-space oracle -------------------------------------------------

@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DegreeOutOfRange, NonpositiveScalar, UnrepresentedNorm
-from .lattice import DualData, Lattice, count_norm, dual, enumerate_norms
-from .multiset import Unit, WeightedSpectrum, repeated_union
+from .lattice import Lattice, count_norm, dual, enumerate_norms
+from .multiset import Unit, WeightedSpectrum
 
 __all__ = [
     "Branch",
@@ -82,9 +82,7 @@ class TorusOperator:
 
 def laplace0_spectrum(lattice: Lattice, cutoff, budget: int | None = None) -> WeightedSpectrum:
     """Scalar Laplace spectrum of the torus: keys |l|^2 over the dual lattice."""
-    cutoff = Fraction(cutoff)
-    table = enumerate_norms(dual(lattice), cutoff, budget=budget)
-    return WeightedSpectrum.from_pairs(Unit.FOUR_PI_SQUARED, cutoff, table.counts)
+    return enumerate_norms(dual(lattice), cutoff, budget=budget)
 
 
 def f_spectrum_parts(
@@ -94,18 +92,17 @@ def f_spectrum_parts(
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    dual_data = dual(op.lattice)
-    table = enumerate_norms(dual_data, cutoff / min(op.alpha, op.beta), budget=budget)
-    parts = []
-    for scale_factor, copies in ((op.alpha, op.alpha_copies), (op.beta, op.beta_copies)):
-        pairs = []
-        if copies:
-            for norm, count in table.counts:
-                key = scale_factor * norm
-                if key <= cutoff:
-                    pairs.append((key, copies * count))
-        parts.append(WeightedSpectrum.from_pairs(Unit.FOUR_PI_SQUARED, cutoff, pairs))
-    return parts[0], parts[1]
+    table = enumerate_norms(dual(op.lattice), cutoff / min(op.alpha, op.beta), budget=budget)
+
+    def part(scale_factor: Fraction, copies: int) -> WeightedSpectrum:
+        entries = tuple(
+            (scale_factor * norm, copies * count)
+            for norm, count in table.entries
+            if copies and scale_factor * norm <= cutoff
+        )
+        return WeightedSpectrum(Unit.FOUR_PI_SQUARED, cutoff, entries)
+
+    return part(op.alpha, op.alpha_copies), part(op.beta, op.beta_copies)
 
 
 def f_spectrum(op: TorusOperator, cutoff, budget: int | None = None) -> WeightedSpectrum:

@@ -104,10 +104,10 @@ def test_criterion_2_torus_multiplicities_vs_box_scan():
             dual_data = dual(lattice)
             low = min(alpha, beta)
             bound = F(1)
-            while sum(c for _, c in enumerate_norms(dual_data, bound).counts) < 150:
+            while sum(c for _, c in enumerate_norms(dual_data, bound).entries) < 150:
                 bound *= 2
             table = brute_force_enumerate(dual_data, bound)
-            counts = dict(table.counts)
+            counts = dict(table.entries)
             total_points.append(sum(counts.values()))
             cutoff = bound * low
             n = lattice.n
@@ -118,14 +118,14 @@ def test_criterion_2_torus_multiplicities_vs_box_scan():
                 for coefficient, copies in ((alpha, ca), (beta, cb)):
                     pairs = [
                         (coefficient * q, copies * c)
-                        for q, c in table.counts
+                        for q, c in table.entries
                         if copies and coefficient * q <= cutoff
                     ]
                     parts.append(
                         WeightedSpectrum.from_pairs(Unit.FOUR_PI_SQUARED, cutoff, pairs)
                     )
                 assert f_spectrum(op, cutoff) == parts[0].union(parts[1])
-                for q, c in table.counts:
+                for q, c in table.entries:
                     if q <= 0:
                         continue
                     if alpha * q <= cutoff:

@@ -360,6 +360,42 @@ def test_malformed_json_file(tmp_path, capsys):
     assert error_kind(err) == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        (["enumerate", "--bound", "1", "--lattice"], {"n": 2, "basis": 5}),
+        (["enumerate", "--bound", "1", "--lattice"], {"n": 2, "basis": [[1, 0], 5]}),
+        (["enumerate", "--bound", "1", "--lattice"], [1, 2]),
+        (
+            ["recover", "base-set", "--alpha", "1", "--beta", "2",
+             "--copies-alpha", "1", "--copies-beta", "1", "--spectrum"],
+            {"unit": "plain", "cutoff": "1", "entries": 5},
+        ),
+    ],
+    ids=["basis-not-a-list", "row-not-a-list", "lattice-not-an-object", "entries-not-a-list"],
+)
+def test_malformed_json_shapes_exit_2(command, payload, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(command + [str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParseError"  # all of stderr is one object
+
+
+def test_recover_radius_rejects_impossible_leading_multiplicity(tmp_path, capsys):
+    m_file = tmp_path / "m.json"
+    m_file.write_text(json.dumps({"unit": "plain", "cutoff": "1", "entries": [["1", 2]]}))
+    code, out, err = run(
+        ["recover", "radius", "--spectrum", str(m_file),
+         "--alpha", "1", "--beta", "1", "--n", "3", "--p", "1"],
+        capsys,
+    )
+    assert code == 4
+    assert out == ""
+    assert error_kind(err) == "BranchAmbiguous"
+
+
 def test_degree_out_of_range_exits_3(capsys):
     code, _, err = run(
         ["spectrum", "torus", "--zn", "2", "--p", "5",

@@ -75,6 +75,18 @@ def test_divergence_guards():
         is_isospectral_upto(left, wspec([(0, 1)], 1), 2)
 
 
+def test_isospectral_upto_bounds():
+    w = wspec([(1, 1), (3, 2)], 5, Unit.PLAIN)
+    assert is_isospectral_upto(w, w, 5)
+    other = wspec([(1, 1), (3, 2), (4, 1)], 5, Unit.PLAIN)
+    assert is_isospectral_upto(w, other, 3)
+    assert not is_isospectral_upto(w, other, 5)
+    with pytest.raises(CutoffExceeded):
+        is_isospectral_upto(w, other, 6)
+    with pytest.raises(UnitMismatch):
+        is_isospectral_upto(w, wspec([(1, 1)], 5), 5)
+
+
 def test_reconstruct_base_two_scaled_copies():
     m = wspec([(0, 2), (1, 1), (2, 1), (4, 1), (8, 1)], 8)
     base = reconstruct_base(m, 1, 2, 1, 1)

@@ -30,7 +30,7 @@ def random_lattice(rng: random.Random, n: int) -> Lattice:
 
 
 def as_dict(table):
-    return dict(table.counts)
+    return dict(table.entries)
 
 
 def test_standard_lattice_is_self_dual():
@@ -110,13 +110,13 @@ def test_enumerate_rejects_negative_bound():
 
 def test_layered_matches_brute_force_on_square_lattice():
     data = dual(standard_lattice(2))
-    assert enumerate_norms(data, 50).counts == brute_force_enumerate(data, 50).counts
+    assert enumerate_norms(data, 50).entries == brute_force_enumerate(data, 50).entries
 
 
 def test_layered_matches_brute_force_on_sheared_lattice():
     lattice = Lattice(((F(1), F(1, 2)), (F(0), F(1))))
     data = dual(lattice)
-    assert enumerate_norms(data, 10).counts == brute_force_enumerate(data, 10).counts
+    assert enumerate_norms(data, 10).entries == brute_force_enumerate(data, 10).entries
 
 
 def test_layered_matches_brute_force_random():
@@ -125,7 +125,7 @@ def test_layered_matches_brute_force_random():
         n = rng.randrange(2, 4)
         data = dual(random_lattice(rng, n))
         bound = F(rng.randrange(1, 8))
-        assert enumerate_norms(data, bound).counts == brute_force_enumerate(data, bound).counts
+        assert enumerate_norms(data, bound).entries == brute_force_enumerate(data, bound).entries
 
 
 def test_counts_are_sorted_and_symmetric():
@@ -133,13 +133,13 @@ def test_counts_are_sorted_and_symmetric():
     for _ in range(6):
         data = dual(random_lattice(rng, rng.randrange(2, 4)))
         table = enumerate_norms(data, 6)
-        norms = table.norms()
+        norms = [value for value, _ in table.entries]
         assert list(norms) == sorted(norms)
-        assert table.count(0) == 1
-        for value, count in table.counts:
+        assert table.multiplicity(0) == 1
+        for value, count in table.entries:
             if value > 0:
                 assert count % 2 == 0
-        assert sum(c for _, c in table.counts) % 2 == 1
+        assert sum(c for _, c in table.entries) % 2 == 1
 
 
 def test_scaling_moves_norms():
@@ -150,18 +150,18 @@ def test_scaling_moves_norms():
         scaled = dual(lattice.scaled(factor))
         base = enumerate_norms(data, 4)
         moved = enumerate_norms(scaled, F(4) / (factor * factor))
-        assert moved.counts == tuple(
-            (value / (factor * factor), count) for value, count in base.counts
+        assert moved.entries == tuple(
+            (value / (factor * factor), count) for value, count in base.entries
         )
 
 
 def test_norm_table_lookup():
     data = dual(standard_lattice(2))
     table = enumerate_norms(data, 2)
-    assert table.count(1) == 4
-    assert table.count(F(3, 2)) == 0
-    assert table.count(17) == 0
-    assert table.norms() == (F(0), F(1), F(2))
+    assert table.multiplicity(1) == 4
+    assert table.multiplicity(F(3, 2)) == 0
+    assert table.multiplicity(17) == 0
+    assert [value for value, _ in table.entries] == [F(0), F(1), F(2)]
 
 
 def test_json_round_trip_row_major():

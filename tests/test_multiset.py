@@ -177,18 +177,6 @@ def test_truncate_restricts_keys():
         w.truncate(11)
 
 
-def test_equal_upto():
-    w = spec([(1, 1), (3, 2)], 5)
-    assert w.equal_upto(w, 5)
-    other = spec([(1, 1), (3, 2), (4, 1)], 5)
-    assert w.equal_upto(other, 3)
-    assert not w.equal_upto(other, 5)
-    with pytest.raises(CutoffExceeded):
-        w.equal_upto(other, 6)
-    with pytest.raises(UnitMismatch):
-        w.equal_upto(spec([(1, 1)], 5, Unit.FOUR_PI_SQUARED), 5)
-
-
 def test_with_unit_retags_without_touching_keys():
     w = spec([(1, 2)], 4, Unit.PLAIN)
     retagged = w.with_unit(Unit.FOUR_PI_SQUARED)

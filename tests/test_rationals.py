@@ -112,7 +112,6 @@ def test_rank_invariant_under_row_scaling():
         assert linalg.rank(m) == linalg.rank(scaled)
 
 
-def test_gram_and_matvec():
+def test_gram():
     vectors = ((F(1), F(0)), (F(1), F(2)))
     assert linalg.gram(vectors) == ((F(1), F(1)), (F(1), F(5)))
-    assert linalg.matvec(vectors, (F(1), F(1))) == (F(1), F(3))

@@ -162,7 +162,7 @@ def test_multiplicity_matches_merged_spectrum():
         cutoff = F(4)
         merged = f_spectrum(op, cutoff)
         table = enumerate_norms(dual(lattice), cutoff / min(op.alpha, op.beta))
-        for norm, _ in table.counts:
+        for norm, _ in table.entries:
             if norm <= 0:
                 continue
             if op.alpha * norm <= cutoff:
