@@ -66,7 +66,7 @@ from .lattice import (
     standard_lattice,
 )
 from .multiset import Unit, WeightedSpectrum, repeated_union
-from .rationals import format_rational, parse_rational, sqrt_floor, sqrt_upper_bound
+from .rationals import format_rational, parse_rational, sqrt_floor
 from .sphere import (
     Series,
     SphereEigenvalue,

@@ -6,14 +6,17 @@ R^n / Lambda reduce to counting dual vectors of a given squared length.
 
 Two enumeration routes are provided; both return a FOUR_PI_SQUARED
 :class:`WeightedSpectrum` whose keys are the dual squared norms, complete up
-to ``cutoff = bound``.  ``enumerate_norms`` walks coordinate
-layers using the LDL^T factorization of the dual Gram matrix: at each layer
-the admissible integer range is bracketed by exact integer square roots of
-cleared-denominator quantities (rounded outward, then filtered by an exact
-comparison), so no float ever decides membership.  ``brute_force_enumerate``
-is the deliberately dumb reference: it scans the full integer box given by
-the per-coordinate bound x_i^2 <= Q * <b_i, b_i> (from x_i = <l, b_i> and
-Cauchy-Schwarz) and rechecks every cell.  Both count the zero vector.
+to ``cutoff = bound``.  ``enumerate_norms`` walks coordinate layers using the
+LDL^T factorization of the dual Gram matrix (Fincke-Pohst).  Denominators are
+cleared once per call: per layer, an integer scale for the column of L makes
+the layer's offset an integer y_i, and one global scale T turns every pivot
+into an integer weight, so T*|l|^2 = sum_i w_i y_i^2.  The walk then runs in
+Python ints: the bracket |y_i| <= isqrt(remaining // w_i) is exact, every
+candidate in it is a member, and one Fraction is built per distinct norm.
+``brute_force_enumerate`` is the deliberately dumb reference: it scans the
+full integer box given by the per-coordinate bound x_i^2 <= Q * <b_i, b_i>
+(from x_i = <l, b_i> and Cauchy-Schwarz) and rechecks every cell.  Both count
+the zero vector.
 
 The environment variable HODGESPEC_BUDGET caps enumeration work for both.
 """
@@ -30,7 +33,7 @@ from typing import Mapping
 from . import linalg
 from .errors import BoxTooLarge, BudgetExceeded, ParseError, SingularBasis
 from .multiset import Unit, WeightedSpectrum
-from .rationals import format_rational, parse_rational, sqrt_floor, sqrt_upper_bound
+from .rationals import format_rational, parse_rational, sqrt_floor
 
 __all__ = [
     "Lattice",
@@ -172,36 +175,45 @@ def enumerate_norms(dual_data: DualData, bound, budget: int | None = None) -> We
     limit = _resolve_budget(budget)
     n = dual_data.lattice.n
     lower, diag = dual_data.ldl_lower, dual_data.ldl_diag
-    counts: dict[Fraction, int] = {}
+    # y_i = c_i * (x_i + sum_{j>i} L[j][i] x_j) is an integer: c_i clears column i of L.
+    clear = [math.lcm(*(lower[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
+    terms = [
+        [(j, int(clear[i] * lower[j][i])) for j in range(i + 1, n) if lower[j][i]]
+        for i in range(n)
+    ]
+    # scale * norm = sum_i w_i * y_i^2 with integer weights w_i = scale * d_i / c_i^2.
+    ratios = [diag[i] / (clear[i] * clear[i]) for i in range(n)]
+    scale = math.lcm(*(r.denominator for r in ratios))
+    weights = [int(scale * r) for r in ratios]
+    top = scale * bound.numerator // bound.denominator
+    counts: dict[int, int] = {}
     coords = [0] * n
     visited = 0
 
-    def descend(level: int, remaining: Fraction, norm_so_far: Fraction) -> None:
+    def descend(level: int, remaining: int) -> None:
+        # Every x with w * (c*x + shift)^2 <= remaining is a candidate, and each one fits.
         nonlocal visited
-        if level < 0:
-            counts[norm_so_far] = counts.get(norm_so_far, 0) + 1
+        c, w = clear[level], weights[level]
+        shift = sum(a * coords[j] for j, a in terms[level])
+        radius = math.isqrt(remaining // w)
+        low, high = -((radius + shift) // c), (radius - shift) // c
+        visited += high - low + 1
+        if visited > limit:
+            raise BudgetExceeded(f"norm enumeration exceeded budget of {limit} candidate visits")
+        if level == 0:
+            base = top - remaining
+            for y in range(c * low + shift, c * high + shift + 1, c):
+                key = base + w * y * y
+                counts[key] = counts.get(key, 0) + 1
             return
-        center = sum(
-            (lower[j][level] * coords[j] for j in range(level + 1, n)), Fraction(0)
-        )
-        radius = sqrt_upper_bound(remaining / diag[level])
-        low = math.ceil(-center - radius)
-        high = math.floor(-center + radius)
         for x in range(low, high + 1):
-            visited += 1
-            if visited > limit:
-                raise BudgetExceeded(
-                    f"norm enumeration exceeded budget of {limit} candidate visits"
-                )
-            offset = x + center
-            contribution = diag[level] * offset * offset
-            if contribution <= remaining:
-                coords[level] = x
-                descend(level - 1, remaining - contribution, norm_so_far + contribution)
+            coords[level] = x
+            y = c * x + shift
+            descend(level - 1, remaining - w * y * y)
         coords[level] = 0
 
-    descend(n - 1, bound, Fraction(0))
-    return _norm_spectrum(bound, counts)
+    descend(n - 1, top)
+    return _norm_spectrum(bound, {Fraction(key, scale): count for key, count in counts.items()})
 
 
 def count_norm(dual_data: DualData, norm, budget: int | None = None) -> int:

@@ -195,7 +195,7 @@ class WeightedSpectrum:
         cutoff = parse_rational(str(payload["cutoff"]))
         if not isinstance(payload["entries"], list):
             raise ParseError(f"spectrum entries must be a list: {payload['entries']!r}")
-        pairs = []
+        pairs: dict[Fraction, int] = {}
         for item in payload["entries"]:
             try:
                 key_text, mult = item
@@ -203,9 +203,12 @@ class WeightedSpectrum:
                 raise ParseError(f"bad spectrum entry: {item!r}") from None
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
                 raise ParseError(f"multiplicity must be a positive int: {item!r}")
-            pairs.append((parse_rational(str(key_text)), mult))
+            key = parse_rational(str(key_text))
+            if key in pairs:
+                raise ParseError(f"repeated spectrum key {format_rational(key)}: {item!r}")
+            pairs[key] = mult
         try:
-            return cls.from_pairs(unit, cutoff, pairs)
+            return cls.from_pairs(unit, cutoff, pairs.items())
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 

@@ -1,4 +1,4 @@
-"""Strict rational parsing, canonical formatting, exact square-root bounds.
+"""Strict rational parsing, canonical formatting, exact integer square roots.
 
 The wire format for rationals is ``"num/den"`` in lowest terms, or ``"n"``
 for integers.  Decimal and float notation is rejected on purpose: every
@@ -17,7 +17,6 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "sqrt_floor",
-    "sqrt_upper_bound",
 ]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -51,10 +50,3 @@ def sqrt_floor(value: Fraction) -> int:
     # sqrt(a/b) = sqrt(a*b)/b, and floor(x/b) = floor(floor(x)/b) for an integer b.
     return math.isqrt(value.numerator * value.denominator) // value.denominator
 
-
-def sqrt_upper_bound(value: Fraction) -> Fraction:
-    """A rational s with s >= sqrt(value), off by less than 1/denominator."""
-    if value < 0:
-        raise ValueError("sqrt of a negative rational")
-    a, b = value.numerator, value.denominator
-    return Fraction(math.isqrt(a * b) + 1, b)

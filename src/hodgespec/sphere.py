@@ -183,18 +183,28 @@ class _SeriesFormula:
         return WeightedSpectrum(unit, cutoff, entries)
 
 
+def _scale(coefficient, r_squared) -> Fraction:
+    """coefficient / r^2; a series with a nonpositive one never passes a cutoff."""
+    coefficient, r_squared = Fraction(coefficient), Fraction(r_squared)
+    if coefficient <= 0 or r_squared <= 0:
+        raise NonpositiveScalar(
+            f"coefficient and r_squared must be positive, got {coefficient}, {r_squared}"
+        )
+    return coefficient / r_squared
+
+
 def _lambda_series(n: int, p: int, coefficient, r_squared) -> _SeriesFormula:
-    scale = Fraction(coefficient) / Fraction(r_squared)
+    scale = _scale(coefficient, r_squared)
     return _SeriesFormula(Series.LAMBDA, 1, scale, p, n - p - 1, partial(dim_V, n, p))
 
 
 def _mu_series(n: int, p: int, coefficient, r_squared) -> _SeriesFormula:
-    scale = Fraction(coefficient) / Fraction(r_squared)
+    scale = _scale(coefficient, r_squared)
     return _SeriesFormula(Series.MU, 0, scale, p, n - p + 1, partial(dim_W, n, p))
 
 
 def _scalar_series(n: int, coefficient, r_squared, series: Series) -> _SeriesFormula:
-    scale = Fraction(coefficient) / Fraction(r_squared)
+    scale = _scale(coefficient, r_squared)
     return _SeriesFormula(series, 0, scale, 0, n - 1, partial(harmonic_polynomial_dim, n + 1))
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DegreeOutOfRange, NonpositiveScalar, UnrepresentedNorm
-from .lattice import Lattice, count_norm, dual, enumerate_norms
+from .lattice import Lattice, dual, enumerate_norms
 from .multiset import Unit, WeightedSpectrum
 
 __all__ = [
@@ -125,24 +125,23 @@ def eigenvalue_multiplicity(
     norm = Fraction(norm)
     if norm <= 0:
         raise ValueError("norm must be positive; the zero eigenvalue has its own count")
-    dual_data = dual(op.lattice)
-    base = count_norm(dual_data, norm, budget=budget)
-    if base == 0:
-        raise UnrepresentedNorm(f"no dual vector has squared norm {norm}")
     if branch is Branch.ALPHA:
-        total = op.alpha_copies * base
-        if not op.generic:
-            total += op.beta_copies * count_norm(
-                dual_data, norm * op.alpha / op.beta, budget=budget
-            )
+        own, other, own_copies, other_copies = op.alpha, op.beta, op.alpha_copies, op.beta_copies
     elif branch is Branch.BETA:
-        total = op.beta_copies * base
-        if not op.generic:
-            total += op.alpha_copies * count_norm(
-                dual_data, norm * op.beta / op.alpha, budget=budget
-            )
+        own, other, own_copies, other_copies = op.beta, op.alpha, op.beta_copies, op.alpha_copies
     else:
         raise TypeError(f"branch must be a Branch, got {branch!r}")
+    # The other family reaches the key own*norm at the dual norm norm*own/other:
+    # one walk to the larger of the two norms answers both counts.
+    cross = norm * own / other
+    bound = norm if op.generic else max(norm, cross)
+    table = enumerate_norms(dual(op.lattice), bound, budget=budget)
+    base = table.multiplicity(norm)
+    if base == 0:
+        raise UnrepresentedNorm(f"no dual vector has squared norm {norm}")
+    total = own_copies * base
+    if not op.generic:
+        total += other_copies * table.multiplicity(cross)
     return total
 
 

@@ -1,4 +1,4 @@
-"""End-to-end acceptance run: nine checks, one PASS/FAIL line each.
+"""End-to-end acceptance run: ten checks, one PASS/FAIL line each.
 
 Run with ``pytest -sv tests/test_acceptance.py`` to see the lines; every
 check is exact rational arithmetic and carries a wall-clock budget.
@@ -401,3 +401,40 @@ def test_criterion_9_negative_control():
         return f"first divergent key {key} (multiplicities {left_mult} vs {right_mult})"
 
     _report(9, "stretched square torus is distinguished at a concrete key", 1.0, check)
+
+
+def d_plus(n: int) -> Lattice:
+    """D_n^+ (n = 8 is E8) from rows 2e_0, e_{i+1} - e_i (i < n-2) and (1/2, ..., 1/2)."""
+    rows = [[F(2)] + [F(0)] * (n - 1)]
+    for i in range(n - 2):
+        row = [F(0)] * n
+        row[i], row[i + 1] = F(-1), F(1)
+        rows.append(row)
+    rows.append([F(1, 2)] * n)
+    return Lattice(tuple(map(tuple, rows)))
+
+
+def test_criterion_10_positive_control():
+    def check():
+        e8 = d_plus(8)
+        e8e8 = Lattice(
+            tuple(row + (F(0),) * 8 for row in e8.basis)
+            + tuple((F(0),) * 8 + row for row in e8.basis)
+        )
+        p, alpha, beta = 7, F(1), F(2)
+        cutoff = 4 * alpha  # the alpha side walks to dual norm 4
+        left = f_spectrum(TorusOperator(e8e8, p, alpha, beta), cutoff)
+        right = f_spectrum(TorusOperator(d_plus(16), p, alpha, beta), cutoff)
+        assert is_isospectral_upto(left, right, cutoff)
+        # Both lattices are unimodular: dual norms 0, 2, 4 occur 1, 480, 61920 times.
+        theta = {F(0): 1, F(2): 480, F(4): 61920}
+        want: dict = {}
+        for coefficient, copies in ((alpha, comb(15, p - 1)), (beta, comb(15, p))):
+            for norm, count in theta.items():
+                if coefficient * norm <= cutoff:
+                    key = coefficient * norm
+                    want[key] = want.get(key, 0) + copies * count
+        assert dict(left.entries) == want
+        return f"p={p}, alpha={alpha}, beta={beta}, {len(want)} keys up to {cutoff}"
+
+    _report(10, "Milnor's E8+E8 and D16+ tori are F-isospectral", 10.0, check)

@@ -396,6 +396,22 @@ def test_recover_radius_rejects_impossible_leading_multiplicity(tmp_path, capsys
     assert error_kind(err) == "BranchAmbiguous"
 
 
+def test_recover_radius_rejects_repeated_spectrum_key(tmp_path, capsys):
+    # Summed, the two entries would be the true leading entry 3 x 4 of S^3 on 1-forms.
+    m_file = tmp_path / "m.json"
+    m_file.write_text(
+        json.dumps({"unit": "plain", "cutoff": "3", "entries": [["3", 1], ["6/2", 3]]})
+    )
+    code, out, err = run(
+        ["recover", "radius", "--spectrum", str(m_file),
+         "--alpha", "1", "--beta", "1", "--n", "3", "--p", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParseError"  # all of stderr is one object
+
+
 def test_degree_out_of_range_exits_3(capsys):
     code, _, err = run(
         ["spectrum", "torus", "--zn", "2", "--p", "5",

@@ -1,5 +1,6 @@
 """Lattice duals and exact norm enumeration, layered vs brute force."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -15,6 +16,7 @@ from hodgespec.lattice import (
     enumerate_norms,
     standard_lattice,
 )
+from hodgespec.rationals import sqrt_floor
 
 
 def random_lattice(rng: random.Random, n: int) -> Lattice:
@@ -212,6 +214,43 @@ def test_budget_argument_limits_enumeration():
         enumerate_norms(data, 4, budget=3)
     with pytest.raises(BoxTooLarge):
         brute_force_enumerate(data, 4, budget=3)
+
+
+def exact_visit_count(data, bound) -> int:
+    """Candidates of an exact layered walk: the tails (x_i, ..., x_{n-1}) whose
+    projected norm sum_{k>=i} d_k (x_k + sum_{j>k} L[j][k] x_j)^2 is <= bound,
+    counted by scanning the Cauchy-Schwarz box in Fractions."""
+    n, lower, diag = data.lattice.n, data.ldl_lower, data.ldl_diag
+    radii = [sqrt_floor(bound * data.gram[i][i]) for i in range(n)]
+    visits = 0
+    for level in range(n):
+        for tail in itertools.product(*(range(-r, r + 1) for r in radii[level:])):
+            x = dict(zip(range(level, n), tail))
+            norm = sum(
+                diag[k] * (x[k] + sum(lower[j][k] * x[j] for j in range(k + 1, n))) ** 2
+                for k in range(level, n)
+            )
+            visits += norm <= bound
+    return visits
+
+
+@pytest.mark.parametrize(
+    "lattice, bound, small_budget",
+    [
+        (standard_lattice(2), 4, 3),
+        (standard_lattice(2), 100, 5),
+        (Lattice(((F(1), F(1, 2)), (F(0), F(1)))), 10, 5),
+        (Lattice(((F(2), F(1, 3), F(-1, 2)), (F(0), F(3, 5), F(1, 7)), (F(0), F(0), F(1)))), 3, 5),
+    ],
+)
+def test_budget_counts_exact_candidate_visits(lattice, bound, small_budget):
+    data = dual(lattice)
+    visits = exact_visit_count(data, F(bound))
+    with pytest.raises(BudgetExceeded):
+        enumerate_norms(data, bound, budget=small_budget)
+    with pytest.raises(BudgetExceeded):
+        enumerate_norms(data, bound, budget=visits - 1)
+    assert enumerate_norms(data, bound, budget=visits) == brute_force_enumerate(data, bound)
 
 
 def test_budget_env_var(monkeypatch):

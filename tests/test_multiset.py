@@ -214,3 +214,10 @@ def test_from_json_rejects_malformed_payloads():
         breakage(payload)
         with pytest.raises(ParseError):
             WeightedSpectrum.from_json_dict(payload)
+
+
+def test_from_json_rejects_repeated_keys():
+    good = spec([(1, 1)], 4).to_json_dict()
+    for entries in ([["1", 1], ["1", 2]], [["2/4", 1], ["1/2", 1]], [["0", 1], ["3", 1], ["0", 1]]):
+        with pytest.raises(ParseError, match="repeated spectrum key"):
+            WeightedSpectrum.from_json_dict(dict(good, entries=entries))

@@ -3,6 +3,7 @@
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import math
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -78,6 +79,52 @@ def small_lattices(draw):
 def test_layered_walk_equals_box_scan(lattice, bound):
     data = dual(lattice)
     assert enumerate_norms(data, bound) == brute_force_enumerate(data, bound)
+
+
+PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+@st.composite
+def coprime_lattices(draw):
+    """Upper-triangular bases, n <= 4, each entry over its own prime denominator.
+
+    Their dual Gram matrices carry large, pairwise coprime denominators in
+    both L and D of the LDL^T factorization.
+    """
+    n = draw(st.integers(1, 4))
+    dens = iter(draw(st.permutations(PRIMES)))
+    rows = []
+    for i in range(n):
+        row = [F(0)] * n
+        den = next(dens)
+        row[i] = F(draw(st.integers(den // 2, 2 * den)), den)
+        for j in range(i + 1, n):
+            den = next(dens)
+            row[j] = F(draw(st.integers(-den, den)), den)
+        rows.append(tuple(row))
+    return Lattice(tuple(rows))
+
+
+def norm_scale(data) -> int:
+    """The T with T * |l|^2 an integer for every dual vector l, as the walk picks it."""
+    n, lower, diag = data.lattice.n, data.ldl_lower, data.ldl_diag
+    clear = [math.lcm(*(lower[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
+    return math.lcm(*((diag[i] / (clear[i] * clear[i])).denominator for i in range(n)))
+
+
+@PROPERTY
+@given(coprime_lattices(), st.integers(1, 800), st.sampled_from((97, 101, 103)))
+def test_integer_walk_equals_box_scan_off_the_integer_grid(lattice, num, den):
+    data = dual(lattice)
+    scale = norm_scale(data)
+    drawn = F(num, den)
+    # Half a step of the 1/T grid either side of the largest norm found makes
+    # T*bound a non-integer; rounding it the wrong way adds or drops that norm.
+    largest = brute_force_enumerate(data, drawn).entries[-1][0]
+    half = F(1, 2 * scale)
+    for bound in (drawn, largest + half, largest - half) if largest else (drawn, half):
+        assert bound == drawn or (scale * bound).denominator != 1
+        assert enumerate_norms(data, bound) == brute_force_enumerate(data, bound)
 
 
 @st.composite

@@ -1,6 +1,8 @@
 """Round sphere spectra: series values, eigenspace dimensions, oracle recount."""
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction as F
 from math import comb
 
@@ -238,3 +240,40 @@ def test_operator_validation():
         spectrum(SphereOperator(2, 1, F(1), F(1)), -1)
     with pytest.raises(DegreeOutOfRange):
         lambda_k(SphereOperator(2, 0, F(1), F(1)), 1)
+
+
+@contextmanager
+def within(seconds: float):
+    """Turn a hang into a failure: the block is interrupted after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+NONPOSITIVE = [(0, 1), (-1, 1), (1, 0), (1, -2)]
+
+
+@pytest.mark.parametrize("coefficient, r_squared", NONPOSITIVE)
+def test_lambda_series_spectrum_rejects_nonpositive_scalars(coefficient, r_squared):
+    with within(2), pytest.raises(NonpositiveScalar):
+        lambda_series_spectrum(3, 1, coefficient, r_squared, 5)
+
+
+@pytest.mark.parametrize("coefficient, r_squared", NONPOSITIVE)
+def test_mu_series_spectrum_rejects_nonpositive_scalars(coefficient, r_squared):
+    with within(2), pytest.raises(NonpositiveScalar):
+        mu_series_spectrum(3, 1, coefficient, r_squared, 5)
+
+
+@pytest.mark.parametrize("coefficient, r_squared", NONPOSITIVE)
+def test_scalar_series_spectrum_rejects_nonpositive_scalars(coefficient, r_squared):
+    with within(2), pytest.raises(NonpositiveScalar):
+        scalar_series_spectrum(3, coefficient, r_squared, 5)
