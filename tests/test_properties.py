@@ -6,13 +6,25 @@ Hypothesis runs derandomized, so every run draws the same examples.
 import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgespec.isospec import first_divergence, is_isospectral_upto
+from hodgespec.isospec import (
+    BRANCH_ALPHA_FIRST,
+    BRANCH_BETA_FIRST,
+    BRANCH_COINCIDENT,
+    BRANCH_UNORDERED,
+    first_divergence,
+    is_isospectral_upto,
+    recover_radius,
+    recover_sphere_params,
+    recover_torus_params,
+)
 from hodgespec.lattice import Lattice, brute_force_enumerate, dual, enumerate_norms
 from hodgespec.multiset import Unit, WeightedSpectrum
 from hodgespec.sphere import SphereOperator, eigenvalue_details, spectrum
+from hodgespec.torus import TorusOperator, f_spectrum, laplace0_spectrum
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -61,9 +73,9 @@ def test_first_divergence_matches_per_key_reference(pair):
 
 
 @st.composite
-def small_lattices(draw):
+def small_lattices(draw, dims=st.integers(1, 3)):
     """Upper-triangular rational bases, n <= 3, so the box scan stays small."""
-    n = draw(st.integers(1, 3))
+    n = draw(dims)
     rows = []
     for i in range(n):
         row = [F(0)] * n
@@ -140,3 +152,93 @@ def test_series_details_sum_to_merged_spectrum(op, cutoff):
     details = eigenvalue_details(op, cutoff)
     summed = tuple((detail.value, detail.multiplicity) for detail in details)
     assert summed == spectrum(op, cutoff).entries
+
+
+# -- recovery round trips and duality ----------------------------------------
+
+# beta = alpha * tie * spread**order: the alpha series comes first (1), the
+# beta series first (-1), or both together (0); n = 2p is drawn under each.
+ORDERS = {"alpha-first": 1, "beta-first": -1, "together": 0}
+ROUND_TRIP = settings(PROPERTY, max_examples=20)
+
+
+def drawn_pair(draw, tie, order):
+    alpha = draw(st.fractions(F(1, 2), 3, max_denominator=2))
+    spread = draw(st.fractions(F(4, 3), 3, max_denominator=3))
+    return alpha, alpha * tie * spread**order
+
+
+def expected_recovery(alpha, beta, order, half):
+    if half:
+        return "unordered", tuple(sorted((alpha, beta))), (BRANCH_UNORDERED,)
+    branch = {1: BRANCH_ALPHA_FIRST, -1: BRANCH_BETA_FIRST, 0: BRANCH_COINCIDENT}[order]
+    return "ordered", (alpha, beta), (branch,)
+
+
+@pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS)
+@ROUND_TRIP
+@given(data=st.data())
+def test_torus_recovery_round_trip(order, data):
+    lattice = data.draw(small_lattices(st.integers(2, 3)))
+    n = lattice.n
+    p = data.draw(st.integers(1, n - 1))
+    alpha, beta = drawn_pair(data.draw, 1, order)
+    reach = min(row[i] for i, row in enumerate(dual(lattice).dual_gram))  # >= first norm
+    high, low = max(alpha, beta), min(alpha, beta)
+    m_spec = f_spectrum(TorusOperator(lattice, p, alpha, beta), high * reach)
+    base = laplace0_spectrum(lattice, high / low * reach)
+    got = recover_torus_params(m_spec, base, n, p)
+    assert (got.kind, got.values, got.branch_trace) == expected_recovery(
+        alpha, beta, order, n == 2 * p
+    )
+
+
+def drawn_sphere(draw, order):
+    n = draw(st.integers(2, 6))
+    p = draw(st.integers(1, n - 1))
+    alpha, beta = drawn_pair(draw, F(p * (n - p + 1), (p + 1) * (n - p)), order)
+    return SphereOperator(n, p, alpha, beta, draw(positive))
+
+
+def first_keys(op):
+    """The first alpha-series and beta-series keys, read off the closed forms."""
+    n, p, r_squared = op.n, op.p, op.r_squared
+    return op.alpha * p * (n - p + 1) / r_squared, op.beta * (p + 1) * (n - p) / r_squared
+
+
+@pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS)
+@ROUND_TRIP
+@given(data=st.data())
+def test_sphere_recovery_round_trip(order, data):
+    op = drawn_sphere(data.draw, order)
+    got = recover_sphere_params(spectrum(op, max(first_keys(op))), op.n, op.p, op.r_squared)
+    assert (got.kind, got.values, got.branch_trace) == expected_recovery(
+        op.alpha, op.beta, order, op.n == 2 * op.p
+    )
+
+
+@pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS)
+@ROUND_TRIP
+@given(data=st.data())
+def test_radius_round_trip(order, data):
+    op = drawn_sphere(data.draw, order)
+    smallest = spectrum(op, min(first_keys(op))).min_entry()[0]
+    assert recover_radius(op.alpha, op.beta, op.n, op.p, smallest) == op.r_squared
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.data(), positive, positive, positive, st.fractions(0, 60, max_denominator=3))
+def test_sphere_duality_swaps_parameters(n, data, alpha, beta, r_squared, cutoff):
+    p = data.draw(st.integers(0, n))
+    left = SphereOperator(n, p, alpha, beta, r_squared)
+    right = SphereOperator(n, n - p, beta, alpha, r_squared)
+    assert spectrum(left, cutoff) == spectrum(right, cutoff)
+
+
+@PROPERTY
+@given(small_lattices(), st.data(), positive, positive, st.fractions(0, 3, max_denominator=3))
+def test_torus_duality_swaps_parameters(lattice, data, alpha, beta, cutoff):
+    p = data.draw(st.integers(0, lattice.n))
+    left = TorusOperator(lattice, p, alpha, beta)
+    right = TorusOperator(lattice, lattice.n - p, beta, alpha)
+    assert f_spectrum(left, cutoff) == f_spectrum(right, cutoff)
