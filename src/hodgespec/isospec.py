@@ -5,7 +5,10 @@ Every one of them works on truncated data and either finishes inside the
 guaranteed region or refuses loudly: BranchAmbiguous when the leading
 multiplicity matches no admissible case (the input cannot be a spectrum of
 the promised shape), CutoffTooSmall when a removal step runs past the
-truncation before the second parameter shows itself.
+truncation before the second parameter shows itself.  Torus and sphere
+recovery are one walk, ``_recover_pair``, fed by the two parameters' shares
+of the spectrum: the scaled scalar spectrum on a torus, the operator's own
+eigenvalue series on a sphere.
 
 ``RecoveryResult.branch_trace`` records which proof branch actually fired,
 so tests can demand that engineered inputs exercise every case.
@@ -19,6 +22,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb
 from operator import itemgetter
+from typing import Callable
 
 from .errors import (
     BranchAmbiguous,
@@ -33,7 +37,7 @@ from .errors import (
 )
 from .multiset import WeightedSpectrum
 from .rationals import format_rational
-from .sphere import dim_V, dim_W, lambda_series_spectrum, mu_series_spectrum
+from .sphere import _lambda_series, _mu_series
 
 __all__ = [
     "BRANCH_ALPHA_FIRST",
@@ -152,17 +156,66 @@ def reconstruct_base(
     return WeightedSpectrum.from_pairs(m_spec.unit, guarantee, out.items())
 
 
-def _strip_key(spec: WeightedSpectrum, key, count: int) -> WeightedSpectrum:
-    single = WeightedSpectrum.from_pairs(spec.unit, spec.cutoff, [(Fraction(key), count)])
-    return spec.difference(single)
+@dataclass(frozen=True)
+class _Share:
+    """One parameter's part of a p-form spectrum, as a function of that parameter.
+
+    At parameter value c the part starts at ``c * lead`` with multiplicity
+    ``count``; ``spectrum(c)`` is the whole part.
+    """
+
+    lead: Fraction
+    count: int
+    spectrum: Callable[[Fraction], WeightedSpectrum]
 
 
-def _remove_scaled_copies(
-    m_spec: WeightedSpectrum, base: WeightedSpectrum, coefficient: Fraction, copies: int
-) -> WeightedSpectrum:
-    scaled = base.scale(coefficient)
-    block = tuple((key, copies * mult) for key, mult in scaled.entries)
-    return m_spec.difference(WeightedSpectrum(scaled.unit, scaled.cutoff, block))
+def _recover_pair(
+    spec: WeightedSpectrum, alpha: _Share, beta: _Share, half: bool
+) -> RecoveryResult:
+    """Read (alpha, beta) off the positive part of a p-form spectrum.
+
+    The leading multiplicity names the share that starts the spectrum (both
+    when they start together); removing that share leaves the other one's
+    first key as the smallest remaining key.  ``half`` (n = 2p) makes the two
+    shares indistinguishable, so the pair comes back unordered.
+    """
+    if spec.is_empty():
+        raise CutoffTooSmall("spectrum shows no positive eigenvalue below the cutoff")
+    lead_key, lead_mult = spec.min_entry()
+    if lead_key <= 0:
+        raise BranchAmbiguous(f"leading eigenvalue {lead_key} is not positive")
+
+    def second(first: _Share, value: Fraction, other: _Share) -> Fraction:
+        rest = spec.difference(first.spectrum(value))
+        if rest.is_empty():
+            raise CutoffTooSmall(
+                "remaining spectrum is empty before the second parameter appears"
+            )
+        return rest.min_entry()[0] / other.lead
+
+    if half:
+        if lead_mult not in (alpha.count, 2 * alpha.count):
+            raise BranchAmbiguous(
+                f"leading multiplicity {lead_mult} fits no half-dimension case"
+            )
+        gamma = lead_key / alpha.lead
+        pair = tuple(sorted((gamma, second(alpha, gamma, beta))))
+        return RecoveryResult("unordered", pair, (BRANCH_UNORDERED,))
+    if lead_mult == alpha.count:
+        gamma = lead_key / alpha.lead
+        delta = second(alpha, gamma, beta)
+        return RecoveryResult("ordered", (gamma, delta), (BRANCH_ALPHA_FIRST,))
+    if lead_mult == beta.count:
+        delta = lead_key / beta.lead
+        gamma = second(beta, delta, alpha)
+        return RecoveryResult("ordered", (gamma, delta), (BRANCH_BETA_FIRST,))
+    if lead_mult == alpha.count + beta.count:
+        values = (lead_key / alpha.lead, lead_key / beta.lead)
+        return RecoveryResult("ordered", values, (BRANCH_COINCIDENT,))
+    raise BranchAmbiguous(
+        f"leading multiplicity {lead_mult} matches none of "
+        f"{alpha.count}, {beta.count}, {alpha.count + beta.count}"
+    )
 
 
 def recover_torus_params(
@@ -180,54 +233,18 @@ def recover_torus_params(
         raise DegreeOutOfRange(
             f"both parameters are visible only for 1 <= p <= n-1, got p={p}, n={n}"
         )
-    alpha_copies = comb(n - 1, p - 1)
-    beta_copies = comb(n - 1, p)
-    zero_mult = comb(n, p)
-
     positive = [(key, mult) for key, mult in base.entries if key > 0]
     if not positive:
         raise CutoffTooSmall("scalar spectrum shows no positive eigenvalue")
-    first_norm, first_count = positive[0]
 
-    stripped = _strip_key(m_spec, 0, zero_mult)
-    if stripped.is_empty():
-        raise CutoffTooSmall("p-form spectrum shows no positive eigenvalue")
-    lead_key, lead_mult = stripped.min_entry()
+    def share(copies: int) -> _Share:
+        entries = tuple((key, copies * mult) for key, mult in positive)
+        part = WeightedSpectrum(base.unit, base.cutoff, entries)
+        return _Share(*part.min_entry(), part.scale)
 
-    def second_parameter(first: Fraction, removed_copies: int, zero_left: int) -> Fraction:
-        rest = _remove_scaled_copies(m_spec, base, first, removed_copies)
-        rest = _strip_key(rest, 0, zero_left)
-        if rest.is_empty():
-            raise CutoffTooSmall(
-                "remaining spectrum is empty before the second parameter appears"
-            )
-        return rest.min_entry()[0] / first_norm
-
-    if n == 2 * p:
-        if lead_mult not in (alpha_copies * first_count, 2 * alpha_copies * first_count):
-            raise BranchAmbiguous(
-                f"leading multiplicity {lead_mult} fits no half-dimension case"
-            )
-        gamma = lead_key / first_norm
-        delta = second_parameter(gamma, alpha_copies, alpha_copies)
-        pair = tuple(sorted((gamma, delta)))
-        return RecoveryResult("unordered", pair, (BRANCH_UNORDERED,))
-
-    if lead_mult == alpha_copies * first_count:
-        gamma = lead_key / first_norm
-        delta = second_parameter(gamma, alpha_copies, beta_copies)
-        return RecoveryResult("ordered", (gamma, delta), (BRANCH_ALPHA_FIRST,))
-    if lead_mult == beta_copies * first_count:
-        delta = lead_key / first_norm
-        gamma = second_parameter(delta, beta_copies, alpha_copies)
-        return RecoveryResult("ordered", (gamma, delta), (BRANCH_BETA_FIRST,))
-    if lead_mult == zero_mult * first_count:
-        value = lead_key / first_norm
-        return RecoveryResult("ordered", (value, value), (BRANCH_COINCIDENT,))
-    raise BranchAmbiguous(
-        f"leading multiplicity {lead_mult} matches none of "
-        f"{alpha_copies * first_count}, {beta_copies * first_count}, "
-        f"{zero_mult * first_count}"
+    zeros = WeightedSpectrum(m_spec.unit, m_spec.cutoff, ((Fraction(0), comb(n, p)),))
+    return _recover_pair(
+        m_spec.difference(zeros), share(comb(n - 1, p - 1)), share(comb(n - 1, p)), n == 2 * p
     )
 
 
@@ -242,63 +259,23 @@ def recover_sphere_params(
     r_squared = Fraction(r_squared)
     if r_squared <= 0:
         raise NonpositiveScalar(f"r_squared must be positive, got {r_squared}")
-    beta_weight = (p + 1) * (n - p)  # first beta-series eigenvalue is beta*this/r^2
-    alpha_weight = p * (n - p + 1)  # first alpha-series eigenvalue is alpha*this/r^2
-    first_v = dim_V(n, p, 1)
-    first_w = dim_W(n, p, 0)
 
-    if m_spec.is_empty():
-        raise CutoffTooSmall("sphere spectrum shows no eigenvalue below the cutoff")
-    lead_key, lead_mult = m_spec.min_entry()
-    if lead_key <= 0:
-        raise BranchAmbiguous(f"leading eigenvalue {lead_key} is not positive")
+    def share(series) -> _Share:
+        first = series(n, p, 1, r_squared)
 
-    def after_removal(series_spectrum, coefficient: Fraction) -> Fraction:
-        series = series_spectrum(n, p, coefficient, r_squared, m_spec.cutoff, m_spec.unit)
-        rest = m_spec.difference(series)
-        if rest.is_empty():
-            raise CutoffTooSmall(
-                "remaining spectrum is empty before the second parameter appears"
-            )
-        return rest.min_entry()[0]
+        def spectrum(c: Fraction) -> WeightedSpectrum:
+            return series(n, p, c, r_squared).spectrum(m_spec.cutoff, m_spec.unit)
 
-    if n == 2 * p:
-        if lead_mult not in (first_w, 2 * first_w):
-            raise BranchAmbiguous(
-                f"leading multiplicity {lead_mult} fits no half-dimension case"
-            )
-        gamma = r_squared * lead_key / alpha_weight
-        second = after_removal(mu_series_spectrum, gamma)
-        delta = r_squared * second / alpha_weight
-        pair = tuple(sorted((gamma, delta)))
-        return RecoveryResult("unordered", pair, (BRANCH_UNORDERED,))
+        return _Share(first.value(first.start), first.dim(first.start), spectrum)
 
-    if lead_mult == first_v:
-        delta = r_squared * lead_key / beta_weight
-        second = after_removal(lambda_series_spectrum, delta)
-        gamma = r_squared * second / alpha_weight
-        return RecoveryResult("ordered", (gamma, delta), (BRANCH_BETA_FIRST,))
-    if lead_mult == first_w:
-        gamma = r_squared * lead_key / alpha_weight
-        second = after_removal(mu_series_spectrum, gamma)
-        delta = r_squared * second / beta_weight
-        return RecoveryResult("ordered", (gamma, delta), (BRANCH_ALPHA_FIRST,))
-    if lead_mult == first_v + first_w:
-        gamma = r_squared * lead_key / alpha_weight
-        delta = r_squared * lead_key / beta_weight
-        return RecoveryResult("ordered", (gamma, delta), (BRANCH_COINCIDENT,))
-    raise BranchAmbiguous(
-        f"leading multiplicity {lead_mult} matches none of "
-        f"{first_v}, {first_w}, {first_v + first_w}"
-    )
+    return _recover_pair(m_spec, share(_mu_series), share(_lambda_series), n == 2 * p)
 
 
 def recover_radius(alpha, beta, n: int, p: int, min_eigenvalue) -> Fraction:
     """Read r^2 off the smallest eigenvalue when (alpha, beta) are known.
 
-    The smaller of the two leading series values determines which formula
-    applies: alpha/beta >= (p+1)(n-p) / (p(n-p+1)) means the beta series
-    leads.  At equality both formulas agree.
+    The smallest eigenvalue is the smaller of the two series' first values,
+    and each of those is r^-2 times its value on the unit sphere.
     """
     if not 1 <= p <= n - 1:
         raise DegreeOutOfRange(f"radius recovery needs 1 <= p <= n-1, got p={p}, n={n}")
@@ -308,11 +285,8 @@ def recover_radius(alpha, beta, n: int, p: int, min_eigenvalue) -> Fraction:
     min_eigenvalue = Fraction(min_eigenvalue)
     if min_eigenvalue <= 0:
         raise NonpositiveMin(f"minimal eigenvalue must be positive, got {min_eigenvalue}")
-    beta_weight = (p + 1) * (n - p)
-    alpha_weight = p * (n - p + 1)
-    if alpha * alpha_weight >= beta * beta_weight:
-        return beta * beta_weight / min_eigenvalue
-    return alpha * alpha_weight / min_eigenvalue
+    leads = (_mu_series(n, p, alpha, 1), _lambda_series(n, p, beta, 1))
+    return min(series.value(series.start) for series in leads) / min_eigenvalue
 
 
 def scaling_transfer(alpha, beta, factor) -> tuple[Fraction, Fraction]:

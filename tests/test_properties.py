@@ -227,7 +227,9 @@ def test_radius_round_trip(order, data):
 
 
 @PROPERTY
-@given(st.integers(1, 6), st.data(), positive, positive, positive, st.fractions(0, 60, max_denominator=3))
+@given(
+    st.integers(1, 6), st.data(), positive, positive, positive, st.fractions(0, 60, max_denominator=3)
+)
 def test_sphere_duality_swaps_parameters(n, data, alpha, beta, r_squared, cutoff):
     p = data.draw(st.integers(0, n))
     left = SphereOperator(n, p, alpha, beta, r_squared)
