@@ -68,6 +68,9 @@ def _emit_error(err: Error) -> None:
 
 
 def _extension_note(op, side: str = "") -> None:
+    # called once the command has succeeded, so an error stays the only thing on stderr
+    if not op.duality_extension:
+        return
     where = f"{side} " if side else ""
     print(
         f"note: {where}degree p={op.p} is a boundary degree; "
@@ -92,13 +95,15 @@ def _write_json(path: str | None, payload) -> None:
 
 def _load_json(path: str, what: str):
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from None
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{what} file {path} is not valid JSON: {exc}") from None
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
+        raise ParseError(f"{what} file {path} is not valid UTF-8 JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{what} file {path} nests too deeply") from None
 
 
 def _load_spectrum(path: str) -> WeightedSpectrum:
@@ -145,12 +150,11 @@ def _cmd_spectrum_torus(args) -> int:
     op = TorusOperator(
         lattice, args.p, args.alpha, args.beta, generic=args.mode == "generic"
     )
-    if op.duality_extension:
-        _extension_note(op)
     if op.generic:
         _emit_parts(args, *f_spectrum_parts(op, args.cutoff))
     else:
         _emit_spectrum(args, f_spectrum(op, args.cutoff))
+    _extension_note(op)
     return 0
 
 
@@ -158,16 +162,15 @@ def _cmd_spectrum_sphere(args) -> int:
     op = SphereOperator(
         args.n, args.p, args.alpha, args.beta, args.r2, generic=args.mode == "generic"
     )
-    if op.duality_extension:
-        _extension_note(op)
     if op.generic:
         _emit_parts(args, *sphere_spectrum_parts(op, args.cutoff))
     else:
         _emit_spectrum(args, sphere_spectrum(op, args.cutoff))
+    _extension_note(op)
     return 0
 
 
-def _side_spectrum(args, side: str) -> WeightedSpectrum:
+def _side_operator(args, side: str) -> tuple[TorusOperator | SphereOperator, WeightedSpectrum]:
     kind = getattr(args, f"{side}_kind")
     p = getattr(args, f"{side}_p")
     alpha = getattr(args, f"{side}_alpha")
@@ -176,9 +179,7 @@ def _side_spectrum(args, side: str) -> WeightedSpectrum:
         if getattr(args, f"{side}_n") is not None or getattr(args, f"{side}_r2") is not None:
             raise ParseError(f"--{side}-n and --{side}-r2 apply to sphere sides only")
         op = TorusOperator(_load_lattice(args, side), p, alpha, beta)
-        if op.duality_extension:
-            _extension_note(op, side)
-        return f_spectrum(op, args.cutoff)
+        return op, f_spectrum(op, args.cutoff)
     if getattr(args, f"{side}_lattice") is not None or getattr(args, f"{side}_zn") is not None:
         raise ParseError(f"--{side}-lattice and --{side}-zn apply to torus sides only")
     n = getattr(args, f"{side}_n")
@@ -186,33 +187,26 @@ def _side_spectrum(args, side: str) -> WeightedSpectrum:
     if n is None or r2 is None:
         raise ParseError(f"a sphere side needs --{side}-n and --{side}-r2")
     op = SphereOperator(n, p, alpha, beta, r2)
-    if op.duality_extension:
-        _extension_note(op, side)
-    return sphere_spectrum(op, args.cutoff)
+    return op, sphere_spectrum(op, args.cutoff)
 
 
 def _cmd_isospec(args) -> int:
-    left = _side_spectrum(args, "left")
-    right = _side_spectrum(args, "right")
-    cutoff = format_rational(args.cutoff)
+    left_op, left = _side_operator(args, "left")
+    right_op, right = _side_operator(args, "right")
+    payload = {"isospectral": True, "cutoff": format_rational(args.cutoff)}
     divergence = first_divergence(left, right, args.cutoff)
-    if divergence is None:
-        _write_json(args.output, {"isospectral": True, "cutoff": cutoff})
-        return 0
-    key, left_mult, right_mult = divergence
-    _write_json(
-        args.output,
-        {
-            "isospectral": False,
-            "cutoff": cutoff,
-            "first_divergence": {
-                "key": format_rational(key),
-                "left_multiplicity": left_mult,
-                "right_multiplicity": right_mult,
-            },
-        },
-    )
-    return 1
+    if divergence is not None:
+        key, left_mult, right_mult = divergence
+        payload["isospectral"] = False
+        payload["first_divergence"] = {
+            "key": format_rational(key),
+            "left_multiplicity": left_mult,
+            "right_multiplicity": right_mult,
+        }
+    _write_json(args.output, payload)
+    _extension_note(left_op, "left")
+    _extension_note(right_op, "right")
+    return 0 if divergence is None else 1
 
 
 def _cmd_recover_base(args) -> int:

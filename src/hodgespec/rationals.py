@@ -33,9 +33,13 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ParseError(f"not a rational literal: {text!r} (use 'a/b' or an integer string)")
     num, slash, den = text.strip().partition("/")
-    if slash and int(den) == 0:
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"rational literal of {len(text)} characters is too long") from None
+    if den == 0:
         raise ParseError(f"zero denominator: {text!r}")
-    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from typing import Callable, Iterator
 
 from . import linalg
@@ -38,6 +38,7 @@ from .exterior import (
     delta_flat,
     homogeneous_exponents,
 )
+from .lattice import _resolve_budget
 from .multiset import Unit, WeightedSpectrum
 
 __all__ = [
@@ -169,13 +170,24 @@ class _SeriesFormula:
         return self.scale * (k + self.a) * (k + self.b)
 
     def terms(self, cutoff: Fraction) -> Iterator[tuple[int, Fraction, int]]:
-        """(k, value, dim) of every nonzero term with value <= cutoff."""
-        k = self.start
-        while (value := self.value(k)) <= cutoff:
+        """(k, value, dim) of every nonzero term with value <= cutoff.
+
+        The term count is charged to HODGESPEC_BUDGET before any term is made:
+        value(k) <= cutoff exactly when (k+a)(k+b) <= m = floor(cutoff/scale),
+        and 4(k+a)(k+b) = (2k+a+b)^2 - (a-b)^2 names the last such k.
+        """
+        if cutoff < self.value(self.start):
+            return
+        m = cutoff // self.scale
+        last = (isqrt(4 * m + (self.a - self.b) ** 2) - self.a - self.b) // 2
+        ks = range(self.start, last + 1)
+        limit = _resolve_budget(None)
+        if len(ks) > limit:
+            raise BudgetExceeded(f"sphere series needs {len(ks)} terms, budget is {limit}")
+        for k in ks:
             dim = self.dim(k)
             if dim:
-                yield k, value, dim
-            k += 1
+                yield k, self.value(k), dim
 
     def spectrum(self, cutoff, unit: Unit = Unit.PLAIN) -> WeightedSpectrum:
         cutoff = Fraction(cutoff)

@@ -1,6 +1,8 @@
 """Command-line behavior: output formats, exit codes, error objects."""
 
+import io
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -304,6 +306,24 @@ def test_recover_tampered_spectrum_exits_4(tmp_path, capsys):
     assert error_kind(err) == "BranchAmbiguous"
 
 
+def test_recover_torus_surplus_zero_exits_4(tmp_path, capsys):
+    m = f_spectrum(TorusOperator(standard_lattice(3), 1, F(3), F(5)), 10)
+    payload = m.to_json_dict()
+    payload["entries"][0] = ["0", 9]  # Z^3 has 3 parallel 1-forms, not 9
+    m_file = tmp_path / "m.json"
+    base_file = tmp_path / "base.json"
+    m_file.write_text(json.dumps(payload))
+    base_file.write_text(json.dumps(laplace0_spectrum(standard_lattice(3), 4).to_json_dict()))
+    code, out, err = run(
+        ["recover", "torus-params", "--spectrum", str(m_file),
+         "--base", str(base_file), "--n", "3", "--p", "1"],
+        capsys,
+    )
+    assert code == 4
+    assert out == ""
+    assert error_kind(err) == "BranchAmbiguous"
+
+
 def test_recover_truncated_spectrum_exits_4(tmp_path, capsys):
     op = SphereOperator(3, 1, F(1), F(100))
     m_file = tmp_path / "m.json"
@@ -381,6 +401,55 @@ def test_malformed_json_shapes_exit_2(command, payload, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "ParseError"  # all of stderr is one object
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize(
+    "payload", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf8", "nested-too-deep"]
+)
+def test_undecodable_json_exits_2(payload, source, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(payload)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8"))
+    where = str(path) if source == "file" else "-"
+    code, out, err = run(["enumerate", "--bound", "1", "--lattice", where], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParseError"  # all of stderr is one object
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        (["enumerate", "--bound", "1", "--lattice"], b'{"n": ' + b"7" * 5000 + b"}"),
+        (["enumerate", "--bound", "1", "--lattice"], b'{"n": 1, "basis": [["' + b"9" * 5000 + b'"]]}'),
+        (
+            ["recover", "radius", "--alpha", "1", "--beta", "1", "--n", "3", "--p", "1",
+             "--spectrum"],
+            b'{"unit": "plain", "cutoff": "1", "entries": [["' + b"9" * 5000 + b'", 1]]}',
+        ),
+    ],
+    ids=["json-integer", "lattice-entry", "spectrum-key"],
+)
+def test_numbers_past_the_digit_limit_exit_2(command, payload, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(payload)
+    code, out, err = run(command + [str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParseError"  # all of stderr is one object
+
+
+def test_failed_run_prints_no_boundary_note(capsys):
+    code, out, err = run(
+        ["isospec", "--left-kind", "torus", "--left-zn", "1", "--left-p", "0",
+         "--left-alpha", "1", "--left-beta", "1", "--right-kind", "torus", "--right-zn", "1",
+         "--right-p", "2", "--right-alpha", "1", "--right-beta", "1", "--cutoff", "1"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "DegreeOutOfRange"  # all of stderr is one object
 
 
 def test_recover_radius_rejects_impossible_leading_multiplicity(tmp_path, capsys):

@@ -1,0 +1,206 @@
+"""CLI fuzz: argv drawn from the subcommand grammar, hostile JSON payload files.
+
+Whatever the input, ``cli.main`` must return an exit code in 0-4 without
+raising, and on codes 2-4 standard error must be exactly one
+``{"error", "message"}`` object.  HODGESPEC_BUDGET is small, so every run is
+bounded.  Dimensions stay small: ``--zn`` and ``--n`` are not charged to the
+budget.  Hypothesis runs derandomized, so every run draws the same examples.
+"""
+
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hodgespec.cli import main
+from hodgespec.lattice import BUDGET_ENV_VAR, Lattice, standard_lattice
+from hodgespec.sphere import SphereOperator
+from hodgespec.sphere import spectrum as sphere_spectrum
+from hodgespec.torus import TorusOperator, f_spectrum, laplace0_spectrum
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+def mostly(usual, hostile):
+    """``usual`` on most draws, ``hostile`` on about one in thirty, so that
+    most runs get past argument checking and a few fail at each step."""
+    return st.integers(0, 29).flatmap(lambda i: hostile if i == 29 else usual)
+
+
+numbers = mostly(
+    st.sampled_from(["1", "2", "3", "5", "12", "1/2", "3/2", "5/3", "0"]),
+    st.sampled_from(["-1", "1.5", "1e3", "abc", "", " 2", "1/0", "10" * 12, "9" * 5000]),
+)
+hostile_counts = st.sampled_from(["-1", "0", "7", "x", "2.0"])
+dims = mostly(st.integers(1, 4).map(str), hostile_counts)
+degrees = mostly(st.integers(0, 4).map(str), hostile_counts)
+# "@i" names payload file i (0 and 1 hold spectra, 2 a lattice), "-" the stdin payload
+missing = st.just("/nonexistent/input.json")
+spectrum_files = mostly(st.sampled_from(["@0", "@1", "-"]), missing)
+lattice_files = mostly(st.sampled_from(["@2", "-"]), missing)
+
+
+def flag(name, values=None):
+    return st.just([name]) if values is None else values.map(lambda value: [name, value])
+
+
+def lattice_source(prefix="--"):
+    return st.one_of(flag(f"{prefix}zn", dims), flag(f"{prefix}lattice", lattice_files))
+
+
+def side(name):
+    dash = f"--{name}-"
+    common = [flag(f"{dash}p", degrees), flag(f"{dash}alpha", numbers), flag(f"{dash}beta", numbers)]
+    torus = [flag(f"{dash}kind", st.just("torus")), lattice_source(dash)]
+    sphere = [flag(f"{dash}kind", st.just("sphere")), flag(f"{dash}n", dims),
+              flag(f"{dash}r2", numbers)]
+    return st.sampled_from([torus + common, sphere + common, torus + sphere[1:] + common])
+
+
+output = [flag("--mode", mostly(st.sampled_from(["merged", "generic"]), st.just("x"))),
+          flag("--format", st.sampled_from(["json", "csv"]))]
+parameters = [flag("--alpha", numbers), flag("--beta", numbers)]
+
+GRAMMAR = {
+    ("spectrum", "torus"): st.just(
+        [lattice_source(), flag("--p", degrees), *parameters, flag("--cutoff", numbers), *output]
+    ),
+    ("spectrum", "sphere"): st.just(
+        [flag("--n", dims), flag("--p", degrees), *parameters, flag("--r2", numbers),
+         flag("--cutoff", numbers), *output]
+    ),
+    ("isospec",): st.builds(
+        lambda left, right: left + right + [flag("--cutoff", numbers)], side("left"), side("right")
+    ),
+    ("recover", "base-set"): st.just(
+        [flag("--spectrum", spectrum_files), *parameters, flag("--copies-alpha", dims),
+         flag("--copies-beta", dims)]
+    ),
+    ("recover", "torus-params"): st.just(
+        [flag("--spectrum", spectrum_files), flag("--base", spectrum_files), flag("--n", dims),
+         flag("--p", degrees)]
+    ),
+    ("recover", "sphere-params"): st.just(
+        [flag("--spectrum", spectrum_files), flag("--n", dims), flag("--p", degrees),
+         flag("--r2", numbers)]
+    ),
+    ("recover", "radius"): st.just(
+        [flag("--spectrum", spectrum_files), *parameters, flag("--n", dims), flag("--p", degrees)]
+    ),
+    ("enumerate",): st.just([lattice_source(), flag("--bound", numbers), flag("--box")]),
+}
+
+
+@st.composite
+def argvs(draw):
+    words = draw(st.sampled_from(sorted(GRAMMAR)))
+    argv = list(words)
+    for strategy in draw(GRAMMAR[words]):
+        argv += draw(mostly(strategy, st.just([])))  # now and then a flag goes missing
+    return argv + draw(mostly(st.just([]), st.sampled_from([["--frobnicate"], ["--help"]])))
+
+
+def encoded(payload) -> bytes:
+    return json.dumps(payload).encode()
+
+
+Z3 = standard_lattice(3)
+SPECTRA = [
+    f_spectrum(TorusOperator(Z3, 1, F(3), F(5)), 10).to_json_dict(),
+    f_spectrum(TorusOperator(Z3, 1, F(5), F(5)), 10).to_json_dict(),
+    laplace0_spectrum(Z3, 4).to_json_dict(),
+    sphere_spectrum(SphereOperator(3, 1, F(1), F(1)), 12).to_json_dict(),
+    sphere_spectrum(SphereOperator(2, 1, F(1), F(2)), 12).to_json_dict(),
+]
+LATTICES = [
+    Lattice(((F(1), F(1, 2)), (F(0), F(2)))).to_json_dict(),
+    {"n": 2, "basis": [["1", "0"], ["1/2", "1"]], "layout": "column-major"},
+]
+
+
+@st.composite
+def tampered(draw, examples):
+    """A well-formed payload with one entry's multiplicity or one field replaced."""
+    payload = json.loads(json.dumps(draw(st.sampled_from(examples))))
+    if "entries" in payload and draw(st.booleans()):
+        i = draw(st.integers(0, len(payload["entries"]) - 1))
+        payload["entries"][i][1] = draw(st.integers(-1, 9))
+    else:
+        payload[draw(st.sampled_from(sorted(payload)))] = draw(json_values)
+    return payload
+
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 50), numbers)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(
+            st.sampled_from(["n", "basis", "layout", "unit", "cutoff", "entries"]), inner,
+            max_size=4,
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+def nested(depth: int, opener: bytes, closer: bytes) -> bytes:
+    return opener * depth + closer * depth
+
+
+hostile_payloads = st.one_of(
+    json_values.map(encoded),
+    st.binary(max_size=16),
+    st.sampled_from([
+        b"\xff\xfe{}",
+        b"\xef\xbb\xbf{}",
+        b'{"n": ' + b"7" * 5000 + b"}",
+        b'{"unit": "plain", "cutoff": "1", "entries": [["' + b"9" * 5000 + b'", 1]]}',
+    ]),
+    st.builds(
+        nested, st.sampled_from([50, 900, 100_000]), st.sampled_from([b"[", b'{"n":']),
+        st.sampled_from([b"]", b"}", b""]),
+    ),
+    st.builds(
+        lambda depth: b'{"n": 1, "basis": [[' + nested(depth, b"[", b"]") + b"]]}",
+        st.sampled_from([100, 900, 990]),
+    ),
+)
+
+
+def payloads(examples):
+    """Well-formed, tampered and hostile payloads, a third each."""
+    return st.one_of(
+        st.sampled_from(examples).map(encoded), tampered(examples).map(encoded), hostile_payloads
+    )
+
+
+@FUZZ
+@given(
+    argvs(),
+    st.tuples(payloads(SPECTRA), payloads(SPECTRA), payloads(LATTICES)),
+    payloads(SPECTRA + LATTICES),
+)
+def test_cli_answers_every_input_with_a_documented_exit(tmp_path_factory, argv, files, piped):
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for i, content in enumerate(files):
+        path = folder / f"{i}.json"
+        path.write_bytes(content)
+        paths.append(str(path))
+    argv = [paths[int(word[1:])] if word.startswith("@") else word for word in argv]
+    stdin = io.TextIOWrapper(io.BytesIO(piped), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {BUDGET_ENV_VAR: "2000"}), \
+            mock.patch.object(sys, "stdin", stdin), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in range(5), argv
+    if code >= 2:
+        assert out.getvalue() == ""
+        assert set(json.loads(err.getvalue())) == {"error", "message"}, err.getvalue()

@@ -227,6 +227,14 @@ def test_recover_torus_tampered_multiplicity():
         recover_torus_params(wspec(bumped, m.cutoff), base, 3, 1)
 
 
+def test_recover_torus_surplus_zero_multiplicity():
+    # Z^3 has 3 parallel 1-forms; the 6 extra zeros lead with the alpha-first count
+    m, base = torus_inputs(standard_lattice(3), 1, F(3), F(5))
+    surplus = [(k, 9 if k == 0 else mult) for k, mult in m.entries]
+    with pytest.raises(BranchAmbiguous):
+        recover_torus_params(wspec(surplus, m.cutoff), base, 3, 1)
+
+
 def sphere_cutoff(n, p, alpha, beta, r_squared):
     mu0 = alpha * p * (n - p + 1) / r_squared
     lam1 = beta * (p + 1) * (n - p) / r_squared

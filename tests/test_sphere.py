@@ -1,5 +1,6 @@
 """Round sphere spectra: series values, eigenspace dimensions, oracle recount."""
 
+import json
 import random
 import signal
 from contextlib import contextmanager
@@ -8,7 +9,9 @@ from math import comb
 
 import pytest
 
+from hodgespec.cli import main
 from hodgespec.errors import BudgetExceeded, DegreeOutOfRange, NonpositiveScalar
+from hodgespec.lattice import BUDGET_ENV_VAR
 from hodgespec.multiset import Unit, WeightedSpectrum
 from hodgespec.sphere import (
     Series,
@@ -277,3 +280,38 @@ def test_mu_series_spectrum_rejects_nonpositive_scalars(coefficient, r_squared):
 def test_scalar_series_spectrum_rejects_nonpositive_scalars(coefficient, r_squared):
     with within(2), pytest.raises(NonpositiveScalar):
         scalar_series_spectrum(3, coefficient, r_squared, 5)
+
+
+@pytest.mark.parametrize(
+    "build, start, value, cutoff",
+    [
+        (lambda cutoff: lambda_series_spectrum(3, 1, F(2, 3), F(5, 2), cutoff),
+         1, lambda k: F(2, 3) * (k + 1) * (k + 1) / F(5, 2), F(2, 3) * 64 / F(5, 2)),
+        (lambda cutoff: mu_series_spectrum(5, 2, F(1, 7), 3, cutoff),
+         0, lambda k: F(1, 7) * (k + 2) * (k + 4) / 3, F(1000, 3)),
+        (lambda cutoff: scalar_series_spectrum(4, F(3, 2), F(1, 3), cutoff),
+         0, lambda k: F(3, 2) * k * (k + 3) / F(1, 3), 500),
+    ],
+    ids=["lambda-cutoff-on-a-value", "mu", "scalar"],
+)
+def test_series_budget_counts_exact_terms(build, start, value, cutoff, monkeypatch):
+    terms = 0
+    while value(start + terms) <= cutoff:
+        terms += 1
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(terms))
+    assert len(build(cutoff)) == terms
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(terms - 1))
+    with pytest.raises(BudgetExceeded):
+        build(cutoff)
+
+
+def test_huge_sphere_cutoff_is_refused_before_any_term(monkeypatch, capsys):
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    argv = ["spectrum", "sphere", "--n", "3", "--p", "1", "--alpha", "1", "--beta", "1",
+            "--r2", "1", "--cutoff", "1000000000000000000"]
+    with within(1):
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "BudgetExceeded"
