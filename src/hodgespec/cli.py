@@ -31,7 +31,14 @@ from .isospec import (
     recover_sphere_params,
     recover_torus_params,
 )
-from .lattice import Lattice, brute_force_enumerate, dual, enumerate_norms, standard_lattice
+from .lattice import (
+    Lattice,
+    _charge_dimension,
+    brute_force_enumerate,
+    dual,
+    enumerate_norms,
+    standard_lattice,
+)
 from .multiset import WeightedSpectrum
 from .rationals import format_rational, parse_rational
 from .sphere import SphereOperator
@@ -118,6 +125,7 @@ def _load_lattice(args, side: str | None = None) -> Lattice:
     if (path is None) == (zn is None):
         raise ParseError(f"provide exactly one of {dash}lattice and {dash}zn")
     if zn is not None:
+        _charge_dimension(zn)  # before the n x n identity is built
         return standard_lattice(zn)
     return Lattice.from_json_dict(_load_json(path, "lattice"))
 

@@ -16,12 +16,10 @@ so tests can demand that engineered inputs exercise every case.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb
-from operator import itemgetter
 from typing import Callable
 
 from .errors import (
@@ -100,11 +98,8 @@ def first_divergence(
         raise CutoffExceeded(
             f"comparison bound {bound} exceeds a cutoff ({left.cutoff}, {right.cutoff})"
         )
-    upto = [
-        spec.entries[: bisect_right(spec.entries, bound, key=itemgetter(0))]
-        for spec in (left, right)
-    ]
     past_bound = (bound + 1, 0)
+    upto = (left._entries_upto(bound), right._entries_upto(bound))
     for (lk, lm), (rk, rm) in zip_longest(*upto, fillvalue=past_bound):
         if lk != rk:
             return (lk, lm, 0) if lk < rk else (rk, 0, rm)
@@ -123,9 +118,11 @@ def reconstruct_base(
     """Recover C from ``copies_alpha * (alpha C) + copies_beta * (beta C)``.
 
     Repeatedly reads the smallest remaining key as min(alpha, beta) times
-    the next element of C and removes both scaled copies.  The result is
-    complete up to cutoff / max(alpha, beta), which is its cutoff.  Raises
-    NotInImage as soon as a removal inside the guaranteed region fails.
+    the next element of C and removes both scaled copies.  Both removal keys
+    are at least that smallest key, so one pass over the sorted keys finds
+    every smallest key in turn.  The result is complete up to
+    cutoff / max(alpha, beta), which is its cutoff.  Raises NotInImage as
+    soon as a removal inside the guaranteed region fails.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha <= 0 or beta <= 0:
@@ -136,24 +133,29 @@ def reconstruct_base(
         raise EmptyInput("cannot reconstruct a base set from an empty spectrum")
     low, high = min(alpha, beta), max(alpha, beta)
     guarantee = m_spec.cutoff / high
-    work = {key: mult for key, mult in m_spec.entries}
-    out: dict[Fraction, int] = {}
-    while work:
-        element = min(work) / low
+    work = dict(m_spec.entries)
+    out: list[tuple[Fraction, int]] = []
+    for key, _ in m_spec.entries:
+        element = key / low
         if element > guarantee:
             break
-        for value, needed in ((alpha * element, copies_alpha), (beta * element, copies_beta)):
-            available = work.get(value, 0)
-            if available < needed:
-                raise NotInImage(
-                    f"removing {needed} at key {value} but only {available} present"
-                )
-            if available == needed:
-                del work[value]
-            else:
-                work[value] = available - needed
-        out[element] = out.get(element, 0) + 1
-    return WeightedSpectrum.from_pairs(m_spec.unit, guarantee, out.items())
+        removals = ((alpha * element, copies_alpha), (beta * element, copies_beta))
+        count = 0
+        while key in work:  # exhausted keys were removed along the way
+            for value, needed in removals:
+                available = work.get(value, 0)
+                if available < needed:
+                    raise NotInImage(
+                        f"removing {needed} at key {value} but only {available} present"
+                    )
+                if available == needed:
+                    del work[value]
+                else:
+                    work[value] = available - needed
+            count += 1
+        if count:
+            out.append((element, count))
+    return WeightedSpectrum.from_pairs(m_spec.unit, guarantee, out)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,15 @@ cleared once per call: per layer, an integer scale for the column of L makes
 the layer's offset an integer y_i, and one global scale T turns every pivot
 into an integer weight, so T*|l|^2 = sum_i w_i y_i^2.  The walk then runs in
 Python ints: the bracket |y_i| <= isqrt(remaining // w_i) is exact, every
-candidate in it is a member, and one Fraction is built per distinct norm.
+candidate in it is a member, and the integer norms are sorted before one
+Fraction is built per distinct norm.
 ``brute_force_enumerate`` is the deliberately dumb reference: it scans the
 full integer box given by the per-coordinate bound x_i^2 <= Q * <b_i, b_i>
 (from x_i = <l, b_i> and Cauchy-Schwarz) and rechecks every cell.  Both count
 the zero vector.
 
-The environment variable HODGESPEC_BUDGET caps enumeration work for both.
+The environment variable HODGESPEC_BUDGET caps enumeration work for both,
+and the n^3 matrix work of :func:`dual`.
 """
 
 from __future__ import annotations
@@ -144,8 +146,20 @@ class DualData:
     ldl_diag: tuple[Fraction, ...]
 
 
+def _charge_dimension(n: int) -> None:
+    """Refuse a dimension whose n^3 matrix work exceeds HODGESPEC_BUDGET."""
+    limit = _resolve_budget(None)
+    if n**3 > limit:
+        raise BudgetExceeded(f"dimension {n} needs {n}^3 matrix steps, budget is {limit}")
+
+
 def dual(lattice: Lattice) -> DualData:
-    """Dual basis (pairing to the identity) plus Gram matrices and LDL^T."""
+    """Dual basis (pairing to the identity) plus Gram matrices and LDL^T.
+
+    The inverse, the Gram matrices and LDL^T each take about n^3 steps,
+    charged to HODGESPEC_BUDGET before any of them starts.
+    """
+    _charge_dimension(lattice.n)
     inverse = linalg.invert(lattice.basis)
     if inverse is None:
         raise SingularBasis("lattice basis is singular")
@@ -163,8 +177,10 @@ def dual(lattice: Lattice) -> DualData:
     )
 
 
-def _norm_spectrum(bound: Fraction, counts: dict[Fraction, int]) -> WeightedSpectrum:
-    return WeightedSpectrum(Unit.FOUR_PI_SQUARED, bound, tuple(sorted(counts.items())))
+def _norm_spectrum(bound: Fraction, counts: dict, scale: int) -> WeightedSpectrum:
+    """Norms ``key / scale`` with their counts; keys are sorted before any division."""
+    entries = tuple((Fraction(key, scale), counts[key]) for key in sorted(counts))
+    return WeightedSpectrum(Unit.FOUR_PI_SQUARED, bound, entries)
 
 
 def enumerate_norms(dual_data: DualData, bound, budget: int | None = None) -> WeightedSpectrum:
@@ -213,7 +229,7 @@ def enumerate_norms(dual_data: DualData, bound, budget: int | None = None) -> We
         coords[level] = 0
 
     descend(n - 1, top)
-    return _norm_spectrum(bound, {Fraction(key, scale): count for key, count in counts.items()})
+    return _norm_spectrum(bound, counts, scale)
 
 
 def count_norm(dual_data: DualData, norm, budget: int | None = None) -> int:
@@ -253,4 +269,4 @@ def brute_force_enumerate(
                     norm += 2 * row[j] * coords[i] * coords[j]
         if norm <= bound:
             counts[norm] = counts.get(norm, 0) + 1
-    return _norm_spectrum(bound, counts)
+    return _norm_spectrum(bound, counts, 1)

@@ -7,7 +7,8 @@ ever touches floating point.  Matrices are tuples of row tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 __all__ = ["identity", "invert", "ldlt", "rank", "gram"]
@@ -22,10 +23,20 @@ def identity(n: int) -> Matrix:
 
 
 def gram(vectors: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Matrix of pairwise Euclidean inner products."""
-    return tuple(
-        tuple(sum(u[k] * v[k] for k in range(len(u))) for v in vectors) for u in vectors
-    )
+    """Matrix of pairwise Euclidean inner products.
+
+    Entries may be Fractions or ints.  One common denominator D clears every
+    coordinate, so <u, v> = <Du, Dv> / D^2 with integer dot products, taken
+    once per pair and mirrored.
+    """
+    scale = lcm(*(x.denominator for v in vectors for x in v))
+    cleared = [[x.numerator * (scale // x.denominator) for x in v] for v in vectors]
+    square = scale * scale
+    rows = [[0] * len(cleared) for _ in cleared]
+    for i, u in enumerate(cleared):
+        for j in range(i, len(cleared)):
+            rows[i][j] = rows[j][i] = Fraction(sum(map(mul, u, cleared[j])), square)
+    return tuple(tuple(row) for row in rows)
 
 
 def invert(matrix: Sequence[Sequence[Fraction]]) -> Matrix | None:

@@ -15,10 +15,10 @@ by accident.  Cross-unit operations are hard errors, never coercions.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
@@ -60,15 +60,16 @@ class WeightedSpectrum:
         object.__setattr__(self, "cutoff", Fraction(self.cutoff))
         if self.cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
-        previous = None
-        for key, mult in self.entries:
+        for _, mult in self.entries:
             if not isinstance(mult, int) or mult < 1:
                 raise ValueError(f"multiplicity must be a positive int, got {mult!r}")
-            if previous is not None and key <= previous:
-                raise ValueError("entries must be strictly increasing in key")
-            if key > self.cutoff:
-                raise ValueError(f"key {key} exceeds cutoff {self.cutoff}")
-            previous = key
+        keys = [key for key, _ in self.entries]
+        if not all(map(lt, keys, keys[1:])):
+            raise ValueError("entries must be strictly increasing in key")
+        # keys strictly increase, so the last one bounds them all
+        if keys and keys[-1] > self.cutoff:
+            first = keys[bisect_right(keys, self.cutoff)]
+            raise ValueError(f"key {first} exceeds cutoff {self.cutoff}")
 
     # -- construction ----------------------------------------------------
 
@@ -106,6 +107,10 @@ class WeightedSpectrum:
             return self.entries[i][1]
         return 0
 
+    def _entries_upto(self, bound) -> tuple[tuple[Fraction, int], ...]:
+        """The entries with key <= bound, cut by bisection."""
+        return self.entries[: bisect_right(self.entries, bound, key=itemgetter(0))]
+
     def is_empty(self) -> bool:
         return not self.entries
 
@@ -140,7 +145,7 @@ class WeightedSpectrum:
         """Pointwise max(self - other, 0), truncated at the smaller cutoff."""
         self._require_same_unit(other)
         cutoff = min(self.cutoff, other.cutoff)
-        acc = {key: mult for key, mult in self.entries if key <= cutoff}
+        acc = dict(self._entries_upto(cutoff))
         for key, mult in other.entries:
             if key in acc:
                 remaining = acc[key] - mult
@@ -163,8 +168,7 @@ class WeightedSpectrum:
         bound = Fraction(bound)
         if bound > self.cutoff:
             raise CutoffExceeded(f"truncation bound {bound} exceeds cutoff {self.cutoff}")
-        entries = tuple((key, mult) for key, mult in self.entries if key <= bound)
-        return WeightedSpectrum(self.unit, bound, entries)
+        return WeightedSpectrum(self.unit, bound, self._entries_upto(bound))
 
     def with_unit(self, unit: Unit) -> "WeightedSpectrum":
         """Reinterpret the keys under another unit tag (keys unchanged).
@@ -224,11 +228,23 @@ def repeated_union(
     if left_count < 0 or right_count < 0 or left_count + right_count < 1:
         raise ValueError("copy counts must be nonnegative and not both zero")
     cutoff = min(left.cutoff, right.cutoff)
-    acc: dict[Fraction, int] = {}
-    for spectrum, count in ((left, left_count), (right, right_count)):
-        if count == 0:
-            continue
-        for key, mult in spectrum.entries:
-            if key <= cutoff:
-                acc[key] = acc.get(key, 0) + count * mult
-    return WeightedSpectrum(left.unit, cutoff, tuple(sorted(acc.items())))
+    # one merge walk over the two sorted entry lists, both cut at the cutoff
+    a = left._entries_upto(cutoff) if left_count else ()
+    b = right._entries_upto(cutoff) if right_count else ()
+    merged: list[tuple[Fraction, int]] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (left_key, left_mult), (right_key, right_mult) = a[i], b[j]
+        if left_key < right_key:
+            merged.append((left_key, left_count * left_mult))
+            i += 1
+        elif right_key < left_key:
+            merged.append((right_key, right_count * right_mult))
+            j += 1
+        else:
+            merged.append((left_key, left_count * left_mult + right_count * right_mult))
+            i += 1
+            j += 1
+    merged += ((key, left_count * mult) for key, mult in a[i:])
+    merged += ((key, right_count * mult) for key, mult in b[j:])
+    return WeightedSpectrum(left.unit, cutoff, tuple(merged))

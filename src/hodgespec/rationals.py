@@ -20,6 +20,13 @@ __all__ = [
 ]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_ECHO_LIMIT = 80
+
+
+def _echo(value) -> str:
+    """repr of an offending value for an error message, cut after _ECHO_LIMIT characters."""
+    text = repr(value)
+    return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT] + "..."
 
 
 def parse_rational(text: str) -> Fraction:
@@ -31,14 +38,14 @@ def parse_rational(text: str) -> Fraction:
     Fraction(-2, 1)
     """
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
-        raise ParseError(f"not a rational literal: {text!r} (use 'a/b' or an integer string)")
+        raise ParseError(f"not a rational literal: {_echo(text)} (use 'a/b' or an integer string)")
     num, slash, den = text.strip().partition("/")
     try:
         num, den = int(num), int(den) if slash else 1
     except ValueError:  # more digits than the interpreter converts
         raise ParseError(f"rational literal of {len(text)} characters is too long") from None
     if den == 0:
-        raise ParseError(f"zero denominator: {text!r}")
+        raise ParseError(f"zero denominator: {_echo(text)}")
     return Fraction(num, den)
 
 

@@ -107,10 +107,13 @@ class SphereOperator:
             )
 
 
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise AssertionError(f"{what} came out non-integral: {value}")
-    return int(value)
+def _as_int(numerator: int, denominator: int, what: str) -> int:
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise AssertionError(
+            f"{what} came out non-integral: {Fraction(numerator, denominator)}"
+        )
+    return quotient
 
 
 def dim_V(n: int, p: int, k: int) -> int:
@@ -121,11 +124,11 @@ def dim_V(n: int, p: int, k: int) -> int:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return 0
-    value = Fraction(
+    return _as_int(
         factorial(n + k - 1) * (n + 2 * k - 1),
         factorial(p) * factorial(k - 1) * factorial(n - p - 1) * (n + k - p - 1) * (k + p),
+        f"dim_V({n},{p},{k})",
     )
-    return _as_int(value, f"dim_V({n},{p},{k})")
 
 
 def dim_W(n: int, p: int, k: int) -> int:
@@ -134,11 +137,11 @@ def dim_W(n: int, p: int, k: int) -> int:
         raise DegreeOutOfRange(f"dim_W needs 1 <= p <= n-1, got p={p}, n={n}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    value = Fraction(
+    return _as_int(
         factorial(n + k) * (n + 2 * k + 1),
         factorial(p - 1) * factorial(k) * factorial(n - p) * (n + k - p + 1) * (k + p),
+        f"dim_W({n},{p},{k})",
     )
-    return _as_int(value, f"dim_W({n},{p},{k})")
 
 
 def harmonic_polynomial_dim(nvars: int, degree: int) -> int:
@@ -167,7 +170,8 @@ class _SeriesFormula:
     dim: Callable[[int], int]
 
     def value(self, k: int) -> Fraction:
-        return self.scale * (k + self.a) * (k + self.b)
+        scale = self.scale
+        return Fraction(scale.numerator * (k + self.a) * (k + self.b), scale.denominator)
 
     def terms(self, cutoff: Fraction) -> Iterator[tuple[int, Fraction, int]]:
         """(k, value, dim) of every nonzero term with value <= cutoff.

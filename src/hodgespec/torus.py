@@ -94,11 +94,11 @@ def f_spectrum_parts(
         raise ValueError("cutoff must be nonnegative")
     table = enumerate_norms(dual(op.lattice), cutoff / min(op.alpha, op.beta), budget=budget)
 
-    def part(scale_factor: Fraction, copies: int) -> WeightedSpectrum:
+    def part(factor: Fraction, copies: int) -> WeightedSpectrum:
+        num, den = factor.numerator, factor.denominator
         entries = tuple(
-            (scale_factor * norm, copies * count)
-            for norm, count in table.entries
-            if copies and scale_factor * norm <= cutoff
+            (Fraction(norm.numerator * num, norm.denominator * den), copies * count)
+            for norm, count in (table._entries_upto(cutoff / factor) if copies else ())
         )
         return WeightedSpectrum(Unit.FOUR_PI_SQUARED, cutoff, entries)
 

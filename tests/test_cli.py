@@ -9,7 +9,8 @@ import pytest
 
 from hodgespec.cli import main
 from hodgespec.isospec import BRANCH_ALPHA_FIRST, BRANCH_COINCIDENT
-from hodgespec.lattice import standard_lattice
+from hodgespec.lattice import BUDGET_ENV_VAR, standard_lattice
+from hodgespec.multiset import Unit, WeightedSpectrum, repeated_union
 from hodgespec.sphere import SphereOperator
 from hodgespec.sphere import spectrum as sphere_spectrum
 from hodgespec.torus import TorusOperator, f_spectrum, laplace0_spectrum
@@ -224,6 +225,24 @@ def test_recover_base_set(tmp_path, capsys):
         "cutoff": "4",
         "entries": [["0", 1], ["1", 1], ["4", 1]],
     }
+
+
+def test_recover_base_set_of_4000_elements_is_linear(within, tmp_path, capsys):
+    # keys k/3 with multiplicities 1-3; 2C and 3C share the keys 2j, so removals interleave
+    base = WeightedSpectrum(
+        Unit.PLAIN, 2000, tuple((F(k, 3), 1 + k % 3) for k in range(1, 6001))
+    )
+    m_spec = repeated_union(base.scale(2), 2, base.scale(3), 1)  # cutoff 4000
+    m_file = tmp_path / "m.json"
+    m_file.write_text(json.dumps(m_spec.to_json_dict()))
+    argv = ["recover", "base-set", "--spectrum", str(m_file),
+            "--alpha", "2", "--beta", "3", "--copies-alpha", "2", "--copies-beta", "1"]
+    with within(2):
+        code, out, _ = run(argv, capsys)
+    assert code == 0
+    recovered = base.truncate(F(4000, 3))  # complete up to 4000 / max(alpha, beta)
+    assert len(recovered) == 4000
+    assert json.loads(out) == recovered.to_json_dict()
 
 
 def test_recover_torus_params(tmp_path, capsys):
@@ -479,6 +498,30 @@ def test_recover_radius_rejects_repeated_spectrum_key(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "ParseError"  # all of stderr is one object
+
+
+def test_deep_lattice_entry_gives_a_short_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": 1, "basis": [[' + "[" * 900 + "]" * 900 + "]]}")
+    code, out, err = run(["enumerate", "--lattice", str(path), "--bound", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParseError"  # all of stderr is one object
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("n", ["300", "1000000000"])
+def test_huge_zn_is_refused_before_any_matrix(within, n, monkeypatch, capsys):
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    with within(1):
+        code, out, err = run(
+            ["spectrum", "torus", "--zn", n, "--p", "1",
+             "--alpha", "1", "--beta", "1", "--cutoff", "0"],
+            capsys,
+        )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "BudgetExceeded"  # all of stderr is one object
 
 
 def test_degree_out_of_range_exits_3(capsys):

@@ -3,8 +3,10 @@
 Whatever the input, ``cli.main`` must return an exit code in 0-4 without
 raising, and on codes 2-4 standard error must be exactly one
 ``{"error", "message"}`` object.  HODGESPEC_BUDGET is small, so every run is
-bounded.  Dimensions stay small: ``--zn`` and ``--n`` are not charged to the
-budget.  Hypothesis runs derandomized, so every run draws the same examples.
+bounded.  ``--n`` and copy counts stay small: they are not charged to the
+budget.  ``--zn`` is, as n^3 matrix steps, so it is drawn on both sides of the
+budget and far past it.  Hypothesis runs derandomized, so every run draws the
+same examples.
 """
 
 import io
@@ -39,6 +41,11 @@ numbers = mostly(
 )
 hostile_counts = st.sampled_from(["-1", "0", "7", "x", "2.0"])
 dims = mostly(st.integers(1, 4).map(str), hostile_counts)
+# 12^3 fits the fuzz budget of 2000, 13^3 does not
+lattice_dims = mostly(
+    st.one_of(st.integers(1, 4), st.integers(5, 16), st.sampled_from([300, 10**9])).map(str),
+    hostile_counts,
+)
 degrees = mostly(st.integers(0, 4).map(str), hostile_counts)
 # "@i" names payload file i (0 and 1 hold spectra, 2 a lattice), "-" the stdin payload
 missing = st.just("/nonexistent/input.json")
@@ -51,7 +58,7 @@ def flag(name, values=None):
 
 
 def lattice_source(prefix="--"):
-    return st.one_of(flag(f"{prefix}zn", dims), flag(f"{prefix}lattice", lattice_files))
+    return st.one_of(flag(f"{prefix}zn", lattice_dims), flag(f"{prefix}lattice", lattice_files))
 
 
 def side(name):

@@ -268,6 +268,14 @@ def test_budget_env_var(monkeypatch):
         enumerate_norms(data, 1)
 
 
+def test_dual_charges_n_cubed_to_the_budget(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "27")
+    assert dual(standard_lattice(3)).dual_gram == standard_lattice(3).basis
+    monkeypatch.setenv(BUDGET_ENV_VAR, "26")
+    with pytest.raises(BudgetExceeded, match="dimension 3"):
+        dual(standard_lattice(3))
+
+
 def test_large_box_is_rejected_before_scanning():
     data = dual(standard_lattice(3))
     with pytest.raises(BoxTooLarge):

@@ -7,9 +7,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hodgespec import linalg
 from hodgespec.isospec import (
     BRANCH_ALPHA_FIRST,
     BRANCH_BETA_FIRST,
@@ -22,9 +23,9 @@ from hodgespec.isospec import (
     recover_torus_params,
 )
 from hodgespec.lattice import Lattice, brute_force_enumerate, dual, enumerate_norms
-from hodgespec.multiset import Unit, WeightedSpectrum
+from hodgespec.multiset import Unit, WeightedSpectrum, repeated_union
 from hodgespec.sphere import SphereOperator, eigenvalue_details, spectrum
-from hodgespec.torus import TorusOperator, f_spectrum, laplace0_spectrum
+from hodgespec.torus import TorusOperator, f_spectrum, f_spectrum_parts, laplace0_spectrum
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -34,8 +35,8 @@ entry_maps = st.dictionaries(keys, st.integers(1, 4), max_size=10)
 positive = st.fractions(min_value=F(1, 4), max_value=5, max_denominator=4)
 
 
-def weighted(entries: dict, cutoff) -> WeightedSpectrum:
-    return WeightedSpectrum(Unit.PLAIN, cutoff, tuple(sorted(entries.items())))
+def weighted(entries: dict, cutoff, unit=Unit.PLAIN) -> WeightedSpectrum:
+    return WeightedSpectrum(unit, cutoff, tuple(sorted(entries.items())))
 
 
 @st.composite
@@ -72,6 +73,102 @@ def test_first_divergence_matches_per_key_reference(pair):
     assert is_isospectral_upto(left, right, bound) == (found is None)
 
 
+# -- spectrum algebra against per-key references ------------------------------
+
+
+@st.composite
+def truncated_spectra(draw):
+    """A spectrum whose own cutoff may fall anywhere among the drawn keys."""
+    cutoff = draw(st.fractions(0, MAX_KEY + 2, max_denominator=4))
+    return weighted({k: m for k, m in draw(entry_maps).items() if k <= cutoff}, cutoff)
+
+
+copy_counts = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+
+
+def reference_union(left, left_count, right, right_count):
+    cutoff = min(left.cutoff, right.cutoff)
+    acc = {}
+    for spec, count in ((left, left_count), (right, right_count)):
+        for key, mult in spec.entries:
+            if count and key <= cutoff:
+                acc[key] = acc.get(key, 0) + count * mult
+    return weighted(acc, cutoff)
+
+
+def reference_difference(left, right):
+    cutoff = min(left.cutoff, right.cutoff)
+    right_mult = dict(right.entries)
+    remaining = {key: mult - right_mult.get(key, 0) for key, mult in left.entries if key <= cutoff}
+    return weighted({key: mult for key, mult in remaining.items() if mult > 0}, cutoff)
+
+
+@PROPERTY
+@given(truncated_spectra(), truncated_spectra(), copy_counts)
+def test_repeated_union_matches_per_key_reference(left, right, counts):
+    got = repeated_union(left, counts[0], right, counts[1])
+    assert got == reference_union(left, counts[0], right, counts[1])
+    assert got == repeated_union(right, counts[1], left, counts[0])
+    assert left.union(right) == reference_union(left, 1, right, 1)
+
+
+@PROPERTY
+@given(truncated_spectra(), truncated_spectra())
+def test_difference_matches_per_key_reference(left, right):
+    assert left.difference(right) == reference_difference(left, right)
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 4), st.integers(1, 4))
+def test_gram_matches_naive_fraction_sums(data, count, dim):
+    coordinates = st.one_of(st.integers(-9, 9), st.fractions(-5, 5, max_denominator=12))
+    vectors = data.draw(st.lists(st.lists(coordinates, min_size=dim, max_size=dim),
+                                 min_size=count, max_size=count))
+    naive = tuple(
+        tuple(sum((F(a) * F(b) for a, b in zip(u, v)), F(0)) for v in vectors) for u in vectors
+    )
+    got = linalg.gram(vectors)
+    assert got == naive
+    assert all(type(entry) is F for row in got for entry in row)
+
+
+def well_formed_entries(min_size=1):
+    """Sorted (key, multiplicity) lists, as a valid spectrum holds them."""
+    maps = st.dictionaries(keys, st.integers(1, 4), min_size=min_size, max_size=10)
+    return maps.map(lambda entries: sorted(entries.items()))
+
+
+@PROPERTY
+@given(well_formed_entries(min_size=2), st.data())
+def test_spectrum_rejects_keys_that_do_not_increase(entries, data):
+    i = data.draw(st.integers(0, len(entries) - 2))
+    repeat, swap = list(entries), list(entries)
+    repeat[i + 1] = (repeat[i][0], repeat[i + 1][1])
+    swap[i], swap[i + 1] = swap[i + 1], swap[i]
+    for bad in (repeat, swap):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            WeightedSpectrum(Unit.PLAIN, MAX_KEY, tuple(bad))
+
+
+@PROPERTY
+@given(well_formed_entries(), st.fractions(0, MAX_KEY, max_denominator=4))
+def test_spectrum_names_the_first_key_past_its_cutoff(entries, cutoff):
+    past = [key for key, _ in entries if key > cutoff]
+    assume(past)
+    with pytest.raises(ValueError) as raised:
+        WeightedSpectrum(Unit.PLAIN, cutoff, tuple(entries))
+    assert str(raised.value) == f"key {past[0]} exceeds cutoff {cutoff}"
+
+
+@PROPERTY
+@given(well_formed_entries(), st.data(), st.sampled_from([0, -1, -7, F(2), "3", None]))
+def test_spectrum_rejects_bad_multiplicities(entries, data, bad):
+    i = data.draw(st.integers(0, len(entries) - 1))
+    entries[i] = (entries[i][0], bad)
+    with pytest.raises(ValueError, match="multiplicity must be a positive int"):
+        WeightedSpectrum(Unit.PLAIN, MAX_KEY, tuple(entries))
+
+
 @st.composite
 def small_lattices(draw, dims=st.integers(1, 3)):
     """Upper-triangular rational bases, n <= 3, so the box scan stays small."""
@@ -91,6 +188,18 @@ def small_lattices(draw, dims=st.integers(1, 3)):
 def test_layered_walk_equals_box_scan(lattice, bound):
     data = dual(lattice)
     assert enumerate_norms(data, bound) == brute_force_enumerate(data, bound)
+
+
+@PROPERTY
+@given(small_lattices(), st.data(), positive, positive, st.fractions(0, 4, max_denominator=3))
+def test_torus_parts_scale_the_norm_table(lattice, data, alpha, beta, cutoff):
+    op = TorusOperator(lattice, data.draw(st.integers(0, lattice.n)), alpha, beta, generic=True)
+    table = enumerate_norms(dual(lattice), cutoff / min(alpha, beta))
+    parts = f_spectrum_parts(op, cutoff)
+    for part, factor, copies in zip(parts, (alpha, beta), (op.alpha_copies, op.beta_copies)):
+        expected = {factor * norm: copies * count for norm, count in table.entries}
+        kept = {key: mult for key, mult in expected.items() if copies and key <= cutoff}
+        assert part == weighted(kept, cutoff, Unit.FOUR_PI_SQUARED)
 
 
 PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -23,6 +23,15 @@ def test_parse_rejects_non_rationals(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("bad", ["[" * 900 + "]" * 900, "x" * 5000, "7" * 3000 + "/0"])
+def test_parse_error_echoes_a_bounded_prefix(bad):
+    with pytest.raises(ParseError) as raised:
+        parse_rational(bad)
+    message = str(raised.value)
+    assert repr(bad)[:80] + "..." in message
+    assert len(message) < 160
+
+
 def test_format_is_lowest_terms():
     assert format_rational(F(6, 8)) == "3/4"
     assert format_rational(F(8, 4)) == "2"

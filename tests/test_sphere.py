@@ -2,8 +2,6 @@
 
 import json
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction as F
 from math import comb
 
@@ -245,39 +243,23 @@ def test_operator_validation():
         lambda_k(SphereOperator(2, 0, F(1), F(1)), 1)
 
 
-@contextmanager
-def within(seconds: float):
-    """Turn a hang into a failure: the block is interrupted after ``seconds``."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds}s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 NONPOSITIVE = [(0, 1), (-1, 1), (1, 0), (1, -2)]
 
 
 @pytest.mark.parametrize("coefficient, r_squared", NONPOSITIVE)
-def test_lambda_series_spectrum_rejects_nonpositive_scalars(coefficient, r_squared):
+def test_lambda_series_spectrum_rejects_nonpositive_scalars(within, coefficient, r_squared):
     with within(2), pytest.raises(NonpositiveScalar):
         lambda_series_spectrum(3, 1, coefficient, r_squared, 5)
 
 
 @pytest.mark.parametrize("coefficient, r_squared", NONPOSITIVE)
-def test_mu_series_spectrum_rejects_nonpositive_scalars(coefficient, r_squared):
+def test_mu_series_spectrum_rejects_nonpositive_scalars(within, coefficient, r_squared):
     with within(2), pytest.raises(NonpositiveScalar):
         mu_series_spectrum(3, 1, coefficient, r_squared, 5)
 
 
 @pytest.mark.parametrize("coefficient, r_squared", NONPOSITIVE)
-def test_scalar_series_spectrum_rejects_nonpositive_scalars(coefficient, r_squared):
+def test_scalar_series_spectrum_rejects_nonpositive_scalars(within, coefficient, r_squared):
     with within(2), pytest.raises(NonpositiveScalar):
         scalar_series_spectrum(3, coefficient, r_squared, 5)
 
@@ -305,7 +287,7 @@ def test_series_budget_counts_exact_terms(build, start, value, cutoff, monkeypat
         build(cutoff)
 
 
-def test_huge_sphere_cutoff_is_refused_before_any_term(monkeypatch, capsys):
+def test_huge_sphere_cutoff_is_refused_before_any_term(within, monkeypatch, capsys):
     monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
     argv = ["spectrum", "sphere", "--n", "3", "--p", "1", "--alpha", "1", "--beta", "1",
             "--r2", "1", "--cutoff", "1000000000000000000"]
