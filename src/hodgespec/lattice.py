@@ -1,8 +1,10 @@
-"""Full-rank rational lattices, dual bases, and exact norm enumeration.
+"""Full-rank rational lattices, their dual Gram data, and exact norm enumeration.
 
 A lattice is given by a basis of R^n with rational coordinates.  The dual
-basis pairs to the identity against the primal one, so spectra of flat tori
-R^n / Lambda reduce to counting dual vectors of a given squared length.
+basis pairs to the identity against the primal one, so its Gram matrix is
+G^-1 for the basis's Gram matrix G, and spectra of flat tori R^n / Lambda
+reduce to counting dual vectors of a given squared length.  :func:`dual`
+reaches G^-1 and its LDL^T from one LDL^T of G.
 
 Two enumeration routes are provided; both return a FOUR_PI_SQUARED
 :class:`WeightedSpectrum` whose keys are the dual squared norms, complete up
@@ -35,7 +37,7 @@ from typing import Mapping
 from . import linalg
 from .errors import BoxTooLarge, BudgetExceeded, ParseError, SingularBasis
 from .multiset import Unit, WeightedSpectrum
-from .rationals import format_rational, parse_rational, sqrt_floor
+from .rationals import _echo, format_rational, parse_rational, sqrt_floor
 
 __all__ = [
     "Lattice",
@@ -62,7 +64,7 @@ def _resolve_budget(budget: int | None) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ParseError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+        raise ParseError(f"{BUDGET_ENV_VAR} must be an integer, got {_echo(raw)}") from None
     if value < 1:
         raise ParseError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
     return value
@@ -112,10 +114,10 @@ class Lattice:
         except (KeyError, TypeError) as exc:
             raise ParseError(f"lattice payload needs 'n' and 'basis': {exc}") from None
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ParseError(f"lattice dimension must be a positive int, got {n!r}")
+            raise ParseError(f"lattice dimension must be a positive int, got {_echo(n)}")
         layout = payload.get("layout", "row-major")
         if layout not in ("row-major", "column-major"):
-            raise ParseError(f"unknown basis layout {layout!r}")
+            raise ParseError(f"unknown basis layout {_echo(layout)}")
         if not _is_list_of(rows, n) or not all(_is_list_of(row, n) for row in rows):
             raise ParseError(f"basis must be {n}x{n}")
         matrix = tuple(tuple(parse_rational(str(x)) for x in row) for row in rows)
@@ -131,15 +133,15 @@ def standard_lattice(n: int) -> Lattice:
 
 @dataclass(frozen=True)
 class DualData:
-    """A lattice with its dual basis and certified Gram data.
+    """A lattice with the Gram matrices of its basis and of its dual basis.
 
-    ``ldl_lower``/``ldl_diag`` factor the dual Gram matrix as L diag(d) L^T
-    with unit lower-triangular L; the strictly positive pivots certify
-    positive-definiteness and drive the layered enumeration.
+    The dual basis pairs to the identity against the basis, so ``dual_gram``
+    is the inverse of ``gram``.  ``ldl_lower``/``ldl_diag`` factor it as
+    L diag(d) L^T with unit lower-triangular L; the strictly positive pivots
+    certify positive-definiteness and drive the layered enumeration.
     """
 
     lattice: Lattice
-    dual_basis: tuple[tuple[Fraction, ...], ...]
     gram: tuple[tuple[Fraction, ...], ...]
     dual_gram: tuple[tuple[Fraction, ...], ...]
     ldl_lower: tuple[tuple[Fraction, ...], ...]
@@ -153,26 +155,55 @@ def _charge_dimension(n: int) -> None:
         raise BudgetExceeded(f"dimension {n} needs {n}^3 matrix steps, budget is {limit}")
 
 
-def dual(lattice: Lattice) -> DualData:
-    """Dual basis (pairing to the identity) plus Gram matrices and LDL^T.
+def _unit_lower_inverse(lower: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a unit lower-triangular matrix, row by row, skipping zeros."""
+    inverse: list[list[Fraction]] = []
+    for i, row in enumerate(lower):
+        # row i of the inverse is e_i - sum_{k<i} row[k] * (row k of the inverse)
+        out = [Fraction(0)] * len(lower)
+        out[i] = Fraction(1)
+        for k, c in enumerate(row[:i]):
+            if c:
+                for j, x in enumerate(inverse[k][: k + 1]):
+                    if x:
+                        out[j] -= c * x
+        inverse.append(out)
+    return inverse
 
-    The inverse, the Gram matrices and LDL^T each take about n^3 steps,
-    charged to HODGESPEC_BUDGET before any of them starts.
+
+def dual(lattice: Lattice) -> DualData:
+    """Gram matrices of the lattice and its dual, with the LDL^T of the dual one.
+
+    With J the coordinate reversal, one LDL^T of the Gram matrix G reversed,
+    J G J = L1 D1 L1^T, gives G^-1 = (J L1^-T J)(J D1^-1 J)(J L1^-1 J).  The
+    outer factors are unit lower triangular, so by uniqueness this is the
+    LDL^T of G^-1.  The Gram matrix, the LDL^T, the triangular inverse and
+    the dual Gram product each take about n^3 steps, charged to
+    HODGESPEC_BUDGET before any of them starts.  A singular basis shows up
+    as a zero pivot.
     """
-    _charge_dimension(lattice.n)
-    inverse = linalg.invert(lattice.basis)
-    if inverse is None:
-        raise SingularBasis("lattice basis is singular")
-    dual_vectors = tuple(tuple(col) for col in zip(*inverse))
+    n = lattice.n
+    _charge_dimension(n)
     gram = linalg.gram(lattice.basis)
-    dual_gram = linalg.gram(dual_vectors)
-    lower, diag = linalg.ldlt(dual_gram)
+    try:
+        factor, pivots = linalg.ldlt([row[::-1] for row in reversed(gram)])
+    except ValueError:
+        raise SingularBasis("lattice basis is singular") from None
+    lower = _unit_lower_inverse([[factor[-1 - j][-1 - i] for j in range(n)] for i in range(n)])
+    diag = tuple(1 / p for p in reversed(pivots))
+    # (k, L[i][k] * d[k]) for the nonzero entries of row i of L
+    scaled = [[(k, x * diag[k]) for k, x in enumerate(row) if x] for row in lower]
+    dual_gram = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            other = lower[j]
+            entry = sum(x * other[k] for k, x in scaled[i] if other[k])
+            dual_gram[i][j] = dual_gram[j][i] = Fraction(entry)
     return DualData(
         lattice=lattice,
-        dual_basis=dual_vectors,
         gram=gram,
-        dual_gram=dual_gram,
-        ldl_lower=lower,
+        dual_gram=tuple(map(tuple, dual_gram)),
+        ldl_lower=tuple(map(tuple, lower)),
         ldl_diag=diag,
     )
 

@@ -1,4 +1,4 @@
-"""Small exact linear algebra kit: inverse, LDL^T, rank.
+"""Small exact linear algebra kit: Gram matrix, LDL^T, rank.
 
 Everything works over Fraction entries and returns Fractions; nothing here
 ever touches floating point.  Matrices are tuples of row tuples.
@@ -11,7 +11,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-__all__ = ["identity", "invert", "ldlt", "rank", "gram"]
+__all__ = ["identity", "ldlt", "rank", "gram"]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -39,43 +39,36 @@ def gram(vectors: Sequence[Sequence[Fraction]]) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def invert(matrix: Sequence[Sequence[Fraction]]) -> Matrix | None:
-    """Gauss-Jordan inverse, or None when the matrix is singular."""
-    n = len(matrix)
-    work = [list(row) + list(ident_row) for row, ident_row in zip(matrix, identity(n))]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
-            return None
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [x / pivot for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
-
 def ldlt(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[Fraction, ...]]:
     """Factor a symmetric positive definite matrix as L diag(d) L^T.
 
     L is unit lower triangular.  Raises ValueError if a pivot fails to be
-    positive, which certifies the input was not positive definite.
+    positive, which certifies the input was not positive definite.  Zero
+    entries of L are skipped, so a sparse factor costs far less than n^3/6.
     """
     n = len(matrix)
     lower = [[Fraction(0)] * n for _ in range(n)]
     diag: list[Fraction] = []
     for j in range(n):
-        d = matrix[j][j] - sum(lower[j][k] * lower[j][k] * diag[k] for k in range(j))
+        # (k, L[j][k] * d[k]) for the nonzero entries left of the diagonal in row j
+        scaled = [(k, x * diag[k]) for k, x in enumerate(lower[j][:j]) if x]
+        d = matrix[j][j] - sum(lower[j][k] * s for k, s in scaled)
         if d <= 0:
             raise ValueError(f"pivot {j} is {d}; matrix is not positive definite")
         diag.append(d)
         lower[j][j] = Fraction(1)
         for i in range(j + 1, n):
-            s = matrix[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
-            lower[i][j] = s / d
+            row = lower[i]
+            s = matrix[i][j] - sum(row[k] * t for k, t in scaled if row[k])
+            if s:
+                row[j] = s / d
     return tuple(tuple(row) for row in lower), tuple(diag)
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [c // g for c in row] if g > 1 else row
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
@@ -83,15 +76,8 @@ def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     rows: list[list[int]] = []
     for row in matrix:
         fracs = [Fraction(x) for x in row]
-        lcm = 1
-        for x in fracs:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        cleared = [int(x * lcm) for x in fracs]
-        g = 0
-        for c in cleared:
-            g = gcd(g, c)
-        if g > 1:
-            cleared = [c // g for c in cleared]
+        scale = lcm(*(x.denominator for x in fracs))
+        cleared = _primitive([int(x * scale) for x in fracs])
         if any(cleared):
             rows.append(cleared)
     if not rows:
@@ -107,11 +93,7 @@ def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
         for i in range(r + 1, len(rows)):
             if rows[i][col] != 0:
                 entry = rows[i][col]
-                new = [pivot * a - entry * b for a, b in zip(rows[i], rows[r])]
-                g = 0
-                for c in new:
-                    g = gcd(g, c)
-                rows[i] = [c // g for c in new] if g > 1 else new
+                rows[i] = _primitive([pivot * a - entry * b for a, b in zip(rows[i], rows[r])])
         r += 1
         if r == len(rows):
             break

@@ -22,7 +22,7 @@ from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
-from .rationals import format_rational, parse_rational
+from .rationals import _echo, format_rational, parse_rational
 
 __all__ = ["Unit", "WeightedSpectrum", "repeated_union"]
 
@@ -198,18 +198,18 @@ class WeightedSpectrum:
             raise ParseError("spectrum payload needs 'unit', 'cutoff' and 'entries'")
         cutoff = parse_rational(str(payload["cutoff"]))
         if not isinstance(payload["entries"], list):
-            raise ParseError(f"spectrum entries must be a list: {payload['entries']!r}")
+            raise ParseError(f"spectrum entries must be a list: {_echo(payload['entries'])}")
         pairs: dict[Fraction, int] = {}
         for item in payload["entries"]:
             try:
                 key_text, mult = item
             except (TypeError, ValueError):
-                raise ParseError(f"bad spectrum entry: {item!r}") from None
+                raise ParseError(f"bad spectrum entry: {_echo(item)}") from None
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-                raise ParseError(f"multiplicity must be a positive int: {item!r}")
+                raise ParseError(f"multiplicity must be a positive int: {_echo(item)}")
             key = parse_rational(str(key_text))
             if key in pairs:
-                raise ParseError(f"repeated spectrum key {format_rational(key)}: {item!r}")
+                raise ParseError(f"repeated spectrum key {format_rational(key)}: {_echo(item)}")
             pairs[key] = mult
         try:
             return cls.from_pairs(unit, cutoff, pairs.items())

@@ -510,6 +510,31 @@ def test_deep_lattice_entry_gives_a_short_error(tmp_path, capsys):
     assert len(err) < 200
 
 
+RECOVER_RADIUS = ["recover", "radius", "--alpha", "1", "--beta", "1", "--n", "3", "--p", "1",
+                  "--spectrum"]
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        (RECOVER_RADIUS, {"unit": "plain", "cutoff": "1", "entries": {"x": list(range(300))}}),
+        (RECOVER_RADIUS, {"unit": "plain", "cutoff": "1", "entries": [list(range(300))]}),
+        (["enumerate", "--bound", "1", "--lattice"],
+         {"n": 1, "basis": [["1"]], "layout": "x" * 5000}),
+        (["enumerate", "--bound", "1", "--lattice"], {"n": list(range(300)), "basis": []}),
+    ],
+    ids=["spectrum-entries", "spectrum-entry", "lattice-layout", "lattice-dimension"],
+)
+def test_huge_json_value_gives_a_short_error(command, payload, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(command + [str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParseError"  # all of stderr is one object
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize("n", ["300", "1000000000"])
 def test_huge_zn_is_refused_before_any_matrix(within, n, monkeypatch, capsys):
     monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)

@@ -38,34 +38,33 @@ def as_dict(table):
 def test_standard_lattice_is_self_dual():
     for n in (1, 2, 4):
         data = dual(standard_lattice(n))
-        assert data.dual_basis == standard_lattice(n).basis
         assert data.gram == data.dual_gram
 
 
 def test_dual_of_rectangular_lattice():
     data = dual(Lattice(((F(2), F(0)), (F(0), F(3)))))
-    assert data.dual_basis == ((F(1, 2), F(0)), (F(0), F(1, 3)))
     assert data.dual_gram == ((F(1, 4), F(0)), (F(0), F(1, 9)))
 
 
-def test_dual_pairs_to_identity():
-    rng = random.Random(21)
-    for _ in range(10):
-        lattice = random_lattice(rng, rng.randrange(2, 5))
-        data = dual(lattice)
-        for i, dv in enumerate(data.dual_basis):
-            for j, bv in enumerate(lattice.basis):
-                pairing = sum(a * b for a, b in zip(dv, bv))
-                assert pairing == (1 if i == j else 0)
+def test_dual_gram_inverts_gram():
+    for seed in (21, 22):
+        rng = random.Random(seed)
+        for _ in range(10):
+            data = dual(random_lattice(rng, rng.randrange(2, 5)))
+            n = data.lattice.n
+            product = [
+                [sum(data.gram[i][k] * data.dual_gram[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+            assert product == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def test_dual_is_an_involution():
-    rng = random.Random(22)
-    for _ in range(10):
-        lattice = random_lattice(rng, rng.randrange(2, 5))
-        data = dual(lattice)
-        back = dual(Lattice(data.dual_basis))
-        assert back.dual_basis == lattice.basis
+def test_dual_of_z170_skips_zeros(within, monkeypatch):
+    # Z^n's Gram matrix is the identity; multiplying out its zeros costs n^3/6 Fraction steps.
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    with within(2):
+        data = dual(standard_lattice(170))
+    assert data.ldl_diag == (1,) * 170
 
 
 def test_dual_rejects_singular_basis():
@@ -263,6 +262,10 @@ def test_budget_env_var(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV_VAR, "banana")
     with pytest.raises(ParseError):
         enumerate_norms(data, 1)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "9x" * 3000)
+    with pytest.raises(ParseError) as raised:
+        enumerate_norms(data, 1)
+    assert len(str(raised.value)) < 200
     monkeypatch.setenv(BUDGET_ENV_VAR, "0")
     with pytest.raises(ParseError):
         enumerate_norms(data, 1)

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hodgespec import linalg
+from hodgespec.errors import SingularBasis
 from hodgespec.isospec import (
     BRANCH_ALPHA_FIRST,
     BRANCH_BETA_FIRST,
@@ -246,6 +247,55 @@ def test_integer_walk_equals_box_scan_off_the_integer_grid(lattice, num, den):
     for bound in (drawn, largest + half, largest - half) if largest else (drawn, half):
         assert bound == drawn or (scale * bound).denominator != 1
         assert enumerate_norms(data, bound) == brute_force_enumerate(data, bound)
+
+
+@st.composite
+def rational_bases(draw):
+    """Square rational matrices, n <= 6: triangular or dense, rows and columns shuffled."""
+    n = draw(st.integers(1, 6))
+    entries = st.fractions(-3, 3, max_denominator=3)
+    if draw(st.booleans()):
+        pivots = st.fractions(F(1, 3), 3, max_denominator=3)
+        rows = [
+            [F(0)] * i + [draw(pivots) * draw(st.sampled_from((1, -1)))]
+            + [draw(entries) for _ in range(i + 1, n)]
+            for i in range(n)
+        ]
+    else:
+        rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    order, coords = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+    return tuple(tuple(rows[i][j] for j in coords) for i in order)
+
+
+@PROPERTY
+@given(rational_bases())
+def test_dual_factor_is_the_ldlt_of_the_inverse_gram(basis):
+    assume(linalg.rank(basis) == len(basis))
+    data = dual(Lattice(basis))
+    n = len(basis)
+    product = [
+        [sum(data.gram[i][k] * data.dual_gram[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+    # Factoring the dual Gram matrix directly is the reference route.
+    assert linalg.ldlt(data.dual_gram) == (data.ldl_lower, data.ldl_diag)
+
+
+@PROPERTY
+@given(rational_bases(), st.data())
+def test_rank_deficient_basis_is_singular(basis, data):
+    n = len(basis)
+    drop = data.draw(st.integers(0, n - 1))
+    weights = [data.draw(st.fractions(-2, 2, max_denominator=3)) for _ in range(n)]
+    # Row `drop` becomes a combination of the other rows (the zero row when n = 1).
+    combination = tuple(
+        sum((w * row[j] for i, (w, row) in enumerate(zip(weights, basis)) if i != drop), F(0))
+        for j in range(n)
+    )
+    rows = basis[:drop] + (combination,) + basis[drop + 1 :]
+    with pytest.raises(SingularBasis):
+        dual(Lattice(rows))
 
 
 @st.composite

@@ -58,31 +58,6 @@ def test_sqrt_bounds_bracket_the_root():
         assert lo * lo <= value < (lo + 1) * (lo + 1)
 
 
-def test_invert_known_matrices():
-    eye = linalg.identity(3)
-    assert linalg.invert(eye) == eye
-    m = ((F(1), F(1, 2)), (F(0), F(1)))
-    inv = linalg.invert(m)
-    assert inv == ((F(1), F(-1, 2)), (F(0), F(1)))
-    singular = ((F(1), F(2)), (F(2), F(4)))
-    assert linalg.invert(singular) is None
-
-
-def test_invert_round_trip_random():
-    rng = random.Random(13)
-    for _ in range(25):
-        n = rng.randrange(1, 5)
-        m = tuple(
-            tuple(F(rng.randrange(-4, 5), rng.choice((1, 2, 3))) for _ in range(n))
-            for _ in range(n)
-        )
-        inv = linalg.invert(m)
-        if inv is None:
-            continue
-        product = tuple(tuple(sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)) for i in range(n))
-        assert product == linalg.identity(n)
-
-
 def test_ldlt_reconstructs_and_certifies():
     g = ((F(2), F(1)), (F(1), F(2)))
     lower, diag = linalg.ldlt(g)
