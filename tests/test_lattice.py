@@ -46,17 +46,35 @@ def test_dual_of_rectangular_lattice():
     assert data.dual_gram == ((F(1, 4), F(0)), (F(0), F(1, 9)))
 
 
-def test_dual_gram_inverts_gram():
-    for seed in (21, 22):
-        rng = random.Random(seed)
-        for _ in range(10):
-            data = dual(random_lattice(rng, rng.randrange(2, 5)))
-            n = data.lattice.n
-            product = [
-                [sum(data.gram[i][k] * data.dual_gram[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-            assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+def dual_basis(data):
+    # rows of dual_gram x B: their Gram matrix is dual_gram G dual_gram = dual_gram
+    basis = data.lattice.basis
+    return tuple(
+        tuple(sum(g * row[c] for g, row in zip(grow, basis)) for c in range(len(basis[0])))
+        for grow in data.dual_gram
+    )
+
+
+def test_dual_pairs_to_identity():
+    rng = random.Random(21)
+    for _ in range(10):
+        lattice = random_lattice(rng, rng.randrange(2, 5))
+        data = dual(lattice)
+        for i, dv in enumerate(dual_basis(data)):
+            for j, bv in enumerate(lattice.basis):
+                pairing = sum(a * b for a, b in zip(dv, bv))
+                assert pairing == (1 if i == j else 0)
+
+
+def test_dual_is_an_involution():
+    rng = random.Random(22)
+    for _ in range(10):
+        lattice = random_lattice(rng, rng.randrange(2, 5))
+        data = dual(lattice)
+        back = dual(Lattice(dual_basis(data)))
+        assert back.gram == data.dual_gram
+        assert back.dual_gram == data.gram
+        assert dual_basis(back) == lattice.basis
 
 
 def test_dual_of_z170_skips_zeros(within, monkeypatch):
