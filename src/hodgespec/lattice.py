@@ -15,11 +15,15 @@ the layer's offset an integer y_i, and one global scale T turns every pivot
 into an integer weight, so T*|l|^2 = sum_i w_i y_i^2.  The walk then runs in
 Python ints: the bracket |y_i| <= isqrt(remaining // w_i) is exact, every
 candidate in it is a member, and the integer norms are sorted before one
-Fraction is built per distinct norm.
+Fraction is built per distinct norm.  Queries that need one or two counts
+(``count_norm`` here, and the torus multiplicity query) read them off the
+integer table at key ``q * T``, which is 0 when that is not an integer, and
+build no spectrum.
 ``brute_force_enumerate`` is the deliberately dumb reference: it scans the
 full integer box given by the per-coordinate bound x_i^2 <= Q * <b_i, b_i>
-(from x_i = <l, b_i> and Cauchy-Schwarz) and rechecks every cell.  Both count
-the zero vector.
+(from x_i = <l, b_i> and Cauchy-Schwarz) and rechecks every cell in integers,
+against the dual Gram matrix scaled by the lcm S of its denominators and the
+bound floor(S * Q).  It uses no LDL^T data.  Both count the zero vector.
 
 The environment variable HODGESPEC_BUDGET caps enumeration work for both,
 and the n^3 matrix work of :func:`dual`.
@@ -208,17 +212,18 @@ def dual(lattice: Lattice) -> DualData:
     )
 
 
-def _norm_spectrum(bound: Fraction, counts: dict, scale: int) -> WeightedSpectrum:
-    """Norms ``key / scale`` with their counts; keys are sorted before any division."""
-    entries = tuple((Fraction(key, scale), counts[key]) for key in sorted(counts))
-    return WeightedSpectrum(Unit.FOUR_PI_SQUARED, bound, entries)
+def _norm_spectrum(bound: Fraction, entries, scale: int) -> WeightedSpectrum:
+    """Keys ``key / scale`` from (int key, count) pairs sorted by key: one Fraction per entry."""
+    keys = tuple((Fraction(key, scale), count) for key, count in entries)
+    return WeightedSpectrum(Unit.FOUR_PI_SQUARED, bound, keys)
 
 
-def enumerate_norms(dual_data: DualData, bound, budget: int | None = None) -> WeightedSpectrum:
-    """Exact counts of dual vectors with squared norm <= bound (zero included)."""
-    bound = Fraction(bound)
-    if bound < 0:
-        raise ValueError("enumeration bound must be nonnegative")
+def _walk(dual_data: DualData, bound: Fraction, budget: int | None) -> tuple[dict[int, int], int]:
+    """Integer norm table of the dual vectors with squared norm <= bound >= 0.
+
+    Returns ``(counts, scale)``: ``counts[key]`` vectors have squared norm
+    ``key / scale``.  The scale depends only on the LDL^T data, not on the bound.
+    """
     limit = _resolve_budget(budget)
     n = dual_data.lattice.n
     lower, diag = dual_data.ldl_lower, dual_data.ldl_diag
@@ -260,7 +265,22 @@ def enumerate_norms(dual_data: DualData, bound, budget: int | None = None) -> We
         coords[level] = 0
 
     descend(n - 1, top)
-    return _norm_spectrum(bound, counts, scale)
+    return counts, scale
+
+
+def _count_at(counts: dict[int, int], scale: int, norm: Fraction) -> int:
+    """The count at squared norm ``norm``: 0 unless ``norm * scale`` is an integer key."""
+    key, rest = divmod(scale * norm.numerator, norm.denominator)
+    return 0 if rest else counts.get(key, 0)
+
+
+def enumerate_norms(dual_data: DualData, bound, budget: int | None = None) -> WeightedSpectrum:
+    """Exact counts of dual vectors with squared norm <= bound (zero included)."""
+    bound = Fraction(bound)
+    if bound < 0:
+        raise ValueError("enumeration bound must be nonnegative")
+    counts, scale = _walk(dual_data, bound, budget)
+    return _norm_spectrum(bound, sorted(counts.items()), scale)
 
 
 def count_norm(dual_data: DualData, norm, budget: int | None = None) -> int:
@@ -268,7 +288,7 @@ def count_norm(dual_data: DualData, norm, budget: int | None = None) -> int:
     norm = Fraction(norm)
     if norm < 0:
         return 0
-    return enumerate_norms(dual_data, norm, budget=budget).multiplicity(norm)
+    return _count_at(*_walk(dual_data, norm, budget), norm)
 
 
 def brute_force_enumerate(
@@ -286,10 +306,13 @@ def brute_force_enumerate(
         cells *= 2 * r + 1
     if cells > limit:
         raise BoxTooLarge(f"brute-force box has {cells} cells, budget is {limit}")
-    dual_gram = dual_data.dual_gram
-    counts: dict[Fraction, int] = {}
+    # scale * dual_gram is an integer matrix, so scale * |l|^2 is an integer per cell.
+    scale = math.lcm(*(x.denominator for row in dual_data.dual_gram for x in row))
+    dual_gram = [[int(scale * x) for x in row] for row in dual_data.dual_gram]
+    top = scale * bound.numerator // bound.denominator
+    counts: dict[int, int] = {}
     for coords in itertools.product(*(range(-r, r + 1) for r in radii)):
-        norm = Fraction(0)
+        norm = 0
         for i in range(n):
             if coords[i] == 0:
                 continue
@@ -298,6 +321,6 @@ def brute_force_enumerate(
             for j in range(i + 1, n):
                 if coords[j] != 0:
                     norm += 2 * row[j] * coords[i] * coords[j]
-        if norm <= bound:
+        if norm <= top:
             counts[norm] = counts.get(norm, 0) + 1
-    return _norm_spectrum(bound, counts, 1)
+    return _norm_spectrum(bound, sorted(counts.items()), scale)

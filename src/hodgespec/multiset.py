@@ -228,23 +228,32 @@ def repeated_union(
     if left_count < 0 or right_count < 0 or left_count + right_count < 1:
         raise ValueError("copy counts must be nonnegative and not both zero")
     cutoff = min(left.cutoff, right.cutoff)
-    # one merge walk over the two sorted entry lists, both cut at the cutoff
-    a = left._entries_upto(cutoff) if left_count else ()
-    b = right._entries_upto(cutoff) if right_count else ()
-    merged: list[tuple[Fraction, int]] = []
+    merged = _merge(left._entries_upto(cutoff), left_count, right._entries_upto(cutoff), right_count)
+    return WeightedSpectrum(left.unit, cutoff, tuple(merged))
+
+
+def _merge(a, a_count: int, b, b_count: int) -> list:
+    """One linear walk over two key-sorted (key, multiplicity) sequences.
+
+    Multiplicities are multiplied by their side's copy count, and a side with
+    count zero contributes nothing.  Keys may be Fractions or, for callers
+    that merge over one common denominator, plain ints.
+    """
+    a, b = (a if a_count else ()), (b if b_count else ())
+    merged = []
     i = j = 0
     while i < len(a) and j < len(b):
         (left_key, left_mult), (right_key, right_mult) = a[i], b[j]
         if left_key < right_key:
-            merged.append((left_key, left_count * left_mult))
+            merged.append((left_key, a_count * left_mult))
             i += 1
         elif right_key < left_key:
-            merged.append((right_key, right_count * right_mult))
+            merged.append((right_key, b_count * right_mult))
             j += 1
         else:
-            merged.append((left_key, left_count * left_mult + right_count * right_mult))
+            merged.append((left_key, a_count * left_mult + b_count * right_mult))
             i += 1
             j += 1
-    merged += ((key, left_count * mult) for key, mult in a[i:])
-    merged += ((key, right_count * mult) for key, mult in b[j:])
-    return WeightedSpectrum(left.unit, cutoff, tuple(merged))
+    merged += ((key, a_count * mult) for key, mult in a[i:])
+    merged += ((key, b_count * mult) for key, mult in b[j:])
+    return merged

@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DegreeOutOfRange, NonpositiveScalar, UnrepresentedNorm
-from .lattice import Lattice, dual, enumerate_norms
-from .multiset import Unit, WeightedSpectrum
+from .lattice import Lattice, _count_at, _norm_spectrum, _walk, dual, enumerate_norms
+from .multiset import WeightedSpectrum, _merge
 
 __all__ = [
     "Branch",
@@ -85,32 +85,54 @@ def laplace0_spectrum(lattice: Lattice, cutoff, budget: int | None = None) -> We
     return enumerate_norms(dual(lattice), cutoff, budget=budget)
 
 
+def _parts(op: TorusOperator, cutoff: Fraction, budget: int | None) -> tuple[int, list, list]:
+    """Both parts as (integer key, multiplicity) lists over one denominator.
+
+    The walk gives norms k / T.  With alpha = a / a' and beta = b / b', the
+    alpha key alpha * k / T is k*a*b' over den = T*a'*b', and the beta key is
+    k*b*a' over den; a key is kept when it is at most floor(cutoff * den).
+    Returns ``(den, alpha_part, beta_part)``, each part sorted by key and
+    already multiplied by its binomial copy count (empty for zero copies).
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    alpha, beta = op.alpha, op.beta
+    counts, scale = _walk(dual(op.lattice), cutoff / min(alpha, beta), budget)
+    den = scale * alpha.denominator * beta.denominator
+    top = den * cutoff.numerator // cutoff.denominator
+    norms = sorted(counts.items())
+
+    def part(factor: int, copies: int) -> list:
+        entries = []
+        for norm, count in norms if copies else ():
+            if norm * factor > top:
+                break
+            entries.append((norm * factor, copies * count))
+        return entries
+
+    return (
+        den,
+        part(alpha.numerator * beta.denominator, op.alpha_copies),
+        part(beta.numerator * alpha.denominator, op.beta_copies),
+    )
+
+
 def f_spectrum_parts(
     op: TorusOperator, cutoff, budget: int | None = None
 ) -> tuple[WeightedSpectrum, WeightedSpectrum]:
     """(alpha part, beta part), each complete up to ``cutoff``, never merged."""
     cutoff = Fraction(cutoff)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    table = enumerate_norms(dual(op.lattice), cutoff / min(op.alpha, op.beta), budget=budget)
-
-    def part(factor: Fraction, copies: int) -> WeightedSpectrum:
-        num, den = factor.numerator, factor.denominator
-        entries = tuple(
-            (Fraction(norm.numerator * num, norm.denominator * den), copies * count)
-            for norm, count in (table._entries_upto(cutoff / factor) if copies else ())
-        )
-        return WeightedSpectrum(Unit.FOUR_PI_SQUARED, cutoff, entries)
-
-    return part(op.alpha, op.alpha_copies), part(op.beta, op.beta_copies)
+    den, alpha_part, beta_part = _parts(op, cutoff, budget)
+    return _norm_spectrum(cutoff, alpha_part, den), _norm_spectrum(cutoff, beta_part, den)
 
 
 def f_spectrum(op: TorusOperator, cutoff, budget: int | None = None) -> WeightedSpectrum:
     """Merged spectrum on p-forms, truncated at ``cutoff``."""
     if op.generic:
         raise ValueError("generic-mode operators have no merged spectrum; use f_spectrum_parts")
-    alpha_part, beta_part = f_spectrum_parts(op, cutoff, budget=budget)
-    return alpha_part.union(beta_part)
+    cutoff = Fraction(cutoff)
+    den, alpha_part, beta_part = _parts(op, cutoff, budget)
+    return _norm_spectrum(cutoff, _merge(alpha_part, 1, beta_part, 1), den)
 
 
 def eigenvalue_multiplicity(
@@ -135,13 +157,13 @@ def eigenvalue_multiplicity(
     # one walk to the larger of the two norms answers both counts.
     cross = norm * own / other
     bound = norm if op.generic else max(norm, cross)
-    table = enumerate_norms(dual(op.lattice), bound, budget=budget)
-    base = table.multiplicity(norm)
+    counts, scale = _walk(dual(op.lattice), bound, budget)
+    base = _count_at(counts, scale, norm)
     if base == 0:
         raise UnrepresentedNorm(f"no dual vector has squared norm {norm}")
     total = own_copies * base
     if not op.generic:
-        total += other_copies * table.multiplicity(cross)
+        total += other_copies * _count_at(counts, scale, cross)
     return total
 
 

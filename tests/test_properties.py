@@ -3,6 +3,7 @@
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hodgespec import linalg
-from hodgespec.errors import SingularBasis
+from hodgespec.errors import SingularBasis, UnrepresentedNorm
 from hodgespec.isospec import (
     BRANCH_ALPHA_FIRST,
     BRANCH_BETA_FIRST,
@@ -22,11 +23,20 @@ from hodgespec.isospec import (
     recover_radius,
     recover_sphere_params,
     recover_torus_params,
+    scaling_transfer,
 )
-from hodgespec.lattice import Lattice, brute_force_enumerate, dual, enumerate_norms
+from hodgespec.lattice import Lattice, brute_force_enumerate, count_norm, dual, enumerate_norms
 from hodgespec.multiset import Unit, WeightedSpectrum, repeated_union
 from hodgespec.sphere import SphereOperator, eigenvalue_details, spectrum
-from hodgespec.torus import TorusOperator, f_spectrum, f_spectrum_parts, laplace0_spectrum
+from hodgespec.rationals import sqrt_floor
+from hodgespec.torus import (
+    Branch,
+    TorusOperator,
+    eigenvalue_multiplicity,
+    f_spectrum,
+    f_spectrum_parts,
+    laplace0_spectrum,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -247,6 +257,157 @@ def test_integer_walk_equals_box_scan_off_the_integer_grid(lattice, num, den):
     for bound in (drawn, largest + half, largest - half) if largest else (drawn, half):
         assert bound == drawn or (scale * bound).denominator != 1
         assert enumerate_norms(data, bound) == brute_force_enumerate(data, bound)
+
+
+# -- integer norm tables behind queries, spectra and the box scan -------------
+
+# Denominators that never divide a walk scale drawn from coprime_lattices:
+# its prime factors come from the basis entries, all below 97.
+OFF_GRID = (97, 101, 103)
+
+
+def positive_keys(data, count: int) -> list:
+    """The first ``count`` positive norms of the dual lattice, in order."""
+    bound = F(1)
+    while True:
+        found = [key for key, _ in enumerate_norms(data, bound).entries if key > 0]
+        if len(found) >= count:
+            return found[:count]
+        bound *= 2
+
+
+query_weights = st.fractions(F(1, 2), 2, max_denominator=7)
+
+
+@PROPERTY
+@given(coprime_lattices(), st.data())
+def test_queries_read_the_enumerated_table(lattice, data):
+    dual_data = dual(lattice)
+    found = positive_keys(dual_data, 4)
+    i, j = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    alpha = data.draw(query_weights)
+    # beta/alpha = found[j]/found[i] sends the key found[i] onto the key found[j],
+    # so the cross count of a beta query at found[i] is not zero.
+    beta = data.draw(st.sampled_from((alpha * found[j] / found[i], data.draw(query_weights))))
+    # A table key, a norm strictly between two keys, or one off the 1/T grid.
+    kind = data.draw(st.sampled_from(("key", "between", "off-grid")))
+    if kind == "key":
+        norm = found[i]
+    elif kind == "between":
+        norm = ((found[i - 1] if i else 0) + found[i]) / 2
+    else:
+        den, scale = data.draw(st.sampled_from(OFF_GRID)), norm_scale(dual_data)
+        if data.draw(st.booleans()):
+            norm = F(data.draw(st.integers(1, int(found[-1] * den)).filter(lambda k: k % den)), den)
+        else:
+            # Within one 1/T step of a key, where rounding T*norm would land on it.
+            norm = found[i] + F(data.draw(st.integers(1 - den, den - 1).filter(bool)), den * scale)
+        assert (scale * norm).denominator != 1
+    p = data.draw(st.integers(0, lattice.n))
+    table = enumerate_norms(dual_data, norm * max(1, alpha / beta, beta / alpha))
+    assert count_norm(dual_data, norm) == table.multiplicity(norm)
+    for generic, branch in itertools.product((False, True), Branch):
+        op = TorusOperator(lattice, p, alpha, beta, generic=generic)
+        own, other = (alpha, beta) if branch is Branch.ALPHA else (beta, alpha)
+        own_copies, other_copies = (
+            (op.alpha_copies, op.beta_copies) if branch is Branch.ALPHA
+            else (op.beta_copies, op.alpha_copies)
+        )
+        if table.multiplicity(norm) == 0:
+            with pytest.raises(UnrepresentedNorm):
+                eigenvalue_multiplicity(op, norm, branch)
+            continue
+        # The other family's cross norm norm*own/other lies above or below norm.
+        expected = own_copies * table.multiplicity(norm)
+        if not generic:
+            expected += other_copies * table.multiplicity(norm * own / other)
+        assert eigenvalue_multiplicity(op, norm, branch) == expected
+
+
+@st.composite
+def torus_weights(draw):
+    """Equal weights, weights over coprime denominators, or two drawn ones."""
+    kind = draw(st.sampled_from(("equal", "coprime", "drawn")))
+    if kind == "equal":
+        alpha = draw(positive)
+        return alpha, alpha
+    if kind == "coprime":
+        return draw(st.permutations((F(7, 6), F(5, 4))))
+    return draw(positive), draw(positive)
+
+
+@PROPERTY
+@given(small_lattices(), st.data(), torus_weights())
+def test_merged_spectrum_is_the_union_of_its_parts(lattice, data, weights):
+    alpha, beta = weights
+    op = TorusOperator(lattice, data.draw(st.integers(0, lattice.n)), alpha, beta)
+    key = data.draw(st.sampled_from(positive_keys(dual(lattice), 3)))
+    # Half a step of the keys' grid 1/(T*a'*b') either side of a key of the
+    # larger weight's part, which the walk to cutoff/min(alpha, beta) reaches.
+    step = F(1, norm_scale(dual(lattice)) * alpha.denominator * beta.denominator)
+    near = max(alpha, beta) * key
+    cutoffs = {
+        "zero": (F(0),),
+        "on-key": (data.draw(st.sampled_from((alpha, beta))) * key,),
+        "near-key": (near - step / 2, near + step / 2),
+        "drawn": (data.draw(st.fractions(0, 4, max_denominator=5)),),
+    }[data.draw(st.sampled_from(("zero", "on-key", "near-key", "drawn")))]
+    table = enumerate_norms(dual(lattice), max(cutoffs) / min(alpha, beta))
+    for cutoff in cutoffs:
+        merged = f_spectrum(op, cutoff)
+        assert merged == WeightedSpectrum.union(*f_spectrum_parts(op, cutoff))
+        # Per key: alpha*norm with alpha_copies copies plus beta*norm with beta_copies.
+        expected = {}
+        for factor, copies in ((alpha, op.alpha_copies), (beta, op.beta_copies)):
+            for norm, count in table.entries:
+                if copies and factor * norm <= cutoff:
+                    expected[factor * norm] = expected.get(factor * norm, 0) + copies * count
+        assert merged == weighted(expected, cutoff, Unit.FOUR_PI_SQUARED)
+
+
+def fraction_box_scan(data, bound) -> WeightedSpectrum:
+    """The box scan with a Fraction recheck of every cell, cell by cell."""
+    n = data.lattice.n
+    radii = [sqrt_floor(bound * data.gram[i][i]) for i in range(n)]
+    counts = {}
+    for coords in itertools.product(*(range(-r, r + 1) for r in radii)):
+        norm = F(0)
+        for i in range(n):
+            if coords[i] == 0:
+                continue
+            row = data.dual_gram[i]
+            norm += row[i] * coords[i] * coords[i]
+            for j in range(i + 1, n):
+                if coords[j] != 0:
+                    norm += 2 * row[j] * coords[i] * coords[j]
+        if norm <= bound:
+            counts[norm] = counts.get(norm, 0) + 1
+    return weighted(counts, bound, Unit.FOUR_PI_SQUARED)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(coprime_lattices(), st.integers(1, 300), st.sampled_from(OFF_GRID))
+def test_integer_box_scan_equals_fraction_recheck(lattice, num, den):
+    data = dual(lattice)
+    # The box scan's own integer scale: the lcm of the dual Gram denominators.
+    scale = math.lcm(*(x.denominator for row in data.dual_gram for x in row))
+    drawn = F(num, den)
+    largest = fraction_box_scan(data, drawn).entries[-1][0]
+    half = F(1, 2 * scale)
+    for bound in (drawn, largest + half, largest - half) if largest else (drawn, half):
+        assert (scale * bound).denominator != 1
+        assert brute_force_enumerate(data, bound) == fraction_box_scan(data, bound)
+
+
+@PROPERTY
+@given(small_lattices(), st.data(), positive, positive, st.fractions(0, 3, max_denominator=3))
+def test_torus_spectrum_follows_metric_scaling(lattice, data, alpha, beta, cutoff):
+    factor = data.draw(
+        st.fractions(-3, 3, max_denominator=5).filter(bool) | st.sampled_from((F(-1), F(7, 5)))
+    )
+    p = data.draw(st.integers(0, lattice.n))
+    moved = TorusOperator(lattice.scaled(factor), p, *scaling_transfer(alpha, beta, factor))
+    assert f_spectrum(moved, cutoff) == f_spectrum(TorusOperator(lattice, p, alpha, beta), cutoff)
 
 
 @st.composite
