@@ -40,7 +40,7 @@ from typing import Mapping
 
 from . import linalg
 from .errors import BoxTooLarge, BudgetExceeded, ParseError, SingularBasis
-from .multiset import Unit, WeightedSpectrum
+from .multiset import Unit, WeightedSpectrum, _from_int_keys
 from .rationals import _echo, format_rational, parse_rational, sqrt_floor
 
 __all__ = [
@@ -212,12 +212,6 @@ def dual(lattice: Lattice) -> DualData:
     )
 
 
-def _norm_spectrum(bound: Fraction, entries, scale: int) -> WeightedSpectrum:
-    """Keys ``key / scale`` from (int key, count) pairs sorted by key: one Fraction per entry."""
-    keys = tuple((Fraction(key, scale), count) for key, count in entries)
-    return WeightedSpectrum(Unit.FOUR_PI_SQUARED, bound, keys)
-
-
 def _walk(dual_data: DualData, bound: Fraction, budget: int | None) -> tuple[dict[int, int], int]:
     """Integer norm table of the dual vectors with squared norm <= bound >= 0.
 
@@ -280,7 +274,7 @@ def enumerate_norms(dual_data: DualData, bound, budget: int | None = None) -> We
     if bound < 0:
         raise ValueError("enumeration bound must be nonnegative")
     counts, scale = _walk(dual_data, bound, budget)
-    return _norm_spectrum(bound, sorted(counts.items()), scale)
+    return _from_int_keys(Unit.FOUR_PI_SQUARED, bound, sorted(counts.items()), scale)
 
 
 def count_norm(dual_data: DualData, norm, budget: int | None = None) -> int:
@@ -323,4 +317,4 @@ def brute_force_enumerate(
                     norm += 2 * row[j] * coords[i] * coords[j]
         if norm <= top:
             counts[norm] = counts.get(norm, 0) + 1
-    return _norm_spectrum(bound, sorted(counts.items()), scale)
+    return _from_int_keys(Unit.FOUR_PI_SQUARED, bound, sorted(counts.items()), scale)

@@ -217,6 +217,16 @@ class WeightedSpectrum:
             raise ParseError(str(exc)) from None
 
 
+def _from_int_keys(unit: Unit, cutoff, entries, den: int) -> WeightedSpectrum:
+    """Keys ``key / den`` from (int key, multiplicity) pairs sorted by key.
+
+    The builder behind every spectrum assembled over one common denominator
+    (torus norm tables and parts, sphere series): one Fraction per entry.
+    """
+    keys = tuple((Fraction(key, den), mult) for key, mult in entries)
+    return WeightedSpectrum(unit, cutoff, keys)
+
+
 def repeated_union(
     left: WeightedSpectrum, left_count: int, right: WeightedSpectrum, right_count: int
 ) -> WeightedSpectrum:

@@ -16,6 +16,13 @@ classical harmonic multiplicities (the codifferential kills functions), and
 p = n is p = 0 with alpha and beta swapped; both are flagged as duality
 extensions on the operator.  ``generic=True`` again means a formally
 irrational alpha/beta: parts stay unmerged and coincidences are suppressed.
+
+Every series value is scale * (k+a)(k+b) with the rational scale
+coefficient / r^2.  Over den, the lcm of the operator's scale denominators,
+term k has the integer key scale * den * (k+a)(k+b).  The series are cut at
+floor(cutoff * den), merged and matched as integers, and one Fraction is
+built per returned entry, as for the torus norm tables.  The dimensions are
+products of binomial coefficients, not quotients of factorials of n + k.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, isqrt
+from math import comb, isqrt, lcm
 from typing import Callable, Iterator
 
 from . import linalg
@@ -39,7 +46,7 @@ from .exterior import (
     homogeneous_exponents,
 )
 from .lattice import _resolve_budget
-from .multiset import Unit, WeightedSpectrum
+from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merge
 
 __all__ = [
     "Series",
@@ -125,8 +132,8 @@ def dim_V(n: int, p: int, k: int) -> int:
     if k == 0:
         return 0
     return _as_int(
-        factorial(n + k - 1) * (n + 2 * k - 1),
-        factorial(p) * factorial(k - 1) * factorial(n - p - 1) * (n + k - p - 1) * (k + p),
+        comb(n + k - 1, n) * comb(n, p) * (n - p) * (n + 2 * k - 1),
+        (n + k - p - 1) * (k + p),
         f"dim_V({n},{p},{k})",
     )
 
@@ -138,8 +145,8 @@ def dim_W(n: int, p: int, k: int) -> int:
     if k < 0:
         raise ValueError("k must be nonnegative")
     return _as_int(
-        factorial(n + k) * (n + 2 * k + 1),
-        factorial(p - 1) * factorial(k) * factorial(n - p) * (n + k - p + 1) * (k + p),
+        comb(n + k, n) * comb(n, p) * p * (n + 2 * k + 1),
+        (n + k - p + 1) * (k + p),
         f"dim_W({n},{p},{k})",
     )
 
@@ -173,17 +180,22 @@ class _SeriesFormula:
         scale = self.scale
         return Fraction(scale.numerator * (k + self.a) * (k + self.b), scale.denominator)
 
-    def terms(self, cutoff: Fraction) -> Iterator[tuple[int, Fraction, int]]:
-        """(k, value, dim) of every nonzero term with value <= cutoff.
+    def terms(self, cutoff: Fraction, den: int) -> Iterator[tuple[int, int, int]]:
+        """(k, key, dim) of every nonzero term with value(k) = key / den <= cutoff.
 
-        The term count is charged to HODGESPEC_BUDGET before any term is made:
-        value(k) <= cutoff exactly when (k+a)(k+b) <= m = floor(cutoff/scale),
-        and 4(k+a)(k+b) = (2k+a+b)^2 - (a-b)^2 names the last such k.
+        ``den`` is a multiple of the scale's denominator, so the key is the
+        integer factor * (k+a)(k+b) with factor = scale * den.  The term count
+        is charged to HODGESPEC_BUDGET before any term is made: value(k) <=
+        cutoff exactly when (k+a)(k+b) <= m = floor(cutoff/scale), and
+        4(k+a)(k+b) = (2k+a+b)^2 - (a-b)^2 names the last such k.
         """
-        if cutoff < self.value(self.start):
+        a, b = self.a, self.b
+        factor = self.scale.numerator * (den // self.scale.denominator)
+        # floor(cutoff/scale) = floor(floor(cutoff * den) / factor)
+        m = den * cutoff.numerator // cutoff.denominator // factor
+        if m < (self.start + a) * (self.start + b):
             return
-        m = cutoff // self.scale
-        last = (isqrt(4 * m + (self.a - self.b) ** 2) - self.a - self.b) // 2
+        last = (isqrt(4 * m + (a - b) ** 2) - a - b) // 2
         ks = range(self.start, last + 1)
         limit = _resolve_budget(None)
         if len(ks) > limit:
@@ -191,12 +203,12 @@ class _SeriesFormula:
         for k in ks:
             dim = self.dim(k)
             if dim:
-                yield k, self.value(k), dim
+                yield k, factor * (k + a) * (k + b), dim
 
     def spectrum(self, cutoff, unit: Unit = Unit.PLAIN) -> WeightedSpectrum:
-        cutoff = Fraction(cutoff)
-        entries = tuple((value, dim) for _, value, dim in self.terms(cutoff))
-        return WeightedSpectrum(unit, cutoff, entries)
+        cutoff, den = Fraction(cutoff), self.scale.denominator
+        entries = [(key, dim) for _, key, dim in self.terms(cutoff, den)]
+        return _from_int_keys(unit, cutoff, entries, den)
 
 
 def _scale(coefficient, r_squared) -> Fraction:
@@ -240,6 +252,11 @@ def _series_of(op: SphereOperator) -> tuple[_SeriesFormula, ...]:
     )
 
 
+def _common_den(formulas: tuple[_SeriesFormula, ...]) -> int:
+    """The lcm of the series' scale denominators: every key is an integer over it."""
+    return lcm(*(formula.scale.denominator for formula in formulas))
+
+
 def lambda_k(op: SphereOperator, k: int) -> Fraction:
     """k-th eigenvalue of the beta series, k >= 1."""
     op._require_interior()
@@ -277,30 +294,43 @@ def scalar_series_spectrum(
     return _scalar_series(n, coefficient, r_squared, Series.LAMBDA).spectrum(cutoff, unit)
 
 
+def _parts(op: SphereOperator, cutoff: Fraction) -> tuple[int, list, list]:
+    """Both parts as (integer key, dim) lists over one denominator.
+
+    Returns ``(den, alpha_part, beta_part)``, each part sorted by key.
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    formulas = _series_of(op)
+    den = _common_den(formulas)
+    sides = {f.series: [(key, dim) for _, key, dim in f.terms(cutoff, den)] for f in formulas}
+    alpha_part, beta_part = sides.get(Series.MU, []), sides.get(Series.LAMBDA, [])
+    if op.p == op.n:
+        # Duality image of p = 0: the alpha-scaled scalar series; its zero
+        # eigenvalue (the volume form, term k = 0) sits on the beta side.
+        alpha_part, beta_part = alpha_part[1:], alpha_part[:1]
+    return den, alpha_part, beta_part
+
+
 def spectrum_parts(
     op: SphereOperator, cutoff
 ) -> tuple[WeightedSpectrum, WeightedSpectrum]:
     """(alpha part, beta part), each complete up to ``cutoff``, never merged."""
     cutoff = Fraction(cutoff)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    empty = WeightedSpectrum.empty(Unit.PLAIN, cutoff)
-    sides = {formula.series: formula.spectrum(cutoff) for formula in _series_of(op)}
-    alpha_part, beta_part = sides.get(Series.MU, empty), sides.get(Series.LAMBDA, empty)
-    if op.p == op.n:
-        # Duality image of p = 0: the alpha-scaled scalar series; its zero
-        # eigenvalue (the volume form) sits on the beta side of the split.
-        beta_part = WeightedSpectrum(Unit.PLAIN, cutoff, ((Fraction(0), 1),))
-        alpha_part = alpha_part.difference(beta_part)
-    return alpha_part, beta_part
+    den, alpha_part, beta_part = _parts(op, cutoff)
+    return (
+        _from_int_keys(Unit.PLAIN, cutoff, alpha_part, den),
+        _from_int_keys(Unit.PLAIN, cutoff, beta_part, den),
+    )
 
 
 def spectrum(op: SphereOperator, cutoff) -> WeightedSpectrum:
     """Merged spectrum on p-forms, truncated at ``cutoff``."""
     if op.generic:
         raise ValueError("generic-mode operators have no merged spectrum; use spectrum_parts")
-    alpha_part, beta_part = spectrum_parts(op, cutoff)
-    return alpha_part.union(beta_part)
+    cutoff = Fraction(cutoff)
+    den, alpha_part, beta_part = _parts(op, cutoff)
+    return _from_int_keys(Unit.PLAIN, cutoff, _merge(alpha_part, 1, beta_part, 1), den)
 
 
 @dataclass(frozen=True)
@@ -327,12 +357,14 @@ def eigenvalue_details(op: SphereOperator, cutoff) -> tuple[SphereEigenvalue, ..
     if op.generic:
         raise ValueError("generic-mode operators do not merge series")
     cutoff = Fraction(cutoff)
-    found: dict[Fraction, list[SeriesTerm]] = {}
-    for formula in _series_of(op):
-        for k, value, dim in formula.terms(cutoff):
-            found.setdefault(value, []).append(SeriesTerm(formula.series, k, dim))
+    formulas = _series_of(op)
+    den = _common_den(formulas)
+    found: dict[int, list[SeriesTerm]] = {}
+    for formula in formulas:
+        for k, key, dim in formula.terms(cutoff, den):
+            found.setdefault(key, []).append(SeriesTerm(formula.series, k, dim))
     return tuple(
-        SphereEigenvalue(value, tuple(terms)) for value, terms in sorted(found.items())
+        SphereEigenvalue(Fraction(key, den), tuple(terms)) for key, terms in sorted(found.items())
     )
 
 
@@ -341,11 +373,12 @@ def coincidences(op: SphereOperator, cutoff) -> tuple[tuple[int, int], ...]:
     if op.generic or op.duality_extension:
         return ()
     cutoff = Fraction(cutoff)
-    lambda_series, mu_series = _series_of(op)
-    # values strictly increase in k, so each value names at most one mu term
-    mu_at = {value: k for k, value, _ in mu_series.terms(cutoff)}
+    formulas = lambda_series, mu_series = _series_of(op)
+    den = _common_den(formulas)
+    # keys strictly increase in k, so each key names at most one mu term
+    mu_at = {key: k for k, key, _ in mu_series.terms(cutoff, den)}
     return tuple(
-        (k, mu_at[value]) for k, value, _ in lambda_series.terms(cutoff) if value in mu_at
+        (k, mu_at[key]) for k, key, _ in lambda_series.terms(cutoff, den) if key in mu_at
     )
 
 

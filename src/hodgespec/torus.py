@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DegreeOutOfRange, NonpositiveScalar, UnrepresentedNorm
-from .lattice import Lattice, _count_at, _norm_spectrum, _walk, dual, enumerate_norms
-from .multiset import WeightedSpectrum, _merge
+from .lattice import Lattice, _count_at, _walk, dual, enumerate_norms
+from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merge
 
 __all__ = [
     "Branch",
@@ -88,16 +88,19 @@ def laplace0_spectrum(lattice: Lattice, cutoff, budget: int | None = None) -> We
 def _parts(op: TorusOperator, cutoff: Fraction, budget: int | None) -> tuple[int, list, list]:
     """Both parts as (integer key, multiplicity) lists over one denominator.
 
-    The walk gives norms k / T.  With alpha = a / a' and beta = b / b', the
-    alpha key alpha * k / T is k*a*b' over den = T*a'*b', and the beta key is
-    k*b*a' over den; a key is kept when it is at most floor(cutoff * den).
-    Returns ``(den, alpha_part, beta_part)``, each part sorted by key and
-    already multiplied by its binomial copy count (empty for zero copies).
+    The walk gives norms k / T, up to cutoff / w for the least weight w whose
+    part has copies (p = 0 has no alpha part, p = n no beta part).  With
+    alpha = a / a' and beta = b / b', the alpha key alpha * k / T is k*a*b'
+    over den = T*a'*b', and the beta key is k*b*a' over den; a key is kept
+    when it is at most floor(cutoff * den).  Returns ``(den, alpha_part,
+    beta_part)``, each part sorted by key and already multiplied by its
+    binomial copy count (empty for zero copies).
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     alpha, beta = op.alpha, op.beta
-    counts, scale = _walk(dual(op.lattice), cutoff / min(alpha, beta), budget)
+    weight = min(w for w, copies in ((alpha, op.alpha_copies), (beta, op.beta_copies)) if copies)
+    counts, scale = _walk(dual(op.lattice), cutoff / weight, budget)
     den = scale * alpha.denominator * beta.denominator
     top = den * cutoff.numerator // cutoff.denominator
     norms = sorted(counts.items())
@@ -123,7 +126,10 @@ def f_spectrum_parts(
     """(alpha part, beta part), each complete up to ``cutoff``, never merged."""
     cutoff = Fraction(cutoff)
     den, alpha_part, beta_part = _parts(op, cutoff, budget)
-    return _norm_spectrum(cutoff, alpha_part, den), _norm_spectrum(cutoff, beta_part, den)
+    return (
+        _from_int_keys(Unit.FOUR_PI_SQUARED, cutoff, alpha_part, den),
+        _from_int_keys(Unit.FOUR_PI_SQUARED, cutoff, beta_part, den),
+    )
 
 
 def f_spectrum(op: TorusOperator, cutoff, budget: int | None = None) -> WeightedSpectrum:
@@ -132,7 +138,7 @@ def f_spectrum(op: TorusOperator, cutoff, budget: int | None = None) -> Weighted
         raise ValueError("generic-mode operators have no merged spectrum; use f_spectrum_parts")
     cutoff = Fraction(cutoff)
     den, alpha_part, beta_part = _parts(op, cutoff, budget)
-    return _norm_spectrum(cutoff, _merge(alpha_part, 1, beta_part, 1), den)
+    return _from_int_keys(Unit.FOUR_PI_SQUARED, cutoff, _merge(alpha_part, 1, beta_part, 1), den)
 
 
 def eigenvalue_multiplicity(
@@ -142,7 +148,7 @@ def eigenvalue_multiplicity(
 
     Branch ALPHA means the eigenvalue key alpha*norm, branch BETA the key
     beta*norm.  The count includes the other family's contribution at the
-    same key unless the operator is generic.
+    same key unless the operator is generic or that family has no copies.
     """
     norm = Fraction(norm)
     if norm <= 0:
@@ -156,13 +162,13 @@ def eigenvalue_multiplicity(
     # The other family reaches the key own*norm at the dual norm norm*own/other:
     # one walk to the larger of the two norms answers both counts.
     cross = norm * own / other
-    bound = norm if op.generic else max(norm, cross)
-    counts, scale = _walk(dual(op.lattice), bound, budget)
+    crossing = other_copies and not op.generic
+    counts, scale = _walk(dual(op.lattice), max(norm, cross) if crossing else norm, budget)
     base = _count_at(counts, scale, norm)
     if base == 0:
         raise UnrepresentedNorm(f"no dual vector has squared norm {norm}")
     total = own_copies * base
-    if not op.generic:
+    if crossing:
         total += other_copies * _count_at(counts, scale, cross)
     return total
 

@@ -5,6 +5,7 @@ Hypothesis runs derandomized, so every run draws the same examples.
 
 import itertools
 import math
+from math import comb, factorial
 from fractions import Fraction as F
 
 import pytest
@@ -27,7 +28,14 @@ from hodgespec.isospec import (
 )
 from hodgespec.lattice import Lattice, brute_force_enumerate, count_norm, dual, enumerate_norms
 from hodgespec.multiset import Unit, WeightedSpectrum, repeated_union
-from hodgespec.sphere import SphereOperator, eigenvalue_details, spectrum
+from hodgespec.sphere import (
+    Series,
+    SphereOperator,
+    coincidences,
+    eigenvalue_details,
+    spectrum,
+    spectrum_parts,
+)
 from hodgespec.rationals import sqrt_floor
 from hodgespec.torus import (
     Branch,
@@ -472,6 +480,129 @@ def test_series_details_sum_to_merged_spectrum(op, cutoff):
     details = eigenvalue_details(op, cutoff)
     summed = tuple((detail.value, detail.multiplicity) for detail in details)
     assert summed == spectrum(op, cutoff).entries
+
+
+def factorial_dim_V(n, p, k):
+    if k == 0:
+        return 0
+    top = factorial(n + k - 1) * (n + 2 * k - 1)
+    bottom = factorial(p) * factorial(k - 1) * factorial(n - p - 1) * (n + k - p - 1) * (k + p)
+    assert top % bottom == 0
+    return top // bottom
+
+
+def factorial_dim_W(n, p, k):
+    top = factorial(n + k) * (n + 2 * k + 1)
+    bottom = factorial(p - 1) * factorial(k) * factorial(n - p) * (n + k - p + 1) * (k + p)
+    assert top % bottom == 0
+    return top // bottom
+
+
+def harmonic_dim(nvars, k):
+    return comb(nvars + k - 1, k) - (comb(nvars + k - 3, k - 2) if k >= 2 else 0)
+
+
+def reference_series(op, cutoff):
+    """{series: [(k, value, dim)]} from Fraction values scale * (k+a)(k+b)."""
+    n, p, r2 = op.n, op.p, op.r_squared
+    if p == 0:
+        plan = {Series.LAMBDA: (op.beta, 0, 0, n - 1, lambda k: harmonic_dim(n + 1, k))}
+    elif p == n:
+        plan = {Series.MU: (op.alpha, 0, 0, n - 1, lambda k: harmonic_dim(n + 1, k))}
+    else:
+        plan = {
+            Series.LAMBDA: (op.beta, 1, p, n - p - 1, lambda k: factorial_dim_V(n, p, k)),
+            Series.MU: (op.alpha, 0, p, n - p + 1, lambda k: factorial_dim_W(n, p, k)),
+        }
+    found = {}
+    for series, (coefficient, k, a, b, dim) in plan.items():
+        terms = found[series] = []
+        while (k + a) * (k + b) * coefficient / r2 <= cutoff:
+            terms.append((k, (k + a) * (k + b) * coefficient / r2, dim(k)))
+            k += 1
+    return found
+
+
+def reference_parts(op, cutoff):
+    found = reference_series(op, cutoff)
+    alpha, beta = (
+        WeightedSpectrum.from_pairs(Unit.PLAIN, cutoff, [(v, d) for _, v, d in found.get(side, ())])
+        for side in (Series.MU, Series.LAMBDA)
+    )
+    if op.p == op.n:
+        beta = WeightedSpectrum(Unit.PLAIN, cutoff, ((F(0), 1),))
+        alpha = alpha.difference(beta)
+    return alpha, beta
+
+
+@st.composite
+def coprime_sphere_operators(draw, generic=st.booleans()):
+    """Operators whose alpha, beta and r^2 have the coprime denominators 7, 11, 13.
+
+    So the two series' scales have different denominators and their keys
+    meet over the lcm.  Half the time beta is alpha times a small ratio
+    instead, which makes the series coincide.
+    """
+    n = draw(st.integers(1, 7))
+    interior = st.integers(1, n - 1) if n > 1 and draw(st.booleans()) else st.integers(0, n)
+    p = draw(interior)
+    dens = draw(st.permutations((7, 11, 13)))
+    alpha, beta, r_squared = (F(draw(st.integers(1, 2 * d)), d) for d in dens)
+    if draw(st.booleans()):
+        beta = alpha * draw(st.sampled_from((F(1), F(2), F(1, 2), F(4, 3))))
+    return SphereOperator(n, p, alpha, beta, r_squared, generic=draw(generic))
+
+
+def sphere_cutoffs(op):
+    """Cutoffs that reach about sqrt(200) terms of the slower series."""
+    return st.fractions(0, 200, max_denominator=13).map(
+        lambda reach: reach * max(op.alpha, op.beta) / op.r_squared
+    )
+
+
+@PROPERTY
+@given(coprime_sphere_operators(), st.data())
+def test_integer_series_match_fraction_reference(op, data):
+    cutoff = data.draw(sphere_cutoffs(op))
+    alpha_part, beta_part = reference_parts(op, cutoff)
+    assert spectrum_parts(op, cutoff) == (alpha_part, beta_part)
+    if op.generic:
+        assert coincidences(op, cutoff) == ()
+        for merged_only in (spectrum, eigenvalue_details):
+            with pytest.raises(ValueError):
+                merged_only(op, cutoff)
+        return
+    assert spectrum(op, cutoff) == repeated_union(alpha_part, 1, beta_part, 1)
+    found = reference_series(op, cutoff)
+    details = {}
+    for series, terms in found.items():
+        for k, value, dim in terms:
+            details.setdefault(value, []).append((series, k, dim))
+    got = [
+        (detail.value, [(term.series, term.k, term.dim) for term in detail.terms])
+        for detail in eigenvalue_details(op, cutoff)
+    ]
+    assert got == sorted(details.items())
+    if op.duality_extension:
+        assert coincidences(op, cutoff) == ()
+    else:
+        mu_at = {value: k for k, value, _ in found[Series.MU]}
+        want = tuple((k, mu_at[value]) for k, value, _ in found[Series.LAMBDA] if value in mu_at)
+        assert coincidences(op, cutoff) == want
+
+
+@PROPERTY
+@given(
+    coprime_sphere_operators(generic=st.just(False)),
+    st.fractions(-3, 3, max_denominator=5).filter(bool) | st.sampled_from((F(-1), F(7, 5))),
+    st.data(),
+)
+def test_sphere_spectrum_follows_metric_scaling(op, factor, data):
+    cutoff = data.draw(sphere_cutoffs(op))
+    alpha, beta = scaling_transfer(op.alpha, op.beta, factor)
+    moved = SphereOperator(op.n, op.p, alpha, beta, factor * factor * op.r_squared)
+    assert spectrum(moved, cutoff) == spectrum(op, cutoff)
+    assert spectrum_parts(moved, cutoff) == spectrum_parts(op, cutoff)
 
 
 # -- recovery round trips and duality ----------------------------------------

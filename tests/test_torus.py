@@ -224,3 +224,24 @@ def test_budget_propagates_to_enumeration():
     op = TorusOperator(standard_lattice(2), 1, F(1), F(2))
     with pytest.raises(BudgetExceeded):
         f_spectrum(op, 100, budget=5)
+
+
+def test_walk_stops_at_the_parts_with_copies():
+    # p = n has no beta part and p = 0 no alpha part, so the tiny weight on
+    # the missing side must not stretch the walk to cutoff / (1/100).
+    z3 = standard_lattice(3)
+    want = f_spectrum(TorusOperator(z3, 3, F(1), F(1)), 20, budget=20000)
+    assert len(want) == 19
+    assert f_spectrum(TorusOperator(z3, 3, F(1), F(1, 100)), 20, budget=20000) == want
+    assert f_spectrum(TorusOperator(z3, 0, F(1, 100), F(1)), 20, budget=20000) == want
+    parts = f_spectrum_parts(TorusOperator(z3, 3, F(1), F(1, 100)), 20, budget=20000)
+    assert parts == (want, spec([], 20))
+
+
+def test_multiplicity_skips_the_cross_norm_without_copies():
+    # The beta family has no copies at p = n, so the walk ends at norm 1, not at
+    # the cross norm 1 / (1/100) = 100.
+    op = TorusOperator(standard_lattice(3), 3, F(1), F(1, 100))
+    assert eigenvalue_multiplicity(op, 1, Branch.ALPHA, budget=2000) == 6
+    op0 = TorusOperator(standard_lattice(3), 0, F(1, 100), F(1))
+    assert eigenvalue_multiplicity(op0, 1, Branch.BETA, budget=2000) == 6
