@@ -27,22 +27,14 @@ from .errors import (
     SingularBasis,
     UnitMismatch,
     UnrepresentedNorm,
-    ZeroCovector,
 )
 from .exterior import (
-    CovectorAction,
     Poly,
     PolyForm,
-    contract,
     contract_position,
     d_flat,
     delta_flat,
-    hodge_star,
-    hodge_star_inverse,
     homogeneous_exponents,
-    principal_symbol,
-    principal_symbol_inverse,
-    wedge,
 )
 from .isospec import (
     RecoveryResult,

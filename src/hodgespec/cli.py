@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import BranchAmbiguous, CutoffTooSmall, Error, ParseError
+from .errors import BranchAmbiguous, CutoffTooSmall, Error, ParseError, UnitMismatch
 from .isospec import (
     first_divergence,
     reconstruct_base,
@@ -39,7 +40,7 @@ from .lattice import (
     enumerate_norms,
     standard_lattice,
 )
-from .multiset import WeightedSpectrum
+from .multiset import Unit, WeightedSpectrum
 from .rationals import format_rational, parse_rational
 from .sphere import SphereOperator
 from .sphere import spectrum as sphere_spectrum
@@ -96,8 +97,35 @@ def _write_output(path: str | None, text: str) -> None:
         raise ParseError(f"cannot write output file {path}: {exc}") from None
 
 
+@contextmanager
+def _unlimited_digits():
+    """Lift Python's int-to-str digit limit while output is formatted.
+
+    Exact keys and multiplicities can outgrow it (4300 digits by default).
+    Input parsing keeps the limit, so an oversize input number still exits 2.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _json_value(value):
+    # json.dumps hook, so rationals and records are formatted inside the lifted limit
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    return value.to_json_dict()
+
+
 def _write_json(path: str | None, payload) -> None:
-    _write_output(path, json.dumps(payload, indent=2) + "\n")
+    with _unlimited_digits():
+        text = json.dumps(payload, indent=2, default=_json_value) + "\n"
+    _write_output(path, text)
 
 
 def _load_json(path: str, what: str):
@@ -139,18 +167,17 @@ def _spectrum_csv(spec: WeightedSpectrum) -> str:
 
 def _emit_spectrum(args, spec: WeightedSpectrum) -> None:
     if args.format == "csv":
-        _write_output(args.output, _spectrum_csv(spec))
+        with _unlimited_digits():
+            text = _spectrum_csv(spec)
+        _write_output(args.output, text)
     else:
-        _write_json(args.output, spec.to_json_dict())
+        _write_json(args.output, spec)
 
 
 def _emit_parts(args, alpha_part: WeightedSpectrum, beta_part: WeightedSpectrum) -> None:
     if args.format == "csv":
         raise ParseError("csv output is only defined for merged spectra")
-    _write_json(
-        args.output,
-        {"alpha_part": alpha_part.to_json_dict(), "beta_part": beta_part.to_json_dict()},
-    )
+    _write_json(args.output, {"alpha_part": alpha_part, "beta_part": beta_part})
 
 
 def _cmd_spectrum_torus(args) -> int:
@@ -201,13 +228,13 @@ def _side_operator(args, side: str) -> tuple[TorusOperator | SphereOperator, Wei
 def _cmd_isospec(args) -> int:
     left_op, left = _side_operator(args, "left")
     right_op, right = _side_operator(args, "right")
-    payload = {"isospectral": True, "cutoff": format_rational(args.cutoff)}
+    payload = {"isospectral": True, "cutoff": args.cutoff}
     divergence = first_divergence(left, right, args.cutoff)
     if divergence is not None:
         key, left_mult, right_mult = divergence
         payload["isospectral"] = False
         payload["first_divergence"] = {
-            "key": format_rational(key),
+            "key": key,
             "left_multiplicity": left_mult,
             "right_multiplicity": right_mult,
         }
@@ -222,7 +249,7 @@ def _cmd_recover_base(args) -> int:
     result = reconstruct_base(
         m_spec, args.alpha, args.beta, args.copies_alpha, args.copies_beta
     )
-    _write_json(args.output, result.to_json_dict())
+    _write_json(args.output, result)
     return 0
 
 
@@ -230,19 +257,21 @@ def _cmd_recover_torus(args) -> int:
     m_spec = _load_spectrum(args.spectrum)
     base = _load_spectrum(args.base)
     result = recover_torus_params(m_spec, base, args.n, args.p)
-    _write_json(args.output, result.to_json_dict())
+    _write_json(args.output, result)
     return 0
 
 
 def _cmd_recover_sphere(args) -> int:
     m_spec = _load_spectrum(args.spectrum)
     result = recover_sphere_params(m_spec, args.n, args.p, args.r2)
-    _write_json(args.output, result.to_json_dict())
+    _write_json(args.output, result)
     return 0
 
 
 def _cmd_recover_radius(args) -> int:
     m_spec = _load_spectrum(args.spectrum)
+    if m_spec.unit is not Unit.PLAIN:
+        raise UnitMismatch(f"radius recovery needs a plain spectrum, got {m_spec.unit.value}")
     leading = m_spec.min_entry()
     r_squared = recover_radius(args.alpha, args.beta, args.n, args.p, leading[0])
     # the recovered sphere must start with exactly the input's leading entry
@@ -254,15 +283,15 @@ def _cmd_recover_radius(args) -> int:
             f"eigenvalue of a sphere with these parameters, which has multiplicity "
             f"{expected[0][1]}"
         )
-    _write_json(args.output, format_rational(r_squared))
+    _write_json(args.output, r_squared)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     dual_data = dual(_load_lattice(args))
     enumerate_fn = brute_force_enumerate if args.box else enumerate_norms
-    payload = enumerate_fn(dual_data, args.bound).to_json_dict()
-    _write_json(args.output, {"bound": payload["cutoff"], "counts": payload["entries"]})
+    table = enumerate_fn(dual_data, args.bound)
+    _write_json(args.output, {"bound": table.cutoff, "counts": table.entries})
     return 0
 
 

@@ -17,7 +17,6 @@ __all__ = [
     "DimensionMismatch",
     "DegreeZero",
     "DegreeOutOfRange",
-    "ZeroCovector",
     "SingularBasis",
     "BoxTooLarge",
     "BudgetExceeded",
@@ -68,10 +67,6 @@ class DegreeZero(Error):
 
 class DegreeOutOfRange(Error):
     """A form degree outside the range an operation is defined for."""
-
-
-class ZeroCovector(Error):
-    """The principal symbol was evaluated at the zero covector."""
 
 
 class SingularBasis(Error):

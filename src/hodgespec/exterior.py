@@ -1,12 +1,10 @@
-"""Exterior algebra over R^N with sparse polynomial coefficients.
+"""Polynomial differential forms on R^N for the sphere dimension oracle.
 
 Forms are written in the basis ``e^{i_1} ^ ... ^ e^{i_p}`` with strictly
 increasing 0-based index tuples; coefficients are exact-rational sparse
-polynomials in the coordinates.  Everything needed to sanity-check the flat
-model of the operator family ``alpha d delta + beta delta d`` lives here:
-wedge, first-slot contraction, the flat differential and codifferential,
-the Euclidean Hodge star for the orientation e^0 ^ ... ^ e^{N-1}, and the
-principal symbol with its inverse.
+polynomials in the coordinates.  The oracle in :mod:`hodgespec.sphere`
+needs three operators on them: the flat differential, the flat
+codifferential, and contraction with the position vector field.
 
 Sign conventions in one place: removing slot k (0-based) from an increasing
 index tuple carries (-1)^k, the codifferential of ``f e^I`` is
@@ -21,21 +19,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DegreeZero, DimensionMismatch, NonpositiveScalar, ZeroCovector
+from .errors import DegreeZero, DimensionMismatch
 
 __all__ = [
     "Poly",
     "PolyForm",
-    "CovectorAction",
-    "wedge",
-    "contract",
     "contract_position",
     "d_flat",
     "delta_flat",
-    "hodge_star",
-    "hodge_star_inverse",
-    "principal_symbol",
-    "principal_symbol_inverse",
     "homogeneous_exponents",
 ]
 
@@ -231,41 +222,6 @@ class PolyForm:
         )
 
 
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Parity of sorting the concatenation of two increasing disjoint tuples."""
-    if set(left) & set(right):
-        return None
-    inversions = 0
-    for j in right:
-        inversions += sum(1 for i in left if i > j)
-    merged = tuple(sorted(left + right))
-    return (-1) ** inversions, merged
-
-
-def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
-    """Graded-anticommutative product; degrees beyond N give the zero form."""
-    if a.nvars != b.nvars:
-        raise DimensionMismatch(f"wedge over {a.nvars} vs {b.nvars} variables")
-    nvars = a.nvars
-    degree = a.degree + b.degree
-    if degree > nvars:
-        return PolyForm.zero(nvars, nvars)
-    acc: dict[tuple[int, ...], Poly] = {}
-    for left_idx, f in a.coeffs.items():
-        for right_idx, g in b.coeffs.items():
-            merged = _merge_sign(left_idx, right_idx)
-            if merged is None:
-                continue
-            sign, indices = merged
-            term = f.mul(g).scale(sign)
-            total = acc.get(indices, Poly.zero(nvars)).add(term)
-            if total.is_zero():
-                acc.pop(indices, None)
-            else:
-                acc[indices] = total
-    return PolyForm(nvars, degree, acc)
-
-
 def _contract_terms(a: PolyForm, slot_multiplier) -> PolyForm:
     """Shared engine for contraction: slot_multiplier(index, poly) -> Poly."""
     nvars = a.nvars
@@ -285,14 +241,6 @@ def _contract_terms(a: PolyForm, slot_multiplier) -> PolyForm:
             else:
                 acc[reduced] = total
     return PolyForm(nvars, a.degree - 1, acc)
-
-
-def contract(vector: Sequence[Fraction], a: PolyForm) -> PolyForm:
-    """Insert a constant vector into the first slot (an anti-derivation)."""
-    if len(vector) != a.nvars:
-        raise DimensionMismatch(f"vector of length {len(vector)} against {a.nvars} variables")
-    components = [Fraction(x) for x in vector]
-    return _contract_terms(a, lambda idx, poly: poly.scale(components[idx]))
 
 
 def contract_position(a: PolyForm) -> PolyForm:
@@ -330,84 +278,3 @@ def delta_flat(a: PolyForm) -> PolyForm:
     if a.degree == 0:
         raise DegreeZero("codifferential of a 0-form")
     return _contract_terms(a, lambda idx, poly: poly.diff(idx)).scale(-1)
-
-
-def _complement_sign(indices: tuple[int, ...], nvars: int) -> tuple[int, tuple[int, ...]]:
-    complement = tuple(i for i in range(nvars) if i not in indices)
-    merged = _merge_sign(indices, complement)
-    assert merged is not None
-    sign, _ = merged
-    return sign, complement
-
-
-def hodge_star(a: PolyForm) -> PolyForm:
-    """Euclidean Hodge star for the orientation e^0 ^ ... ^ e^{N-1}."""
-    nvars = a.nvars
-    acc: dict[tuple[int, ...], Poly] = {}
-    for indices, poly in a.coeffs.items():
-        sign, complement = _complement_sign(indices, nvars)
-        term = poly.scale(sign)
-        total = acc.get(complement, Poly.zero(nvars)).add(term)
-        if total.is_zero():
-            acc.pop(complement, None)
-        else:
-            acc[complement] = total
-    return PolyForm(nvars, nvars - a.degree, acc)
-
-
-def hodge_star_inverse(a: PolyForm) -> PolyForm:
-    """Inverse star on ``degree``-forms: (-1)^{q(N-q)} times the star."""
-    q = a.degree
-    sign = (-1) ** (q * (a.nvars - q))
-    return hodge_star(a).scale(sign)
-
-
-@dataclass(frozen=True)
-class CovectorAction:
-    """A covector together with the operator parameters (alpha, beta)."""
-
-    xi: tuple[Fraction, ...]
-    alpha: Fraction
-    beta: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "xi", tuple(Fraction(x) for x in self.xi))
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.alpha <= 0 or self.beta <= 0:
-            raise NonpositiveScalar(f"alpha and beta must be positive, got {self.alpha}, {self.beta}")
-
-    @property
-    def norm_squared(self) -> Fraction:
-        return sum((x * x for x in self.xi), Fraction(0))
-
-
-def _symbol_pieces(action: CovectorAction, w: PolyForm) -> tuple[Fraction, PolyForm]:
-    if len(action.xi) != w.nvars:
-        raise DimensionMismatch(f"covector of length {len(action.xi)} against {w.nvars} variables")
-    nsq = action.norm_squared
-    if nsq == 0:
-        raise ZeroCovector("principal symbol at the zero covector")
-    if w.degree == 0:
-        # insertion kills functions, so the cross term vanishes identically
-        return nsq, PolyForm.zero(w.nvars, 0)
-    xi_form = PolyForm.from_terms(
-        w.nvars,
-        1,
-        (((i,), Poly.constant(w.nvars, x)) for i, x in enumerate(action.xi) if x != 0),
-    )
-    return nsq, wedge(xi_form, contract(action.xi, w))
-
-
-def principal_symbol(action: CovectorAction, w: PolyForm) -> PolyForm:
-    """-beta |xi|^2 w - (alpha - beta) xi ^ (xi . w)."""
-    nsq, cross = _symbol_pieces(action, w)
-    return w.scale(-action.beta * nsq).add(cross.scale(-(action.alpha - action.beta)))
-
-
-def principal_symbol_inverse(action: CovectorAction, w: PolyForm) -> PolyForm:
-    """Exact inverse of the principal symbol away from xi = 0."""
-    nsq, cross = _symbol_pieces(action, w)
-    lead = w.scale(Fraction(-1) / (action.beta * nsq))
-    correction = cross.scale((action.alpha - action.beta) / (action.alpha * action.beta * nsq * nsq))
-    return lead.add(correction)

@@ -33,7 +33,7 @@ from .errors import (
     NotInImage,
     UnitMismatch,
 )
-from .multiset import WeightedSpectrum
+from .multiset import Unit, WeightedSpectrum
 from .rationals import format_rational
 from .sphere import _lambda_series, _mu_series
 
@@ -254,6 +254,8 @@ def recover_sphere_params(
     m_spec: WeightedSpectrum, n: int, p: int, r_squared
 ) -> RecoveryResult:
     """Read (alpha, beta) off a sphere p-form spectrum with known radius."""
+    if m_spec.unit is not Unit.PLAIN:
+        raise UnitMismatch(f"sphere recovery needs a plain spectrum, got {m_spec.unit.value}")
     if not 1 <= p <= n - 1:
         raise DegreeOutOfRange(
             f"sphere recovery needs 1 <= p <= n-1, got p={p}, n={n}"
@@ -266,7 +268,7 @@ def recover_sphere_params(
         first = series(n, p, 1, r_squared)
 
         def spectrum(c: Fraction) -> WeightedSpectrum:
-            return series(n, p, c, r_squared).spectrum(m_spec.cutoff, m_spec.unit)
+            return series(n, p, c, r_squared).spectrum(m_spec.cutoff)
 
         return _Share(first.value(first.start), first.dim(first.start), spectrum)
 

@@ -59,9 +59,7 @@ DEFAULT_BUDGET = 5_000_000
 BUDGET_ENV_VAR = "HODGESPEC_BUDGET"
 
 
-def _resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return int(budget)
+def _resolve_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
@@ -154,7 +152,7 @@ class DualData:
 
 def _charge_dimension(n: int) -> None:
     """Refuse a dimension whose n^3 matrix work exceeds HODGESPEC_BUDGET."""
-    limit = _resolve_budget(None)
+    limit = _resolve_budget()
     if n**3 > limit:
         raise BudgetExceeded(f"dimension {n} needs {n}^3 matrix steps, budget is {limit}")
 
@@ -212,13 +210,13 @@ def dual(lattice: Lattice) -> DualData:
     )
 
 
-def _walk(dual_data: DualData, bound: Fraction, budget: int | None) -> tuple[dict[int, int], int]:
+def _walk(dual_data: DualData, bound: Fraction) -> tuple[dict[int, int], int]:
     """Integer norm table of the dual vectors with squared norm <= bound >= 0.
 
     Returns ``(counts, scale)``: ``counts[key]`` vectors have squared norm
     ``key / scale``.  The scale depends only on the LDL^T data, not on the bound.
     """
-    limit = _resolve_budget(budget)
+    limit = _resolve_budget()
     n = dual_data.lattice.n
     lower, diag = dual_data.ldl_lower, dual_data.ldl_diag
     # y_i = c_i * (x_i + sum_{j>i} L[j][i] x_j) is an integer: c_i clears column i of L.
@@ -268,31 +266,29 @@ def _count_at(counts: dict[int, int], scale: int, norm: Fraction) -> int:
     return 0 if rest else counts.get(key, 0)
 
 
-def enumerate_norms(dual_data: DualData, bound, budget: int | None = None) -> WeightedSpectrum:
+def enumerate_norms(dual_data: DualData, bound) -> WeightedSpectrum:
     """Exact counts of dual vectors with squared norm <= bound (zero included)."""
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("enumeration bound must be nonnegative")
-    counts, scale = _walk(dual_data, bound, budget)
+    counts, scale = _walk(dual_data, bound)
     return _from_int_keys(Unit.FOUR_PI_SQUARED, bound, sorted(counts.items()), scale)
 
 
-def count_norm(dual_data: DualData, norm, budget: int | None = None) -> int:
+def count_norm(dual_data: DualData, norm) -> int:
     """Number of dual vectors of exactly the given squared norm."""
     norm = Fraction(norm)
     if norm < 0:
         return 0
-    return _count_at(*_walk(dual_data, norm, budget), norm)
+    return _count_at(*_walk(dual_data, norm), norm)
 
 
-def brute_force_enumerate(
-    dual_data: DualData, bound, budget: int | None = None
-) -> WeightedSpectrum:
+def brute_force_enumerate(dual_data: DualData, bound) -> WeightedSpectrum:
     """Reference enumeration: scan the Cauchy-Schwarz box, recheck every cell."""
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("enumeration bound must be nonnegative")
-    limit = _resolve_budget(budget)
+    limit = _resolve_budget()
     n = dual_data.lattice.n
     radii = [sqrt_floor(bound * dual_data.gram[i][i]) for i in range(n)]
     cells = 1

@@ -66,7 +66,9 @@ class WeightedSpectrum:
         keys = [key for key, _ in self.entries]
         if not all(map(lt, keys, keys[1:])):
             raise ValueError("entries must be strictly increasing in key")
-        # keys strictly increase, so the last one bounds them all
+        # keys strictly increase, so the first and last ones bound them all
+        if keys and keys[0] < 0:
+            raise ValueError(f"negative eigenvalue key: {keys[0]}")
         if keys and keys[-1] > self.cutoff:
             first = keys[bisect_right(keys, self.cutoff)]
             raise ValueError(f"key {first} exceeds cutoff {self.cutoff}")

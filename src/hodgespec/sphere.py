@@ -197,7 +197,7 @@ class _SeriesFormula:
             return
         last = (isqrt(4 * m + (a - b) ** 2) - a - b) // 2
         ks = range(self.start, last + 1)
-        limit = _resolve_budget(None)
+        limit = _resolve_budget()
         if len(ks) > limit:
             raise BudgetExceeded(f"sphere series needs {len(ks)} terms, budget is {limit}")
         for k in ks:
@@ -205,10 +205,10 @@ class _SeriesFormula:
             if dim:
                 yield k, factor * (k + a) * (k + b), dim
 
-    def spectrum(self, cutoff, unit: Unit = Unit.PLAIN) -> WeightedSpectrum:
+    def spectrum(self, cutoff) -> WeightedSpectrum:
         cutoff, den = Fraction(cutoff), self.scale.denominator
         entries = [(key, dim) for _, key, dim in self.terms(cutoff, den)]
-        return _from_int_keys(unit, cutoff, entries, den)
+        return _from_int_keys(Unit.PLAIN, cutoff, entries, den)
 
 
 def _scale(coefficient, r_squared) -> Fraction:
@@ -273,25 +273,19 @@ def mu_k(op: SphereOperator, k: int) -> Fraction:
     return _mu_series(op.n, op.p, op.alpha, op.r_squared).value(k)
 
 
-def lambda_series_spectrum(
-    n: int, p: int, coefficient, r_squared, cutoff, unit: Unit = Unit.PLAIN
-) -> WeightedSpectrum:
+def lambda_series_spectrum(n: int, p: int, coefficient, r_squared, cutoff) -> WeightedSpectrum:
     """The beta-scaled series as a weighted set, truncated at ``cutoff``."""
-    return _lambda_series(n, p, coefficient, r_squared).spectrum(cutoff, unit)
+    return _lambda_series(n, p, coefficient, r_squared).spectrum(cutoff)
 
 
-def mu_series_spectrum(
-    n: int, p: int, coefficient, r_squared, cutoff, unit: Unit = Unit.PLAIN
-) -> WeightedSpectrum:
+def mu_series_spectrum(n: int, p: int, coefficient, r_squared, cutoff) -> WeightedSpectrum:
     """The alpha-scaled series as a weighted set, truncated at ``cutoff``."""
-    return _mu_series(n, p, coefficient, r_squared).spectrum(cutoff, unit)
+    return _mu_series(n, p, coefficient, r_squared).spectrum(cutoff)
 
 
-def scalar_series_spectrum(
-    n: int, coefficient, r_squared, cutoff, unit: Unit = Unit.PLAIN
-) -> WeightedSpectrum:
+def scalar_series_spectrum(n: int, coefficient, r_squared, cutoff) -> WeightedSpectrum:
     """Scaled scalar Laplace series k(k+n-1)/r^2 with harmonic multiplicities."""
-    return _scalar_series(n, coefficient, r_squared, Series.LAMBDA).spectrum(cutoff, unit)
+    return _scalar_series(n, coefficient, r_squared, Series.LAMBDA).spectrum(cutoff)
 
 
 def _parts(op: SphereOperator, cutoff: Fraction) -> tuple[int, list, list]:
@@ -433,12 +427,10 @@ def _space_rows(
     for indices in _form_index_tuples(nvars, degree):
         for exps in homogeneous_exponents(nvars, poly_degree):
             dim += 1
-            form = PolyForm(nvars, degree, {indices: Poly.monomial(nvars, exps, 1)})
-            lap_form = PolyForm(
-                nvars,
-                degree,
-                {i: p.laplacian() for i, p in form.coeffs.items() if not p.laplacian().is_zero()},
-            )
+            monomial = Poly.monomial(nvars, exps, 1)
+            form = PolyForm(nvars, degree, {indices: monomial})
+            # from_terms drops the coefficient when the laplacian vanishes
+            lap_form = PolyForm.from_terms(nvars, degree, [(indices, monomial.laplacian())])
             row = _coords(lap_form, lap_layout, lap_width)
             if degree >= 1:
                 row += _coords(delta_flat(form), delta_layout, delta_width)

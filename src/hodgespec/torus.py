@@ -80,12 +80,12 @@ class TorusOperator:
         return comb(self.n - 1, self.p)
 
 
-def laplace0_spectrum(lattice: Lattice, cutoff, budget: int | None = None) -> WeightedSpectrum:
+def laplace0_spectrum(lattice: Lattice, cutoff) -> WeightedSpectrum:
     """Scalar Laplace spectrum of the torus: keys |l|^2 over the dual lattice."""
-    return enumerate_norms(dual(lattice), cutoff, budget=budget)
+    return enumerate_norms(dual(lattice), cutoff)
 
 
-def _parts(op: TorusOperator, cutoff: Fraction, budget: int | None) -> tuple[int, list, list]:
+def _parts(op: TorusOperator, cutoff: Fraction) -> tuple[int, list, list]:
     """Both parts as (integer key, multiplicity) lists over one denominator.
 
     The walk gives norms k / T, up to cutoff / w for the least weight w whose
@@ -100,7 +100,7 @@ def _parts(op: TorusOperator, cutoff: Fraction, budget: int | None) -> tuple[int
         raise ValueError("cutoff must be nonnegative")
     alpha, beta = op.alpha, op.beta
     weight = min(w for w, copies in ((alpha, op.alpha_copies), (beta, op.beta_copies)) if copies)
-    counts, scale = _walk(dual(op.lattice), cutoff / weight, budget)
+    counts, scale = _walk(dual(op.lattice), cutoff / weight)
     den = scale * alpha.denominator * beta.denominator
     top = den * cutoff.numerator // cutoff.denominator
     norms = sorted(counts.items())
@@ -120,30 +120,26 @@ def _parts(op: TorusOperator, cutoff: Fraction, budget: int | None) -> tuple[int
     )
 
 
-def f_spectrum_parts(
-    op: TorusOperator, cutoff, budget: int | None = None
-) -> tuple[WeightedSpectrum, WeightedSpectrum]:
+def f_spectrum_parts(op: TorusOperator, cutoff) -> tuple[WeightedSpectrum, WeightedSpectrum]:
     """(alpha part, beta part), each complete up to ``cutoff``, never merged."""
     cutoff = Fraction(cutoff)
-    den, alpha_part, beta_part = _parts(op, cutoff, budget)
+    den, alpha_part, beta_part = _parts(op, cutoff)
     return (
         _from_int_keys(Unit.FOUR_PI_SQUARED, cutoff, alpha_part, den),
         _from_int_keys(Unit.FOUR_PI_SQUARED, cutoff, beta_part, den),
     )
 
 
-def f_spectrum(op: TorusOperator, cutoff, budget: int | None = None) -> WeightedSpectrum:
+def f_spectrum(op: TorusOperator, cutoff) -> WeightedSpectrum:
     """Merged spectrum on p-forms, truncated at ``cutoff``."""
     if op.generic:
         raise ValueError("generic-mode operators have no merged spectrum; use f_spectrum_parts")
     cutoff = Fraction(cutoff)
-    den, alpha_part, beta_part = _parts(op, cutoff, budget)
+    den, alpha_part, beta_part = _parts(op, cutoff)
     return _from_int_keys(Unit.FOUR_PI_SQUARED, cutoff, _merge(alpha_part, 1, beta_part, 1), den)
 
 
-def eigenvalue_multiplicity(
-    op: TorusOperator, norm, branch: Branch, budget: int | None = None
-) -> int:
+def eigenvalue_multiplicity(op: TorusOperator, norm, branch: Branch) -> int:
     """Multiplicity of the eigenvalue read off a dual squared norm ``norm``.
 
     Branch ALPHA means the eigenvalue key alpha*norm, branch BETA the key
@@ -163,7 +159,7 @@ def eigenvalue_multiplicity(
     # one walk to the larger of the two norms answers both counts.
     cross = norm * own / other
     crossing = other_copies and not op.generic
-    counts, scale = _walk(dual(op.lattice), max(norm, cross) if crossing else norm, budget)
+    counts, scale = _walk(dual(op.lattice), max(norm, cross) if crossing else norm)
     base = _count_at(counts, scale, norm)
     if base == 0:
         raise UnrepresentedNorm(f"no dual vector has squared norm {norm}")

@@ -11,7 +11,7 @@ from hodgespec.cli import main
 from hodgespec.isospec import BRANCH_ALPHA_FIRST, BRANCH_COINCIDENT
 from hodgespec.lattice import BUDGET_ENV_VAR, standard_lattice
 from hodgespec.multiset import Unit, WeightedSpectrum, repeated_union
-from hodgespec.sphere import SphereOperator
+from hodgespec.sphere import SphereOperator, dim_V, dim_W
 from hodgespec.sphere import spectrum as sphere_spectrum
 from hodgespec.torus import TorusOperator, f_spectrum, laplace0_spectrum
 
@@ -533,6 +533,45 @@ def test_huge_json_value_gives_a_short_error(command, payload, tmp_path, capsys)
     assert out == ""
     assert json.loads(err)["error"] == "ParseError"  # all of stderr is one object
     assert len(err) < 200
+
+
+def run_under_digit_limit(argv, capsys, digits=640):
+    """``run`` with Python's int-to-str digit limit lowered to ``digits``, then restored."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        return run(argv, capsys)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_output_past_the_digit_limit_is_exact(capsys):
+    # S^(10^6), p = 1: the last term up to the cutoff is mu_150 = 151 * 1000150, and
+    # its multiplicity has more digits than the lowered limit allows.
+    top = dim_W(10**6, 1, 150)
+    assert len(str(top)) > 640
+    argv = ["spectrum", "sphere", "--n", "1000000", "--p", "1", "--alpha", "1", "--beta", "1",
+            "--r2", "1", "--cutoff", "151022650"]
+    code, out, err = run_under_digit_limit(argv, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["entries"][-1] == ["151022650", top]
+    code, out, err = run_under_digit_limit(argv + ["--format", "csv"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"151022650,1,plain,{top}"
+    # lambda_1 = beta * 2 * 999999 passes the cutoff on the left and meets mu_150 on the right
+    def side(name, beta):
+        return [f"--{name}-kind", "sphere", f"--{name}-n", "1000000", f"--{name}-p", "1",
+                f"--{name}-alpha", "1", f"--{name}-beta", beta, f"--{name}-r2", "1"]
+
+    argv = ["isospec", *side("left", "100"), *side("right", "151022650/1999998"),
+            "--cutoff", "151022650"]
+    code, out, err = run_under_digit_limit(argv, capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["first_divergence"] == {
+        "key": "151022650",
+        "left_multiplicity": top,
+        "right_multiplicity": top + dim_V(10**6, 1, 1),
+    }
 
 
 @pytest.mark.parametrize("n", ["300", "1000000000"])

@@ -1,4 +1,8 @@
-"""Exterior algebra sanity: wedge, contraction, d, delta, star, symbol."""
+"""Polynomial forms for the sphere oracle: d, delta, position contraction.
+
+The Hodge star here is a test-side reference: it pins the sign conventions of
+``delta_flat`` and the p <-> n-p duality with swapped parameters.
+"""
 
 import itertools
 import random
@@ -6,27 +10,26 @@ from fractions import Fraction as F
 
 import pytest
 
-from hodgespec.errors import (
-    DegreeZero,
-    DimensionMismatch,
-    NonpositiveScalar,
-    ZeroCovector,
-)
+from hodgespec.errors import DegreeZero, DimensionMismatch
 from hodgespec.exterior import (
-    CovectorAction,
     Poly,
     PolyForm,
-    contract,
     contract_position,
     d_flat,
     delta_flat,
-    hodge_star,
-    hodge_star_inverse,
     homogeneous_exponents,
-    principal_symbol,
-    principal_symbol_inverse,
-    wedge,
 )
+
+
+def hodge_star(a: PolyForm) -> PolyForm:
+    """Euclidean Hodge star for the orientation e^0 ^ ... ^ e^{N-1}."""
+    terms = []
+    for indices, poly in a.coeffs.items():
+        complement = tuple(i for i in range(a.nvars) if i not in indices)
+        # e^I ^ e^J = sign e^0 ^ ... ^ e^{N-1}: the parity of sorting I + J
+        inversions = sum(1 for i in indices for j in complement if i > j)
+        terms.append((complement, poly.scale((-1) ** inversions)))
+    return PolyForm.from_terms(a.nvars, a.nvars - a.degree, terms)
 
 
 def random_poly(rng: random.Random, nvars: int, max_exp: int = 2) -> Poly:
@@ -68,72 +71,6 @@ def test_poly_arithmetic_basics():
     assert q.diff(0) == x0.scale(2)
     assert x0.sub(x0).is_zero()
     assert Poly.constant(3, 0).is_zero()
-
-
-def test_wedge_antisymmetry():
-    e0 = PolyForm.basis(2, (0,))
-    e1 = PolyForm.basis(2, (1,))
-    assert wedge(e0, e1) == PolyForm.basis(2, (0, 1))
-    assert wedge(e1, e0) == PolyForm.basis(2, (0, 1), -1)
-    assert wedge(e0, e0).is_zero()
-
-
-def test_wedge_beyond_top_degree_is_zero():
-    a = PolyForm.basis(2, (0, 1))
-    b = PolyForm.basis(2, (0,))
-    assert wedge(a, b).is_zero()
-
-
-def test_wedge_graded_commutativity_random():
-    rng = random.Random(11)
-    for _ in range(30):
-        nvars = rng.randrange(2, 5)
-        p = rng.randrange(0, nvars + 1)
-        q = rng.randrange(0, nvars + 1 - p)
-        a = random_form(rng, nvars, p)
-        b = random_form(rng, nvars, q)
-        assert wedge(a, b) == wedge(b, a).scale((-1) ** (p * q))
-
-
-def test_contract_basis_example():
-    e01 = PolyForm.basis(2, (0, 1))
-    assert contract((F(1), F(0)), e01) == PolyForm.basis(2, (1,))
-    assert contract((F(0), F(1)), e01) == PolyForm.basis(2, (0,), -1)
-
-
-def test_contract_is_antiderivation():
-    rng = random.Random(5)
-    for _ in range(30):
-        nvars = rng.randrange(3, 6)
-        p = rng.randrange(1, nvars - 1)
-        q = rng.randrange(1, nvars - p + 1)
-        a = random_form(rng, nvars, p)
-        b = random_form(rng, nvars, q)
-        v = tuple(F(rng.randrange(-3, 4)) for _ in range(nvars))
-        lhs = contract(v, wedge(a, b))
-        rhs = wedge(contract(v, a), b).add(wedge(a, contract(v, b)).scale((-1) ** p))
-        assert lhs == rhs
-
-
-def test_contract_passes_through_function_factors():
-    rng = random.Random(4)
-    for _ in range(15):
-        nvars = rng.randrange(2, 5)
-        q = rng.randrange(1, nvars + 1)
-        f = random_form(rng, nvars, 0)
-        b = random_form(rng, nvars, q)
-        v = tuple(F(rng.randrange(-3, 4)) for _ in range(nvars))
-        assert contract(v, wedge(f, b)) == wedge(f, contract(v, b))
-
-
-def test_contract_squares_to_zero():
-    rng = random.Random(6)
-    for _ in range(20):
-        nvars = rng.randrange(2, 5)
-        p = rng.randrange(2, nvars + 1)
-        a = random_form(rng, nvars, p)
-        v = tuple(F(rng.randrange(-3, 4)) for _ in range(nvars))
-        assert contract(v, contract(v, a)).is_zero()
 
 
 def test_contract_position_example():
@@ -227,8 +164,6 @@ def test_star_squared_sign():
         p = rng.randrange(0, nvars + 1)
         a = random_form(rng, nvars, p)
         assert hodge_star(hodge_star(a)) == a.scale((-1) ** (p * (nvars - p)))
-        assert hodge_star_inverse(hodge_star(a)) == a
-        assert hodge_star(hodge_star_inverse(a)) == a
 
 
 def test_codifferential_agrees_with_star_route():
@@ -257,68 +192,10 @@ def test_star_conjugation_swaps_parameters():
                 assert lhs == rhs
 
 
-def test_symbol_splits_along_covector():
-    action = CovectorAction((F(1), F(0)), F(2), F(3))
-    e0 = PolyForm.basis(2, (0,))
-    e1 = PolyForm.basis(2, (1,))
-    assert principal_symbol(action, e0) == e0.scale(-2)
-    assert principal_symbol(action, e1) == e1.scale(-3)
-
-
-def test_symbol_collapses_when_parameters_match():
-    rng = random.Random(18)
-    for _ in range(20):
-        nvars = rng.randrange(2, 5)
-        p = rng.randrange(1, nvars)
-        w = random_form(rng, nvars, p)
-        xi = tuple(F(rng.randrange(-3, 4)) for _ in range(nvars))
-        action_beta = F(rng.randrange(1, 5))
-        if all(x == 0 for x in xi):
-            xi = (F(1),) + xi[1:]
-        action = CovectorAction(xi, action_beta, action_beta)
-        nsq = sum(x * x for x in xi)
-        assert principal_symbol(action, w) == w.scale(-action_beta * nsq)
-
-
-def test_symbol_inverse_round_trip():
-    rng = random.Random(19)
-    for _ in range(25):
-        nvars = rng.randrange(2, 5)
-        p = rng.randrange(0, nvars + 1)
-        w = random_form(rng, nvars, p)
-        xi = tuple(F(rng.randrange(-3, 4)) for _ in range(nvars))
-        if all(x == 0 for x in xi):
-            xi = (F(1),) + xi[1:]
-        action = CovectorAction(xi, F(rng.randrange(1, 5), 2), F(rng.randrange(1, 5)))
-        assert principal_symbol_inverse(action, principal_symbol(action, w)) == w
-        assert principal_symbol(action, principal_symbol_inverse(action, w)) == w
-
-
-def test_symbol_rejects_zero_covector():
-    action = CovectorAction((F(0), F(0)), F(1), F(1))
-    with pytest.raises(ZeroCovector):
-        principal_symbol(action, PolyForm.basis(2, (0,)))
-
-
-def test_covector_action_requires_positive_parameters():
-    with pytest.raises(NonpositiveScalar):
-        CovectorAction((F(1),), F(0), F(1))
-    with pytest.raises(NonpositiveScalar):
-        CovectorAction((F(1),), F(1), F(-2))
-
-
 def test_dimension_mismatches():
     a = PolyForm.basis(2, (0,))
-    b = PolyForm.basis(3, (0,))
-    with pytest.raises(DimensionMismatch):
-        wedge(a, b)
-    with pytest.raises(DimensionMismatch):
-        contract((F(1),), a)
     with pytest.raises(DimensionMismatch):
         a.add(PolyForm.basis(2, (0, 1)))
-    action = CovectorAction((F(1), F(0), F(0)), F(1), F(1))
-    with pytest.raises(DimensionMismatch):
-        principal_symbol(action, a)
 
 
 def test_form_validation():

@@ -315,6 +315,24 @@ def test_recover_sphere_truncation_hides_second_parameter():
         recover_sphere_params(m, 3, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "n, alpha, beta, branch",
+    [
+        (3, 1, 1, BRANCH_ALPHA_FIRST),
+        (3, 4, 1, BRANCH_BETA_FIRST),
+        (3, 4, 3, BRANCH_COINCIDENT),  # never subtracts, so difference() cannot refuse
+        (2, 1, 2, BRANCH_UNORDERED),
+    ],
+)
+def test_recover_sphere_refuses_torus_units(n, alpha, beta, branch):
+    op = SphereOperator(n, 1, F(alpha), F(beta))
+    plain = spectrum(op, sphere_cutoff(n, 1, F(alpha), F(beta), F(1)))
+    assert recover_sphere_params(plain, n, 1, 1).branch_trace == (branch,)
+    relabelled = WeightedSpectrum(Unit.FOUR_PI_SQUARED, plain.cutoff, plain.entries)
+    with pytest.raises(UnitMismatch):
+        recover_sphere_params(relabelled, n, 1, 1)
+
+
 def test_recover_radius_example():
     assert recover_radius(1, 1, 3, 1, F(3, 4)) == 4
 

@@ -225,12 +225,13 @@ def test_json_rejects_malformed_payloads(payload):
         Lattice.from_json_dict(payload)
 
 
-def test_budget_argument_limits_enumeration():
+def test_budget_argument_limits_enumeration(monkeypatch):
     data = dual(standard_lattice(2))
+    monkeypatch.setenv(BUDGET_ENV_VAR, "3")
     with pytest.raises(BudgetExceeded):
-        enumerate_norms(data, 4, budget=3)
+        enumerate_norms(data, 4)
     with pytest.raises(BoxTooLarge):
-        brute_force_enumerate(data, 4, budget=3)
+        brute_force_enumerate(data, 4)
 
 
 def exact_visit_count(data, bound) -> int:
@@ -260,14 +261,18 @@ def exact_visit_count(data, bound) -> int:
         (Lattice(((F(2), F(1, 3), F(-1, 2)), (F(0), F(3, 5), F(1, 7)), (F(0), F(0), F(1)))), 3, 5),
     ],
 )
-def test_budget_counts_exact_candidate_visits(lattice, bound, small_budget):
+def test_budget_counts_exact_candidate_visits(lattice, bound, small_budget, monkeypatch):
     data = dual(lattice)
     visits = exact_visit_count(data, F(bound))
+    want = brute_force_enumerate(data, bound)
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(small_budget))
     with pytest.raises(BudgetExceeded):
-        enumerate_norms(data, bound, budget=small_budget)
+        enumerate_norms(data, bound)
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(visits - 1))
     with pytest.raises(BudgetExceeded):
-        enumerate_norms(data, bound, budget=visits - 1)
-    assert enumerate_norms(data, bound, budget=visits) == brute_force_enumerate(data, bound)
+        enumerate_norms(data, bound)
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(visits))
+    assert enumerate_norms(data, bound) == want
 
 
 def test_budget_env_var(monkeypatch):
@@ -275,8 +280,6 @@ def test_budget_env_var(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV_VAR, "3")
     with pytest.raises(BudgetExceeded):
         enumerate_norms(data, 4)
-    # explicit argument wins over the environment
-    assert as_dict(enumerate_norms(data, 1, budget=100)) == {F(0): 1, F(1): 4}
     monkeypatch.setenv(BUDGET_ENV_VAR, "banana")
     with pytest.raises(ParseError):
         enumerate_norms(data, 1)
@@ -297,7 +300,8 @@ def test_dual_charges_n_cubed_to_the_budget(monkeypatch):
         dual(standard_lattice(3))
 
 
-def test_large_box_is_rejected_before_scanning():
+def test_large_box_is_rejected_before_scanning(monkeypatch):
     data = dual(standard_lattice(3))
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
     with pytest.raises(BoxTooLarge):
-        brute_force_enumerate(data, 10_000, budget=1000)
+        brute_force_enumerate(data, 10_000)

@@ -38,6 +38,8 @@ def test_construction_rejects_bad_data():
         spec([(1, -2)], 5)
     with pytest.raises(ValueError):
         WeightedSpectrum.from_pairs(Unit.PLAIN, 5, [(F(-1), 1)])
+    with pytest.raises(ValueError, match="negative eigenvalue key: -1"):
+        WeightedSpectrum(Unit.PLAIN, F(1), ((F(-1), 2), (F(1, 2), 1)))
     with pytest.raises(ValueError):
         WeightedSpectrum(Unit.PLAIN, F(-1), ())
     with pytest.raises(ValueError):

@@ -188,6 +188,18 @@ def test_spectrum_rejects_bad_multiplicities(entries, data, bad):
         WeightedSpectrum(Unit.PLAIN, MAX_KEY, tuple(entries))
 
 
+@PROPERTY
+@given(st.dictionaries(st.fractions(-2, MAX_KEY, max_denominator=4), st.integers(1, 4), max_size=10))
+def test_json_loader_reads_back_every_constructed_spectrum(entries):
+    # The constructor refuses what the loader refuses, so no built spectrum fails to load.
+    try:
+        spec = WeightedSpectrum(Unit.PLAIN, MAX_KEY, tuple(sorted(entries.items())))
+    except ValueError as exc:
+        assert str(exc) == f"negative eigenvalue key: {min(entries)}"
+        return
+    assert WeightedSpectrum.from_json_dict(spec.to_json_dict()) == spec
+
+
 @st.composite
 def small_lattices(draw, dims=st.integers(1, 3)):
     """Upper-triangular rational bases, n <= 3, so the box scan stays small."""

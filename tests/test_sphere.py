@@ -212,7 +212,7 @@ def test_details_bookkeeping_matches_merged_spectrum():
 def test_oracle_recounts_series_dimensions():
     assert harmonic_form_dims_oracle(2, 1, 1) == (3, 5)
     assert harmonic_form_dims_oracle(2, 1, 0) == (0, 3)
-    for n, p, kmax in ((2, 1, 3), (3, 1, 2), (3, 2, 2)):
+    for n, p, kmax in ((2, 1, 3), (3, 1, 2), (3, 2, 2), (4, 1, 2), (4, 2, 2), (4, 3, 2)):
         for k in range(kmax + 1):
             assert harmonic_form_dims_oracle(n, p, k) == (dim_V(n, p, k), dim_W(n, p, k))
 

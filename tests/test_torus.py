@@ -12,7 +12,7 @@ from hodgespec.errors import (
     NonpositiveScalar,
     UnrepresentedNorm,
 )
-from hodgespec.lattice import Lattice, dual, enumerate_norms, standard_lattice
+from hodgespec.lattice import BUDGET_ENV_VAR, Lattice, dual, enumerate_norms, standard_lattice
 from hodgespec.multiset import Unit, WeightedSpectrum, repeated_union
 from hodgespec.torus import (
     Branch,
@@ -218,30 +218,34 @@ def test_operator_validation():
         f_spectrum(TorusOperator(lattice, 1, F(1), F(1)), -1)
 
 
-def test_budget_propagates_to_enumeration():
-    with pytest.raises(BudgetExceeded):
-        laplace0_spectrum(standard_lattice(2), 100, budget=5)
+def test_budget_propagates_to_enumeration(monkeypatch):
+    # 8 = 2^3 lets dual() through, so the walk is what refuses
+    monkeypatch.setenv(BUDGET_ENV_VAR, "8")
+    with pytest.raises(BudgetExceeded, match="candidate visits"):
+        laplace0_spectrum(standard_lattice(2), 100)
     op = TorusOperator(standard_lattice(2), 1, F(1), F(2))
-    with pytest.raises(BudgetExceeded):
-        f_spectrum(op, 100, budget=5)
+    with pytest.raises(BudgetExceeded, match="candidate visits"):
+        f_spectrum(op, 100)
 
 
-def test_walk_stops_at_the_parts_with_copies():
+def test_walk_stops_at_the_parts_with_copies(monkeypatch):
     # p = n has no beta part and p = 0 no alpha part, so the tiny weight on
     # the missing side must not stretch the walk to cutoff / (1/100).
+    monkeypatch.setenv(BUDGET_ENV_VAR, "20000")
     z3 = standard_lattice(3)
-    want = f_spectrum(TorusOperator(z3, 3, F(1), F(1)), 20, budget=20000)
+    want = f_spectrum(TorusOperator(z3, 3, F(1), F(1)), 20)
     assert len(want) == 19
-    assert f_spectrum(TorusOperator(z3, 3, F(1), F(1, 100)), 20, budget=20000) == want
-    assert f_spectrum(TorusOperator(z3, 0, F(1, 100), F(1)), 20, budget=20000) == want
-    parts = f_spectrum_parts(TorusOperator(z3, 3, F(1), F(1, 100)), 20, budget=20000)
+    assert f_spectrum(TorusOperator(z3, 3, F(1), F(1, 100)), 20) == want
+    assert f_spectrum(TorusOperator(z3, 0, F(1, 100), F(1)), 20) == want
+    parts = f_spectrum_parts(TorusOperator(z3, 3, F(1), F(1, 100)), 20)
     assert parts == (want, spec([], 20))
 
 
-def test_multiplicity_skips_the_cross_norm_without_copies():
+def test_multiplicity_skips_the_cross_norm_without_copies(monkeypatch):
     # The beta family has no copies at p = n, so the walk ends at norm 1, not at
     # the cross norm 1 / (1/100) = 100.
+    monkeypatch.setenv(BUDGET_ENV_VAR, "2000")
     op = TorusOperator(standard_lattice(3), 3, F(1), F(1, 100))
-    assert eigenvalue_multiplicity(op, 1, Branch.ALPHA, budget=2000) == 6
+    assert eigenvalue_multiplicity(op, 1, Branch.ALPHA) == 6
     op0 = TorusOperator(standard_lattice(3), 0, F(1, 100), F(1))
-    assert eigenvalue_multiplicity(op0, 1, Branch.BETA, budget=2000) == 6
+    assert eigenvalue_multiplicity(op0, 1, Branch.BETA) == 6
