@@ -70,10 +70,7 @@ from .sphere import (
     harmonic_form_dims_oracle,
     harmonic_polynomial_dim,
     lambda_k,
-    lambda_series_spectrum,
     mu_k,
-    mu_series_spectrum,
-    scalar_series_spectrum,
 )
 from .torus import (
     Branch,
@@ -82,7 +79,6 @@ from .torus import (
     f_spectrum,
     f_spectrum_parts,
     laplace0_spectrum,
-    parallel_kernel_dim,
 )
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ from .lattice import (
     standard_lattice,
 )
 from .multiset import Unit, WeightedSpectrum
-from .rationals import format_rational, parse_rational
+from .rationals import _echo_number, format_rational, parse_rational
 from .sphere import SphereOperator
 from .sphere import spectrum as sphere_spectrum
 from .sphere import spectrum_parts as sphere_spectrum_parts
@@ -279,9 +279,9 @@ def _cmd_recover_radius(args) -> int:
     expected = sphere_spectrum(op, leading[0]).entries
     if expected != (leading,):
         raise BranchAmbiguous(
-            f"leading entry {format_rational(leading[0])} x {leading[1]} is not the first "
-            f"eigenvalue of a sphere with these parameters, which has multiplicity "
-            f"{expected[0][1]}"
+            f"leading entry {format_rational(leading[0])} x {_echo_number(leading[1])} is not the "
+            f"first eigenvalue of a sphere with these parameters, which has multiplicity "
+            f"{_echo_number(expected[0][1])}"
         )
     _write_json(args.output, r_squared)
     return 0

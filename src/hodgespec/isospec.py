@@ -34,7 +34,7 @@ from .errors import (
     UnitMismatch,
 )
 from .multiset import Unit, WeightedSpectrum
-from .rationals import format_rational
+from .rationals import _echo_number, format_rational
 from .sphere import _lambda_series, _mu_series
 
 __all__ = [
@@ -146,7 +146,8 @@ def reconstruct_base(
                 available = work.get(value, 0)
                 if available < needed:
                     raise NotInImage(
-                        f"removing {needed} at key {value} but only {available} present"
+                        f"removing {_echo_number(needed)} at key {_echo_number(value)} but only "
+                        f"{_echo_number(available)} present"
                     )
                 if available == needed:
                     del work[value]
@@ -198,7 +199,7 @@ def _recover_pair(
     if half:
         if lead_mult not in (alpha.count, 2 * alpha.count):
             raise BranchAmbiguous(
-                f"leading multiplicity {lead_mult} fits no half-dimension case"
+                f"leading multiplicity {_echo_number(lead_mult)} fits no half-dimension case"
             )
         gamma = lead_key / alpha.lead
         pair = tuple(sorted((gamma, second(alpha, gamma, beta))))
@@ -215,8 +216,8 @@ def _recover_pair(
         values = (lead_key / alpha.lead, lead_key / beta.lead)
         return RecoveryResult("ordered", values, (BRANCH_COINCIDENT,))
     raise BranchAmbiguous(
-        f"leading multiplicity {lead_mult} matches none of "
-        f"{alpha.count}, {beta.count}, {alpha.count + beta.count}"
+        f"leading multiplicity {_echo_number(lead_mult)} matches none of "
+        + ", ".join(map(_echo_number, (alpha.count, beta.count, alpha.count + beta.count)))
     )
 
 

@@ -4,26 +4,26 @@ A lattice is given by a basis of R^n with rational coordinates.  The dual
 basis pairs to the identity against the primal one, so its Gram matrix is
 G^-1 for the basis's Gram matrix G, and spectra of flat tori R^n / Lambda
 reduce to counting dual vectors of a given squared length.  :func:`dual`
-reaches G^-1 and its LDL^T from one LDL^T of G.
+reaches G^-1 and the walk's integer data from one sparse fraction-free
+elimination of the denominator-cleared Gram matrix.
 
 Two enumeration routes are provided; both return a FOUR_PI_SQUARED
 :class:`WeightedSpectrum` whose keys are the dual squared norms, complete up
-to ``cutoff = bound``.  ``enumerate_norms`` walks coordinate layers using the
-LDL^T factorization of the dual Gram matrix (Fincke-Pohst).  Denominators are
-cleared once per call: per layer, an integer scale for the column of L makes
-the layer's offset an integer y_i, and one global scale T turns every pivot
-into an integer weight, so T*|l|^2 = sum_i w_i y_i^2.  The walk then runs in
-Python ints: the bracket |y_i| <= isqrt(remaining // w_i) is exact, every
-candidate in it is a member, and the integer norms are sorted before one
-Fraction is built per distinct norm.  Queries that need one or two counts
-(``count_norm`` here, and the torus multiplicity query) read them off the
-integer table at key ``q * T``, which is 0 when that is not an integer, and
-build no spectrum.
+to ``cutoff = bound``.  ``enumerate_norms`` walks coordinate layers along the
+LDL^T factorization of the dual Gram matrix (Fincke-Pohst), held as integers:
+per layer, an integer c_i and integer terms make the layer's offset an
+integer y_i, and one global scale T turns every pivot into an integer weight,
+so T*|l|^2 = sum_i w_i y_i^2.  The walk runs in Python ints: the bracket
+|y_i| <= isqrt(remaining // w_i) is exact, every candidate in it is a member,
+and the integer norms are sorted before one Fraction is built per distinct
+norm.  Queries that need one or two counts (``count_norm`` here, and the
+torus multiplicity query) read them off the integer table at key ``q * T``,
+which is 0 when that is not an integer, and build no spectrum.
 ``brute_force_enumerate`` is the deliberately dumb reference: it scans the
 full integer box given by the per-coordinate bound x_i^2 <= Q * <b_i, b_i>
 (from x_i = <l, b_i> and Cauchy-Schwarz) and rechecks every cell in integers,
 against the dual Gram matrix scaled by the lcm S of its denominators and the
-bound floor(S * Q).  It uses no LDL^T data.  Both count the zero vector.
+bound floor(S * Q).  It uses no walk data.  Both count the zero vector.
 
 The environment variable HODGESPEC_BUDGET caps enumeration work for both,
 and the n^3 matrix work of :func:`dual`.
@@ -41,7 +41,7 @@ from typing import Mapping
 from . import linalg
 from .errors import BoxTooLarge, BudgetExceeded, ParseError, SingularBasis
 from .multiset import Unit, WeightedSpectrum, _from_int_keys
-from .rationals import _echo, format_rational, parse_rational, sqrt_floor
+from .rationals import _echo, _echo_number, format_rational, parse_rational, sqrt_floor
 
 __all__ = [
     "Lattice",
@@ -121,7 +121,7 @@ class Lattice:
         if layout not in ("row-major", "column-major"):
             raise ParseError(f"unknown basis layout {_echo(layout)}")
         if not _is_list_of(rows, n) or not all(_is_list_of(row, n) for row in rows):
-            raise ParseError(f"basis must be {n}x{n}")
+            raise ParseError(f"basis must be {_echo_number(n)}x{_echo_number(n)}")
         matrix = tuple(tuple(parse_rational(str(x)) for x in row) for row in rows)
         if layout == "column-major":
             matrix = tuple(zip(*matrix))
@@ -135,78 +135,79 @@ def standard_lattice(n: int) -> Lattice:
 
 @dataclass(frozen=True)
 class DualData:
-    """A lattice with the Gram matrices of its basis and of its dual basis.
+    """A lattice with the Gram matrices of its basis and dual basis, and the walk data.
 
     The dual basis pairs to the identity against the basis, so ``dual_gram``
-    is the inverse of ``gram``.  ``ldl_lower``/``ldl_diag`` factor it as
-    L diag(d) L^T with unit lower-triangular L; the strictly positive pivots
-    certify positive-definiteness and drive the layered enumeration.
+    is the inverse of ``gram``.  The walk data are integers: the dual vector
+    with coordinates x has T|l|^2 = sum_i w_i y_i^2 with
+    y_i = c_i x_i + sum_{(j, t) in terms[i]} t x_j, where ``clear`` holds the
+    c_i, ``weights`` the w_i > 0 and ``scale`` is T.  This is the LDL^T of
+    ``dual_gram`` with its denominators cleared: L[j][i] = t / c_i and
+    d_i = w_i c_i^2 / T.
     """
 
     lattice: Lattice
     gram: tuple[tuple[Fraction, ...], ...]
     dual_gram: tuple[tuple[Fraction, ...], ...]
-    ldl_lower: tuple[tuple[Fraction, ...], ...]
-    ldl_diag: tuple[Fraction, ...]
+    clear: tuple[int, ...]
+    terms: tuple[tuple[tuple[int, int], ...], ...]
+    weights: tuple[int, ...]
+    scale: int
 
 
 def _charge_dimension(n: int) -> None:
     """Refuse a dimension whose n^3 matrix work exceeds HODGESPEC_BUDGET."""
     limit = _resolve_budget()
     if n**3 > limit:
-        raise BudgetExceeded(f"dimension {n} needs {n}^3 matrix steps, budget is {limit}")
-
-
-def _unit_lower_inverse(lower: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a unit lower-triangular matrix, row by row, skipping zeros."""
-    inverse: list[list[Fraction]] = []
-    for i, row in enumerate(lower):
-        # row i of the inverse is e_i - sum_{k<i} row[k] * (row k of the inverse)
-        out = [Fraction(0)] * len(lower)
-        out[i] = Fraction(1)
-        for k, c in enumerate(row[:i]):
-            if c:
-                for j, x in enumerate(inverse[k][: k + 1]):
-                    if x:
-                        out[j] -= c * x
-        inverse.append(out)
-    return inverse
+        dim = _echo_number(n)
+        raise BudgetExceeded(f"dimension {dim} needs {dim}^3 matrix steps, budget is {limit}")
 
 
 def dual(lattice: Lattice) -> DualData:
-    """Gram matrices of the lattice and its dual, with the LDL^T of the dual one.
+    """Gram matrices of the lattice and its dual, with the walk's integer data.
 
-    With J the coordinate reversal, one LDL^T of the Gram matrix G reversed,
-    J G J = L1 D1 L1^T, gives G^-1 = (J L1^-T J)(J D1^-1 J)(J L1^-1 J).  The
-    outer factors are unit lower triangular, so by uniqueness this is the
-    LDL^T of G^-1.  The Gram matrix, the LDL^T, the triangular inverse and
-    the dual Gram product each take about n^3 steps, charged to
-    HODGESPEC_BUDGET before any of them starts.  A singular basis shows up
-    as a zero pivot.
+    Clearing the basis, D B = M, makes A = M M^T = D^2 G an integer matrix.
+    With J the coordinate reversal, let J A J = L1 D1 L1^T.  One fraction-free
+    elimination of [J A J | I] leaves in row m a multiple s (row m of L1^-1)
+    on the right and s D1[m] as its pivot.  By uniqueness of LDL^T,
+    G^-1 = L diag(d) L^T with L = J L1^-T J and d = D^2 J D1^-1 J, so row m
+    gives walk level i = n-1-m: c_i = s, the terms are the other right-hand
+    entries, and d_i = D^2 s / pivot.  The right part v has v J A J as left
+    part, so the gcd of v divides the whole row, which the elimination keeps
+    primitive: c_i is the least integer that clears column i of L.  The
+    elimination takes about n^3 steps, charged to HODGESPEC_BUDGET before any
+    matrix work starts.  A singular basis shows up as a zero pivot.
     """
     n = lattice.n
     _charge_dimension(n)
-    gram = linalg.gram(lattice.basis)
-    try:
-        factor, pivots = linalg.ldlt([row[::-1] for row in reversed(gram)])
-    except ValueError:
-        raise SingularBasis("lattice basis is singular") from None
-    lower = _unit_lower_inverse([[factor[-1 - j][-1 - i] for j in range(n)] for i in range(n)])
-    diag = tuple(1 / p for p in reversed(pivots))
-    # (k, L[i][k] * d[k]) for the nonzero entries of row i of L
-    scaled = [[(k, x * diag[k]) for k, x in enumerate(row) if x] for row in lower]
-    dual_gram = [[Fraction(0)] * n for _ in range(n)]
+    ints, square = linalg._integer_gram(lattice.basis)
+    pivots: list[tuple[int, dict[int, int]]] = []
+    clear, terms, dens = [1] * n, [()] * n, [1] * n
+    last = 2 * n - 1
+    for m in range(n):
+        i = n - 1 - m  # row m of [J A J | I] is row i of A reversed, then e_m
+        row = linalg._eliminate({n - 1 - j: x for j, x in ints[i].items()} | {n + m: 1}, pivots)
+        if row.get(m, 0) <= 0:
+            raise SingularBasis("lattice basis is singular")
+        pivots.append((m, row))
+        # column last - j holds s L1^-1[m][n-1-j] = s L[j][i]
+        clear[i] = s = row[n + m]
+        terms[i] = tuple((j, row[last - j]) for j in range(i + 1, n) if last - j in row)
+        dens[i] = row[m] * s  # d_i / c_i^2 = D^2 / (pivot s)
+    # T is the least common denominator of the d_i / c_i^2, and w_i = T d_i / c_i^2
+    scale = math.lcm(*(den // math.gcd(square, den) for den in dens))
+    weights = tuple(scale * square // den for den in dens)
+    # T G^-1 = sum_i w_i t_i t_i^T, with t_i = c_i e_i + the terms of level i
+    totals: list[dict[int, int]] = [{} for _ in range(n)]
     for i in range(n):
-        for j in range(i + 1):
-            other = lower[j]
-            entry = sum(x * other[k] for k, x in scaled[i] if other[k])
-            dual_gram[i][j] = dual_gram[j][i] = Fraction(entry)
+        entries = ((i, clear[i]),) + terms[i]
+        for at, (a, x) in enumerate(entries):
+            total, wx = totals[a], weights[i] * x
+            for b, y in entries[at:]:
+                total[b] = total.get(b, 0) + wx * y
     return DualData(
-        lattice=lattice,
-        gram=gram,
-        dual_gram=tuple(map(tuple, dual_gram)),
-        ldl_lower=tuple(map(tuple, lower)),
-        ldl_diag=diag,
+        lattice, linalg._symmetric(ints, square), linalg._symmetric(totals, scale),
+        tuple(clear), tuple(terms), weights, scale,
     )
 
 
@@ -214,21 +215,12 @@ def _walk(dual_data: DualData, bound: Fraction) -> tuple[dict[int, int], int]:
     """Integer norm table of the dual vectors with squared norm <= bound >= 0.
 
     Returns ``(counts, scale)``: ``counts[key]`` vectors have squared norm
-    ``key / scale``.  The scale depends only on the LDL^T data, not on the bound.
+    ``key / scale``.  The scale is the dual data's T, whatever the bound.
     """
     limit = _resolve_budget()
     n = dual_data.lattice.n
-    lower, diag = dual_data.ldl_lower, dual_data.ldl_diag
-    # y_i = c_i * (x_i + sum_{j>i} L[j][i] x_j) is an integer: c_i clears column i of L.
-    clear = [math.lcm(*(lower[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
-    terms = [
-        [(j, int(clear[i] * lower[j][i])) for j in range(i + 1, n) if lower[j][i]]
-        for i in range(n)
-    ]
-    # scale * norm = sum_i w_i * y_i^2 with integer weights w_i = scale * d_i / c_i^2.
-    ratios = [diag[i] / (clear[i] * clear[i]) for i in range(n)]
-    scale = math.lcm(*(r.denominator for r in ratios))
-    weights = [int(scale * r) for r in ratios]
+    clear, terms, weights = dual_data.clear, dual_data.terms, dual_data.weights
+    scale = dual_data.scale
     top = scale * bound.numerator // bound.denominator
     counts: dict[int, int] = {}
     coords = [0] * n
@@ -295,7 +287,7 @@ def brute_force_enumerate(dual_data: DualData, bound) -> WeightedSpectrum:
     for r in radii:
         cells *= 2 * r + 1
     if cells > limit:
-        raise BoxTooLarge(f"brute-force box has {cells} cells, budget is {limit}")
+        raise BoxTooLarge(f"brute-force box has {_echo_number(cells)} cells, budget is {limit}")
     # scale * dual_gram is an integer matrix, so scale * |l|^2 is an integer per cell.
     scale = math.lcm(*(x.denominator for row in dual_data.dual_gram for x in row))
     dual_gram = [[int(scale * x) for x in row] for row in dual_data.dual_gram]

@@ -1,19 +1,22 @@
-"""Small exact linear algebra kit: Gram matrix, LDL^T, rank.
+"""Small exact linear algebra kit: Gram matrix, fraction-free elimination, rank.
 
-Everything works over Fraction entries and returns Fractions; nothing here
-ever touches floating point.  Matrices are tuples of row tuples.
+Nothing here ever touches floating point.  Matrices are tuples of row tuples
+of Fractions.  Elimination works on sparse integer rows, ``{column: entry}``
+dicts that hold no zero entry, so a zero is never multiplied or divided.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter
 from typing import Sequence
 
-__all__ = ["identity", "ldlt", "rank", "gram"]
+__all__ = ["identity", "rank", "gram"]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Row = dict[int, int]
 
 
 def identity(n: int) -> Matrix:
@@ -22,79 +25,75 @@ def identity(n: int) -> Matrix:
     )
 
 
-def gram(vectors: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Matrix of pairwise Euclidean inner products.
+def _integer_gram(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[Row], int]:
+    """``(A, s)`` with A an integer matrix, as sparse rows, and A / s the Gram matrix.
 
-    Entries may be Fractions or ints.  One common denominator D clears every
-    coordinate, so <u, v> = <Du, Dv> / D^2 with integer dot products, taken
-    once per pair and mirrored.
+    One common denominator D clears every coordinate, so s = D^2 and A is the
+    sum over coordinates of the outer product of the cleared coordinate
+    column with itself, taken over its nonzero entries only.
     """
     scale = lcm(*(x.denominator for v in vectors for x in v))
-    cleared = [[x.numerator * (scale // x.denominator) for x in v] for v in vectors]
-    square = scale * scale
-    rows = [[0] * len(cleared) for _ in cleared]
-    for i, u in enumerate(cleared):
-        for j in range(i, len(cleared)):
-            rows[i][j] = rows[j][i] = Fraction(sum(map(mul, u, cleared[j])), square)
-    return tuple(tuple(row) for row in rows)
+    rows: list[Row] = [{} for _ in vectors]
+    for column in zip(*vectors):
+        nonzero = [(i, x.numerator * (scale // x.denominator)) for i, x in enumerate(column) if x]
+        for i, x in nonzero:
+            row = rows[i]
+            for j, y in nonzero:
+                row[j] = row.get(j, 0) + x * y
+    return [{j: x for j, x in row.items() if x} for row in rows], scale * scale
 
 
-def ldlt(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[Fraction, ...]]:
-    """Factor a symmetric positive definite matrix as L diag(d) L^T.
+def _symmetric(rows: Sequence[Row], den: int) -> Matrix:
+    """The symmetric matrix rows / den, read off the upper triangle, one Fraction per pair."""
+    out = [[Fraction(0)] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if j >= i:
+                out[i][j] = out[j][i] = Fraction(x, den)
+    return tuple(tuple(row) for row in out)
 
-    L is unit lower triangular.  Raises ValueError if a pivot fails to be
-    positive, which certifies the input was not positive definite.  Zero
-    entries of L are skipped, so a sparse factor costs far less than n^3/6.
+
+def gram(vectors: Sequence[Sequence[Fraction]]) -> Matrix:
+    """Matrix of pairwise Euclidean inner products (entries Fractions or ints)."""
+    return _symmetric(*_integer_gram(vectors))
+
+
+def _eliminate(row: Row, pivots: Sequence[tuple[int, Row]]) -> Row:
+    """The row with every pivot column cleared, pivots in increasing column order.
+
+    A pivot row's entries sit at its column or to the right, so a step adds no
+    entry at a column already cleared.  Each step is fraction-free (Bareiss,
+    Math. Comp. 22 (1968) 565-578): the row becomes pivot * row - entry *
+    pivot_row, divided by the gcd of its entries, so the row comes out
+    primitive whenever it goes in primitive.  That keeps the row on the
+    same line as exact Gaussian elimination would, with entries no larger
+    than Bareiss's minors, and leaves a row that is zero at the pivot column
+    untouched.  With positive pivots, the signs of the row's entries at
+    columns no pivot row touches are kept.
     """
-    n = len(matrix)
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    diag: list[Fraction] = []
-    for j in range(n):
-        # (k, L[j][k] * d[k]) for the nonzero entries left of the diagonal in row j
-        scaled = [(k, x * diag[k]) for k, x in enumerate(lower[j][:j]) if x]
-        d = matrix[j][j] - sum(lower[j][k] * s for k, s in scaled)
-        if d <= 0:
-            raise ValueError(f"pivot {j} is {d}; matrix is not positive definite")
-        diag.append(d)
-        lower[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            row = lower[i]
-            s = matrix[i][j] - sum(row[k] * t for k, t in scaled if row[k])
-            if s:
-                row[j] = s / d
-    return tuple(tuple(row) for row in lower), tuple(diag)
-
-
-def _primitive(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return [c // g for c in row] if g > 1 else row
+    for col, pivot_row in pivots:
+        entry = row.get(col)
+        if entry is None:
+            continue
+        pivot = pivot_row[col]
+        out = {j: pivot * x for j, x in row.items()}
+        for j, x in pivot_row.items():
+            out[j] = out.get(j, 0) - entry * x
+        g = gcd(*out.values())
+        row = {j: x // g for j, x in out.items() if x}
+    return row
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank via fraction-free elimination on denominator-cleared rows."""
-    rows: list[list[int]] = []
-    for row in matrix:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in fracs))
-        cleared = _primitive([int(x * scale) for x in fracs])
-        if any(cleared):
-            rows.append(cleared)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][col]
-        for i in range(r + 1, len(rows)):
-            if rows[i][col] != 0:
-                entry = rows[i][col]
-                rows[i] = _primitive([pivot * a - entry * b for a, b in zip(rows[i], rows[r])])
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    """Rank via fraction-free elimination on sparse, denominator-cleared rows."""
+    pivots: list[tuple[int, Row]] = []
+    for entries in matrix:
+        nonzero = {j: x for j, x in enumerate(entries) if x}
+        scale = lcm(*(x.denominator for x in nonzero.values()))
+        row = _eliminate(
+            {j: x.numerator * (scale // x.denominator) for j, x in nonzero.items()}, pivots
+        )
+        if row:
+            col = min(row)
+            pivots.insert(bisect_left(pivots, col, key=itemgetter(0)), (col, row))
+    return len(pivots)

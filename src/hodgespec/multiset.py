@@ -96,10 +96,6 @@ class WeightedSpectrum:
         entries = tuple(sorted(acc.items()))
         return cls(unit=unit, cutoff=cutoff, entries=entries)
 
-    @classmethod
-    def empty(cls, unit: Unit, cutoff) -> "WeightedSpectrum":
-        return cls(unit=unit, cutoff=Fraction(cutoff), entries=())
-
     # -- accessors --------------------------------------------------------
 
     def multiplicity(self, key) -> int:
@@ -115,9 +111,6 @@ class WeightedSpectrum:
 
     def is_empty(self) -> bool:
         return not self.entries
-
-    def total_multiplicity(self) -> int:
-        return sum(mult for _, mult in self.entries)
 
     def min_entry(self) -> tuple[Fraction, int]:
         """Smallest key with its multiplicity."""

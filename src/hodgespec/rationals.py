@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import count
 
 from .errors import ParseError
 
@@ -27,6 +28,21 @@ def _echo(value) -> str:
     """repr of an offending value for an error message, cut after _ECHO_LIMIT characters."""
     text = repr(value)
     return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT] + "..."
+
+
+def _echo_number(value) -> str:
+    """A computed int or Fraction for an error message: in full while its
+    numerator and denominator have at most _ECHO_LIMIT digits, else by their
+    digit counts, which need no int-to-string conversion."""
+    value = Fraction(value)
+    parts = (abs(value.numerator), value.denominator)
+    if max(parts) < 10**_ECHO_LIMIT:
+        return format_rational(value)
+    # 1233 / 4096 < log10(2), so each count starts at or below the part's digit count
+    num, den = (next(d for d in count(p.bit_length() * 1233 >> 12) if 10**d > p) for p in parts)
+    if value.denominator == 1:
+        return f"a {num}-digit integer"
+    return f"a fraction of a {num}-digit over a {den}-digit integer"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -47,6 +47,7 @@ from .exterior import (
 )
 from .lattice import _resolve_budget
 from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merge
+from .rationals import _echo_number
 
 __all__ = [
     "Series",
@@ -58,9 +59,6 @@ __all__ = [
     "dim_V",
     "dim_W",
     "harmonic_polynomial_dim",
-    "lambda_series_spectrum",
-    "mu_series_spectrum",
-    "scalar_series_spectrum",
     "spectrum_parts",
     "spectrum",
     "eigenvalue_details",
@@ -199,7 +197,8 @@ class _SeriesFormula:
         ks = range(self.start, last + 1)
         limit = _resolve_budget()
         if len(ks) > limit:
-            raise BudgetExceeded(f"sphere series needs {len(ks)} terms, budget is {limit}")
+            count = _echo_number(len(ks))
+            raise BudgetExceeded(f"sphere series needs {count} terms, budget is {limit}")
         for k in ks:
             dim = self.dim(k)
             if dim:
@@ -271,21 +270,6 @@ def mu_k(op: SphereOperator, k: int) -> Fraction:
     if k < 0:
         raise ValueError("mu series starts at k = 0")
     return _mu_series(op.n, op.p, op.alpha, op.r_squared).value(k)
-
-
-def lambda_series_spectrum(n: int, p: int, coefficient, r_squared, cutoff) -> WeightedSpectrum:
-    """The beta-scaled series as a weighted set, truncated at ``cutoff``."""
-    return _lambda_series(n, p, coefficient, r_squared).spectrum(cutoff)
-
-
-def mu_series_spectrum(n: int, p: int, coefficient, r_squared, cutoff) -> WeightedSpectrum:
-    """The alpha-scaled series as a weighted set, truncated at ``cutoff``."""
-    return _mu_series(n, p, coefficient, r_squared).spectrum(cutoff)
-
-
-def scalar_series_spectrum(n: int, coefficient, r_squared, cutoff) -> WeightedSpectrum:
-    """Scaled scalar Laplace series k(k+n-1)/r^2 with harmonic multiplicities."""
-    return _scalar_series(n, coefficient, r_squared, Series.LAMBDA).spectrum(cutoff)
 
 
 def _parts(op: SphereOperator, cutoff: Fraction) -> tuple[int, list, list]:

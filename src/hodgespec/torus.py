@@ -33,7 +33,6 @@ __all__ = [
     "f_spectrum",
     "f_spectrum_parts",
     "eigenvalue_multiplicity",
-    "parallel_kernel_dim",
 ]
 
 
@@ -167,10 +166,3 @@ def eigenvalue_multiplicity(op: TorusOperator, norm, branch: Branch) -> int:
     if crossing:
         total += other_copies * _count_at(counts, scale, cross)
     return total
-
-
-def parallel_kernel_dim(n: int, p: int) -> int:
-    """Dimension of the zero eigenspace: the parallel p-forms, C(n, p)."""
-    if not 0 <= p <= n:
-        raise DegreeOutOfRange(f"p={p} outside 0..{n}")
-    return comb(n, p)

@@ -47,6 +47,8 @@ from hodgespec.torus import (
     laplace0_spectrum,
 )
 
+from oracles import d_plus, e8_plus_e8
+
 
 def _report(number: int, label: str, budget: float, fn) -> None:
     start = time.perf_counter()
@@ -403,24 +405,9 @@ def test_criterion_9_negative_control():
     _report(9, "stretched square torus is distinguished at a concrete key", 1.0, check)
 
 
-def d_plus(n: int) -> Lattice:
-    """D_n^+ (n = 8 is E8) from rows 2e_0, e_{i+1} - e_i (i < n-2) and (1/2, ..., 1/2)."""
-    rows = [[F(2)] + [F(0)] * (n - 1)]
-    for i in range(n - 2):
-        row = [F(0)] * n
-        row[i], row[i + 1] = F(-1), F(1)
-        rows.append(row)
-    rows.append([F(1, 2)] * n)
-    return Lattice(tuple(map(tuple, rows)))
-
-
 def test_criterion_10_positive_control():
     def check():
-        e8 = d_plus(8)
-        e8e8 = Lattice(
-            tuple(row + (F(0),) * 8 for row in e8.basis)
-            + tuple((F(0),) * 8 + row for row in e8.basis)
-        )
+        e8e8 = e8_plus_e8()
         p, alpha, beta = 7, F(1), F(2)
         cutoff = 4 * alpha  # the alpha side walks to dual norm 4
         left = f_spectrum(TorusOperator(e8e8, p, alpha, beta), cutoff)

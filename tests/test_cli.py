@@ -522,8 +522,10 @@ RECOVER_RADIUS = ["recover", "radius", "--alpha", "1", "--beta", "1", "--n", "3"
         (["enumerate", "--bound", "1", "--lattice"],
          {"n": 1, "basis": [["1"]], "layout": "x" * 5000}),
         (["enumerate", "--bound", "1", "--lattice"], {"n": list(range(300)), "basis": []}),
+        (["enumerate", "--bound", "1", "--lattice"], {"n": 10**4000, "basis": [["1"]]}),
     ],
-    ids=["spectrum-entries", "spectrum-entry", "lattice-layout", "lattice-dimension"],
+    ids=["spectrum-entries", "spectrum-entry", "lattice-layout", "lattice-dimension",
+         "lattice-size"],
 )
 def test_huge_json_value_gives_a_short_error(command, payload, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -574,7 +576,34 @@ def test_output_past_the_digit_limit_is_exact(capsys):
     }
 
 
-@pytest.mark.parametrize("n", ["300", "1000000000"])
+def test_huge_box_cell_count_gives_a_short_error(capsys):
+    # The box for Z^3 to bound 10^4000 has (2 * 10^2000 + 1)^3 cells: refused, and the
+    # count is named by its digits.
+    code, out, err = run(["enumerate", "--zn", "3", "--bound", "1" + "0" * 4000, "--box"], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "BoxTooLarge",
+        "message": "brute-force box has a 6001-digit integer cells, budget is 5000000",
+    }
+
+
+def test_huge_removal_key_gives_a_short_error(tmp_path, capsys):
+    # alpha / beta carries 2200-digit numerators and denominators, so the key
+    # alpha * element that fails to be removed is past the 4300-digit limit.
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps({"unit": "plain", "cutoff": "10", "entries": [["1", 1]]}))
+    alpha, beta = "3" * 2200 + "1/" + "7" * 2200 + "3", "2" * 2200 + "9/" + "9" * 2200 + "1"
+    code, out, err = run(["recover", "base-set", "--spectrum", str(path), "--alpha", alpha,
+                          "--beta", beta, "--copies-alpha", "1", "--copies-beta", "1"], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "NotInImage",
+        "message": "removing 1 at key a fraction of a 4402-digit over a 4402-digit integer "
+                   "but only 0 present",
+    }
+
+
+@pytest.mark.parametrize("n", ["300", "1000000000", "1" + "0" * 4000])
 def test_huge_zn_is_refused_before_any_matrix(within, n, monkeypatch, capsys):
     monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
     with within(1):
@@ -586,6 +615,7 @@ def test_huge_zn_is_refused_before_any_matrix(within, n, monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "BudgetExceeded"  # all of stderr is one object
+    assert len(err) < 200
 
 
 def test_degree_out_of_range_exits_3(capsys):

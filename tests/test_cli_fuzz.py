@@ -5,8 +5,10 @@ raising, and on codes 2-4 standard error must be exactly one
 ``{"error", "message"}`` object.  HODGESPEC_BUDGET is small, so every run is
 bounded.  ``--n`` and copy counts stay small: they are not charged to the
 budget.  ``--zn`` is, as n^3 matrix steps, so it is drawn on both sides of the
-budget and far past it.  Hypothesis runs derandomized, so every run draws the
-same examples.
+budget and far past it.  A second fuzz drives the recovery commands with a
+huge ``--n``, whose binomial counts run past Python's 4300-digit limit for
+int-to-string conversion.  Hypothesis runs derandomized, so every run draws
+the same examples.
 """
 
 import io
@@ -188,6 +190,15 @@ def payloads(examples):
     )
 
 
+def run_cli(argv, stdin=None):
+    """(exit code, stdout, stderr) of one ``cli.main`` run under the fuzz budget."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {BUDGET_ENV_VAR: "2000"}), \
+            mock.patch.object(sys, "stdin", stdin), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @FUZZ
 @given(
     argvs(),
@@ -202,12 +213,35 @@ def test_cli_answers_every_input_with_a_documented_exit(tmp_path_factory, argv, 
         path.write_bytes(content)
         paths.append(str(path))
     argv = [paths[int(word[1:])] if word.startswith("@") else word for word in argv]
-    stdin = io.TextIOWrapper(io.BytesIO(piped), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, {BUDGET_ENV_VAR: "2000"}), \
-            mock.patch.object(sys, "stdin", stdin), redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+    code, out, err = run_cli(argv, io.TextIOWrapper(io.BytesIO(piped), encoding="utf-8"))
     assert code in range(5), argv
     if code >= 2:
-        assert out.getvalue() == ""
-        assert set(json.loads(err.getvalue())) == {"error", "message"}, err.getvalue()
+        assert out == ""
+        assert set(json.loads(err)) == {"error", "message"}, err
+
+
+RECOVERIES = {
+    "radius": ["--alpha", "1", "--beta", "2"],
+    "torus-params": ["--base", "{base}"],
+    "sphere-params": ["--r2", "1"],
+}
+
+
+@settings(FUZZ, max_examples=20)
+@given(st.sampled_from(sorted(RECOVERIES)), st.integers(20_000, 100_001), st.integers(1, 7),
+       st.sampled_from(SPECTRA + [{"unit": "plain", "cutoff": "1", "entries": [["1", 1]]}]))
+def test_recovery_with_a_huge_n_gives_a_short_error(tmp_path_factory, command, n, eighths,
+                                                     payload):
+    folder = tmp_path_factory.mktemp("huge")
+    spectrum, base = folder / "spectrum.json", folder / "base.json"
+    spectrum.write_bytes(encoded(payload))
+    base.write_bytes(encoded(SPECTRA[2]))
+    extra = [word.format(base=base) for word in RECOVERIES[command]]
+    argv = ["recover", command, "--spectrum", str(spectrum), "--n", str(n),
+            "--p", str(n * eighths // 8), *extra]
+    code, out, err = run_cli(argv)
+    assert code in range(5), argv
+    if code >= 2:
+        assert out == ""
+        assert set(json.loads(err)) == {"error", "message"}, err
+        assert len(err) < 500, err

@@ -18,6 +18,8 @@ from hodgespec.lattice import (
 )
 from hodgespec.rationals import sqrt_floor
 
+from oracles import ldlt, walk_data
+
 
 def random_lattice(rng: random.Random, n: int) -> Lattice:
     # upper triangular with unit-or-larger diagonal keeps enumeration cheap
@@ -82,7 +84,8 @@ def test_dual_of_z170_skips_zeros(within, monkeypatch):
     monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
     with within(2):
         data = dual(standard_lattice(170))
-    assert data.ldl_diag == (1,) * 170
+    assert (data.clear, data.terms, data.weights, data.scale) == walk_data(data.dual_gram)
+    assert data.weights == (1,) * 170
 
 
 def test_dual_rejects_singular_basis():
@@ -237,8 +240,10 @@ def test_budget_argument_limits_enumeration(monkeypatch):
 def exact_visit_count(data, bound) -> int:
     """Candidates of an exact layered walk: the tails (x_i, ..., x_{n-1}) whose
     projected norm sum_{k>=i} d_k (x_k + sum_{j>k} L[j][k] x_j)^2 is <= bound,
-    counted by scanning the Cauchy-Schwarz box in Fractions."""
-    n, lower, diag = data.lattice.n, data.ldl_lower, data.ldl_diag
+    counted by scanning the Cauchy-Schwarz box in Fractions, with L diag(d) L^T the
+    reference LDL^T of the dual Gram matrix."""
+    n = data.lattice.n
+    lower, diag = ldlt(data.dual_gram)
     radii = [sqrt_floor(bound * data.gram[i][i]) for i in range(n)]
     visits = 0
     for level in range(n):

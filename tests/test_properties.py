@@ -9,7 +9,7 @@ from math import comb, factorial
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hodgespec import linalg
@@ -45,6 +45,8 @@ from hodgespec.torus import (
     f_spectrum_parts,
     laplace0_spectrum,
 )
+
+from oracles import d_plus, e8_plus_e8, walk_data
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -257,18 +259,11 @@ def coprime_lattices(draw):
     return Lattice(tuple(rows))
 
 
-def norm_scale(data) -> int:
-    """The T with T * |l|^2 an integer for every dual vector l, as the walk picks it."""
-    n, lower, diag = data.lattice.n, data.ldl_lower, data.ldl_diag
-    clear = [math.lcm(*(lower[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
-    return math.lcm(*((diag[i] / (clear[i] * clear[i])).denominator for i in range(n)))
-
-
 @PROPERTY
 @given(coprime_lattices(), st.integers(1, 800), st.sampled_from((97, 101, 103)))
 def test_integer_walk_equals_box_scan_off_the_integer_grid(lattice, num, den):
     data = dual(lattice)
-    scale = norm_scale(data)
+    scale = data.scale  # T * |l|^2 is an integer for every dual vector l
     drawn = F(num, den)
     # Half a step of the 1/T grid either side of the largest norm found makes
     # T*bound a non-integer; rounding it the wrong way adds or drops that norm.
@@ -316,7 +311,7 @@ def test_queries_read_the_enumerated_table(lattice, data):
     elif kind == "between":
         norm = ((found[i - 1] if i else 0) + found[i]) / 2
     else:
-        den, scale = data.draw(st.sampled_from(OFF_GRID)), norm_scale(dual_data)
+        den, scale = data.draw(st.sampled_from(OFF_GRID)), dual_data.scale
         if data.draw(st.booleans()):
             norm = F(data.draw(st.integers(1, int(found[-1] * den)).filter(lambda k: k % den)), den)
         else:
@@ -364,7 +359,7 @@ def test_merged_spectrum_is_the_union_of_its_parts(lattice, data, weights):
     key = data.draw(st.sampled_from(positive_keys(dual(lattice), 3)))
     # Half a step of the keys' grid 1/(T*a'*b') either side of a key of the
     # larger weight's part, which the walk to cutoff/min(alpha, beta) reaches.
-    step = F(1, norm_scale(dual(lattice)) * alpha.denominator * beta.denominator)
+    step = F(1, dual(lattice).scale * alpha.denominator * beta.denominator)
     near = max(alpha, beta) * key
     cutoffs = {
         "zero": (F(0),),
@@ -450,6 +445,8 @@ def rational_bases(draw):
 
 @PROPERTY
 @given(rational_bases())
+@example(e8_plus_e8().basis)
+@example(d_plus(16).basis)
 def test_dual_factor_is_the_ldlt_of_the_inverse_gram(basis):
     assume(linalg.rank(basis) == len(basis))
     data = dual(Lattice(basis))
@@ -459,8 +456,12 @@ def test_dual_factor_is_the_ldlt_of_the_inverse_gram(basis):
         for i in range(n)
     ]
     assert product == [[int(i == j) for j in range(n)] for i in range(n)]
-    # Factoring the dual Gram matrix directly is the reference route.
-    assert linalg.ldlt(data.dual_gram) == (data.ldl_lower, data.ldl_diag)
+    # Clearing the LDL^T of the dual Gram matrix is the reference route to the walk data.
+    walk = (data.clear, data.terms, data.weights, data.scale)
+    assert walk == walk_data(data.dual_gram)
+    assert all(type(x) is int for x in (*data.clear, *data.weights, data.scale))
+    assert all(type(x) is F for row in data.gram + data.dual_gram for x in row)
+    assert all(type(j) is type(t) is int for terms in data.terms for j, t in terms)
 
 
 @PROPERTY

@@ -12,6 +12,8 @@ from hodgespec.errors import BudgetExceeded, DegreeOutOfRange, NonpositiveScalar
 from hodgespec.lattice import BUDGET_ENV_VAR
 from hodgespec.multiset import Unit, WeightedSpectrum
 from hodgespec.sphere import (
+    ORACLE_MAX_AMBIENT_DIM,
+    ORACLE_MAX_POLY_DEGREE,
     Series,
     SphereOperator,
     coincidences,
@@ -21,10 +23,7 @@ from hodgespec.sphere import (
     harmonic_form_dims_oracle,
     harmonic_polynomial_dim,
     lambda_k,
-    lambda_series_spectrum,
     mu_k,
-    mu_series_spectrum,
-    scalar_series_spectrum,
     spectrum,
     spectrum_parts,
 )
@@ -99,7 +98,7 @@ def test_interior_spectrum_is_strictly_positive():
 
 
 def test_scalar_series_example():
-    got = scalar_series_spectrum(2, 1, 1, 6)
+    _, got = spectrum_parts(SphereOperator(2, 0, 1, 1), 6)
     assert got == spec([(0, 1), (2, 3), (6, 5)], 6)
 
 
@@ -107,7 +106,7 @@ def test_degree_zero_uses_scalar_series():
     op = SphereOperator(2, 0, F(5), F(3))
     alpha_part, beta_part = spectrum_parts(op, 18)
     assert alpha_part.is_empty()
-    assert beta_part == scalar_series_spectrum(2, 3, 1, 18)
+    assert beta_part == spec([(0, 1), (6, 3), (18, 5)], 18)  # 3 k(k+1), dim 2k+1
     assert op.duality_extension
     assert spectrum(op, 18).multiplicity(0) == 1
 
@@ -117,7 +116,7 @@ def test_top_degree_swaps_coefficient_and_isolates_zero():
     alpha_part, beta_part = spectrum_parts(op, 30)
     assert beta_part == spec([(0, 1)], 30)
     assert alpha_part.multiplicity(0) == 0
-    assert spectrum(op, 30) == scalar_series_spectrum(2, 5, 1, 30)
+    assert spectrum(op, 30) == spec([(0, 1), (10, 3), (30, 5)], 30)  # 5 k(k+1), dim 2k+1
     assert op.duality_extension
     assert not SphereOperator(3, 1, F(1), F(1)).duality_extension
 
@@ -190,8 +189,8 @@ def test_generic_mode_suppresses_merges():
     with pytest.raises(ValueError):
         eigenvalue_details(op, 10)
     alpha_part, beta_part = spectrum_parts(op, 6)
-    assert alpha_part == mu_series_spectrum(2, 1, 1, 1, 6)
-    assert beta_part == lambda_series_spectrum(2, 1, 1, 1, 6)
+    assert alpha_part == spec([(2, 3), (6, 5)], 6)  # (k+1)(k+2), dim_W = 2k+3
+    assert beta_part == spec([(2, 3), (6, 5)], 6)  # k(k+1) from k = 1, dim_V = 2k+1
 
 
 def test_details_bookkeeping_matches_merged_spectrum():
@@ -209,12 +208,22 @@ def test_details_bookkeeping_matches_merged_spectrum():
                 assert sum(1 for t in detail.terms if t.series is series) <= 1
 
 
-def test_oracle_recounts_series_dimensions():
+def test_oracle_recounts_series_dimensions(within):
     assert harmonic_form_dims_oracle(2, 1, 1) == (3, 5)
     assert harmonic_form_dims_oracle(2, 1, 0) == (0, 3)
-    for n, p, kmax in ((2, 1, 3), (3, 1, 2), (3, 2, 2), (4, 1, 2), (4, 2, 2), (4, 3, 2)):
-        for k in range(kmax + 1):
-            assert harmonic_form_dims_oracle(n, p, k) == (dim_V(n, p, k), dim_W(n, p, k))
+    # The whole oracle budget, each instance computed once.
+    with within(20):
+        counts = {
+            (n, p, k): harmonic_form_dims_oracle(n, p, k)
+            for n in range(2, ORACLE_MAX_AMBIENT_DIM)
+            for p in range(1, n)
+            for k in range(ORACLE_MAX_POLY_DEGREE + 1)
+        }
+    for (n, p, k), got in counts.items():
+        assert got == (dim_V(n, p, k), dim_W(n, p, k))
+        if k >= 1:
+            # Hodge duality of the oracle's own counts: V_k on p-forms, W_{k-1} on (n-p)-forms.
+            assert got[0] == counts[n, n - p, k - 1][1]
 
 
 def test_oracle_budget_and_validation():
@@ -249,29 +258,30 @@ NONPOSITIVE = [(0, 1), (-1, 1), (1, 0), (1, -2)]
 @pytest.mark.parametrize("coefficient, r_squared", NONPOSITIVE)
 def test_lambda_series_spectrum_rejects_nonpositive_scalars(within, coefficient, r_squared):
     with within(2), pytest.raises(NonpositiveScalar):
-        lambda_series_spectrum(3, 1, coefficient, r_squared, 5)
+        spectrum_parts(SphereOperator(3, 1, 1, coefficient, r_squared), 5)
 
 
 @pytest.mark.parametrize("coefficient, r_squared", NONPOSITIVE)
 def test_mu_series_spectrum_rejects_nonpositive_scalars(within, coefficient, r_squared):
     with within(2), pytest.raises(NonpositiveScalar):
-        mu_series_spectrum(3, 1, coefficient, r_squared, 5)
+        spectrum_parts(SphereOperator(3, 1, coefficient, 1, r_squared), 5)
 
 
 @pytest.mark.parametrize("coefficient, r_squared", NONPOSITIVE)
 def test_scalar_series_spectrum_rejects_nonpositive_scalars(within, coefficient, r_squared):
     with within(2), pytest.raises(NonpositiveScalar):
-        scalar_series_spectrum(3, coefficient, r_squared, 5)
+        spectrum_parts(SphereOperator(3, 0, 1, coefficient, r_squared), 5)
 
 
+# Each series is charged on its own, so the other part of the operator has fewer terms.
 @pytest.mark.parametrize(
     "build, start, value, cutoff",
     [
-        (lambda cutoff: lambda_series_spectrum(3, 1, F(2, 3), F(5, 2), cutoff),
+        (lambda cutoff: spectrum_parts(SphereOperator(3, 1, F(4, 3), F(2, 3), F(5, 2)), cutoff)[1],
          1, lambda k: F(2, 3) * (k + 1) * (k + 1) / F(5, 2), F(2, 3) * 64 / F(5, 2)),
-        (lambda cutoff: mu_series_spectrum(5, 2, F(1, 7), 3, cutoff),
+        (lambda cutoff: spectrum_parts(SphereOperator(5, 2, F(1, 7), 1, 3), cutoff)[0],
          0, lambda k: F(1, 7) * (k + 2) * (k + 4) / 3, F(1000, 3)),
-        (lambda cutoff: scalar_series_spectrum(4, F(3, 2), F(1, 3), cutoff),
+        (lambda cutoff: spectrum_parts(SphereOperator(4, 0, 1, F(3, 2), F(1, 3)), cutoff)[1],
          0, lambda k: F(3, 2) * k * (k + 3) / F(1, 3), 500),
     ],
     ids=["lambda-cutoff-on-a-value", "mu", "scalar"],

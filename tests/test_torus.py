@@ -21,7 +21,6 @@ from hodgespec.torus import (
     f_spectrum,
     f_spectrum_parts,
     laplace0_spectrum,
-    parallel_kernel_dim,
 )
 
 
@@ -78,7 +77,7 @@ def test_zero_multiplicity_counts_parallel_forms():
         for p in range(n + 1):
             op = TorusOperator(lattice, p, F(3, 2), F(2))
             got = f_spectrum(op, F(1, 2))
-            assert got.multiplicity(0) == comb(n, p) == parallel_kernel_dim(n, p)
+            assert got.multiplicity(0) == comb(n, p)
 
 
 def test_boundary_degrees_follow_scalar_spectrum():
@@ -106,7 +105,7 @@ def test_equal_parameters_collapse_to_scalar_copies():
             op = TorusOperator(lattice, p, alpha, alpha)
             base = laplace0_spectrum(lattice, cutoff / alpha).scale(alpha)
             expected = repeated_union(
-                base, comb(n, p), WeightedSpectrum.empty(Unit.FOUR_PI_SQUARED, cutoff), 0
+                base, comb(n, p), WeightedSpectrum(Unit.FOUR_PI_SQUARED, cutoff, ()), 0
             )
             assert f_spectrum(op, cutoff) == expected
 
@@ -192,16 +191,6 @@ def test_generic_mode_has_no_merged_spectrum():
     alpha_part, beta_part = f_spectrum_parts(op, 2)
     assert alpha_part == spec([(0, 1), (1, 4), (2, 4)], 2)
     assert beta_part == spec([(0, 1), (2, 4)], 2)
-
-
-def test_parallel_kernel_dims():
-    assert parallel_kernel_dim(3, 2) == 3
-    assert parallel_kernel_dim(4, 2) == 6
-    assert parallel_kernel_dim(5, 0) == 1
-    with pytest.raises(DegreeOutOfRange):
-        parallel_kernel_dim(3, 4)
-    with pytest.raises(DegreeOutOfRange):
-        parallel_kernel_dim(3, -1)
 
 
 def test_operator_validation():
