@@ -120,9 +120,11 @@ def reconstruct_base(
     Repeatedly reads the smallest remaining key as min(alpha, beta) times
     the next element of C and removes both scaled copies.  Both removal keys
     are at least that smallest key, so one pass over the sorted keys finds
-    every smallest key in turn.  The result is complete up to
-    cutoff / max(alpha, beta), which is its cutoff.  Raises NotInImage as
-    soon as a removal inside the guaranteed region fails.
+    every smallest key in turn.  That key holds copies of its element only,
+    so one ceiling division by the copies that land on it counts the
+    element.  The result is complete up to cutoff / max(alpha, beta), which
+    is its cutoff.  Raises NotInImage as soon as a removal inside the
+    guaranteed region fails.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha <= 0 or beta <= 0:
@@ -139,24 +141,23 @@ def reconstruct_base(
         element = key / low
         if element > guarantee:
             break
+        if key not in work:  # exhausted keys were removed along the way
+            continue
         removals = ((alpha * element, copies_alpha), (beta * element, copies_beta))
-        count = 0
-        while key in work:  # exhausted keys were removed along the way
-            for value, needed in removals:
-                available = work.get(value, 0)
-                if available < needed:
-                    raise NotInImage(
-                        f"removing {_echo_number(needed)} at key {_echo_number(value)} but only "
-                        f"{_echo_number(available)} present"
-                    )
-                if available == needed:
-                    del work[value]
-                else:
-                    work[value] = available - needed
-            count += 1
-        if count:
-            out.append((element, count))
-    return WeightedSpectrum.from_pairs(m_spec.unit, guarantee, out)
+        count = -(-work[key] // sum(copies for value, copies in removals if value == key))
+        for value, copies in removals:
+            needed, available = count * copies, work.get(value, 0)
+            if available < needed:
+                raise NotInImage(
+                    f"removing {_echo_number(needed)} at key {_echo_number(value)} but only "
+                    f"{_echo_number(available)} present"
+                )
+            if available == needed:
+                del work[value]
+            else:
+                work[value] = available - needed
+        out.append((element, count))
+    return WeightedSpectrum(m_spec.unit, guarantee, tuple(out))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Nothing here ever touches floating point.  Matrices are tuples of row tuples
 of Fractions.  Elimination works on sparse integer rows, ``{column: entry}``
-dicts that hold no zero entry, so a zero is never multiplied or divided.
+dicts that hold no zero entry, so a zero is never multiplied or divided;
+``rank`` takes sparse rows of Fractions and clears them into such rows.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Sequence
+from typing import Mapping, Sequence
 
 __all__ = ["identity", "rank", "gram"]
 
@@ -84,11 +85,14 @@ def _eliminate(row: Row, pivots: Sequence[tuple[int, Row]]) -> Row:
     return row
 
 
-def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank via fraction-free elimination on sparse, denominator-cleared rows."""
+def rank(rows: Sequence[Mapping[int, Fraction]]) -> int:
+    """Rank of the matrix with sparse rows ``{column: entry}``, Fraction or int entries.
+
+    Each row is cleared of denominators and reduced by fraction-free elimination.
+    """
     pivots: list[tuple[int, Row]] = []
-    for entries in matrix:
-        nonzero = {j: x for j, x in enumerate(entries) if x}
+    for entries in rows:
+        nonzero = {j: x for j, x in entries.items() if x}
         scale = lcm(*(x.denominator for x in nonzero.values()))
         row = _eliminate(
             {j: x.numerator * (scale // x.denominator) for j, x in nonzero.items()}, pivots

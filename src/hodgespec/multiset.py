@@ -22,7 +22,7 @@ from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
-from .rationals import _echo, format_rational, parse_rational
+from .rationals import _echo, _echo_number, format_rational, parse_rational
 
 __all__ = ["Unit", "WeightedSpectrum", "repeated_union"]
 
@@ -39,11 +39,10 @@ class Unit(enum.Enum):
     PLAIN = "plain"
 
 
-def _as_key(value) -> Fraction:
-    key = Fraction(value)
-    if key < 0:
-        raise ValueError(f"negative eigenvalue key: {key}")
-    return key
+def _multiplicity_error(mult) -> ValueError:
+    """The refusal of a multiplicity, echoed with its size capped."""
+    shown = _echo_number(mult) if type(mult) is int else _echo(mult)
+    return ValueError(f"multiplicity must be a positive int, got {shown}")
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,8 @@ class WeightedSpectrum:
         if self.cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
         for _, mult in self.entries:
-            if not isinstance(mult, int) or mult < 1:
-                raise ValueError(f"multiplicity must be a positive int, got {mult!r}")
+            if type(mult) is not int or mult < 1:  # refuses bools, unlike isinstance
+                raise _multiplicity_error(mult)
         keys = [key for key, _ in self.entries]
         if not all(map(lt, keys, keys[1:])):
             raise ValueError("entries must be strictly increasing in key")
@@ -82,19 +81,19 @@ class WeightedSpectrum:
         cutoff,
         pairs: Iterable[tuple] = (),
     ) -> "WeightedSpectrum":
-        """Aggregate (key, multiplicity) pairs; keys beyond cutoff are rejected."""
-        cutoff = Fraction(cutoff)
+        """Aggregate (key, multiplicity) pairs: repeated keys add up, zeros are dropped.
+
+        A negative multiplicity is refused before it can hide in a sum; every
+        other check is the constructor's.
+        """
         acc: dict[Fraction, int] = {}
-        for raw_key, mult in pairs:
-            key = _as_key(raw_key)
-            mult = int(mult)
-            if mult == 0:
-                continue
-            if mult < 0:
-                raise ValueError(f"negative multiplicity for key {key}")
-            acc[key] = acc.get(key, 0) + mult
-        entries = tuple(sorted(acc.items()))
-        return cls(unit=unit, cutoff=cutoff, entries=entries)
+        for key, mult in pairs:
+            if type(mult) is not int or mult < 0:
+                raise _multiplicity_error(mult)
+            if mult:
+                key = Fraction(key)
+                acc[key] = acc.get(key, 0) + mult
+        return cls(unit, cutoff, tuple(sorted(acc.items())))
 
     # -- accessors --------------------------------------------------------
 
@@ -140,15 +139,8 @@ class WeightedSpectrum:
         """Pointwise max(self - other, 0), truncated at the smaller cutoff."""
         self._require_same_unit(other)
         cutoff = min(self.cutoff, other.cutoff)
-        acc = dict(self._entries_upto(cutoff))
-        for key, mult in other.entries:
-            if key in acc:
-                remaining = acc[key] - mult
-                if remaining > 0:
-                    acc[key] = remaining
-                else:
-                    del acc[key]
-        return WeightedSpectrum(self.unit, cutoff, tuple(sorted(acc.items())))
+        merged = _merge(self._entries_upto(cutoff), 1, other._entries_upto(cutoff), -1)
+        return WeightedSpectrum(self.unit, cutoff, tuple(entry for entry in merged if entry[1] > 0))
 
     def scale(self, factor) -> "WeightedSpectrum":
         """Multiply every key (and the cutoff) by a positive rational."""
@@ -200,14 +192,12 @@ class WeightedSpectrum:
                 key_text, mult = item
             except (TypeError, ValueError):
                 raise ParseError(f"bad spectrum entry: {_echo(item)}") from None
-            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-                raise ParseError(f"multiplicity must be a positive int: {_echo(item)}")
             key = parse_rational(str(key_text))
             if key in pairs:
                 raise ParseError(f"repeated spectrum key {format_rational(key)}: {_echo(item)}")
             pairs[key] = mult
         try:
-            return cls.from_pairs(unit, cutoff, pairs.items())
+            return cls(unit, cutoff, tuple(sorted(pairs.items())))
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
@@ -241,8 +231,11 @@ def _merge(a, a_count: int, b, b_count: int) -> list:
     """One linear walk over two key-sorted (key, multiplicity) sequences.
 
     Multiplicities are multiplied by their side's copy count, and a side with
-    count zero contributes nothing.  Keys may be Fractions or, for callers
-    that merge over one common denominator, plain ints.
+    count zero contributes nothing.  A count of -1 subtracts that side, so a
+    total may come out zero or negative; ``difference`` keeps the positive
+    ones.  Keys may be Fractions or, for callers that merge over one common
+    denominator, plain ints.  Every union, difference and spectrum assembly
+    goes through this walk.
     """
     a, b = (a if a_count else ()), (b if b_count else ())
     merged = []

@@ -185,8 +185,12 @@ class _SeriesFormula:
         integer factor * (k+a)(k+b) with factor = scale * den.  The term count
         is charged to HODGESPEC_BUDGET before any term is made: value(k) <=
         cutoff exactly when (k+a)(k+b) <= m = floor(cutoff/scale), and
-        4(k+a)(k+b) = (2k+a+b)^2 - (a-b)^2 names the last such k.
+        4(k+a)(k+b) = (2k+a+b)^2 - (a-b)^2 names the last such k.  The
+        spectrum queries read their cutoff here, so a negative one is
+        refused here.
         """
+        if cutoff < 0:
+            raise ValueError("cutoff must be nonnegative")
         a, b = self.a, self.b
         factor = self.scale.numerator * (den // self.scale.denominator)
         # floor(cutoff/scale) = floor(floor(cutoff * den) / factor)
@@ -277,8 +281,6 @@ def _parts(op: SphereOperator, cutoff: Fraction) -> tuple[int, list, list]:
 
     Returns ``(den, alpha_part, beta_part)``, each part sorted by key.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
     formulas = _series_of(op)
     den = _common_den(formulas)
     sides = {f.series: [(key, dim) for _, key, dim in f.terms(cutoff, den)] for f in formulas}
@@ -377,22 +379,24 @@ def _coordinate_layout(
     return positions, len(positions)
 
 
-def _coords(form: PolyForm, layout: dict, width: int) -> list[Fraction]:
-    row = [Fraction(0)] * width
-    for indices, poly in form.coeffs.items():
-        for exps, coeff in poly.terms.items():
-            row[layout[(indices, exps)]] = coeff
-    return row
+def _coords(form: PolyForm, layout: dict, offset: int) -> dict[int, Fraction]:
+    """The form's nonzero coefficients as a sparse row ``{offset + column: coefficient}``."""
+    return {
+        offset + layout[(indices, exps)]: coeff
+        for indices, poly in form.coeffs.items()
+        for exps, coeff in poly.terms.items()
+        if coeff
+    }
 
 
 def _space_rows(
-    nvars: int, degree: int, poly_degree: int, extra: str | None
-) -> tuple[list[list[Fraction]], int, int]:
-    """Rows of (laplacian | delta | extra) applied to every basis form.
+    nvars: int, degree: int, poly_degree: int, extra: str
+) -> tuple[list[dict[int, Fraction]], list[dict[int, Fraction]]]:
+    """Sparse rows of (laplacian | delta) and of (laplacian | delta | extra),
+    one of each per basis form.
 
-    ``extra`` is None, "position" (contraction with the position vector) or
-    "d" (exterior derivative).  Returns (rows, space dim, prefix width) where
-    the prefix covers the laplacian and delta blocks only.
+    ``extra`` is "position" (contraction with the position vector) or "d"
+    (exterior derivative).
     """
     lap_layout, lap_width = _coordinate_layout(nvars, degree, poly_degree - 2)
     if degree >= 1:
@@ -400,30 +404,25 @@ def _space_rows(
     else:
         delta_layout, delta_width = {}, 0
     if extra == "position":
-        extra_layout, extra_width = _coordinate_layout(nvars, degree - 1, poly_degree + 1)
-    elif extra == "d":
-        extra_layout, extra_width = _coordinate_layout(nvars, degree + 1, poly_degree - 1)
+        apply, extra_degrees = contract_position, (degree - 1, poly_degree + 1)
     else:
-        extra_layout, extra_width = {}, 0
+        apply, extra_degrees = d_flat, (degree + 1, poly_degree - 1)
+    extra_layout, _ = _coordinate_layout(nvars, *extra_degrees)
 
-    rows: list[list[Fraction]] = []
-    dim = 0
+    constraints: list[dict[int, Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     for indices in _form_index_tuples(nvars, degree):
         for exps in homogeneous_exponents(nvars, poly_degree):
-            dim += 1
             monomial = Poly.monomial(nvars, exps, 1)
             form = PolyForm(nvars, degree, {indices: monomial})
             # from_terms drops the coefficient when the laplacian vanishes
             lap_form = PolyForm.from_terms(nvars, degree, [(indices, monomial.laplacian())])
-            row = _coords(lap_form, lap_layout, lap_width)
+            row = _coords(lap_form, lap_layout, 0)
             if degree >= 1:
-                row += _coords(delta_flat(form), delta_layout, delta_width)
-            if extra == "position":
-                row += _coords(contract_position(form), extra_layout, extra_width)
-            elif extra == "d":
-                row += _coords(d_flat(form), extra_layout, extra_width)
-            rows.append(row)
-    return rows, dim, lap_width + delta_width
+                row |= _coords(delta_flat(form), delta_layout, lap_width)
+            constraints.append(row)
+            rows.append(row | _coords(apply(form), extra_layout, lap_width + delta_width))
+    return constraints, rows
 
 
 def harmonic_form_dims_oracle(n: int, p: int, k: int) -> tuple[int, int]:
@@ -446,16 +445,12 @@ def harmonic_form_dims_oracle(n: int, p: int, k: int) -> tuple[int, int]:
             f"(n+1 <= {ORACLE_MAX_AMBIENT_DIM}, k <= {ORACLE_MAX_POLY_DEGREE})"
         )
 
-    rows, space_dim, prefix = _space_rows(nvars, p, k, extra="position")
-    rank_constraints = linalg.rank([row[:prefix] for row in rows])
-    rank_with_position = linalg.rank(rows)
-    dim_whole = space_dim - rank_constraints
-    dim_ker_nu = space_dim - rank_with_position
+    constraints, rows = _space_rows(nvars, p, k, extra="position")
+    dim_whole = len(rows) - linalg.rank(constraints)
+    dim_ker_nu = len(rows) - linalg.rank(rows)
 
-    rows_low, space_dim_low, prefix_low = _space_rows(nvars, p - 1, k + 1, extra="d")
-    rank_low = linalg.rank([row[:prefix_low] for row in rows_low])
-    rank_low_with_d = linalg.rank(rows_low)
-    dim_image_d = rank_low_with_d - rank_low
+    constraints_low, rows_low = _space_rows(nvars, p - 1, k + 1, extra="d")
+    dim_image_d = linalg.rank(rows_low) - linalg.rank(constraints_low)
 
     if dim_whole != dim_ker_nu + dim_image_d:
         raise AssertionError(

@@ -245,6 +245,35 @@ def test_recover_base_set_of_4000_elements_is_linear(within, tmp_path, capsys):
     assert json.loads(out) == recovered.to_json_dict()
 
 
+@pytest.mark.parametrize(
+    "copies, code, expected",
+    [
+        # 10^20 copies at key 1 from two equal sides: 5 * 10^19 copies of element 1,
+        # counted by one division, not removed one per step.
+        (10**20, 0, {"unit": "plain", "cutoff": "2", "entries": [["1", 5 * 10**19]]}),
+        # One copy more does not divide: the second side finds one copy short.
+        (10**20 + 1, 3, {
+            "error": "NotInImage",
+            "message": "removing 50000000000000000001 at key 1 but only 50000000000000000000 "
+                       "present",
+        }),
+    ],
+    ids=["divides", "remainder"],
+)
+def test_recover_base_set_counts_a_huge_multiplicity_at_once(
+    within, tmp_path, capsys, copies, code, expected
+):
+    m_file = tmp_path / "m.json"
+    m_file.write_text(json.dumps({"unit": "plain", "cutoff": "2", "entries": [["1", copies]]}))
+    argv = ["recover", "base-set", "--spectrum", str(m_file),
+            "--alpha", "1", "--beta", "1", "--copies-alpha", "1", "--copies-beta", "1"]
+    with within(2):
+        exit_code, out, err = run(argv, capsys)
+    assert exit_code == code
+    assert json.loads(err if code else out) == expected
+    assert (out if code else err) == ""
+
+
 def test_recover_torus_params(tmp_path, capsys):
     op = TorusOperator(standard_lattice(3), 1, F(3), F(5))
     m_file = tmp_path / "m.json"

@@ -53,6 +53,14 @@ def test_zero_multiplicity_pairs_are_dropped():
     assert w.entries == ((F(2), 1),)
 
 
+def test_from_pairs_refuses_multiplicities_that_are_not_ints():
+    for bad, shown in ((2.7, "2.7"), ("3", "'3'"), (True, "True"), (-2, "-2")):
+        with pytest.raises(ValueError) as raised:
+            WeightedSpectrum.from_pairs(Unit.PLAIN, 5, [(F(1), 3), (F(1), bad)])
+        assert str(raised.value) == f"multiplicity must be a positive int, got {shown}"
+    assert WeightedSpectrum.from_pairs(Unit.PLAIN, 5, [(F(1), 0)]).is_empty()
+
+
 def test_union_pointwise_addition():
     left = spec([(0, 1), (1, 2)], 4)
     right = spec([(1, 1), (3, 1)], 4)

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hodgespec import linalg
-from hodgespec.errors import SingularBasis, UnrepresentedNorm
+from hodgespec.errors import NotInImage, ParseError, SingularBasis, UnrepresentedNorm
 from hodgespec.isospec import (
     BRANCH_ALPHA_FIRST,
     BRANCH_BETA_FIRST,
@@ -23,6 +23,7 @@ from hodgespec.isospec import (
     is_isospectral_upto,
     recover_radius,
     recover_sphere_params,
+    reconstruct_base,
     recover_torus_params,
     scaling_transfer,
 )
@@ -139,6 +140,54 @@ def test_difference_matches_per_key_reference(left, right):
     assert left.difference(right) == reference_difference(left, right)
 
 
+def reference_base(m_spec, alpha, beta, copies_alpha, copies_beta):
+    """reconstruct_base one copy at a time: the base multiset, or None where it refuses."""
+    guarantee = m_spec.cutoff / max(alpha, beta)
+    work, out = dict(m_spec.entries), {}
+    while work:
+        element = min(work) / min(alpha, beta)
+        if element > guarantee:
+            break
+        for value, copies in ((alpha * element, copies_alpha), (beta * element, copies_beta)):
+            if work.get(value, 0) < copies:
+                return None
+            work[value] -= copies
+            if not work[value]:
+                del work[value]
+        out[element] = out.get(element, 0) + 1
+    return weighted(out, guarantee)
+
+
+@st.composite
+def near_images(draw):
+    """copies_alpha (alpha C) + copies_beta (beta C) up to 8, at times with one multiplicity redrawn."""
+    alpha, beta = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 3), (3, 3)]))
+    copies = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    acc = {}
+    for k, mult in draw(st.dictionaries(st.integers(0, 5), st.integers(1, 9), min_size=1)).items():
+        for value, count in ((alpha * k, copies[0]), (beta * k, copies[1])):
+            if value <= 8:
+                acc[F(value)] = acc.get(F(value), 0) + count * mult
+    assume(acc)
+    if draw(st.booleans()):
+        acc[draw(st.sampled_from(sorted(acc)))] = draw(st.integers(1, 30))
+    return weighted(acc, 8), (F(alpha), F(beta)), copies
+
+
+@PROPERTY
+@given(near_images())
+def test_reconstruct_base_matches_one_copy_at_a_time(case):
+    # The counted removal refuses exactly where removing one copy per step does, and
+    # otherwise returns the same base.
+    m_spec, weights, copies = case
+    expected = reference_base(m_spec, *weights, *copies)
+    try:
+        got = reconstruct_base(m_spec, *weights, *copies)
+    except NotInImage:
+        got = None
+    assert got == expected
+
+
 @PROPERTY
 @given(st.data(), st.integers(1, 4), st.integers(1, 4))
 def test_gram_matches_naive_fraction_sums(data, count, dim):
@@ -182,7 +231,7 @@ def test_spectrum_names_the_first_key_past_its_cutoff(entries, cutoff):
 
 
 @PROPERTY
-@given(well_formed_entries(), st.data(), st.sampled_from([0, -1, -7, F(2), "3", None]))
+@given(well_formed_entries(), st.data(), st.sampled_from([0, -1, -7, F(2), "3", None, True]))
 def test_spectrum_rejects_bad_multiplicities(entries, data, bad):
     i = data.draw(st.integers(0, len(entries) - 1))
     entries[i] = (entries[i][0], bad)
@@ -191,15 +240,33 @@ def test_spectrum_rejects_bad_multiplicities(entries, data, bad):
 
 
 @PROPERTY
-@given(st.dictionaries(st.fractions(-2, MAX_KEY, max_denominator=4), st.integers(1, 4), max_size=10))
+@given(
+    st.dictionaries(
+        st.fractions(-2, MAX_KEY, max_denominator=4),
+        st.integers(1, 4) | st.booleans(),
+        max_size=10,
+    )
+)
 def test_json_loader_reads_back_every_constructed_spectrum(entries):
-    # The constructor refuses what the loader refuses, so no built spectrum fails to load.
+    # The constructor refuses what the loader refuses, with the same message, so no
+    # built spectrum fails to load.
+    pairs = tuple(sorted(entries.items()))
+    payload = {"unit": "plain", "cutoff": str(MAX_KEY), "entries": [[str(k), m] for k, m in pairs]}
     try:
-        spec = WeightedSpectrum(Unit.PLAIN, MAX_KEY, tuple(sorted(entries.items())))
+        spec = WeightedSpectrum(Unit.PLAIN, MAX_KEY, pairs)
     except ValueError as exc:
-        assert str(exc) == f"negative eigenvalue key: {min(entries)}"
+        bools = [m for _, m in pairs if isinstance(m, bool)]
+        assert str(exc) == (
+            f"multiplicity must be a positive int, got {bools[0]}"
+            if bools
+            else f"negative eigenvalue key: {min(entries)}"
+        )
+        with pytest.raises(ParseError) as refused:
+            WeightedSpectrum.from_json_dict(payload)
+        assert str(refused.value) == str(exc)
         return
-    assert WeightedSpectrum.from_json_dict(spec.to_json_dict()) == spec
+    assert spec.to_json_dict() == payload
+    assert WeightedSpectrum.from_json_dict(payload) == spec
 
 
 @st.composite
@@ -448,7 +515,7 @@ def rational_bases(draw):
 @example(e8_plus_e8().basis)
 @example(d_plus(16).basis)
 def test_dual_factor_is_the_ldlt_of_the_inverse_gram(basis):
-    assume(linalg.rank(basis) == len(basis))
+    assume(linalg.rank([dict(enumerate(row)) for row in basis]) == len(basis))
     data = dual(Lattice(basis))
     n = len(basis)
     product = [

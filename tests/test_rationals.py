@@ -91,10 +91,12 @@ def test_ldlt_reconstructs_and_certifies():
 
 def test_rank_examples():
     assert linalg.rank(()) == 0
-    assert linalg.rank(((F(0), F(0)),)) == 0
-    assert linalg.rank(((F(1), F(2)), (F(2), F(4)))) == 1
-    assert linalg.rank(((F(1), F(0)), (F(0), F(1)), (F(1), F(1)))) == 2
-    assert linalg.rank(((F(1, 2), F(1, 3)), (F(1, 5), F(1, 7)))) == 2
+    assert linalg.rank(({},)) == 0
+    assert linalg.rank(({0: F(0), 1: F(0)},)) == 0  # explicit zeros are dropped
+    assert linalg.rank(({0: F(1), 1: F(2)}, {0: F(2), 1: F(4)})) == 1
+    assert linalg.rank(({0: F(1)}, {1: F(1)}, {0: F(1), 1: F(1)})) == 2
+    assert linalg.rank(({0: F(1, 2), 1: F(1, 3)}, {0: F(1, 5), 1: F(1, 7)})) == 2
+    assert linalg.rank(({7: F(3)}, {2: F(1), 7: F(1)}, {2: F(-3, 2), 7: F(1)})) == 2
 
 
 def test_rank_invariant_under_row_scaling():
@@ -102,10 +104,10 @@ def test_rank_invariant_under_row_scaling():
     for _ in range(25):
         nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 5)
         m = [
-            [F(rng.randrange(-3, 4), rng.choice((1, 2))) for _ in range(ncols)]
+            {j: F(rng.randrange(-3, 4), rng.choice((1, 2))) for j in rng.sample(range(9), ncols)}
             for _ in range(nrows)
         ]
-        scaled = [[x * F(3, 7) for x in row] for row in m]
+        scaled = [{j: x * F(3, 7) for j, x in row.items()} for row in m]
         assert linalg.rank(m) == linalg.rank(scaled)
 
 

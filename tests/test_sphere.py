@@ -252,6 +252,13 @@ def test_operator_validation():
         lambda_k(SphereOperator(2, 0, F(1), F(1)), 1)
 
 
+@pytest.mark.parametrize("query", [spectrum, spectrum_parts, eigenvalue_details, coincidences])
+@pytest.mark.parametrize("cutoff", [-1, F(-1, 3), -(10**100)], ids=["int", "fraction", "huge"])
+def test_negative_cutoff_is_refused_by_every_query(query, cutoff):
+    with pytest.raises(ValueError, match="^cutoff must be nonnegative$"):
+        query(SphereOperator(3, 1, F(1), F(2), r_squared=F(1, 2)), cutoff)
+
+
 NONPOSITIVE = [(0, 1), (-1, 1), (1, 0), (1, -2)]
 
 
