@@ -45,6 +45,42 @@ def _multiplicity_error(mult) -> ValueError:
     return ValueError(f"multiplicity must be a positive int, got {shown}")
 
 
+def _checked_cutoff(unit, cutoff, entries, den: int | None = None) -> Fraction:
+    """Check a spectrum's fields against its entry rules; return the cutoff as a Fraction.
+
+    The entries' keys are the eigenvalue keys themselves, or with ``den`` the
+    int numerators of ``key / den``, bounded by floor(cutoff * den).  As
+    den > 0, both bounds say the same of the values, and every message names
+    the value and the cutoff.
+    """
+    if not isinstance(unit, Unit):
+        raise TypeError("unit must be a Unit")
+    cutoff = Fraction(cutoff)
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    for _, mult in entries:
+        if type(mult) is not int or mult < 1:  # refuses bools, unlike isinstance
+            raise _multiplicity_error(mult)
+    keys = [key for key, _ in entries]
+    if not all(map(lt, keys, keys[1:])):
+        raise ValueError("entries must be strictly increasing in key")
+    if not keys:
+        return cutoff
+    # keys strictly increase, so the first and last ones bound them all
+    if keys[0] < 0:
+        raise ValueError(f"negative eigenvalue key: {_key_value(keys[0], den)}")
+    bound = cutoff if den is None else den * cutoff.numerator // cutoff.denominator
+    if keys[-1] > bound:
+        first = keys[bisect_right(keys, bound)]
+        raise ValueError(f"key {_key_value(first, den)} exceeds cutoff {cutoff}")
+    return cutoff
+
+
+def _key_value(key, den: int | None):
+    """The eigenvalue key an entry stands for: ``key / den`` when a den is given."""
+    return key if den is None else Fraction(key, den)
+
+
 @dataclass(frozen=True)
 class WeightedSpectrum:
     """Weighted set of eigenvalue keys, truncated at ``cutoff``."""
@@ -54,23 +90,7 @@ class WeightedSpectrum:
     entries: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.unit, Unit):
-            raise TypeError("unit must be a Unit")
-        object.__setattr__(self, "cutoff", Fraction(self.cutoff))
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be nonnegative")
-        for _, mult in self.entries:
-            if type(mult) is not int or mult < 1:  # refuses bools, unlike isinstance
-                raise _multiplicity_error(mult)
-        keys = [key for key, _ in self.entries]
-        if not all(map(lt, keys, keys[1:])):
-            raise ValueError("entries must be strictly increasing in key")
-        # keys strictly increase, so the first and last ones bound them all
-        if keys and keys[0] < 0:
-            raise ValueError(f"negative eigenvalue key: {keys[0]}")
-        if keys and keys[-1] > self.cutoff:
-            first = keys[bisect_right(keys, self.cutoff)]
-            raise ValueError(f"key {first} exceeds cutoff {self.cutoff}")
+        object.__setattr__(self, "cutoff", _checked_cutoff(self.unit, self.cutoff, self.entries))
 
     # -- construction ----------------------------------------------------
 
@@ -206,10 +226,18 @@ def _from_int_keys(unit: Unit, cutoff, entries, den: int) -> WeightedSpectrum:
     """Keys ``key / den`` from (int key, multiplicity) pairs sorted by key.
 
     The builder behind every spectrum assembled over one common denominator
-    (torus norm tables and parts, sphere series): one Fraction per entry.
+    (torus norm tables and parts, sphere series).  It runs the constructor's
+    checks on the int keys, with the same messages, then builds one Fraction
+    per entry and the instance without running those checks again on
+    Fractions.  It is the only place that skips ``__post_init__``.
     """
-    keys = tuple((Fraction(key, den), mult) for key, mult in entries)
-    return WeightedSpectrum(unit, cutoff, keys)
+    cutoff = _checked_cutoff(unit, cutoff, entries, den)
+    spectrum = object.__new__(WeightedSpectrum)
+    object.__setattr__(spectrum, "unit", unit)
+    object.__setattr__(spectrum, "cutoff", cutoff)
+    entries = tuple((Fraction(key, den), mult) for key, mult in entries)
+    object.__setattr__(spectrum, "entries", entries)
+    return spectrum
 
 
 def repeated_union(

@@ -17,12 +17,16 @@ p = n is p = 0 with alpha and beta swapped; both are flagged as duality
 extensions on the operator.  ``generic=True`` again means a formally
 irrational alpha/beta: parts stay unmerged and coincidences are suppressed.
 
-Every series value is scale * (k+a)(k+b) with the rational scale
-coefficient / r^2.  Over den, the lcm of the operator's scale denominators,
-term k has the integer key scale * den * (k+a)(k+b).  The series are cut at
-floor(cutoff * den), merged and matched as integers, and one Fraction is
-built per returned entry, as for the torus norm tables.  The dimensions are
-products of binomial coefficients, not quotients of factorials of n + k.
+Every series value is scale * (k+p)(k+b) with the rational scale
+coefficient / r^2 (p = 0 for the scalar series).  Over den, the lcm of the
+operator's scale denominators, term k has the integer key
+scale * den * (k+p)(k+b).  The series are cut at floor(cutoff * den), merged
+and matched as integers, and one Fraction is built per returned entry, as for
+the torus norm tables.  Each series describes its dimensions once, as
+products of two binomial coefficients; a series steps C(k + top, n) from one
+term to the next by exact integer ratios, and ``dim_V``, ``dim_W`` and
+``harmonic_polynomial_dim`` read the same description in closed form.  The
+budget is charged for the size of those binomials before any term is made.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import comb, isqrt, lcm
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import linalg
 from .errors import BudgetExceeded, DegreeOutOfRange, NonpositiveScalar
@@ -112,11 +115,13 @@ class SphereOperator:
             )
 
 
-def _as_int(numerator: int, denominator: int, what: str) -> int:
+def _as_int(numerator: int, denominator: int, formula: "_SeriesFormula", k: int) -> int:
+    """The exact quotient of a step of the series' dimension at term k."""
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
         raise AssertionError(
-            f"{what} came out non-integral: {Fraction(numerator, denominator)}"
+            f"{formula.series.value} dimension at n={formula.n}, k={k} came out "
+            f"non-integral: {Fraction(numerator, denominator)}"
         )
     return quotient
 
@@ -127,13 +132,7 @@ def dim_V(n: int, p: int, k: int) -> int:
         raise DegreeOutOfRange(f"dim_V needs 1 <= p <= n-1, got p={p}, n={n}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return 0
-    return _as_int(
-        comb(n + k - 1, n) * comb(n, p) * (n - p) * (n + 2 * k - 1),
-        (n + k - p - 1) * (k + p),
-        f"dim_V({n},{p},{k})",
-    )
+    return _lambda_series(n, p, 1, 1).dim(k) if k else 0
 
 
 def dim_W(n: int, p: int, k: int) -> int:
@@ -142,76 +141,119 @@ def dim_W(n: int, p: int, k: int) -> int:
         raise DegreeOutOfRange(f"dim_W needs 1 <= p <= n-1, got p={p}, n={n}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _as_int(
-        comb(n + k, n) * comb(n, p) * p * (n + 2 * k + 1),
-        (n + k - p + 1) * (k + p),
-        f"dim_W({n},{p},{k})",
-    )
+    return _mu_series(n, p, 1, 1).dim(k)
 
 
 def harmonic_polynomial_dim(nvars: int, degree: int) -> int:
-    """Dimension of harmonic homogeneous polynomials of a given degree."""
+    """Dimension of harmonic homogeneous polynomials of a given degree.
+
+    The scalar series of S^(nvars-1).  On R^1 (n = 0) both 1 and x have
+    (k+p)(k+b) = 0, so the dimensions are 1, 1, 0, 0, ...
+    """
     if nvars < 1 or degree < 0:
         raise ValueError("need nvars >= 1 and degree >= 0")
-    total = comb(nvars + degree - 1, degree)
-    if degree >= 2:
-        total -= comb(nvars + degree - 3, degree - 2)
-    return total
+    return _scalar_series(nvars - 1, 1, 1, Series.LAMBDA).dim(degree)
 
 
 @dataclass(frozen=True)
 class _SeriesFormula:
-    """One eigenvalue series: value(k) = scale (k+a)(k+b) for k >= start.
+    """One eigenvalue series of p-forms on S^n: value(k) = scale (k+p)(k+b), k >= start.
 
-    ``scale`` is the coefficient over r^2.  Values strictly increase in k, so
-    the terms come out as sorted entries.
+    ``scale`` is the coefficient over r^2, and the scalar series is p = 0.
+    Values strictly increase in k, so the terms come out as sorted entries.
+    The eigenspace of term k has dimension
+
+        C(n, p) * weight * C(k + top, n) * (2k + p + b) / ((k + p)(k + b))
+
+    (Ikeda & Taniguchi), except where (k+p)(k+b) vanishes: that term is the
+    zero eigenvalue of the scalar series, spanned by the constants, of
+    dimension 1.  ``dim`` reads this closed form with ``math.comb``;
+    ``terms`` steps its binomials from one term to the next.  Both go
+    through ``_binomials`` and ``_dim``.
     """
 
     series: Series
     start: int
     scale: Fraction
-    a: int
+    n: int
+    p: int
     b: int
-    dim: Callable[[int], int]
+    weight: int
+    top: int
 
     def value(self, k: int) -> Fraction:
         scale = self.scale
-        return Fraction(scale.numerator * (k + self.a) * (k + self.b), scale.denominator)
+        return Fraction(scale.numerator * (k + self.p) * (k + self.b), scale.denominator)
+
+    def dim(self, k: int) -> int:
+        """The dimension of term k, from the closed form."""
+        quadratic = (k + self.p) * (k + self.b)
+        return self._dim(k, quadratic and self._binomials(k), quadratic)
+
+    def _binomials(self, k: int) -> int:
+        """C(n, p) * weight * C(k + top, n): the part of the dimension that steps in k."""
+        return comb(self.n, self.p) * self.weight * comb(k + self.top, self.n)
+
+    def _dim(self, k: int, binomials: int, quadratic: int) -> int:
+        """The dimension of term k from its ``_binomials`` and (k+p)(k+b)."""
+        if not quadratic:
+            return 1
+        return _as_int(binomials * (2 * k + self.p + self.b), quadratic, self, k)
 
     def terms(self, cutoff: Fraction, den: int) -> Iterator[tuple[int, int, int]]:
-        """(k, key, dim) of every nonzero term with value(k) = key / den <= cutoff.
+        """(k, key, dim) of every term with value(k) = key / den <= cutoff.
 
         ``den`` is a multiple of the scale's denominator, so the key is the
-        integer factor * (k+a)(k+b) with factor = scale * den.  The term count
-        is charged to HODGESPEC_BUDGET before any term is made: value(k) <=
-        cutoff exactly when (k+a)(k+b) <= m = floor(cutoff/scale), and
-        4(k+a)(k+b) = (2k+a+b)^2 - (a-b)^2 names the last such k.  The
-        spectrum queries read their cutoff here, so a negative one is
-        refused here.
+        integer factor * (k+p)(k+b) with factor = scale * den.  value(k) <=
+        cutoff exactly when (k+p)(k+b) <= m = floor(cutoff/scale), and
+        4(k+p)(k+b) = (2k+p+b)^2 - (p-b)^2 names the last such k.
+
+        The work is charged to HODGESPEC_BUDGET before any term is made: the
+        term count times 1 + min(n, last k) + min(p, n-p), which bounds the
+        smaller sides of C(k + top, n) and C(n, p), so the size of the
+        dimensions.  From term to term, C(k+top, n) = C(k-1+top, n) *
+        (k+top) / (k+top-n) is an exact division, checked at every step.  A
+        zero (the constants' term) does not step, so the next term starts
+        again from ``_binomials``.  The spectrum queries read their cutoff
+        here, so a negative one is refused here.
         """
-        if cutoff < 0:
-            raise ValueError("cutoff must be nonnegative")
-        a, b = self.a, self.b
+        cutoff = _nonnegative(cutoff)
+        n, p, b, top = self.n, self.p, self.b, self.top
         factor = self.scale.numerator * (den // self.scale.denominator)
         # floor(cutoff/scale) = floor(floor(cutoff * den) / factor)
         m = den * cutoff.numerator // cutoff.denominator // factor
-        if m < (self.start + a) * (self.start + b):
+        if m < (self.start + p) * (self.start + b):
             return
-        last = (isqrt(4 * m + (a - b) ** 2) - a - b) // 2
+        last = (isqrt(4 * m + (p - b) ** 2) - p - b) // 2
         ks = range(self.start, last + 1)
+        width = 1 + min(n, last) + min(p, n - p)
         limit = _resolve_budget()
-        if len(ks) > limit:
-            count = _echo_number(len(ks))
-            raise BudgetExceeded(f"sphere series needs {count} terms, budget is {limit}")
+        if len(ks) * width > limit:
+            count, width = _echo_number(len(ks)), _echo_number(width)
+            raise BudgetExceeded(
+                f"sphere series needs {count} terms of dimension work {width}, budget is {limit}"
+            )
+        binomials = 0
         for k in ks:
-            dim = self.dim(k)
-            if dim:
-                yield k, factor * (k + a) * (k + b), dim
+            if binomials:
+                binomials = _as_int(binomials * (k + top), k + top - n, self, k)
+            else:
+                binomials = self._binomials(k)
+            quadratic = (k + p) * (k + b)
+            yield k, factor * quadratic, self._dim(k, binomials, quadratic)
 
     def spectrum(self, cutoff) -> WeightedSpectrum:
         cutoff, den = Fraction(cutoff), self.scale.denominator
         entries = [(key, dim) for _, key, dim in self.terms(cutoff, den)]
         return _from_int_keys(Unit.PLAIN, cutoff, entries, den)
+
+
+def _nonnegative(cutoff) -> Fraction:
+    """A query's cutoff as a Fraction; a negative one is refused."""
+    cutoff = Fraction(cutoff)
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    return cutoff
 
 
 def _scale(coefficient, r_squared) -> Fraction:
@@ -226,17 +268,18 @@ def _scale(coefficient, r_squared) -> Fraction:
 
 def _lambda_series(n: int, p: int, coefficient, r_squared) -> _SeriesFormula:
     scale = _scale(coefficient, r_squared)
-    return _SeriesFormula(Series.LAMBDA, 1, scale, p, n - p - 1, partial(dim_V, n, p))
+    return _SeriesFormula(Series.LAMBDA, 1, scale, n, p, n - p - 1, n - p, n - 1)
 
 
 def _mu_series(n: int, p: int, coefficient, r_squared) -> _SeriesFormula:
     scale = _scale(coefficient, r_squared)
-    return _SeriesFormula(Series.MU, 0, scale, p, n - p + 1, partial(dim_W, n, p))
+    return _SeriesFormula(Series.MU, 0, scale, n, p, n - p + 1, p, n)
 
 
 def _scalar_series(n: int, coefficient, r_squared, series: Series) -> _SeriesFormula:
+    """The lambda series' formula at p = 0, from k = 0: the functions."""
     scale = _scale(coefficient, r_squared)
-    return _SeriesFormula(series, 0, scale, 0, n - 1, partial(harmonic_polynomial_dim, n + 1))
+    return _SeriesFormula(series, 0, scale, n, 0, n - 1, n, n - 1)
 
 
 def _series_of(op: SphereOperator) -> tuple[_SeriesFormula, ...]:
@@ -350,9 +393,9 @@ def eigenvalue_details(op: SphereOperator, cutoff) -> tuple[SphereEigenvalue, ..
 
 def coincidences(op: SphereOperator, cutoff) -> tuple[tuple[int, int], ...]:
     """Pairs (k, l) with lambda_k = mu_l <= cutoff; empty in generic mode."""
+    cutoff = _nonnegative(cutoff)
     if op.generic or op.duality_extension:
         return ()
-    cutoff = Fraction(cutoff)
     formulas = lambda_series, mu_series = _series_of(op)
     den = _common_den(formulas)
     # keys strictly increase in k, so each key names at most one mu term

@@ -42,3 +42,63 @@ def test_guard_catches_each_float_form():
     source = "x = 0.5\ny = float(x) + round(x) + complex(1)\n"
     source += "import math\nz = math.sqrt(2) * math.pi\nfrom math import log\nw = 2j\n"
     assert len(float_uses(ast.parse(source))) == 8
+
+
+# Only one private function may build a WeightedSpectrum without running its
+# constructor: multiset._from_int_keys, which checks the int keys itself.
+TRUSTED_BUILDER = ("multiset.py", "_from_int_keys")
+
+
+class _Bypasses(ast.NodeVisitor):
+    """Calls that make an instance or set its fields without the constructor.
+
+    Any ``__new__`` call, and any ``__setattr__`` call on something other
+    than ``self`` (a frozen class setting its own fields in ``__post_init__``),
+    recorded with the name of the function it sits in.
+    """
+
+    def __init__(self) -> None:
+        self.found: list[tuple[str, int]] = []
+        self.scope = "<module>"
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        outer, self.scope = self.scope, node.name
+        self.generic_visit(node)
+        self.scope = outer
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("__new__", "__setattr__"):
+            target = node.args[0] if node.args else None
+            on_self = isinstance(target, ast.Name) and target.id == "self"
+            if func.attr == "__new__" or not on_self:
+                self.found.append((self.scope, node.lineno))
+        self.generic_visit(node)
+
+
+def bypasses(tree: ast.AST) -> list[tuple[str, int]]:
+    visitor = _Bypasses()
+    visitor.visit(tree)
+    return visitor.found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_only_the_int_keyed_builder_skips_the_constructor(path):
+    found = bypasses(ast.parse(path.read_text(), filename=str(path)))
+    if path.name == TRUSTED_BUILDER[0]:
+        assert found and {scope for scope, _ in found} == {TRUSTED_BUILDER[1]}
+    else:
+        assert found == []
+
+
+def test_bypass_guard_catches_each_form():
+    source = (
+        "def build(unit):\n"
+        "    spectrum = object.__new__(WeightedSpectrum)\n"
+        "    other = WeightedSpectrum.__new__(WeightedSpectrum)\n"
+        "    object.__setattr__(spectrum, 'unit', unit)\n"
+        "class Op:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'alpha', 1)\n"
+    )
+    assert bypasses(ast.parse(source)) == [("build", 2), ("build", 3), ("build", 4)]

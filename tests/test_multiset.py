@@ -6,7 +6,12 @@ from fractions import Fraction as F
 import pytest
 
 from hodgespec.errors import CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
-from hodgespec.multiset import Unit, WeightedSpectrum, repeated_union
+from hodgespec.multiset import (
+    Unit,
+    WeightedSpectrum,
+    _from_int_keys,
+    repeated_union,
+)
 
 
 def spec(pairs, cutoff, unit=Unit.PLAIN):
@@ -59,6 +64,38 @@ def test_from_pairs_refuses_multiplicities_that_are_not_ints():
             WeightedSpectrum.from_pairs(Unit.PLAIN, 5, [(F(1), 3), (F(1), bad)])
         assert str(raised.value) == f"multiplicity must be a positive int, got {shown}"
     assert WeightedSpectrum.from_pairs(Unit.PLAIN, 5, [(F(1), 0)]).is_empty()
+
+
+# (unit, cutoff, int entries, den): each is refused, and the same entries as
+# Fractions key / den are refused by the public constructor.
+BAD_INT_KEYED = {
+    "unsorted": (Unit.PLAIN, 5, [(3, 1), (1, 1)], 2),
+    "repeated": (Unit.PLAIN, 5, [(1, 1), (1, 2)], 2),
+    "negative-key": (Unit.PLAIN, 5, [(-1, 1), (2, 1)], 3),
+    "past-cutoff": (Unit.FOUR_PI_SQUARED, F(5, 4), [(1, 1), (2, 1), (3, 4), (5, 1)], 2),
+    "past-cutoff-by-one": (Unit.PLAIN, F(7, 3), [(13, 1), (14, 1), (15, 1)], 6),
+    "zero-multiplicity": (Unit.PLAIN, 5, [(1, 1), (2, 0)], 1),
+    "bool-multiplicity": (Unit.PLAIN, 5, [(1, True)], 1),
+    "huge-multiplicity": (Unit.PLAIN, 5, [(1, -(10**100))], 1),
+    "negative-cutoff": (Unit.PLAIN, F(-1, 2), [], 2),
+    "unit-not-a-unit": ("plain", 5, [(1, 1)], 2),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INT_KEYED.values(), ids=BAD_INT_KEYED.keys())
+def test_int_keyed_builder_refuses_what_the_constructor_refuses(case):
+    unit, cutoff, entries, den = case
+    with pytest.raises((TypeError, ValueError)) as public:
+        WeightedSpectrum(unit, cutoff, tuple((F(key, den), mult) for key, mult in entries))
+    with pytest.raises(public.type) as trusted:
+        _from_int_keys(unit, cutoff, entries, den)
+    assert str(trusted.value) == str(public.value)
+
+
+def test_int_keyed_builder_keeps_a_key_on_the_cutoff():
+    built = _from_int_keys(Unit.PLAIN, F(7, 3), [(0, 2), (13, 1), (14, 3)], 6)
+    assert built == WeightedSpectrum(Unit.PLAIN, F(7, 3), ((F(0), 2), (F(13, 6), 1), (F(7, 3), 3)))
+    assert type(built.cutoff) is F and all(type(key) is F for key, _ in built)
 
 
 def test_union_pointwise_addition():

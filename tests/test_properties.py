@@ -32,8 +32,14 @@ from hodgespec.multiset import Unit, WeightedSpectrum, repeated_union
 from hodgespec.sphere import (
     Series,
     SphereOperator,
+    _lambda_series,
+    _mu_series,
+    _scalar_series,
     coincidences,
+    dim_V,
+    dim_W,
     eigenvalue_details,
+    harmonic_polynomial_dim,
     spectrum,
     spectrum_parts,
 )
@@ -447,6 +453,29 @@ def test_merged_spectrum_is_the_union_of_its_parts(lattice, data, weights):
         assert merged == weighted(expected, cutoff, Unit.FOUR_PI_SQUARED)
 
 
+def rebuilt(spectrum: WeightedSpectrum) -> WeightedSpectrum:
+    """The spectrum passed again through the public constructor and its Fraction checks."""
+    assert type(spectrum.cutoff) is F
+    assert all(type(key) is F and type(mult) is int for key, mult in spectrum.entries)
+    return WeightedSpectrum(spectrum.unit, spectrum.cutoff, spectrum.entries)
+
+
+@PROPERTY
+@given(small_lattices(), st.data(), torus_weights(), st.fractions(0, 4, max_denominator=3))
+def test_torus_builders_pass_the_public_constructor(lattice, data, weights, cutoff):
+    table = dual(lattice)
+    op = TorusOperator(lattice, data.draw(st.integers(0, lattice.n)), *weights)
+    built = [
+        enumerate_norms(table, cutoff),
+        brute_force_enumerate(table, cutoff),
+        laplace0_spectrum(lattice, cutoff),
+        f_spectrum(op, cutoff),
+        *f_spectrum_parts(op, cutoff),
+    ]
+    for spectrum in built:
+        assert rebuilt(spectrum) == spectrum
+
+
 def fraction_box_scan(data, bound) -> WeightedSpectrum:
     """The box scan with a Fraction recheck of every cell, cell by cell."""
     n = data.lattice.n
@@ -582,6 +611,31 @@ def harmonic_dim(nvars, k):
     return comb(nvars + k - 1, k) - (comb(nvars + k - 3, k - 2) if k >= 2 else 0)
 
 
+def stepped_dims(formula, last):
+    """The dimensions that ``terms`` steps, from the series' start up to term ``last``."""
+    return [dim for _, _, dim in formula.terms(formula.value(last), formula.scale.denominator)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_stepped_dimensions_equal_the_closed_forms(n):
+    last = 300
+    for p in range(1, n):
+        lam = stepped_dims(_lambda_series(n, p, 1, 1), last)
+        mu = stepped_dims(_mu_series(n, p, 1, 1), last)
+        assert lam == [dim_V(n, p, k) for k in range(1, last + 1)]
+        assert mu == [dim_W(n, p, k) for k in range(last + 1)]
+        # the closed forms against factorials, on a sparser grid
+        for k in range(0, last + 1, 23):
+            assert dim_V(n, p, k) == factorial_dim_V(n, p, k)
+            assert dim_W(n, p, k) == factorial_dim_W(n, p, k)
+    # p = 0 and p = n: the scalar series, S^1 included (1, 2, 2, ...)
+    for series in Series:
+        scalar = stepped_dims(_scalar_series(n, 2, 3, series), last)
+        assert scalar == [harmonic_polynomial_dim(n + 1, k) for k in range(last + 1)]
+        assert scalar == [harmonic_dim(n + 1, k) for k in range(last + 1)]
+    assert [harmonic_polynomial_dim(1, k) for k in range(5)] == [1, 1, 0, 0, 0]
+
+
 def reference_series(op, cutoff):
     """{series: [(k, value, dim)]} from Fraction values scale * (k+a)(k+b)."""
     n, p, r2 = op.n, op.p, op.r_squared
@@ -669,6 +723,20 @@ def test_integer_series_match_fraction_reference(op, data):
         mu_at = {value: k for k, value, _ in found[Series.MU]}
         want = tuple((k, mu_at[value]) for k, value, _ in found[Series.LAMBDA] if value in mu_at)
         assert coincidences(op, cutoff) == want
+
+
+@PROPERTY
+@given(coprime_sphere_operators(), st.data())
+def test_sphere_builders_pass_the_public_constructor(op, data):
+    cutoff = data.draw(sphere_cutoffs(op))
+    built = list(spectrum_parts(op, cutoff))
+    if not op.generic:
+        built.append(spectrum(op, cutoff))
+    if not op.duality_extension:
+        built += (series(op.n, op.p, op.alpha, op.r_squared).spectrum(cutoff)
+                  for series in (_lambda_series, _mu_series))
+    for spectrum_ in built:
+        assert rebuilt(spectrum_) == spectrum_
 
 
 @PROPERTY

@@ -259,6 +259,18 @@ def test_negative_cutoff_is_refused_by_every_query(query, cutoff):
         query(SphereOperator(3, 1, F(1), F(2), r_squared=F(1, 2)), cutoff)
 
 
+@pytest.mark.parametrize(
+    "op",
+    [SphereOperator(2, 0, F(1), F(1)), SphereOperator(2, 2, F(1), F(1)),
+     SphereOperator(3, 1, F(1), F(2), generic=True)],
+    ids=["p=0", "p=n", "generic"],
+)
+def test_coincidences_refuse_a_negative_cutoff_where_they_read_no_series(op):
+    assert coincidences(op, 5) == ()
+    with pytest.raises(ValueError, match="^cutoff must be nonnegative$"):
+        coincidences(op, -1)
+
+
 NONPOSITIVE = [(0, 1), (-1, 1), (1, 0), (1, -2)]
 
 
@@ -281,27 +293,54 @@ def test_scalar_series_spectrum_rejects_nonpositive_scalars(within, coefficient,
 
 
 # Each series is charged on its own, so the other part of the operator has fewer terms.
+# The charge is the term count times 1 + min(n, last k) + min(p, n - p), the smaller
+# sides of the two binomials in each dimension; the scalar series has p = 0.
 @pytest.mark.parametrize(
-    "build, start, value, cutoff",
+    "build, n, p, start, value, cutoff",
     [
         (lambda cutoff: spectrum_parts(SphereOperator(3, 1, F(4, 3), F(2, 3), F(5, 2)), cutoff)[1],
-         1, lambda k: F(2, 3) * (k + 1) * (k + 1) / F(5, 2), F(2, 3) * 64 / F(5, 2)),
+         3, 1, 1, lambda k: F(2, 3) * (k + 1) * (k + 1) / F(5, 2), F(2, 3) * 64 / F(5, 2)),
         (lambda cutoff: spectrum_parts(SphereOperator(5, 2, F(1, 7), 1, 3), cutoff)[0],
-         0, lambda k: F(1, 7) * (k + 2) * (k + 4) / 3, F(1000, 3)),
+         5, 2, 0, lambda k: F(1, 7) * (k + 2) * (k + 4) / 3, F(1000, 3)),
         (lambda cutoff: spectrum_parts(SphereOperator(4, 0, 1, F(3, 2), F(1, 3)), cutoff)[1],
-         0, lambda k: F(3, 2) * k * (k + 3) / F(1, 3), 500),
+         4, 0, 0, lambda k: F(3, 2) * k * (k + 3) / F(1, 3), 500),
     ],
     ids=["lambda-cutoff-on-a-value", "mu", "scalar"],
 )
-def test_series_budget_counts_exact_terms(build, start, value, cutoff, monkeypatch):
+def test_series_budget_counts_exact_terms(build, n, p, start, value, cutoff, monkeypatch):
     terms = 0
     while value(start + terms) <= cutoff:
         terms += 1
-    monkeypatch.setenv(BUDGET_ENV_VAR, str(terms))
+    last = start + terms - 1
+    charge = terms * (1 + min(n, last) + min(p, n - p))
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(charge))
     assert len(build(cutoff)) == terms
-    monkeypatch.setenv(BUDGET_ENV_VAR, str(terms - 1))
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(charge - 1))
     with pytest.raises(BudgetExceeded):
         build(cutoff)
+
+
+# Few terms, but each dimension is a product of binomials with thousands of digits.
+@pytest.mark.parametrize(
+    "n, p, cutoff",
+    [
+        ("20000", "10000", "1000000000"),
+        # one term per series: the dimensions' C(n, p) alone is past the budget
+        ("1000000000", "500000000", "250000000500000000"),
+    ],
+    ids=["many-wide-terms", "one-huge-term"],
+)
+def test_huge_sphere_dimensions_are_refused_before_any_term(within, monkeypatch, capsys,
+                                                           n, p, cutoff):
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    argv = ["spectrum", "sphere", "--n", n, "--p", p, "--alpha", "1", "--beta", "1",
+            "--r2", "1", "--cutoff", cutoff]
+    with within(1):
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "BudgetExceeded"
 
 
 def test_huge_sphere_cutoff_is_refused_before_any_term(within, monkeypatch, capsys):
