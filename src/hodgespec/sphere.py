@@ -186,9 +186,25 @@ class _SeriesFormula:
         return Fraction(scale.numerator * (k + self.p) * (k + self.b), scale.denominator)
 
     def dim(self, k: int) -> int:
-        """The dimension of term k, from the closed form."""
+        """The dimension of term k, from the closed form, charged as one term."""
+        self._charge(1, k)
         quadratic = (k + self.p) * (k + self.b)
         return self._dim(k, quadratic and self._binomials(k), quadratic)
+
+    def _charge(self, terms: int, last: int) -> None:
+        """Charge ``terms`` dimensions up to term ``last`` to HODGESPEC_BUDGET.
+
+        Each costs 1 + min(n, last) + min(p, n-p), which bounds the smaller
+        sides of C(k + top, n) and C(n, p), so the size of the dimension.
+        """
+        n, p = self.n, self.p
+        width = 1 + min(n, last) + min(p, n - p)
+        limit = _resolve_budget()
+        if terms * width > limit:
+            count, width = _echo_number(terms), _echo_number(width)
+            raise BudgetExceeded(
+                f"sphere dimensions need {count} terms times {width} work, budget is {limit}"
+            )
 
     def _binomials(self, k: int) -> int:
         """C(n, p) * weight * C(k + top, n): the part of the dimension that steps in k."""
@@ -208,10 +224,8 @@ class _SeriesFormula:
         cutoff exactly when (k+p)(k+b) <= m = floor(cutoff/scale), and
         4(k+p)(k+b) = (2k+p+b)^2 - (p-b)^2 names the last such k.
 
-        The work is charged to HODGESPEC_BUDGET before any term is made: the
-        term count times 1 + min(n, last k) + min(p, n-p), which bounds the
-        smaller sides of C(k + top, n) and C(n, p), so the size of the
-        dimensions.  From term to term, C(k+top, n) = C(k-1+top, n) *
+        Every term's dimension is charged (``_charge``) before any term is
+        made.  From term to term, C(k+top, n) = C(k-1+top, n) *
         (k+top) / (k+top-n) is an exact division, checked at every step.  A
         zero (the constants' term) does not step, so the next term starts
         again from ``_binomials``.  The spectrum queries read their cutoff
@@ -226,13 +240,7 @@ class _SeriesFormula:
             return
         last = (isqrt(4 * m + (p - b) ** 2) - p - b) // 2
         ks = range(self.start, last + 1)
-        width = 1 + min(n, last) + min(p, n - p)
-        limit = _resolve_budget()
-        if len(ks) * width > limit:
-            count, width = _echo_number(len(ks)), _echo_number(width)
-            raise BudgetExceeded(
-                f"sphere series needs {count} terms of dimension work {width}, budget is {limit}"
-            )
+        self._charge(len(ks), last)
         binomials = 0
         for k in ks:
             if binomials:

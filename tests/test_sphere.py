@@ -259,6 +259,24 @@ def test_negative_cutoff_is_refused_by_every_query(query, cutoff):
         query(SphereOperator(3, 1, F(1), F(2), r_squared=F(1, 2)), cutoff)
 
 
+def test_closed_form_dimensions_are_charged_too(within, monkeypatch, tmp_path, capsys):
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    n, p = 10**8, 5 * 10**7
+    for dim in (dim_V, dim_W):
+        with within(1), pytest.raises(BudgetExceeded):
+            dim(n, p, 1)
+    # the sphere recovery reads each series' first dimension
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps({"unit": "plain", "cutoff": "1", "entries": [["1", 1]]}))
+    argv = ["recover", "sphere-params", "--spectrum", str(path), "--n", str(n), "--p", str(p),
+            "--r2", "1"]
+    with within(1):
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert json.loads(captured.err)["error"] == "BudgetExceeded"
+
+
 @pytest.mark.parametrize(
     "op",
     [SphereOperator(2, 0, F(1), F(1)), SphereOperator(2, 2, F(1), F(1)),
