@@ -168,8 +168,9 @@ class _SeriesFormula:
     (Ikeda & Taniguchi), except where (k+p)(k+b) vanishes: that term is the
     zero eigenvalue of the scalar series, spanned by the constants, of
     dimension 1.  ``dim`` reads this closed form with ``math.comb``;
-    ``terms`` steps its binomials from one term to the next.  Both go
-    through ``_binomials`` and ``_dim``.
+    ``terms`` steps its binomials from one term to the next.  Both charge
+    the budget through ``_charge`` and compute through ``_binomials`` and
+    ``_dim``.
     """
 
     series: Series
