@@ -8,8 +8,9 @@ Subcommands:
 
 Exit codes: 0 success (isospec: isospectral), 1 isospec found a divergence,
 2 malformed input, 3 computation refused (domain errors), 4 a recovery gave
-up (BranchAmbiguous / CutoffTooSmall).  Errors print a single JSON object
-on standard error: {"error": <kind>, "message": <text>}.
+up (BranchAmbiguous / CutoffTooSmall).  The codes 2-4 live on the error
+classes, as ``exit_code``.  Errors print a single JSON object on standard
+error: {"error": <kind>, "message": <text>}.
 
 All stdout output is byte-deterministic for identical inputs; informational
 notes (duality-extension degrees) go to standard error.
@@ -24,7 +25,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import BranchAmbiguous, CutoffTooSmall, Error, ParseError, UnitMismatch
+from .errors import BranchAmbiguous, Error, ParseError, UnitMismatch
 from .isospec import (
     first_divergence,
     reconstruct_base,
@@ -32,14 +33,7 @@ from .isospec import (
     recover_sphere_params,
     recover_torus_params,
 )
-from .lattice import (
-    Lattice,
-    _charge_dimension,
-    brute_force_enumerate,
-    dual,
-    enumerate_norms,
-    standard_lattice,
-)
+from .lattice import Lattice, brute_force_enumerate, dual, enumerate_norms, standard_lattice
 from .multiset import Unit, WeightedSpectrum
 from .rationals import _echo_number, format_rational, parse_rational
 from .sphere import SphereOperator
@@ -48,6 +42,12 @@ from .sphere import spectrum_parts as sphere_spectrum_parts
 from .torus import TorusOperator, f_spectrum, f_spectrum_parts
 
 __all__ = ["main"]
+
+# merged spectrum and unmerged parts, per surface
+_SPECTRA = {
+    "torus": (f_spectrum, f_spectrum_parts),
+    "sphere": (sphere_spectrum, sphere_spectrum_parts),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,10 +71,6 @@ def _nonnegative_rational(text: str) -> Fraction:
     return value
 
 
-def _emit_error(err: Error) -> None:
-    print(json.dumps({"error": err.kind, "message": str(err)}), file=sys.stderr)
-
-
 def _extension_note(op, side: str = "") -> None:
     # called once the command has succeeded, so an error stays the only thing on stderr
     if not op.duality_extension:
@@ -85,16 +81,6 @@ def _extension_note(op, side: str = "") -> None:
         "the spectrum follows the duality convention",
         file=sys.stderr,
     )
-
-
-def _write_output(path: str | None, text: str) -> None:
-    if path in (None, "-"):
-        sys.stdout.write(text)
-        return
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise ParseError(f"cannot write output file {path}: {exc}") from None
 
 
 @contextmanager
@@ -122,10 +108,30 @@ def _json_value(value):
     return value.to_json_dict()
 
 
-def _write_json(path: str | None, payload) -> None:
+def _write(args, payload) -> None:
+    """Write ``payload`` to ``--output``, or stdout when omitted or ``-``.
+
+    The text is JSON, or CSV under ``--format csv``, which only a merged
+    spectrum has.
+    """
+    csv = getattr(args, "format", "json") == "csv"
+    if csv and not isinstance(payload, WeightedSpectrum):
+        raise ParseError("csv output is only defined for merged spectra")
     with _unlimited_digits():
-        text = json.dumps(payload, indent=2, default=_json_value) + "\n"
-    _write_output(path, text)
+        if csv:
+            unit = payload.unit.value
+            lines = ["eigenvalue_num,eigenvalue_den,unit,multiplicity"]
+            lines += [f"{k.numerator},{k.denominator},{unit},{m}" for k, m in payload.entries]
+            text = "\n".join(lines) + "\n"
+        else:
+            text = json.dumps(payload, indent=2, default=_json_value) + "\n"
+    if args.output in (None, "-"):
+        sys.stdout.write(text)
+        return
+    try:
+        Path(args.output).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write output file {args.output}: {exc}") from None
 
 
 def _load_json(path: str, what: str):
@@ -145,89 +151,60 @@ def _load_spectrum(path: str) -> WeightedSpectrum:
     return WeightedSpectrum.from_json_dict(_load_json(path, "spectrum"))
 
 
-def _load_lattice(args, side: str | None = None) -> Lattice:
-    prefix = f"{side}_" if side else ""
-    dash = f"--{side}-" if side else "--"
-    path = getattr(args, f"{prefix}lattice")
-    zn = getattr(args, f"{prefix}zn")
+def _load_lattice(path: str | None, zn: int | None, dash: str = "--") -> Lattice:
     if (path is None) == (zn is None):
         raise ParseError(f"provide exactly one of {dash}lattice and {dash}zn")
     if zn is not None:
-        _charge_dimension(zn)  # before the n x n identity is built
         return standard_lattice(zn)
     return Lattice.from_json_dict(_load_json(path, "lattice"))
 
 
-def _spectrum_csv(spec: WeightedSpectrum) -> str:
-    lines = ["eigenvalue_num,eigenvalue_den,unit,multiplicity"]
-    for key, mult in spec.entries:
-        lines.append(f"{key.numerator},{key.denominator},{spec.unit.value},{mult}")
-    return "\n".join(lines) + "\n"
+def _operator(args, kind: str, side: str = "") -> TorusOperator | SphereOperator:
+    """The operator of ``spectrum torus|sphere``, or of the isospec side ``side``.
 
+    A side's flags carry its name (``--left-p`` is ``args.left_p``).  A flag
+    the command does not declare reads as None, so the checks that keep
+    torus and sphere flags apart pass for both ``spectrum`` subcommands.
+    """
+    dash = f"--{side}-" if side else "--"
 
-def _emit_spectrum(args, spec: WeightedSpectrum) -> None:
-    if args.format == "csv":
-        with _unlimited_digits():
-            text = _spectrum_csv(spec)
-        _write_output(args.output, text)
-    else:
-        _write_json(args.output, spec)
+    def flag(name: str):
+        return getattr(args, f"{side}_{name}" if side else name, None)
 
-
-def _emit_parts(args, alpha_part: WeightedSpectrum, beta_part: WeightedSpectrum) -> None:
-    if args.format == "csv":
-        raise ParseError("csv output is only defined for merged spectra")
-    _write_json(args.output, {"alpha_part": alpha_part, "beta_part": beta_part})
-
-
-def _cmd_spectrum_torus(args) -> int:
-    lattice = _load_lattice(args)
-    op = TorusOperator(
-        lattice, args.p, args.alpha, args.beta, generic=args.mode == "generic"
-    )
-    if op.generic:
-        _emit_parts(args, *f_spectrum_parts(op, args.cutoff))
-    else:
-        _emit_spectrum(args, f_spectrum(op, args.cutoff))
-    _extension_note(op)
-    return 0
-
-
-def _cmd_spectrum_sphere(args) -> int:
-    op = SphereOperator(
-        args.n, args.p, args.alpha, args.beta, args.r2, generic=args.mode == "generic"
-    )
-    if op.generic:
-        _emit_parts(args, *sphere_spectrum_parts(op, args.cutoff))
-    else:
-        _emit_spectrum(args, sphere_spectrum(op, args.cutoff))
-    _extension_note(op)
-    return 0
-
-
-def _side_operator(args, side: str) -> tuple[TorusOperator | SphereOperator, WeightedSpectrum]:
-    kind = getattr(args, f"{side}_kind")
-    p = getattr(args, f"{side}_p")
-    alpha = getattr(args, f"{side}_alpha")
-    beta = getattr(args, f"{side}_beta")
+    generic = flag("mode") == "generic"
+    p, alpha, beta = flag("p"), flag("alpha"), flag("beta")
     if kind == "torus":
-        if getattr(args, f"{side}_n") is not None or getattr(args, f"{side}_r2") is not None:
-            raise ParseError(f"--{side}-n and --{side}-r2 apply to sphere sides only")
-        op = TorusOperator(_load_lattice(args, side), p, alpha, beta)
-        return op, f_spectrum(op, args.cutoff)
-    if getattr(args, f"{side}_lattice") is not None or getattr(args, f"{side}_zn") is not None:
-        raise ParseError(f"--{side}-lattice and --{side}-zn apply to torus sides only")
-    n = getattr(args, f"{side}_n")
-    r2 = getattr(args, f"{side}_r2")
-    if n is None or r2 is None:
-        raise ParseError(f"a sphere side needs --{side}-n and --{side}-r2")
-    op = SphereOperator(n, p, alpha, beta, r2)
-    return op, sphere_spectrum(op, args.cutoff)
+        if flag("n") is not None or flag("r2") is not None:
+            raise ParseError(f"{dash}n and {dash}r2 apply to sphere sides only")
+        lattice = _load_lattice(flag("lattice"), flag("zn"), dash)
+        return TorusOperator(lattice, p, alpha, beta, generic=generic)
+    if flag("lattice") is not None or flag("zn") is not None:
+        raise ParseError(f"{dash}lattice and {dash}zn apply to torus sides only")
+    if flag("n") is None or flag("r2") is None:
+        raise ParseError(f"a sphere side needs {dash}n and {dash}r2")
+    return SphereOperator(flag("n"), p, alpha, beta, flag("r2"), generic=generic)
+
+
+def _cmd_spectrum(args) -> int:
+    op = _operator(args, args.surface)
+    spectrum, parts = _SPECTRA[args.surface]
+    if op.generic:
+        alpha_part, beta_part = parts(op, args.cutoff)
+        _write(args, {"alpha_part": alpha_part, "beta_part": beta_part})
+    else:
+        _write(args, spectrum(op, args.cutoff))
+    _extension_note(op)
+    return 0
 
 
 def _cmd_isospec(args) -> int:
-    left_op, left = _side_operator(args, "left")
-    right_op, right = _side_operator(args, "right")
+    # the left side is built and computed first, so its refusals win
+    sides = []
+    for side in ("left", "right"):
+        kind = getattr(args, f"{side}_kind")
+        op = _operator(args, kind, side)
+        sides.append((op, _SPECTRA[kind][0](op, args.cutoff)))
+    (left_op, left), (right_op, right) = sides
     payload = {"isospectral": True, "cutoff": args.cutoff}
     divergence = first_divergence(left, right, args.cutoff)
     if divergence is not None:
@@ -238,7 +215,7 @@ def _cmd_isospec(args) -> int:
             "left_multiplicity": left_mult,
             "right_multiplicity": right_mult,
         }
-    _write_json(args.output, payload)
+    _write(args, payload)
     _extension_note(left_op, "left")
     _extension_note(right_op, "right")
     return 0 if divergence is None else 1
@@ -246,25 +223,20 @@ def _cmd_isospec(args) -> int:
 
 def _cmd_recover_base(args) -> int:
     m_spec = _load_spectrum(args.spectrum)
-    result = reconstruct_base(
-        m_spec, args.alpha, args.beta, args.copies_alpha, args.copies_beta
-    )
-    _write_json(args.output, result)
+    _write(args, reconstruct_base(m_spec, args.alpha, args.beta, args.copies_alpha, args.copies_beta))
     return 0
 
 
 def _cmd_recover_torus(args) -> int:
     m_spec = _load_spectrum(args.spectrum)
     base = _load_spectrum(args.base)
-    result = recover_torus_params(m_spec, base, args.n, args.p)
-    _write_json(args.output, result)
+    _write(args, recover_torus_params(m_spec, base, args.n, args.p))
     return 0
 
 
 def _cmd_recover_sphere(args) -> int:
     m_spec = _load_spectrum(args.spectrum)
-    result = recover_sphere_params(m_spec, args.n, args.p, args.r2)
-    _write_json(args.output, result)
+    _write(args, recover_sphere_params(m_spec, args.n, args.p, args.r2))
     return 0
 
 
@@ -283,15 +255,15 @@ def _cmd_recover_radius(args) -> int:
             f"first eigenvalue of a sphere with these parameters, which has multiplicity "
             f"{_echo_number(expected[0][1])}"
         )
-    _write_json(args.output, r_squared)
+    _write(args, r_squared)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    dual_data = dual(_load_lattice(args))
+    dual_data = dual(_load_lattice(args.lattice, args.zn))
     enumerate_fn = brute_force_enumerate if args.box else enumerate_norms
     table = enumerate_fn(dual_data, args.bound)
-    _write_json(args.output, {"bound": table.cutoff, "counts": table.entries})
+    _write(args, {"bound": table.cutoff, "counts": table.entries})
     return 0
 
 
@@ -327,6 +299,28 @@ def _side_flags(parser, side: str) -> None:
     parser.add_argument(f"--{side}-r2", type=parse_rational, help="squared radius (sphere side)")
 
 
+# the recover commands' flags after --spectrum; every one is required
+_RECOVER_FLAGS = {
+    "--alpha": {"type": parse_rational},
+    "--beta": {"type": parse_rational},
+    "--copies-alpha": {"type": _positive_int},
+    "--copies-beta": {"type": _positive_int},
+    "--base": {"help": "scalar spectrum JSON of the same lattice"},
+    "--n": {"type": _positive_int},
+    "--p": {"type": int},
+    "--r2": {"type": parse_rational, "help": "squared radius"},
+}
+
+
+def _recover_command(what, name: str, help: str, spectrum_help: str, flags, handler) -> None:
+    cmd = what.add_parser(name, help=help)
+    cmd.add_argument("--spectrum", required=True, help=spectrum_help)
+    for flag in flags:
+        cmd.add_argument(flag, required=True, **_RECOVER_FLAGS[flag])
+    cmd.add_argument("--output")
+    cmd.set_defaults(handler=handler)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hodgespec",
@@ -351,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="truncation bound, in units of 4 pi^2",
     )
     _output_flags(torus_cmd)
-    torus_cmd.set_defaults(handler=_cmd_spectrum_torus)
+    torus_cmd.set_defaults(handler=_cmd_spectrum)
 
     sphere_cmd = surface.add_parser("sphere", help="round sphere S^n")
     sphere_cmd.add_argument("--n", type=_positive_int, required=True, help="sphere dimension")
@@ -360,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sphere_cmd.add_argument("--r2", type=parse_rational, required=True, help="squared radius")
     sphere_cmd.add_argument("--cutoff", type=_nonnegative_rational, required=True)
     _output_flags(sphere_cmd)
-    sphere_cmd.set_defaults(handler=_cmd_spectrum_sphere)
+    sphere_cmd.set_defaults(handler=_cmd_spectrum)
 
     iso = sub.add_parser("isospec", help="compare two operators up to a cutoff")
     _side_flags(iso, "left")
@@ -371,40 +365,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     recover = sub.add_parser("recover", help="run an inverse algorithm on spectrum files")
     what = recover.add_subparsers(dest="what", required=True)
-
-    base_cmd = what.add_parser("base-set", help="invert a two-scale repeated union")
-    base_cmd.add_argument("--spectrum", required=True, help="spectrum JSON file, - for stdin")
-    base_cmd.add_argument("--alpha", type=parse_rational, required=True)
-    base_cmd.add_argument("--beta", type=parse_rational, required=True)
-    base_cmd.add_argument("--copies-alpha", type=_positive_int, required=True)
-    base_cmd.add_argument("--copies-beta", type=_positive_int, required=True)
-    base_cmd.add_argument("--output")
-    base_cmd.set_defaults(handler=_cmd_recover_base)
-
-    torus_params = what.add_parser("torus-params", help="read (alpha, beta) off a torus spectrum")
-    torus_params.add_argument("--spectrum", required=True, help="p-form spectrum JSON file")
-    torus_params.add_argument("--base", required=True, help="scalar spectrum JSON of the same lattice")
-    torus_params.add_argument("--n", type=_positive_int, required=True)
-    torus_params.add_argument("--p", type=int, required=True)
-    torus_params.add_argument("--output")
-    torus_params.set_defaults(handler=_cmd_recover_torus)
-
-    sphere_params = what.add_parser("sphere-params", help="read (alpha, beta) off a sphere spectrum")
-    sphere_params.add_argument("--spectrum", required=True, help="spectrum JSON file")
-    sphere_params.add_argument("--n", type=_positive_int, required=True)
-    sphere_params.add_argument("--p", type=int, required=True)
-    sphere_params.add_argument("--r2", type=parse_rational, required=True, help="squared radius")
-    sphere_params.add_argument("--output")
-    sphere_params.set_defaults(handler=_cmd_recover_sphere)
-
-    radius_cmd = what.add_parser("radius", help="read r^2 off a sphere spectrum's minimum")
-    radius_cmd.add_argument("--spectrum", required=True, help="spectrum JSON file")
-    radius_cmd.add_argument("--alpha", type=parse_rational, required=True)
-    radius_cmd.add_argument("--beta", type=parse_rational, required=True)
-    radius_cmd.add_argument("--n", type=_positive_int, required=True)
-    radius_cmd.add_argument("--p", type=int, required=True)
-    radius_cmd.add_argument("--output")
-    radius_cmd.set_defaults(handler=_cmd_recover_radius)
+    _recover_command(
+        what, "base-set", "invert a two-scale repeated union", "spectrum JSON file, - for stdin",
+        ("--alpha", "--beta", "--copies-alpha", "--copies-beta"), _cmd_recover_base,
+    )
+    _recover_command(
+        what, "torus-params", "read (alpha, beta) off a torus spectrum",
+        "p-form spectrum JSON file", ("--base", "--n", "--p"), _cmd_recover_torus,
+    )
+    _recover_command(
+        what, "sphere-params", "read (alpha, beta) off a sphere spectrum", "spectrum JSON file",
+        ("--n", "--p", "--r2"), _cmd_recover_sphere,
+    )
+    _recover_command(
+        what, "radius", "read r^2 off a sphere spectrum's minimum", "spectrum JSON file",
+        ("--alpha", "--beta", "--n", "--p"), _cmd_recover_radius,
+    )
 
     enum_cmd = sub.add_parser("enumerate", help="dump the dual-norm table of a lattice")
     _lattice_flags(enum_cmd)
@@ -419,25 +395,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except ParseError as err:
-        _emit_error(err)
-        return 2
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
-    except (BranchAmbiguous, CutoffTooSmall) as err:
-        _emit_error(err)
-        return 4
-    except ParseError as err:
-        _emit_error(err)
-        return 2
     except Error as err:
-        _emit_error(err)
-        return 3
+        print(json.dumps({"error": err.kind, "message": str(err)}), file=sys.stderr)
+        return err.exit_code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Error taxonomy shared by every module in the package.
 
-Each class is a precise failure mode; the CLI maps them onto exit codes
-(parse errors 2, computation errors 3, recovery failures 4).  All of them
-derive from :class:`Error` so callers can catch the whole family at once.
+Each class is a precise failure mode and carries the command line's exit
+code for it as the class attribute ``exit_code``: parse errors 2,
+computation errors 3, recovery failures 4.  All of them derive from
+:class:`Error` so callers can catch the whole family at once.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ __all__ = [
 class Error(Exception):
     """Base class for all domain errors raised by this package."""
 
+    exit_code = 3
+
     @property
     def kind(self) -> str:
         return type(self).__name__
@@ -39,6 +42,8 @@ class Error(Exception):
 
 class ParseError(Error):
     """Malformed user input: bad rational literal, bad JSON payload, bad flag value."""
+
+    exit_code = 2
 
 
 class UnitMismatch(Error):
@@ -96,9 +101,13 @@ class EmptyInput(Error):
 class BranchAmbiguous(Error):
     """The leading multiplicity matches no admissible recovery branch."""
 
+    exit_code = 4
+
 
 class CutoffTooSmall(Error):
     """A recovery step ran past the truncation cutoff before it could finish."""
+
+    exit_code = 4
 
 
 class NonpositiveMin(Error):

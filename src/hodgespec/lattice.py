@@ -129,7 +129,11 @@ class Lattice:
 
 
 def standard_lattice(n: int) -> Lattice:
-    """Z^n with the identity basis."""
+    """Z^n with the identity basis.
+
+    The n^3 charge of :func:`dual` comes first, before the n x n identity is built.
+    """
+    _charge_dimension(n)
     return Lattice(linalg.identity(n))
 
 

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 __all__ = ["identity", "rank", "gram"]
 
@@ -85,9 +85,10 @@ def _eliminate(row: Row, pivots: Sequence[tuple[int, Row]]) -> Row:
     return row
 
 
-def rank(rows: Sequence[Mapping[int, Fraction]]) -> int:
+def rank(rows: Sequence[Mapping[Hashable, Fraction]]) -> int:
     """Rank of the matrix with sparse rows ``{column: entry}``, Fraction or int entries.
 
+    Any orderable column keys will do: a pivot row's column is its least key.
     Each row is cleared of denominators and reduced by fraction-free elimination.
     """
     pivots: list[tuple[int, Row]] = []

@@ -417,24 +417,10 @@ def coincidences(op: SphereOperator, cutoff) -> tuple[tuple[int, int], ...]:
 # -- polynomial-space oracle -------------------------------------------------
 
 
-def _form_index_tuples(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations(range(nvars), degree))
-
-
-def _coordinate_layout(
-    nvars: int, degree: int, poly_degree: int
-) -> tuple[dict[tuple[tuple[int, ...], tuple[int, ...]], int], int]:
-    positions: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for indices in _form_index_tuples(nvars, degree):
-        for exps in homogeneous_exponents(nvars, poly_degree):
-            positions[(indices, exps)] = len(positions)
-    return positions, len(positions)
-
-
-def _coords(form: PolyForm, layout: dict, offset: int) -> dict[int, Fraction]:
-    """The form's nonzero coefficients as a sparse row ``{offset + column: coefficient}``."""
+def _coords(form: PolyForm, block: int) -> dict[tuple, Fraction]:
+    """The form's nonzero coefficients as a sparse row keyed by (block, indices, exponents)."""
     return {
-        offset + layout[(indices, exps)]: coeff
+        (block, indices, exps): coeff
         for indices, poly in form.coeffs.items()
         for exps, coeff in poly.terms.items()
         if coeff
@@ -443,37 +429,27 @@ def _coords(form: PolyForm, layout: dict, offset: int) -> dict[int, Fraction]:
 
 def _space_rows(
     nvars: int, degree: int, poly_degree: int, extra: str
-) -> tuple[list[dict[int, Fraction]], list[dict[int, Fraction]]]:
+) -> tuple[list[dict[tuple, Fraction]], list[dict[tuple, Fraction]]]:
     """Sparse rows of (laplacian | delta) and of (laplacian | delta | extra),
-    one of each per basis form.
+    one of each per basis form, in column blocks 0, 1 and 2.
 
     ``extra`` is "position" (contraction with the position vector) or "d"
     (exterior derivative).
     """
-    lap_layout, lap_width = _coordinate_layout(nvars, degree, poly_degree - 2)
-    if degree >= 1:
-        delta_layout, delta_width = _coordinate_layout(nvars, degree - 1, poly_degree - 1)
-    else:
-        delta_layout, delta_width = {}, 0
-    if extra == "position":
-        apply, extra_degrees = contract_position, (degree - 1, poly_degree + 1)
-    else:
-        apply, extra_degrees = d_flat, (degree + 1, poly_degree - 1)
-    extra_layout, _ = _coordinate_layout(nvars, *extra_degrees)
-
-    constraints: list[dict[int, Fraction]] = []
-    rows: list[dict[int, Fraction]] = []
-    for indices in _form_index_tuples(nvars, degree):
+    apply = contract_position if extra == "position" else d_flat
+    constraints: list[dict[tuple, Fraction]] = []
+    rows: list[dict[tuple, Fraction]] = []
+    for indices in itertools.combinations(range(nvars), degree):
         for exps in homogeneous_exponents(nvars, poly_degree):
             monomial = Poly.monomial(nvars, exps, 1)
             form = PolyForm(nvars, degree, {indices: monomial})
             # from_terms drops the coefficient when the laplacian vanishes
             lap_form = PolyForm.from_terms(nvars, degree, [(indices, monomial.laplacian())])
-            row = _coords(lap_form, lap_layout, 0)
+            row = _coords(lap_form, 0)
             if degree >= 1:
-                row |= _coords(delta_flat(form), delta_layout, lap_width)
+                row |= _coords(delta_flat(form), 1)
             constraints.append(row)
-            rows.append(row | _coords(apply(form), extra_layout, lap_width + delta_width))
+            rows.append(row | _coords(apply(form), 2))
     return constraints, rows
 
 

@@ -2,11 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import hodgespec
 from hodgespec.cli import main
 from hodgespec.isospec import BRANCH_ALPHA_FIRST, BRANCH_COINCIDENT
 from hodgespec.lattice import BUDGET_ENV_VAR, standard_lattice
@@ -690,3 +694,31 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(["--help"], capsys)
     assert code == 0
     assert "spectrum" in out and "isospec" in out
+
+
+SPHERE_S3 = ["spectrum", "sphere", "--n", "3", "--alpha", "1", "--beta", "1", "--r2", "1",
+             "--cutoff", "4"]
+
+
+def test_output_into_a_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run([*SPHERE_S3, "--p", "1", "--output", str(target)], capsys)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)  # all of stderr is one object
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "ParseError"
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("p", ["1", "5"], ids=["spectrum", "refusal"])
+def test_module_entry_point_matches_main(p, capsys):
+    argv = [*SPHERE_S3, "--p", p]
+    code, out, err = run(argv, capsys)
+    src = str(Path(hodgespec.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "hodgespec.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert (child.stdout, child.returncode, child.stderr) == (out, code, err)
+    assert code == (0 if p == "1" else 3)

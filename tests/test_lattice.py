@@ -305,6 +305,15 @@ def test_dual_charges_n_cubed_to_the_budget(monkeypatch):
         dual(standard_lattice(3))
 
 
+def test_standard_lattice_charges_n_cubed_before_building(within, monkeypatch):
+    # The identity basis of Z^(10^6) would hold 10^12 Fractions.
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    with within(1):
+        with pytest.raises(BudgetExceeded, match="dimension 1000000 needs"):
+            standard_lattice(10**6)
+        assert standard_lattice(170).n == 170  # 170^3 fits the default budget
+
+
 def test_large_box_is_rejected_before_scanning(monkeypatch):
     data = dual(standard_lattice(3))
     monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
