@@ -33,7 +33,7 @@ from .errors import (
     NotInImage,
     UnitMismatch,
 )
-from .multiset import Unit, WeightedSpectrum
+from .multiset import Unit, WeightedSpectrum, _nonnegative
 from .rationals import _echo_number, format_rational
 from .sphere import _lambda_series, _mu_series
 
@@ -90,10 +90,11 @@ def first_divergence(
 
     One lockstep walk over both entry lists: while the entries agree the
     keys line up, so the first disagreement is either one key with two
-    multiplicities or the smaller key, missing from the other side.
+    multiplicities or the smaller key, missing from the other side.  A
+    negative bound is refused, like a negative cutoff.
     """
     left._require_same_unit(right)
-    bound = Fraction(bound)
+    bound = _nonnegative(bound)
     if bound > left.cutoff or bound > right.cutoff:
         raise CutoffExceeded(
             f"comparison bound {bound} exceeds a cutoff ({left.cutoff}, {right.cutoff})"

@@ -45,23 +45,35 @@ def _multiplicity_error(mult) -> ValueError:
     return ValueError(f"multiplicity must be a positive int, got {shown}")
 
 
-def _checked_cutoff(unit, cutoff, entries, den: int | None = None) -> Fraction:
-    """Check a spectrum's fields against its entry rules; return the cutoff as a Fraction.
-
-    The entries' keys are the eigenvalue keys themselves, or with ``den`` the
-    int numerators of ``key / den``, bounded by floor(cutoff * den).  As
-    den > 0, both bounds say the same of the values, and every message names
-    the value and the cutoff.
-    """
-    if not isinstance(unit, Unit):
-        raise TypeError("unit must be a Unit")
+def _nonnegative(cutoff) -> Fraction:
+    """A cutoff or comparison bound as a Fraction; a negative one is refused."""
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
+    return cutoff
+
+
+_EXACT_KEYS = frozenset((int, Fraction))
+
+
+def _checked_cutoff(unit, cutoff, entries, den: int | None = None) -> Fraction:
+    """Check a spectrum's fields against its entry rules; return the cutoff as a Fraction.
+
+    The entries' keys are the eigenvalue keys themselves, of type exactly int
+    or Fraction, or with ``den`` the int numerators of ``key / den``, bounded
+    by floor(cutoff * den).  As den > 0, both bounds say the same of the
+    values, and every message names the value and the cutoff.
+    """
+    if not isinstance(unit, Unit):
+        raise TypeError("unit must be a Unit")
+    cutoff = _nonnegative(cutoff)
     for _, mult in entries:
         if type(mult) is not int or mult < 1:  # refuses bools, unlike isinstance
             raise _multiplicity_error(mult)
     keys = [key for key, _ in entries]
+    if den is None and not _EXACT_KEYS.issuperset(map(type, keys)):
+        inexact = next(key for key in keys if type(key) not in _EXACT_KEYS)
+        raise ValueError(f"eigenvalue key must be an int or a Fraction, got {_echo(inexact)}")
     if not all(map(lt, keys, keys[1:])):
         raise ValueError("entries must be strictly increasing in key")
     if not keys:
@@ -90,7 +102,9 @@ class WeightedSpectrum:
     entries: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cutoff", _checked_cutoff(self.unit, self.cutoff, self.entries))
+        entries = tuple(map(tuple, self.entries))
+        object.__setattr__(self, "cutoff", _checked_cutoff(self.unit, self.cutoff, entries))
+        object.__setattr__(self, "entries", entries)
 
     # -- construction ----------------------------------------------------
 

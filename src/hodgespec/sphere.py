@@ -49,7 +49,7 @@ from .exterior import (
     homogeneous_exponents,
 )
 from .lattice import _resolve_budget
-from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merge
+from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merge, _nonnegative
 from .rationals import _echo_number
 
 __all__ = [
@@ -159,7 +159,8 @@ def harmonic_polynomial_dim(nvars: int, degree: int) -> int:
 class _SeriesFormula:
     """One eigenvalue series of p-forms on S^n: value(k) = scale (k+p)(k+b), k >= start.
 
-    ``scale`` is the coefficient over r^2, and the scalar series is p = 0.
+    ``scale`` is the coefficient over r^2, both positive (the factories take
+    checked values), and the scalar series is p = 0.
     Values strictly increase in k, so the terms come out as sorted entries.
     The eigenspace of term k has dimension
 
@@ -257,59 +258,40 @@ class _SeriesFormula:
         return _from_int_keys(Unit.PLAIN, cutoff, entries, den)
 
 
-def _nonnegative(cutoff) -> Fraction:
-    """A query's cutoff as a Fraction; a negative one is refused."""
-    cutoff = Fraction(cutoff)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    return cutoff
-
-
-def _scale(coefficient, r_squared) -> Fraction:
-    """coefficient / r^2; a series with a nonpositive one never passes a cutoff."""
-    coefficient, r_squared = Fraction(coefficient), Fraction(r_squared)
-    if coefficient <= 0 or r_squared <= 0:
-        raise NonpositiveScalar(
-            f"coefficient and r_squared must be positive, got {coefficient}, {r_squared}"
-        )
-    return coefficient / r_squared
-
-
 def _lambda_series(n: int, p: int, coefficient, r_squared) -> _SeriesFormula:
-    scale = _scale(coefficient, r_squared)
+    scale = Fraction(coefficient) / Fraction(r_squared)
     return _SeriesFormula(Series.LAMBDA, 1, scale, n, p, n - p - 1, n - p, n - 1)
 
 
 def _mu_series(n: int, p: int, coefficient, r_squared) -> _SeriesFormula:
-    scale = _scale(coefficient, r_squared)
+    scale = Fraction(coefficient) / Fraction(r_squared)
     return _SeriesFormula(Series.MU, 0, scale, n, p, n - p + 1, p, n)
 
 
 def _scalar_series(n: int, coefficient, r_squared, series: Series) -> _SeriesFormula:
     """The lambda series' formula at p = 0, from k = 0: the functions."""
-    scale = _scale(coefficient, r_squared)
+    scale = Fraction(coefficient) / Fraction(r_squared)
     return _SeriesFormula(series, 0, scale, n, 0, n - 1, n, n - 1)
 
 
-def _series_of(op: SphereOperator) -> tuple[_SeriesFormula, ...]:
-    """The operator's series: lambda (beta side) before mu (alpha side).
+def _series_of(op: SphereOperator, cutoff) -> tuple[int, dict[Series, list]]:
+    """The operator's series, each stepped once up to ``cutoff``.
 
-    p = 0 has only the beta-scaled scalar series, tagged lambda; p = n only
-    the alpha-scaled one, tagged mu.
+    Returns ``(den, {series: [(k, key, dim), ...]})`` with den the lcm of the
+    series' scale denominators, so that every key is an integer over it, and
+    each list sorted by key.  Lambda (beta side) is stepped before mu (alpha
+    side).  p = 0 has only the beta-scaled scalar series, tagged lambda; p = n
+    only the alpha-scaled one, tagged mu.
     """
-    if op.p == 0:
-        return (_scalar_series(op.n, op.beta, op.r_squared, Series.LAMBDA),)
-    if op.p == op.n:
-        return (_scalar_series(op.n, op.alpha, op.r_squared, Series.MU),)
-    return (
-        _lambda_series(op.n, op.p, op.beta, op.r_squared),
-        _mu_series(op.n, op.p, op.alpha, op.r_squared),
-    )
-
-
-def _common_den(formulas: tuple[_SeriesFormula, ...]) -> int:
-    """The lcm of the series' scale denominators: every key is an integer over it."""
-    return lcm(*(formula.scale.denominator for formula in formulas))
+    n, p, r_squared = op.n, op.p, op.r_squared
+    if p == 0:
+        formulas = (_scalar_series(n, op.beta, r_squared, Series.LAMBDA),)
+    elif p == n:
+        formulas = (_scalar_series(n, op.alpha, r_squared, Series.MU),)
+    else:
+        formulas = (_lambda_series(n, p, op.beta, r_squared), _mu_series(n, p, op.alpha, r_squared))
+    den = lcm(*(formula.scale.denominator for formula in formulas))
+    return den, {formula.series: list(formula.terms(cutoff, den)) for formula in formulas}
 
 
 def lambda_k(op: SphereOperator, k: int) -> Fraction:
@@ -333,10 +315,10 @@ def _parts(op: SphereOperator, cutoff: Fraction) -> tuple[int, list, list]:
 
     Returns ``(den, alpha_part, beta_part)``, each part sorted by key.
     """
-    formulas = _series_of(op)
-    den = _common_den(formulas)
-    sides = {f.series: [(key, dim) for _, key, dim in f.terms(cutoff, den)] for f in formulas}
-    alpha_part, beta_part = sides.get(Series.MU, []), sides.get(Series.LAMBDA, [])
+    den, series = _series_of(op, cutoff)
+    alpha_part, beta_part = (
+        [(key, dim) for _, key, dim in series.get(side, ())] for side in (Series.MU, Series.LAMBDA)
+    )
     if op.p == op.n:
         # Duality image of p = 0: the alpha-scaled scalar series; its zero
         # eigenvalue (the volume form, term k = 0) sits on the beta side.
@@ -388,13 +370,11 @@ def eigenvalue_details(op: SphereOperator, cutoff) -> tuple[SphereEigenvalue, ..
     """Merged eigenvalues <= cutoff with their series bookkeeping."""
     if op.generic:
         raise ValueError("generic-mode operators do not merge series")
-    cutoff = Fraction(cutoff)
-    formulas = _series_of(op)
-    den = _common_den(formulas)
+    den, series = _series_of(op, cutoff)
     found: dict[int, list[SeriesTerm]] = {}
-    for formula in formulas:
-        for k, key, dim in formula.terms(cutoff, den):
-            found.setdefault(key, []).append(SeriesTerm(formula.series, k, dim))
+    for side, terms in series.items():
+        for k, key, dim in terms:
+            found.setdefault(key, []).append(SeriesTerm(side, k, dim))
     return tuple(
         SphereEigenvalue(Fraction(key, den), tuple(terms)) for key, terms in sorted(found.items())
     )
@@ -405,13 +385,10 @@ def coincidences(op: SphereOperator, cutoff) -> tuple[tuple[int, int], ...]:
     cutoff = _nonnegative(cutoff)
     if op.generic or op.duality_extension:
         return ()
-    formulas = lambda_series, mu_series = _series_of(op)
-    den = _common_den(formulas)
+    _, series = _series_of(op, cutoff)
     # keys strictly increase in k, so each key names at most one mu term
-    mu_at = {key: k for k, key, _ in mu_series.terms(cutoff, den)}
-    return tuple(
-        (k, mu_at[key]) for k, key, _ in lambda_series.terms(cutoff, den) if key in mu_at
-    )
+    mu_at = {key: k for k, key, _ in series[Series.MU]}
+    return tuple((k, mu_at[key]) for k, key, _ in series[Series.LAMBDA] if key in mu_at)
 
 
 # -- polynomial-space oracle -------------------------------------------------

@@ -24,7 +24,7 @@ from math import comb
 
 from .errors import DegreeOutOfRange, NonpositiveScalar, UnrepresentedNorm
 from .lattice import Lattice, _count_at, _walk, dual, enumerate_norms
-from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merge
+from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merge, _nonnegative
 
 __all__ = [
     "Branch",
@@ -95,8 +95,6 @@ def _parts(op: TorusOperator, cutoff: Fraction) -> tuple[int, list, list]:
     beta_part)``, each part sorted by key and already multiplied by its
     binomial copy count (empty for zero copies).
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
     alpha, beta = op.alpha, op.beta
     weight = min(w for w, copies in ((alpha, op.alpha_copies), (beta, op.beta_copies)) if copies)
     counts, scale = _walk(dual(op.lattice), cutoff / weight)
@@ -121,7 +119,7 @@ def _parts(op: TorusOperator, cutoff: Fraction) -> tuple[int, list, list]:
 
 def f_spectrum_parts(op: TorusOperator, cutoff) -> tuple[WeightedSpectrum, WeightedSpectrum]:
     """(alpha part, beta part), each complete up to ``cutoff``, never merged."""
-    cutoff = Fraction(cutoff)
+    cutoff = _nonnegative(cutoff)
     den, alpha_part, beta_part = _parts(op, cutoff)
     return (
         _from_int_keys(Unit.FOUR_PI_SQUARED, cutoff, alpha_part, den),
@@ -133,7 +131,7 @@ def f_spectrum(op: TorusOperator, cutoff) -> WeightedSpectrum:
     """Merged spectrum on p-forms, truncated at ``cutoff``."""
     if op.generic:
         raise ValueError("generic-mode operators have no merged spectrum; use f_spectrum_parts")
-    cutoff = Fraction(cutoff)
+    cutoff = _nonnegative(cutoff)
     den, alpha_part, beta_part = _parts(op, cutoff)
     return _from_int_keys(Unit.FOUR_PI_SQUARED, cutoff, _merge(alpha_part, 1, beta_part, 1), den)
 

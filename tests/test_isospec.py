@@ -87,6 +87,24 @@ def test_isospectral_upto_bounds():
         is_isospectral_upto(w, wspec([(1, 1)], 5), 5)
 
 
+
+def test_negative_comparison_bound_is_refused():
+    a = spectrum(SphereOperator(3, 1, 1, 1), 10)
+    b = spectrum(SphereOperator(3, 1, 2, 1), 10)
+    assert first_divergence(a, b, 10) == (F(3), 4, 0)
+    for compare in (is_isospectral_upto, first_divergence):
+        for bound in (-1, F(-1, 3)):
+            with pytest.raises(ValueError) as raised:
+                compare(a, b, bound)
+            assert str(raised.value) == "cutoff must be nonnegative"
+        # the unit check comes first
+        with pytest.raises(UnitMismatch):
+            compare(a, wspec([(0, 1)], 4), -1)
+    # a bound of 0 still compares: neither spectrum has a zero eigenvalue
+    assert is_isospectral_upto(a, b, 0)
+    assert first_divergence(a, b, 0) is None
+    assert first_divergence(wspec([(0, 1)], 4), wspec([(0, 2)], 4), 0) == (F(0), 1, 2)
+
 def test_reconstruct_base_two_scaled_copies():
     m = wspec([(0, 2), (1, 1), (2, 1), (4, 1), (8, 1)], 8)
     base = reconstruct_base(m, 1, 2, 1, 1)

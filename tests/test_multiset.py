@@ -66,6 +66,30 @@ def test_from_pairs_refuses_multiplicities_that_are_not_ints():
     assert WeightedSpectrum.from_pairs(Unit.PLAIN, 5, [(F(1), 0)]).is_empty()
 
 
+
+def test_entries_are_stored_as_a_tuple_of_pairs():
+    from_list = WeightedSpectrum(Unit.PLAIN, 5, [(F(1), 2), [F(3), 1]])
+    from_tuple = WeightedSpectrum(Unit.PLAIN, 5, ((F(1), 2), (F(3), 1)))
+    assert from_list == from_tuple and from_list.entries == from_tuple.entries
+    assert type(from_list.entries) is tuple and all(type(e) is tuple for e in from_list.entries)
+    assert hash(from_list) == hash(from_tuple)
+    assert len({from_list, from_tuple}) == 1
+    with pytest.raises(AttributeError):
+        from_list.entries.append((F(9), 1))
+    # int keys are exact and stay as given
+    assert WeightedSpectrum(Unit.PLAIN, 5, [(0, 1), (2, 3)]).entries == ((0, 1), (2, 3))
+
+
+@pytest.mark.parametrize(
+    "key, shown", [(0.5, "0.5"), ("1", "'1'"), (True, "True")], ids=["float", "str", "bool"]
+)
+def test_constructor_refuses_keys_that_are_not_int_or_fraction(key, shown):
+    with pytest.raises(ValueError) as raised:
+        WeightedSpectrum(Unit.PLAIN, 5, ((key, 1), (2, 3)))
+    assert str(raised.value) == f"eigenvalue key must be an int or a Fraction, got {shown}"
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        WeightedSpectrum(Unit.PLAIN, 5, [(F(0), 1), (key, 1)])
+
 # (unit, cutoff, int entries, den): each is refused, and the same entries as
 # Fractions key / den are refused by the public constructor.
 BAD_INT_KEYED = {

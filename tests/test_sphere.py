@@ -1,5 +1,6 @@
 """Round sphere spectra: series values, eigenspace dimensions, oracle recount."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -27,6 +28,7 @@ from hodgespec.sphere import (
     spectrum,
     spectrum_parts,
 )
+from hodgespec.sphere import _lambda_series
 
 
 def spec(pairs, cutoff) -> WeightedSpectrum:
@@ -67,6 +69,22 @@ def test_eigenspace_dimensions():
     with pytest.raises(ValueError):
         dim_V(3, 1, -1)
 
+
+
+def test_dim_W_refuses_a_negative_k():
+    with pytest.raises(ValueError, match="^k must be nonnegative$"):
+        dim_W(2, 1, -1)
+
+
+def test_a_non_integral_dimension_step_is_caught():
+    # b = 1 in place of n - p - 1 = 0 breaks the lambda dimension at k = 1:
+    # C(3, 2) * 1 * C(3, 3) * (2 + 2 + 1) / ((1 + 2)(1 + 1)) = 15/6
+    broken = dataclasses.replace(_lambda_series(3, 2, 1, 1), b=1)
+    message = "^lambda dimension at n=3, k=1 came out non-integral: 5/2$"
+    with pytest.raises(AssertionError, match=message):
+        broken.dim(1)
+    with pytest.raises(AssertionError, match=message):
+        list(broken.terms(broken.value(1), 1))
 
 def test_harmonic_polynomial_dims():
     assert [harmonic_polynomial_dim(3, k) for k in range(4)] == [1, 3, 5, 7]
@@ -337,6 +355,16 @@ def test_series_budget_counts_exact_terms(build, n, p, start, value, cutoff, mon
     with pytest.raises(BudgetExceeded):
         build(cutoff)
 
+
+
+@pytest.mark.parametrize("query", [spectrum, spectrum_parts, eigenvalue_details, coincidences])
+def test_every_query_steps_lambda_before_mu(query, monkeypatch):
+    # beta = 2: lambda has k = 1..21 below 1000, mu has k = 0..29; each term costs
+    # 1 + min(3, last k) + min(1, 2) = 5, so both series are over a budget of 10
+    monkeypatch.setenv(BUDGET_ENV_VAR, "10")
+    with pytest.raises(BudgetExceeded) as raised:
+        query(SphereOperator(3, 1, F(1), F(2)), 1000)
+    assert str(raised.value) == "sphere dimensions need 21 terms times 5 work, budget is 10"
 
 # Few terms, but each dimension is a product of binomials with thousands of digits.
 @pytest.mark.parametrize(

@@ -207,6 +207,20 @@ def test_operator_validation():
         f_spectrum(TorusOperator(lattice, 1, F(1), F(1)), -1)
 
 
+
+@pytest.mark.parametrize("build", [f_spectrum, f_spectrum_parts])
+def test_negative_cutoff_is_refused_before_any_dual_work(build, monkeypatch):
+    op = TorusOperator(standard_lattice(2), 1, F(1), F(2))
+    # dual() charges 2^3 = 8, so reaching it would raise BudgetExceeded
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1")
+    with pytest.raises(BudgetExceeded):
+        build(op, 1)
+    for cutoff in (-1, F(-1, 2)):
+        with pytest.raises(ValueError) as raised:
+            build(op, cutoff)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "cutoff must be nonnegative"
+
 def test_budget_propagates_to_enumeration(monkeypatch):
     # 8 = 2^3 lets dual() through, so the walk is what refuses
     monkeypatch.setenv(BUDGET_ENV_VAR, "8")
