@@ -7,7 +7,7 @@ algorithms that read parameters back off a spectrum.  Everything is exact:
 rationals throughout, no floating point anywhere.
 """
 
-from . import exterior, isospec, lattice, linalg, multiset, rationals, sphere, torus
+from . import isospec, lattice, linalg, multiset, rationals, sphere, torus
 from .errors import (
     BoxTooLarge,
     BranchAmbiguous,
@@ -15,8 +15,6 @@ from .errors import (
     CutoffExceeded,
     CutoffTooSmall,
     DegreeOutOfRange,
-    DegreeZero,
-    DimensionMismatch,
     EmptyInput,
     EmptySpectrum,
     Error,
@@ -27,14 +25,6 @@ from .errors import (
     SingularBasis,
     UnitMismatch,
     UnrepresentedNorm,
-)
-from .exterior import (
-    Poly,
-    PolyForm,
-    contract_position,
-    d_flat,
-    delta_flat,
-    homogeneous_exponents,
 )
 from .isospec import (
     RecoveryResult,
@@ -67,7 +57,6 @@ from .sphere import (
     dim_V,
     dim_W,
     eigenvalue_details,
-    harmonic_form_dims_oracle,
     harmonic_polynomial_dim,
     lambda_k,
     mu_k,

@@ -15,8 +15,6 @@ __all__ = [
     "NonpositiveScalar",
     "EmptySpectrum",
     "CutoffExceeded",
-    "DimensionMismatch",
-    "DegreeZero",
     "DegreeOutOfRange",
     "SingularBasis",
     "BoxTooLarge",
@@ -62,14 +60,6 @@ class CutoffExceeded(Error):
     """A comparison or truncation bound lies beyond a spectrum's guaranteed cutoff."""
 
 
-class DimensionMismatch(Error):
-    """Operands live in ambient spaces of different dimension."""
-
-
-class DegreeZero(Error):
-    """The codifferential was applied to a 0-form."""
-
-
 class DegreeOutOfRange(Error):
     """A form degree outside the range an operation is defined for."""
 
@@ -83,7 +73,7 @@ class BoxTooLarge(Error):
 
 
 class BudgetExceeded(Error):
-    """An enumeration or oracle instance exceeds the configured work budget."""
+    """A lattice elimination, norm enumeration or sphere series exceeds the work budget."""
 
 
 class UnrepresentedNorm(Error):

@@ -40,7 +40,7 @@ from typing import Mapping
 
 from . import linalg
 from .errors import BoxTooLarge, BudgetExceeded, ParseError, SingularBasis
-from .multiset import Unit, WeightedSpectrum, _from_int_keys
+from .multiset import Unit, WeightedSpectrum, _from_int_keys, _nonnegative
 from .rationals import _echo, _echo_number, format_rational, parse_rational, sqrt_floor
 
 __all__ = [
@@ -264,9 +264,7 @@ def _count_at(counts: dict[int, int], scale: int, norm: Fraction) -> int:
 
 def enumerate_norms(dual_data: DualData, bound) -> WeightedSpectrum:
     """Exact counts of dual vectors with squared norm <= bound (zero included)."""
-    bound = Fraction(bound)
-    if bound < 0:
-        raise ValueError("enumeration bound must be nonnegative")
+    bound = _nonnegative(bound)
     counts, scale = _walk(dual_data, bound)
     return _from_int_keys(Unit.FOUR_PI_SQUARED, bound, sorted(counts.items()), scale)
 
@@ -281,9 +279,7 @@ def count_norm(dual_data: DualData, norm) -> int:
 
 def brute_force_enumerate(dual_data: DualData, bound) -> WeightedSpectrum:
     """Reference enumeration: scan the Cauchy-Schwarz box, recheck every cell."""
-    bound = Fraction(bound)
-    if bound < 0:
-        raise ValueError("enumeration bound must be nonnegative")
+    bound = _nonnegative(bound)
     limit = _resolve_budget()
     n = dual_data.lattice.n
     radii = [sqrt_floor(bound * dual_data.gram[i][i]) for i in range(n)]

@@ -1,20 +1,17 @@
-"""Small exact linear algebra kit: Gram matrix, fraction-free elimination, rank.
+"""Small exact linear algebra kit: Gram matrix and fraction-free elimination.
 
 Nothing here ever touches floating point.  Matrices are tuples of row tuples
 of Fractions.  Elimination works on sparse integer rows, ``{column: entry}``
-dicts that hold no zero entry, so a zero is never multiplied or divided;
-``rank`` takes sparse rows of Fractions and clears them into such rows.
+dicts that hold no zero entry, so a zero is never multiplied or divided.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
-from typing import Hashable, Mapping, Sequence
+from typing import Sequence
 
-__all__ = ["identity", "rank", "gram"]
+__all__ = ["identity", "gram"]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Row = dict[int, int]
@@ -83,22 +80,3 @@ def _eliminate(row: Row, pivots: Sequence[tuple[int, Row]]) -> Row:
         g = gcd(*out.values())
         row = {j: x // g for j, x in out.items() if x}
     return row
-
-
-def rank(rows: Sequence[Mapping[Hashable, Fraction]]) -> int:
-    """Rank of the matrix with sparse rows ``{column: entry}``, Fraction or int entries.
-
-    Any orderable column keys will do: a pivot row's column is its least key.
-    Each row is cleared of denominators and reduced by fraction-free elimination.
-    """
-    pivots: list[tuple[int, Row]] = []
-    for entries in rows:
-        nonzero = {j: x for j, x in entries.items() if x}
-        scale = lcm(*(x.denominator for x in nonzero.values()))
-        row = _eliminate(
-            {j: x.numerator * (scale // x.denominator) for j, x in nonzero.items()}, pivots
-        )
-        if row:
-            col = min(row)
-            pivots.insert(bisect_left(pivots, col, key=itemgetter(0)), (col, row))
-    return len(pivots)

@@ -7,9 +7,9 @@ keys in the PLAIN unit (true eigenvalues; r^2 must be rational):
     mu_k     = alpha * (k+p) * (k+n-p+1) / r^2  (k >= 0, dimension dim_W)
 
 Both dimension formulas come from spaces of componentwise-harmonic,
-co-closed, homogeneous polynomial forms on R^{n+1};
-``harmonic_form_dims_oracle`` rebuilds those spaces with exact linear
-algebra and recounts the dimensions from scratch.
+co-closed, homogeneous polynomial forms on R^{n+1} (Ikeda & Taniguchi, Osaka
+J. Math. 15 (1978) 515-546); the test suite's polynomial oracle rebuilds
+those spaces with exact linear algebra and recounts the dimensions.
 
 p = 0 carries beta times the scalar Laplace series k(k+n-1)/r^2 with the
 classical harmonic multiplicities (the codifferential kills functions), and
@@ -32,22 +32,12 @@ budget is charged for the size of those binomials before any term is made.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, lcm
 from typing import Iterator
 
-from . import linalg
 from .errors import BudgetExceeded, DegreeOutOfRange, NonpositiveScalar
-from .exterior import (
-    PolyForm,
-    Poly,
-    contract_position,
-    d_flat,
-    delta_flat,
-    homogeneous_exponents,
-)
 from .lattice import _resolve_budget
 from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merge, _nonnegative
 from .rationals import _echo_number
@@ -66,11 +56,7 @@ __all__ = [
     "spectrum",
     "eigenvalue_details",
     "coincidences",
-    "harmonic_form_dims_oracle",
 ]
-
-ORACLE_MAX_AMBIENT_DIM = 5
-ORACLE_MAX_POLY_DEGREE = 4
 
 
 class Series(enum.Enum):
@@ -389,77 +375,3 @@ def coincidences(op: SphereOperator, cutoff) -> tuple[tuple[int, int], ...]:
     # keys strictly increase in k, so each key names at most one mu term
     mu_at = {key: k for k, key, _ in series[Series.MU]}
     return tuple((k, mu_at[key]) for k, key, _ in series[Series.LAMBDA] if key in mu_at)
-
-
-# -- polynomial-space oracle -------------------------------------------------
-
-
-def _coords(form: PolyForm, block: int) -> dict[tuple, Fraction]:
-    """The form's nonzero coefficients as a sparse row keyed by (block, indices, exponents)."""
-    return {
-        (block, indices, exps): coeff
-        for indices, poly in form.coeffs.items()
-        for exps, coeff in poly.terms.items()
-        if coeff
-    }
-
-
-def _space_rows(
-    nvars: int, degree: int, poly_degree: int, extra: str
-) -> tuple[list[dict[tuple, Fraction]], list[dict[tuple, Fraction]]]:
-    """Sparse rows of (laplacian | delta) and of (laplacian | delta | extra),
-    one of each per basis form, in column blocks 0, 1 and 2.
-
-    ``extra`` is "position" (contraction with the position vector) or "d"
-    (exterior derivative).
-    """
-    apply = contract_position if extra == "position" else d_flat
-    constraints: list[dict[tuple, Fraction]] = []
-    rows: list[dict[tuple, Fraction]] = []
-    for indices in itertools.combinations(range(nvars), degree):
-        for exps in homogeneous_exponents(nvars, poly_degree):
-            monomial = Poly.monomial(nvars, exps, 1)
-            form = PolyForm(nvars, degree, {indices: monomial})
-            # from_terms drops the coefficient when the laplacian vanishes
-            lap_form = PolyForm.from_terms(nvars, degree, [(indices, monomial.laplacian())])
-            row = _coords(lap_form, 0)
-            if degree >= 1:
-                row |= _coords(delta_flat(form), 1)
-            constraints.append(row)
-            rows.append(row | _coords(apply(form), 2))
-    return constraints, rows
-
-
-def harmonic_form_dims_oracle(n: int, p: int, k: int) -> tuple[int, int]:
-    """Recount (dim_V, dim_W) from polynomial spaces on R^{n+1}.
-
-    Builds the space of componentwise-harmonic, co-closed, homogeneous
-    degree-k p-forms; returns the dimension of its position-contraction
-    kernel and the dimension of the image of d on the corresponding
-    (p-1)-form space one degree up, checking that the two add up to the
-    whole space.
-    """
-    if not 1 <= p <= n - 1:
-        raise DegreeOutOfRange(f"oracle needs 1 <= p <= n-1, got p={p}, n={n}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    nvars = n + 1
-    if nvars > ORACLE_MAX_AMBIENT_DIM or k > ORACLE_MAX_POLY_DEGREE:
-        raise BudgetExceeded(
-            f"oracle instance (n+1={nvars}, k={k}) beyond budget "
-            f"(n+1 <= {ORACLE_MAX_AMBIENT_DIM}, k <= {ORACLE_MAX_POLY_DEGREE})"
-        )
-
-    constraints, rows = _space_rows(nvars, p, k, extra="position")
-    dim_whole = len(rows) - linalg.rank(constraints)
-    dim_ker_nu = len(rows) - linalg.rank(rows)
-
-    constraints_low, rows_low = _space_rows(nvars, p - 1, k + 1, extra="d")
-    dim_image_d = linalg.rank(rows_low) - linalg.rank(constraints_low)
-
-    if dim_whole != dim_ker_nu + dim_image_d:
-        raise AssertionError(
-            f"decomposition failed for (n={n}, p={p}, k={k}): "
-            f"{dim_whole} != {dim_ker_nu} + {dim_image_d}"
-        )
-    return dim_ker_nu, dim_image_d

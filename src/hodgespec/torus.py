@@ -81,6 +81,7 @@ class TorusOperator:
 
 def laplace0_spectrum(lattice: Lattice, cutoff) -> WeightedSpectrum:
     """Scalar Laplace spectrum of the torus: keys |l|^2 over the dual lattice."""
+    cutoff = _nonnegative(cutoff)
     return enumerate_norms(dual(lattice), cutoff)
 
 

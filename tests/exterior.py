@@ -2,7 +2,7 @@
 
 Forms are written in the basis ``e^{i_1} ^ ... ^ e^{i_p}`` with strictly
 increasing 0-based index tuples; coefficients are exact-rational sparse
-polynomials in the coordinates.  The oracle in :mod:`hodgespec.sphere`
+polynomials in the coordinates.  The sphere oracle in ``oracles.py``
 needs three operators on them: the flat differential, the flat
 codifferential, and contraction with the position vector field.
 
@@ -19,9 +19,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DegreeZero, DimensionMismatch
+from hodgespec.errors import Error
 
 __all__ = [
+    "DegreeZero",
+    "DimensionMismatch",
     "Poly",
     "PolyForm",
     "contract_position",
@@ -29,6 +31,14 @@ __all__ = [
     "delta_flat",
     "homogeneous_exponents",
 ]
+
+
+class DimensionMismatch(Error):
+    """Operands live in ambient spaces of different dimension."""
+
+
+class DegreeZero(Error):
+    """The codifferential was applied to a 0-form."""
 
 
 def homogeneous_exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -209,9 +219,6 @@ class PolyForm:
             else:
                 acc[indices] = total
         return PolyForm(self.nvars, self.degree, acc)
-
-    def sub(self, other: "PolyForm") -> "PolyForm":
-        return self.add(other.scale(-1))
 
     def scale(self, factor) -> "PolyForm":
         factor = Fraction(factor)

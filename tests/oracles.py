@@ -1,9 +1,23 @@
-"""Test-side references: a Fraction LDL^T, the walk data read off it, and D_n^+."""
+"""Test-side references: a Fraction LDL^T, the walk data read off it, D_n^+,
+the rank of sparse rows and the polynomial-space sphere oracle.
 
+The oracle rebuilds the eigenspaces behind ``hodgespec.sphere``'s closed-form
+dimensions from componentwise-harmonic, co-closed, homogeneous polynomial
+forms on R^{n+1} and recounts their dimensions with exact linear algebra.
+"""
+
+import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction as F
+from operator import itemgetter
+from typing import Hashable, Mapping, Sequence
 
+from hodgespec.errors import BudgetExceeded, DegreeOutOfRange
 from hodgespec.lattice import Lattice
+from hodgespec.linalg import _eliminate
+
+from exterior import Poly, PolyForm, contract_position, d_flat, delta_flat, homogeneous_exponents
 
 
 def ldlt(matrix):
@@ -62,3 +76,99 @@ def e8_plus_e8() -> Lattice:
     e8 = d_plus(8).basis
     zeros = (F(0),) * 8
     return Lattice(tuple(row + zeros for row in e8) + tuple(zeros + row for row in e8))
+
+
+def rank(rows: Sequence[Mapping[Hashable, F]]) -> int:
+    """Rank of the matrix with sparse rows ``{column: entry}``, Fraction or int entries.
+
+    Any orderable column keys will do: a pivot row's column is its least key.
+    Each row is cleared of denominators and reduced by fraction-free elimination.
+    """
+    pivots: list[tuple[int, dict[int, int]]] = []
+    for entries in rows:
+        nonzero = {j: x for j, x in entries.items() if x}
+        scale = math.lcm(*(x.denominator for x in nonzero.values()))
+        row = _eliminate(
+            {j: x.numerator * (scale // x.denominator) for j, x in nonzero.items()}, pivots
+        )
+        if row:
+            col = min(row)
+            pivots.insert(bisect_left(pivots, col, key=itemgetter(0)), (col, row))
+    return len(pivots)
+
+
+# -- polynomial-space oracle -------------------------------------------------
+
+ORACLE_MAX_AMBIENT_DIM = 5
+ORACLE_MAX_POLY_DEGREE = 4
+
+
+def _coords(form: PolyForm, block: int) -> dict[tuple, F]:
+    """The form's nonzero coefficients as a sparse row keyed by (block, indices, exponents)."""
+    return {
+        (block, indices, exps): coeff
+        for indices, poly in form.coeffs.items()
+        for exps, coeff in poly.terms.items()
+        if coeff
+    }
+
+
+def _space_rows(
+    nvars: int, degree: int, poly_degree: int, extra: str
+) -> tuple[list[dict[tuple, F]], list[dict[tuple, F]]]:
+    """Sparse rows of (laplacian | delta) and of (laplacian | delta | extra),
+    one of each per basis form, in column blocks 0, 1 and 2.
+
+    ``extra`` is "position" (contraction with the position vector) or "d"
+    (exterior derivative).
+    """
+    apply = contract_position if extra == "position" else d_flat
+    constraints: list[dict[tuple, F]] = []
+    rows: list[dict[tuple, F]] = []
+    for indices in itertools.combinations(range(nvars), degree):
+        for exps in homogeneous_exponents(nvars, poly_degree):
+            monomial = Poly.monomial(nvars, exps, 1)
+            form = PolyForm(nvars, degree, {indices: monomial})
+            # from_terms drops the coefficient when the laplacian vanishes
+            lap_form = PolyForm.from_terms(nvars, degree, [(indices, monomial.laplacian())])
+            row = _coords(lap_form, 0)
+            if degree >= 1:
+                row |= _coords(delta_flat(form), 1)
+            constraints.append(row)
+            rows.append(row | _coords(apply(form), 2))
+    return constraints, rows
+
+
+def harmonic_form_dims_oracle(n: int, p: int, k: int) -> tuple[int, int]:
+    """Recount (dim_V, dim_W) from polynomial spaces on R^{n+1}.
+
+    Builds the space of componentwise-harmonic, co-closed, homogeneous
+    degree-k p-forms; returns the dimension of its position-contraction
+    kernel and the dimension of the image of d on the corresponding
+    (p-1)-form space one degree up, checking that the two add up to the
+    whole space.
+    """
+    if not 1 <= p <= n - 1:
+        raise DegreeOutOfRange(f"oracle needs 1 <= p <= n-1, got p={p}, n={n}")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    nvars = n + 1
+    if nvars > ORACLE_MAX_AMBIENT_DIM or k > ORACLE_MAX_POLY_DEGREE:
+        raise BudgetExceeded(
+            f"oracle instance (n+1={nvars}, k={k}) beyond budget "
+            f"(n+1 <= {ORACLE_MAX_AMBIENT_DIM}, k <= {ORACLE_MAX_POLY_DEGREE})"
+        )
+
+    constraints, rows = _space_rows(nvars, p, k, extra="position")
+    dim_whole = len(rows) - rank(constraints)
+    dim_ker_nu = len(rows) - rank(rows)
+
+    constraints_low, rows_low = _space_rows(nvars, p - 1, k + 1, extra="d")
+    dim_image_d = rank(rows_low) - rank(constraints_low)
+
+    if dim_whole != dim_ker_nu + dim_image_d:
+        raise AssertionError(
+            f"decomposition failed for (n={n}, p={p}, k={k}): "
+            f"{dim_whole} != {dim_ker_nu} + {dim_image_d}"
+        )
+    return dim_ker_nu, dim_image_d

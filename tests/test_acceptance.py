@@ -34,7 +34,6 @@ from hodgespec.sphere import (
     dim_V,
     dim_W,
     eigenvalue_details,
-    harmonic_form_dims_oracle,
     lambda_k,
     mu_k,
 )
@@ -47,7 +46,7 @@ from hodgespec.torus import (
     laplace0_spectrum,
 )
 
-from oracles import d_plus, e8_plus_e8
+from oracles import d_plus, e8_plus_e8, harmonic_form_dims_oracle
 
 
 def _report(number: int, label: str, budget: float, fn) -> None:

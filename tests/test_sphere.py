@@ -13,15 +13,12 @@ from hodgespec.errors import BudgetExceeded, DegreeOutOfRange, NonpositiveScalar
 from hodgespec.lattice import BUDGET_ENV_VAR
 from hodgespec.multiset import Unit, WeightedSpectrum
 from hodgespec.sphere import (
-    ORACLE_MAX_AMBIENT_DIM,
-    ORACLE_MAX_POLY_DEGREE,
     Series,
     SphereOperator,
     coincidences,
     dim_V,
     dim_W,
     eigenvalue_details,
-    harmonic_form_dims_oracle,
     harmonic_polynomial_dim,
     lambda_k,
     mu_k,
@@ -29,6 +26,8 @@ from hodgespec.sphere import (
     spectrum_parts,
 )
 from hodgespec.sphere import _lambda_series
+
+from oracles import ORACLE_MAX_AMBIENT_DIM, ORACLE_MAX_POLY_DEGREE, harmonic_form_dims_oracle
 
 
 def spec(pairs, cutoff) -> WeightedSpectrum:

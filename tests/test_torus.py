@@ -12,7 +12,14 @@ from hodgespec.errors import (
     NonpositiveScalar,
     UnrepresentedNorm,
 )
-from hodgespec.lattice import BUDGET_ENV_VAR, Lattice, dual, enumerate_norms, standard_lattice
+from hodgespec.lattice import (
+    BUDGET_ENV_VAR,
+    Lattice,
+    brute_force_enumerate,
+    dual,
+    enumerate_norms,
+    standard_lattice,
+)
 from hodgespec.multiset import Unit, WeightedSpectrum, repeated_union
 from hodgespec.torus import (
     Branch,
@@ -220,6 +227,25 @@ def test_negative_cutoff_is_refused_before_any_dual_work(build, monkeypatch):
             build(op, cutoff)
         assert type(raised.value) is ValueError
         assert str(raised.value) == "cutoff must be nonnegative"
+
+
+def test_scalar_spectrum_and_enumerations_share_the_cutoff_rule(monkeypatch):
+    lattice = standard_lattice(2)
+    data = dual(lattice)
+    # dual() charges 2^3 = 8, so laplace0_spectrum reaching it would raise BudgetExceeded
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1")
+    with pytest.raises(BudgetExceeded):
+        laplace0_spectrum(lattice, 1)
+    for refuse in (
+        lambda: enumerate_norms(data, -1),
+        lambda: brute_force_enumerate(data, -1),
+        lambda: laplace0_spectrum(lattice, -1),
+    ):
+        with pytest.raises(ValueError) as raised:
+            refuse()
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "cutoff must be nonnegative"
+
 
 def test_budget_propagates_to_enumeration(monkeypatch):
     # 8 = 2^3 lets dual() through, so the walk is what refuses
