@@ -129,7 +129,9 @@ def reconstruct_base(
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha <= 0 or beta <= 0:
-        raise NonpositiveScalar(f"alpha and beta must be positive, got {alpha}, {beta}")
+        raise NonpositiveScalar(
+            f"alpha and beta must be positive, got {_echo_number(alpha)}, {_echo_number(beta)}"
+        )
     if copies_alpha < 1 or copies_beta < 1:
         raise ValueError("copy counts must be positive")
     if m_spec.is_empty():
@@ -265,7 +267,7 @@ def recover_sphere_params(
         )
     r_squared = Fraction(r_squared)
     if r_squared <= 0:
-        raise NonpositiveScalar(f"r_squared must be positive, got {r_squared}")
+        raise NonpositiveScalar(f"r_squared must be positive, got {_echo_number(r_squared)}")
 
     def share(series) -> _Share:
         first = series(n, p, 1, r_squared)
@@ -288,10 +290,14 @@ def recover_radius(alpha, beta, n: int, p: int, min_eigenvalue) -> Fraction:
         raise DegreeOutOfRange(f"radius recovery needs 1 <= p <= n-1, got p={p}, n={n}")
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha <= 0 or beta <= 0:
-        raise NonpositiveScalar(f"alpha and beta must be positive, got {alpha}, {beta}")
+        raise NonpositiveScalar(
+            f"alpha and beta must be positive, got {_echo_number(alpha)}, {_echo_number(beta)}"
+        )
     min_eigenvalue = Fraction(min_eigenvalue)
     if min_eigenvalue <= 0:
-        raise NonpositiveMin(f"minimal eigenvalue must be positive, got {min_eigenvalue}")
+        raise NonpositiveMin(
+            f"minimal eigenvalue must be positive, got {_echo_number(min_eigenvalue)}"
+        )
     leads = (_mu_series(n, p, alpha, 1), _lambda_series(n, p, beta, 1))
     return min(series.value(series.start) for series in leads) / min_eigenvalue
 

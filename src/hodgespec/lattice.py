@@ -17,8 +17,9 @@ so T*|l|^2 = sum_i w_i y_i^2.  The walk runs in Python ints: the bracket
 |y_i| <= isqrt(remaining // w_i) is exact, every candidate in it is a member,
 and the integer norms are sorted before one Fraction is built per distinct
 norm.  Queries that need one or two counts (``count_norm`` here, and the
-torus multiplicity query) read them off the integer table at key ``q * T``,
-which is 0 when that is not an integer, and build no spectrum.
+torus multiplicity query) walk the same layers but count only their integer
+keys ``q * T`` at the last layer, one ``isqrt`` per key, and build no
+spectrum; a norm whose ``q * T`` is not an integer has count 0.
 ``brute_force_enumerate`` is the deliberately dumb reference: it scans the
 full integer box given by the per-coordinate bound x_i^2 <= Q * <b_i, b_i>
 (from x_i = <l, b_i> and Cauchy-Schwarz) and rechecks every cell in integers,
@@ -26,7 +27,8 @@ against the dual Gram matrix scaled by the lcm S of its denominators and the
 bound floor(S * Q).  It uses no walk data.  Both count the zero vector.
 
 The environment variable HODGESPEC_BUDGET caps enumeration work for both,
-and the n^3 matrix work of :func:`dual`.
+and the n^3 matrix work of :func:`dual`, which each Lattice object pays once,
+on first use: the object keeps the DualData built for it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from . import linalg
@@ -95,6 +98,12 @@ class Lattice:
     def n(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _dual(self) -> "DualData":
+        # Built on first use and kept in the instance dict; not a field, so
+        # equality, hashing, repr and JSON ignore it.
+        return _build_dual(self)
+
     def scaled(self, factor) -> "Lattice":
         factor = Fraction(factor)
         if factor == 0:
@@ -147,7 +156,8 @@ class DualData:
     y_i = c_i x_i + sum_{(j, t) in terms[i]} t x_j, where ``clear`` holds the
     c_i, ``weights`` the w_i > 0 and ``scale`` is T.  This is the LDL^T of
     ``dual_gram`` with its denominators cleared: L[j][i] = t / c_i and
-    d_i = w_i c_i^2 / T.
+    d_i = w_i c_i^2 / T.  Get it from :func:`dual`, which builds it once per
+    Lattice object.
     """
 
     lattice: Lattice
@@ -169,6 +179,17 @@ def _charge_dimension(n: int) -> None:
 
 def dual(lattice: Lattice) -> DualData:
     """Gram matrices of the lattice and its dual, with the walk's integer data.
+
+    The lattice object owns the result: the first call builds it and stores it
+    on the object, and every later call returns that same DualData and charges
+    nothing.  A refused or failed build stores nothing, and two equal but
+    distinct lattices each build (and pay for) their own.
+    """
+    return lattice._dual
+
+
+def _build_dual(lattice: Lattice) -> DualData:
+    """The DualData of :func:`dual`, built from scratch.
 
     Clearing the basis, D B = M, makes A = M M^T = D^2 G an integer matrix.
     With J the coordinate reversal, let J A J = L1 D1 L1^T.  One fraction-free
@@ -215,11 +236,17 @@ def dual(lattice: Lattice) -> DualData:
     )
 
 
-def _walk(dual_data: DualData, bound: Fraction) -> tuple[dict[int, int], int]:
+def _walk(
+    dual_data: DualData, bound: Fraction, keys: set[int] | None = None
+) -> tuple[dict[int, int], int]:
     """Integer norm table of the dual vectors with squared norm <= bound >= 0.
 
     Returns ``(counts, scale)``: ``counts[key]`` vectors have squared norm
     ``key / scale``.  The scale is the dual data's T, whatever the bound.
+    Given a set of ``keys``, each at most ``scale * bound``, the table holds
+    only those: the last layer solves w y^2 = key - base for each key instead
+    of scanning its bracket, which it still charges in full, so the budget
+    counts the same visits either way.
     """
     limit = _resolve_budget()
     n = dual_data.lattice.n
@@ -242,9 +269,22 @@ def _walk(dual_data: DualData, bound: Fraction) -> tuple[dict[int, int], int]:
             raise BudgetExceeded(f"norm enumeration exceeded budget of {limit} candidate visits")
         if level == 0:
             base = top - remaining
-            for y in range(c * low + shift, c * high + shift + 1, c):
-                key = base + w * y * y
-                counts[key] = counts.get(key, 0) + 1
+            if keys is None:
+                for y in range(c * low + shift, c * high + shift + 1, c):
+                    key = base + w * y * y
+                    counts[key] = counts.get(key, 0) + 1
+                return
+            for key in keys:
+                square, rest = divmod(key - base, w)
+                if rest or square < 0:
+                    continue
+                y = math.isqrt(square)
+                if y * y != square:
+                    continue
+                # key <= top puts +-y in the bracket, and each is a member when = shift mod c
+                hits = ((y - shift) % c == 0) + (y > 0 and (y + shift) % c == 0)
+                if hits:
+                    counts[key] = counts.get(key, 0) + hits
             return
         for x in range(low, high + 1):
             coords[level] = x
@@ -254,6 +294,19 @@ def _walk(dual_data: DualData, bound: Fraction) -> tuple[dict[int, int], int]:
 
     descend(n - 1, top)
     return counts, scale
+
+
+def _grid_keys(scale: int, *norms: Fraction) -> set[int]:
+    """The integer keys ``norm * scale`` of those norms where that is an integer.
+
+    A set, so that a norm given twice is one key and the walk counts it once.
+    """
+    keys = set()
+    for norm in norms:
+        key, rest = divmod(scale * norm.numerator, norm.denominator)
+        if not rest:
+            keys.add(key)
+    return keys
 
 
 def _count_at(counts: dict[int, int], scale: int, norm: Fraction) -> int:
@@ -270,11 +323,16 @@ def enumerate_norms(dual_data: DualData, bound) -> WeightedSpectrum:
 
 
 def count_norm(dual_data: DualData, norm) -> int:
-    """Number of dual vectors of exactly the given squared norm."""
+    """Number of dual vectors of exactly the given squared norm.
+
+    Walks the ball of radius^2 ``norm`` but counts only its boundary key (none
+    when ``norm`` is off the walk's grid), and builds no table.
+    """
     norm = Fraction(norm)
     if norm < 0:
         return 0
-    return _count_at(*_walk(dual_data, norm), norm)
+    counts, scale = _walk(dual_data, norm, _grid_keys(dual_data.scale, norm))
+    return _count_at(counts, scale, norm)
 
 
 def brute_force_enumerate(dual_data: DualData, bound) -> WeightedSpectrum:

@@ -80,17 +80,17 @@ def _checked_cutoff(unit, cutoff, entries, den: int | None = None) -> Fraction:
         return cutoff
     # keys strictly increase, so the first and last ones bound them all
     if keys[0] < 0:
-        raise ValueError(f"negative eigenvalue key: {_key_value(keys[0], den)}")
+        raise ValueError(f"negative eigenvalue key: {_echo_key(keys[0], den)}")
     bound = cutoff if den is None else den * cutoff.numerator // cutoff.denominator
     if keys[-1] > bound:
         first = keys[bisect_right(keys, bound)]
-        raise ValueError(f"key {_key_value(first, den)} exceeds cutoff {cutoff}")
+        raise ValueError(f"key {_echo_key(first, den)} exceeds cutoff {_echo_number(cutoff)}")
     return cutoff
 
 
-def _key_value(key, den: int | None):
-    """The eigenvalue key an entry stands for: ``key / den`` when a den is given."""
-    return key if den is None else Fraction(key, den)
+def _echo_key(key, den: int | None) -> str:
+    """For a message: the key an entry stands for, ``key / den`` when a den is given."""
+    return _echo_number(key if den is None else Fraction(key, den))
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ class WeightedSpectrum:
         """Multiply every key (and the cutoff) by a positive rational."""
         factor = Fraction(factor)
         if factor <= 0:
-            raise NonpositiveScalar(f"scale factor must be positive, got {factor}")
+            raise NonpositiveScalar(f"scale factor must be positive, got {_echo_number(factor)}")
         entries = tuple((key * factor, mult) for key, mult in self.entries)
         return WeightedSpectrum(self.unit, self.cutoff * factor, entries)
 
@@ -188,7 +188,9 @@ class WeightedSpectrum:
         """Restrict to keys <= bound; bound must not exceed the cutoff."""
         bound = Fraction(bound)
         if bound > self.cutoff:
-            raise CutoffExceeded(f"truncation bound {bound} exceeds cutoff {self.cutoff}")
+            raise CutoffExceeded(
+                f"truncation bound {_echo_number(bound)} exceeds cutoff {_echo_number(self.cutoff)}"
+            )
         return WeightedSpectrum(self.unit, bound, self._entries_upto(bound))
 
     def with_unit(self, unit: Unit) -> "WeightedSpectrum":

@@ -86,7 +86,8 @@ class SphereOperator:
         if self.alpha <= 0 or self.beta <= 0 or self.r_squared <= 0:
             raise NonpositiveScalar(
                 f"alpha, beta, r_squared must be positive, got "
-                f"{self.alpha}, {self.beta}, {self.r_squared}"
+                f"{_echo_number(self.alpha)}, {_echo_number(self.beta)}, "
+                f"{_echo_number(self.r_squared)}"
             )
 
     @property

@@ -23,8 +23,9 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DegreeOutOfRange, NonpositiveScalar, UnrepresentedNorm
-from .lattice import Lattice, _count_at, _walk, dual, enumerate_norms
+from .lattice import Lattice, _count_at, _grid_keys, _walk, dual, enumerate_norms
 from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merge, _nonnegative
+from .rationals import _echo_number
 
 __all__ = [
     "Branch",
@@ -59,7 +60,10 @@ class TorusOperator:
         if not 0 <= self.p <= self.lattice.n:
             raise DegreeOutOfRange(f"p={self.p} outside 0..{self.lattice.n}")
         if self.alpha <= 0 or self.beta <= 0:
-            raise NonpositiveScalar(f"alpha and beta must be positive, got {self.alpha}, {self.beta}")
+            raise NonpositiveScalar(
+                f"alpha and beta must be positive, got "
+                f"{_echo_number(self.alpha)}, {_echo_number(self.beta)}"
+            )
 
     @property
     def n(self) -> int:
@@ -154,13 +158,15 @@ def eigenvalue_multiplicity(op: TorusOperator, norm, branch: Branch) -> int:
     else:
         raise TypeError(f"branch must be a Branch, got {branch!r}")
     # The other family reaches the key own*norm at the dual norm norm*own/other:
-    # one walk to the larger of the two norms answers both counts.
+    # one walk to the larger of the two norms counts both, and only them.
     cross = norm * own / other
     crossing = other_copies and not op.generic
-    counts, scale = _walk(dual(op.lattice), max(norm, cross) if crossing else norm)
+    norms = (norm, cross) if crossing else (norm,)
+    data = dual(op.lattice)
+    counts, scale = _walk(data, max(norms), _grid_keys(data.scale, *norms))
     base = _count_at(counts, scale, norm)
     if base == 0:
-        raise UnrepresentedNorm(f"no dual vector has squared norm {norm}")
+        raise UnrepresentedNorm(f"no dual vector has squared norm {_echo_number(norm)}")
     total = own_copies * base
     if crossing:
         total += other_copies * _count_at(counts, scale, cross)

@@ -1,12 +1,19 @@
 """Lattice duals and exact norm enumeration, layered vs brute force."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from hodgespec.errors import BoxTooLarge, BudgetExceeded, ParseError, SingularBasis
+from hodgespec.errors import (
+    BoxTooLarge,
+    BudgetExceeded,
+    ParseError,
+    SingularBasis,
+    UnrepresentedNorm,
+)
 from hodgespec.lattice import (
     BUDGET_ENV_VAR,
     Lattice,
@@ -17,6 +24,7 @@ from hodgespec.lattice import (
     standard_lattice,
 )
 from hodgespec.rationals import sqrt_floor
+from hodgespec.torus import Branch, TorusOperator, eigenvalue_multiplicity, f_spectrum
 
 from oracles import ldlt, walk_data
 
@@ -270,14 +278,30 @@ def test_budget_counts_exact_candidate_visits(lattice, bound, small_budget, monk
     data = dual(lattice)
     visits = exact_visit_count(data, F(bound))
     want = brute_force_enumerate(data, bound)
+    # The exact-key queries walk the same ball: alpha < beta puts the cross
+    # norm bound / 2 inside it, so the walk ends at the norm itself.
+    op = TorusOperator(lattice, 1, F(1), F(2))
+    base, cross = want.multiplicity(bound), want.multiplicity(F(bound, 2))
+
+    def multiplicity():
+        return eigenvalue_multiplicity(op, bound, Branch.ALPHA)
+
     monkeypatch.setenv(BUDGET_ENV_VAR, str(small_budget))
     with pytest.raises(BudgetExceeded):
         enumerate_norms(data, bound)
     monkeypatch.setenv(BUDGET_ENV_VAR, str(visits - 1))
-    with pytest.raises(BudgetExceeded):
-        enumerate_norms(data, bound)
+    queries = (lambda: enumerate_norms(data, bound), lambda: count_norm(data, bound), multiplicity)
+    for query in queries:
+        with pytest.raises(BudgetExceeded, match="candidate visits"):
+            query()
     monkeypatch.setenv(BUDGET_ENV_VAR, str(visits))
     assert enumerate_norms(data, bound) == want
+    assert count_norm(data, bound) == base
+    if base:
+        assert multiplicity() == op.alpha_copies * base + op.beta_copies * cross
+    else:
+        with pytest.raises(UnrepresentedNorm):
+            multiplicity()
 
 
 def test_budget_env_var(monkeypatch):
@@ -303,6 +327,92 @@ def test_dual_charges_n_cubed_to_the_budget(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV_VAR, "26")
     with pytest.raises(BudgetExceeded, match="dimension 3"):
         dual(standard_lattice(3))
+
+
+CUBE = ((F(2), F(1, 3), F(-1, 2)), (F(0), F(3, 5), F(1, 7)), (F(0), F(0), F(1)))
+
+
+def test_a_lattice_object_keeps_its_dual_data():
+    lattice = Lattice(CUBE)
+    assert dual(lattice) is dual(lattice)
+    assert dual(lattice).lattice is lattice
+
+
+def test_equal_distinct_lattices_each_build_and_pay(monkeypatch):
+    first, second = Lattice(CUBE), Lattice(CUBE)
+    assert first == second and first is not second
+    monkeypatch.setenv(BUDGET_ENV_VAR, "27")
+    data = dual(first)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "26")
+    assert dual(first) is data  # already built: no charge
+    with pytest.raises(BudgetExceeded, match="dimension 3"):
+        dual(second)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "27")
+    assert dual(second) == data
+    assert dual(second) is not data
+
+
+def test_a_refused_build_stores_nothing(monkeypatch):
+    lattice = Lattice(CUBE)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "26")
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded, match="dimension 3"):
+            dual(lattice)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "27")
+    assert dual(lattice).dual_gram == dual(Lattice(CUBE)).dual_gram
+    singular = Lattice(((F(1), F(1)), (F(1), F(1))))
+    for _ in range(2):
+        with pytest.raises(SingularBasis):
+            dual(singular)
+
+
+def test_owned_dual_data_leaves_the_lattice_value_alone():
+    lattice, fresh = Lattice(CUBE), Lattice(CUBE)
+    before = (repr(lattice), hash(lattice), lattice.to_json_dict())
+    dual(lattice)
+    assert (repr(lattice), hash(lattice), lattice.to_json_dict()) == before
+    assert (repr(fresh), hash(fresh), fresh.to_json_dict()) == before
+    assert lattice == fresh and fresh == lattice
+    assert [field.name for field in dataclasses.fields(lattice)] == ["basis"]
+    assert len({lattice, fresh}) == 1
+
+
+# 324 |l|^2 = (9 x0 - 5 x1)^2 + 900 x1^2: the last layer has c = 9 and shift -5 x1.
+NINE = Lattice(((F(2), F(1, 3)), (F(0), F(3, 5))))
+
+
+def test_exact_key_counts_the_one_member_of_plus_minus_y():
+    data = dual(NINE)
+    walk = (data.clear, data.terms, data.weights, data.scale)
+    assert walk == ((9, 1), (((1, -5),), ()), (1, 900), 324)
+    # At x1 = 1 the key 916 needs y = +-4; only 4 = -5 mod 9 is a member (x0 = 1),
+    # and x1 = -1 mirrors it, so the norm 916/324 = 229/81 has 2 vectors, not 4.
+    assert count_norm(data, F(229, 81)) == 2
+    table = brute_force_enumerate(data, 12)
+    assert table.multiplicity(F(229, 81)) == 2
+    for norm, count in table.entries:
+        assert count_norm(data, norm) == count
+    assert count_norm(data, F(230, 81)) == 0
+
+
+@pytest.mark.parametrize("lattice", [standard_lattice(2), NINE, Lattice(CUBE)])
+def test_exact_key_counts_the_zero_vector_once(lattice):
+    assert count_norm(dual(lattice), 0) == 1
+
+
+@pytest.mark.parametrize("lattice", [standard_lattice(3), NINE, Lattice(CUBE)])
+def test_equal_parameters_count_the_one_key_once(lattice):
+    # With alpha = beta the cross norm equals the norm: one key, read for both families.
+    data = dual(lattice)
+    table = enumerate_norms(data, 6)
+    for p in range(lattice.n + 1):
+        op = TorusOperator(lattice, p, F(3, 2), F(3, 2))
+        merged = f_spectrum(op, 9)
+        for norm, count in table.entries[1:]:
+            want = (op.alpha_copies + op.beta_copies) * count
+            for branch in Branch:
+                assert eigenvalue_multiplicity(op, norm, branch) == want
+                assert merged.multiplicity(F(3, 2) * norm) == want
 
 
 def test_standard_lattice_charges_n_cubed_before_building(within, monkeypatch):

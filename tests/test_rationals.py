@@ -6,8 +6,19 @@ from fractions import Fraction as F
 import pytest
 
 from hodgespec import linalg
-from hodgespec.errors import ParseError
+from hodgespec.errors import (
+    CutoffExceeded,
+    NonpositiveMin,
+    NonpositiveScalar,
+    ParseError,
+    UnrepresentedNorm,
+)
+from hodgespec.isospec import reconstruct_base, recover_radius, recover_sphere_params
+from hodgespec.lattice import standard_lattice
+from hodgespec.multiset import Unit, WeightedSpectrum
 from hodgespec.rationals import _echo_number, format_rational, parse_rational, sqrt_floor
+from hodgespec.sphere import SphereOperator
+from hodgespec.torus import Branch, TorusOperator, eigenvalue_multiplicity
 
 from oracles import ldlt, rank
 
@@ -45,6 +56,67 @@ def test_echo_number_names_long_numbers_by_their_digits():
             assert (_echo_number(F(value, 17)), _echo_number(F(17, value))) == (
                 over, f"a fraction of a 2-digit over a {size}-digit integer"
             )
+
+
+HUGE = F(10**5000)  # str() of it raises past Python's 4300-digit conversion limit
+LONG = F(10**100 + 1, 10**100)  # written out, it made a 235-character message
+PLAIN = WeightedSpectrum(Unit.PLAIN, 1, ())
+
+
+def _torus(alpha=1, beta=2) -> TorusOperator:
+    return TorusOperator(standard_lattice(2), 1, alpha, beta)
+
+
+@pytest.mark.parametrize(
+    "make, error, start",
+    [
+        (lambda: _torus(-HUGE), NonpositiveScalar, "alpha and beta must be positive"),
+        (lambda: _torus(1, -LONG), NonpositiveScalar, "alpha and beta must be positive"),
+        (lambda: eigenvalue_multiplicity(_torus(), HUGE / (HUGE - 1), Branch.ALPHA),
+         UnrepresentedNorm, "no dual vector has squared norm"),
+        (lambda: eigenvalue_multiplicity(_torus(), LONG, Branch.BETA),
+         UnrepresentedNorm, "no dual vector has squared norm"),
+        (lambda: SphereOperator(3, 1, 1, 1, -HUGE), NonpositiveScalar,
+         "alpha, beta, r_squared must be positive"),
+        (lambda: reconstruct_base(PLAIN, 1, -HUGE, 1, 1), NonpositiveScalar,
+         "alpha and beta must be positive"),
+        (lambda: recover_sphere_params(PLAIN, 3, 1, -LONG), NonpositiveScalar,
+         "r_squared must be positive"),
+        (lambda: recover_radius(-HUGE, 1, 3, 1, 1), NonpositiveScalar,
+         "alpha and beta must be positive"),
+        (lambda: recover_radius(1, 1, 3, 1, -HUGE), NonpositiveMin,
+         "minimal eigenvalue must be positive"),
+        (lambda: WeightedSpectrum(Unit.PLAIN, 1, ((-HUGE, 1),)), ValueError,
+         "negative eigenvalue key"),
+        (lambda: WeightedSpectrum(Unit.PLAIN, 1, ((HUGE, 1),)), ValueError, "key a 5001-digit"),
+        (lambda: WeightedSpectrum(Unit.PLAIN, LONG, ((2, 1),)), ValueError, "key 2 exceeds"),
+        (lambda: PLAIN.scale(-HUGE), NonpositiveScalar, "scale factor must be positive"),
+        (lambda: PLAIN.truncate(LONG), CutoffExceeded, "truncation bound"),
+    ],
+    ids=["torus-alpha", "torus-beta", "torus-norm-huge", "torus-norm-long", "sphere-operator",
+         "reconstruct-base", "recover-sphere", "recover-radius-alpha", "recover-radius-min",
+         "negative-key", "key-over-cutoff", "long-cutoff", "scale", "truncate"],
+)
+def test_long_numbers_in_messages_are_named_by_their_digits(make, error, start):
+    with pytest.raises(error) as raised:
+        make()
+    message = str(raised.value)
+    assert type(raised.value) is error
+    assert message.startswith(start) and "-digit" in message
+    assert len(message) < 200
+
+
+def test_numbers_of_up_to_80_digits_are_written_out():
+    with pytest.raises(NonpositiveScalar) as raised:
+        _torus(F(-1, 2))
+    assert str(raised.value) == "alpha and beta must be positive, got -1/2, 2"
+    norm = F(10**80 - 1, 10**79)
+    with pytest.raises(UnrepresentedNorm) as raised:
+        eigenvalue_multiplicity(_torus(), norm, Branch.ALPHA)
+    assert str(raised.value) == f"no dual vector has squared norm {norm}"
+    with pytest.raises(CutoffExceeded) as raised:
+        PLAIN.truncate(3)
+    assert str(raised.value) == "truncation bound 3 exceeds cutoff 1"
 
 
 def test_format_is_lowest_terms():

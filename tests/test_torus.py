@@ -230,8 +230,8 @@ def test_negative_cutoff_is_refused_before_any_dual_work(build, monkeypatch):
 
 
 def test_scalar_spectrum_and_enumerations_share_the_cutoff_rule(monkeypatch):
-    lattice = standard_lattice(2)
-    data = dual(lattice)
+    lattice = standard_lattice(2)  # owns no dual data yet, so dual() would charge
+    data = dual(standard_lattice(2))
     # dual() charges 2^3 = 8, so laplace0_spectrum reaching it would raise BudgetExceeded
     monkeypatch.setenv(BUDGET_ENV_VAR, "1")
     with pytest.raises(BudgetExceeded):
