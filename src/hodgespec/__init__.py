@@ -34,7 +34,6 @@ from .isospec import (
     recover_radius,
     recover_sphere_params,
     recover_torus_params,
-    scaling_transfer,
 )
 from .lattice import (
     BUDGET_ENV_VAR,

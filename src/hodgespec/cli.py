@@ -35,7 +35,7 @@ from .isospec import (
 )
 from .lattice import Lattice, brute_force_enumerate, dual, enumerate_norms, standard_lattice
 from .multiset import Unit, WeightedSpectrum
-from .rationals import _echo_number, format_rational, parse_rational
+from .rationals import _echo, _echo_number, format_rational, parse_rational
 from .sphere import SphereOperator
 from .sphere import spectrum as sphere_spectrum
 from .sphere import spectrum_parts as sphere_spectrum_parts
@@ -67,7 +67,7 @@ def _positive_int(text: str) -> int:
 def _nonnegative_rational(text: str) -> Fraction:
     value = parse_rational(text)
     if value < 0:
-        raise ParseError(f"expected a nonnegative rational, got {text!r}")
+        raise ParseError(f"expected a nonnegative rational, got {_echo(text)}")
     return value
 
 

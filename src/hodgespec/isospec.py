@@ -26,15 +26,14 @@ from .errors import (
     BranchAmbiguous,
     CutoffExceeded,
     CutoffTooSmall,
-    DegreeOutOfRange,
     EmptyInput,
     NonpositiveMin,
     NonpositiveScalar,
     NotInImage,
     UnitMismatch,
 )
-from .multiset import Unit, WeightedSpectrum, _nonnegative
-from .rationals import _echo_number, format_rational
+from .multiset import Unit, WeightedSpectrum
+from .rationals import _degree, _echo_number, _nonnegative, _positive, format_rational
 from .sphere import _lambda_series, _mu_series
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "recover_torus_params",
     "recover_sphere_params",
     "recover_radius",
-    "scaling_transfer",
 ]
 
 BRANCH_ALPHA_FIRST = "alpha-series-first"
@@ -96,9 +94,8 @@ def first_divergence(
     left._require_same_unit(right)
     bound = _nonnegative(bound)
     if bound > left.cutoff or bound > right.cutoff:
-        raise CutoffExceeded(
-            f"comparison bound {bound} exceeds a cutoff ({left.cutoff}, {right.cutoff})"
-        )
+        cutoffs = ", ".join(map(_echo_number, (left.cutoff, right.cutoff)))
+        raise CutoffExceeded(f"comparison bound {_echo_number(bound)} exceeds a cutoff ({cutoffs})")
     past_bound = (bound + 1, 0)
     upto = (left._entries_upto(bound), right._entries_upto(bound))
     for (lk, lm), (rk, rm) in zip_longest(*upto, fillvalue=past_bound):
@@ -127,11 +124,7 @@ def reconstruct_base(
     is its cutoff.  Raises NotInImage as soon as a removal inside the
     guaranteed region fails.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if alpha <= 0 or beta <= 0:
-        raise NonpositiveScalar(
-            f"alpha and beta must be positive, got {_echo_number(alpha)}, {_echo_number(beta)}"
-        )
+    alpha, beta = _positive(NonpositiveScalar, "alpha and beta", alpha, beta)
     if copies_alpha < 1 or copies_beta < 1:
         raise ValueError("copy counts must be positive")
     if m_spec.is_empty():
@@ -236,10 +229,7 @@ def recover_torus_params(
     """
     if m_spec.unit is not base.unit:
         raise UnitMismatch("p-form spectrum and scalar spectrum carry different units")
-    if not 1 <= p <= n - 1:
-        raise DegreeOutOfRange(
-            f"both parameters are visible only for 1 <= p <= n-1, got p={p}, n={n}"
-        )
+    _degree("torus recovery", n, p, 1)
     positive = [(key, mult) for key, mult in base.entries if key > 0]
     if not positive:
         raise CutoffTooSmall("scalar spectrum shows no positive eigenvalue")
@@ -261,13 +251,8 @@ def recover_sphere_params(
     """Read (alpha, beta) off a sphere p-form spectrum with known radius."""
     if m_spec.unit is not Unit.PLAIN:
         raise UnitMismatch(f"sphere recovery needs a plain spectrum, got {m_spec.unit.value}")
-    if not 1 <= p <= n - 1:
-        raise DegreeOutOfRange(
-            f"sphere recovery needs 1 <= p <= n-1, got p={p}, n={n}"
-        )
-    r_squared = Fraction(r_squared)
-    if r_squared <= 0:
-        raise NonpositiveScalar(f"r_squared must be positive, got {_echo_number(r_squared)}")
+    _degree("sphere recovery", n, p, 1)
+    (r_squared,) = _positive(NonpositiveScalar, "r_squared", r_squared)
 
     def share(series) -> _Share:
         first = series(n, p, 1, r_squared)
@@ -286,25 +271,9 @@ def recover_radius(alpha, beta, n: int, p: int, min_eigenvalue) -> Fraction:
     The smallest eigenvalue is the smaller of the two series' first values,
     and each of those is r^-2 times its value on the unit sphere.
     """
-    if not 1 <= p <= n - 1:
-        raise DegreeOutOfRange(f"radius recovery needs 1 <= p <= n-1, got p={p}, n={n}")
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if alpha <= 0 or beta <= 0:
-        raise NonpositiveScalar(
-            f"alpha and beta must be positive, got {_echo_number(alpha)}, {_echo_number(beta)}"
-        )
-    min_eigenvalue = Fraction(min_eigenvalue)
-    if min_eigenvalue <= 0:
-        raise NonpositiveMin(
-            f"minimal eigenvalue must be positive, got {_echo_number(min_eigenvalue)}"
-        )
+    _degree("radius recovery", n, p, 1)
+    alpha, beta = _positive(NonpositiveScalar, "alpha and beta", alpha, beta)
+    (min_eigenvalue,) = _positive(NonpositiveMin, "minimal eigenvalue", min_eigenvalue)
     leads = (_mu_series(n, p, alpha, 1), _lambda_series(n, p, beta, 1))
     return min(series.value(series.start) for series in leads) / min_eigenvalue
 
-
-def scaling_transfer(alpha, beta, factor) -> tuple[Fraction, Fraction]:
-    """Parameter change matching the metric scaling by ``factor``."""
-    alpha, beta, factor = Fraction(alpha), Fraction(beta), Fraction(factor)
-    if factor == 0:
-        raise NonpositiveScalar("scaling factor must be nonzero")
-    return factor * factor * alpha, factor * factor * beta

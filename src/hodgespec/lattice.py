@@ -43,8 +43,10 @@ from typing import Mapping
 
 from . import linalg
 from .errors import BoxTooLarge, BudgetExceeded, ParseError, SingularBasis
-from .multiset import Unit, WeightedSpectrum, _from_int_keys, _nonnegative
-from .rationals import _echo, _echo_number, format_rational, parse_rational, sqrt_floor
+from .multiset import Unit, WeightedSpectrum, _from_int_keys
+from .rationals import (
+    _echo, _echo_number, _exact, _nonnegative, format_rational, parse_rational, sqrt_floor
+)
 
 __all__ = [
     "Lattice",
@@ -86,7 +88,7 @@ class Lattice:
     basis: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        basis = tuple(tuple(Fraction(x) for x in row) for row in self.basis)
+        basis = tuple(tuple(_exact(x, "basis entry") for x in row) for row in self.basis)
         object.__setattr__(self, "basis", basis)
         n = len(basis)
         if n < 1:
@@ -105,7 +107,7 @@ class Lattice:
         return _build_dual(self)
 
     def scaled(self, factor) -> "Lattice":
-        factor = Fraction(factor)
+        factor = _exact(factor, "scale factor")
         if factor == 0:
             raise ValueError("scale factor must be nonzero")
         return Lattice(tuple(tuple(factor * x for x in row) for row in self.basis))
@@ -328,7 +330,7 @@ def count_norm(dual_data: DualData, norm) -> int:
     Walks the ball of radius^2 ``norm`` but counts only its boundary key (none
     when ``norm`` is off the walk's grid), and builds no table.
     """
-    norm = Fraction(norm)
+    norm = _exact(norm, "norm")
     if norm < 0:
         return 0
     counts, scale = _walk(dual_data, norm, _grid_keys(dual_data.scale, norm))

@@ -22,7 +22,9 @@ from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
-from .rationals import _echo, _echo_number, format_rational, parse_rational
+from .rationals import (
+    _EXACT, _echo, _echo_number, _exact, _nonnegative, _positive, format_rational, parse_rational
+)
 
 __all__ = ["Unit", "WeightedSpectrum", "repeated_union"]
 
@@ -45,17 +47,6 @@ def _multiplicity_error(mult) -> ValueError:
     return ValueError(f"multiplicity must be a positive int, got {shown}")
 
 
-def _nonnegative(cutoff) -> Fraction:
-    """A cutoff or comparison bound as a Fraction; a negative one is refused."""
-    cutoff = Fraction(cutoff)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    return cutoff
-
-
-_EXACT_KEYS = frozenset((int, Fraction))
-
-
 def _checked_cutoff(unit, cutoff, entries, den: int | None = None) -> Fraction:
     """Check a spectrum's fields against its entry rules; return the cutoff as a Fraction.
 
@@ -71,8 +62,8 @@ def _checked_cutoff(unit, cutoff, entries, den: int | None = None) -> Fraction:
         if type(mult) is not int or mult < 1:  # refuses bools, unlike isinstance
             raise _multiplicity_error(mult)
     keys = [key for key, _ in entries]
-    if den is None and not _EXACT_KEYS.issuperset(map(type, keys)):
-        inexact = next(key for key in keys if type(key) not in _EXACT_KEYS)
+    if den is None and not _EXACT.issuperset(map(type, keys)):
+        inexact = next(key for key in keys if type(key) not in _EXACT)
         raise ValueError(f"eigenvalue key must be an int or a Fraction, got {_echo(inexact)}")
     if not all(map(lt, keys, keys[1:])):
         raise ValueError("entries must be strictly increasing in key")
@@ -118,21 +109,22 @@ class WeightedSpectrum:
         """Aggregate (key, multiplicity) pairs: repeated keys add up, zeros are dropped.
 
         A negative multiplicity is refused before it can hide in a sum; every
-        other check is the constructor's.
+        other check is the constructor's.  No package code calls it; it stays
+        public because the test suite builds its fixtures with it, in six modules.
         """
         acc: dict[Fraction, int] = {}
         for key, mult in pairs:
             if type(mult) is not int or mult < 0:
                 raise _multiplicity_error(mult)
             if mult:
-                key = Fraction(key)
+                key = _exact(key, "eigenvalue key")
                 acc[key] = acc.get(key, 0) + mult
         return cls(unit, cutoff, tuple(sorted(acc.items())))
 
     # -- accessors --------------------------------------------------------
 
     def multiplicity(self, key) -> int:
-        key = Fraction(key)
+        key = _exact(key, "key")
         i = bisect_left(self.entries, key, key=itemgetter(0))
         if i < len(self.entries) and self.entries[i][0] == key:
             return self.entries[i][1]
@@ -178,15 +170,13 @@ class WeightedSpectrum:
 
     def scale(self, factor) -> "WeightedSpectrum":
         """Multiply every key (and the cutoff) by a positive rational."""
-        factor = Fraction(factor)
-        if factor <= 0:
-            raise NonpositiveScalar(f"scale factor must be positive, got {_echo_number(factor)}")
+        (factor,) = _positive(NonpositiveScalar, "scale factor", factor)
         entries = tuple((key * factor, mult) for key, mult in self.entries)
         return WeightedSpectrum(self.unit, self.cutoff * factor, entries)
 
     def truncate(self, bound) -> "WeightedSpectrum":
         """Restrict to keys <= bound; bound must not exceed the cutoff."""
-        bound = Fraction(bound)
+        bound = _exact(bound, "truncation bound")
         if bound > self.cutoff:
             raise CutoffExceeded(
                 f"truncation bound {_echo_number(bound)} exceeds cutoff {_echo_number(self.cutoff)}"
@@ -198,7 +188,8 @@ class WeightedSpectrum:
 
         Deliberate escape hatch for statements that equate a plain-unit
         spectrum with a 4*pi^2-unit one after an irrational radius change;
-        never applied implicitly.
+        never applied implicitly.  No package code calls it; it stays public
+        for acceptance criterion 8, which equates S^1 with the circle torus.
         """
         return WeightedSpectrum(unit, self.cutoff, self.entries)
 

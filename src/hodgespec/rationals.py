@@ -1,8 +1,13 @@
-"""Strict rational parsing, canonical formatting, exact integer square roots.
+"""Strict rational parsing, canonical formatting, exact integer square roots,
+and the rules every public entry point reads its numbers through.
 
 The wire format for rationals is ``"num/den"`` in lowest terms, or ``"n"``
 for integers.  Decimal and float notation is rejected on purpose: every
-number in this package is exact.
+number in this package is exact.  The library itself takes numbers only as
+``int`` or ``Fraction``: ``_exact`` refuses a float, bool, str or None with
+TypeError, and ``_nonnegative``, ``_positive`` and ``_degree`` add the sign
+and range rules on top of it.  Their messages write every number through
+``_echo`` or ``_echo_number``, so a message is short at any size.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import re
 from fractions import Fraction
 from itertools import count
 
-from .errors import ParseError
+from .errors import DegreeOutOfRange, ParseError
 
 __all__ = [
     "parse_rational",
@@ -22,11 +27,21 @@ __all__ = [
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _ECHO_LIMIT = 80
+_EXACT = frozenset((int, Fraction))  # exact types, so a bool is not an int here
 
 
 def _echo(value) -> str:
-    """repr of an offending value for an error message, cut after _ECHO_LIMIT characters."""
-    text = repr(value)
+    """repr of an offending value for an error message, cut after _ECHO_LIMIT characters.
+
+    A repr that fails on Python's int-to-str digit limit does not fail the
+    message: an int or Fraction is then named as ``_echo_number`` names it.
+    """
+    try:
+        text = repr(value)
+    except ValueError:
+        if type(value) in _EXACT:
+            return _echo_number(value)
+        return f"a {type(value).__name__} too long to write"
     return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT] + "..."
 
 
@@ -43,6 +58,43 @@ def _echo_number(value) -> str:
     if value.denominator == 1:
         return f"a {num}-digit integer"
     return f"a fraction of a {num}-digit over a {den}-digit integer"
+
+
+def _exact(value, name: str) -> Fraction:
+    """``value`` as a Fraction if it is an int or a Fraction (not a bool); else TypeError."""
+    if type(value) not in _EXACT:
+        raise TypeError(
+            f"{name}: expected an int or a Fraction, got {type(value).__name__} {_echo(value)}"
+        )
+    return Fraction(value)
+
+
+def _nonnegative(cutoff) -> Fraction:
+    """A cutoff or comparison bound as a Fraction; a negative one is refused."""
+    cutoff = _exact(cutoff, "cutoff")
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    return cutoff
+
+
+def _positive(error: type[Exception], names: str, *values) -> tuple[Fraction, ...]:
+    """``values`` as Fractions; unless all are positive, ``error`` names them all."""
+    values = tuple(_exact(value, names) for value in values)
+    if min(values) <= 0:
+        raise error(f"{names} must be positive, got {', '.join(map(_echo_number, values))}")
+    return values
+
+
+def _degree(what: str, n, p, low: int) -> None:
+    """Refuse a form degree ``p`` outside ``low..n-low``, or a non-int p or n, for ``what``."""
+    if type(n) is not int or type(p) is not int:
+        raise TypeError(f"{what}: degrees must be ints, got p={_echo(p)}, n={_echo(n)}")
+    if not low <= p <= n - low:
+        top = f"n-{low}" if low else "n"
+        raise DegreeOutOfRange(
+            f"{what}: degree p must lie in {low}..{top}, "
+            f"got p={_echo_number(p)}, n={_echo_number(n)}"
+        )
 
 
 def parse_rational(text: str) -> Fraction:

@@ -37,10 +37,10 @@ from fractions import Fraction
 from math import comb, isqrt, lcm
 from typing import Iterator
 
-from .errors import BudgetExceeded, DegreeOutOfRange, NonpositiveScalar
+from .errors import BudgetExceeded, NonpositiveScalar
 from .lattice import _resolve_budget
-from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merge, _nonnegative
-from .rationals import _echo_number
+from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merge
+from .rationals import _degree, _echo_number, _nonnegative, _positive
 
 __all__ = [
     "Series",
@@ -76,19 +76,14 @@ class SphereOperator:
     generic: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "r_squared", Fraction(self.r_squared))
-        if self.n < 1:
-            raise ValueError(f"sphere dimension must be at least 1, got {self.n}")
-        if not 0 <= self.p <= self.n:
-            raise DegreeOutOfRange(f"p={self.p} outside 0..{self.n}")
-        if self.alpha <= 0 or self.beta <= 0 or self.r_squared <= 0:
-            raise NonpositiveScalar(
-                f"alpha, beta, r_squared must be positive, got "
-                f"{_echo_number(self.alpha)}, {_echo_number(self.beta)}, "
-                f"{_echo_number(self.r_squared)}"
-            )
+        if type(self.n) is int and self.n < 1:
+            raise ValueError(f"sphere dimension must be at least 1, got {_echo_number(self.n)}")
+        _degree("sphere operator", self.n, self.p, 0)
+        scalars = _positive(
+            NonpositiveScalar, "alpha, beta, r_squared", self.alpha, self.beta, self.r_squared
+        )
+        for name, value in zip(("alpha", "beta", "r_squared"), scalars):
+            object.__setattr__(self, name, value)
 
     @property
     def duality_extension(self) -> bool:
@@ -96,10 +91,7 @@ class SphereOperator:
         return self.p == 0 or self.p == self.n
 
     def _require_interior(self) -> None:
-        if not 1 <= self.p <= self.n - 1:
-            raise DegreeOutOfRange(
-                f"series formulas need 1 <= p <= n-1, got p={self.p}, n={self.n}"
-            )
+        _degree("series formulas", self.n, self.p, 1)
 
 
 def _as_int(numerator: int, denominator: int, formula: "_SeriesFormula", k: int) -> int:
@@ -115,8 +107,7 @@ def _as_int(numerator: int, denominator: int, formula: "_SeriesFormula", k: int)
 
 def dim_V(n: int, p: int, k: int) -> int:
     """Dimension of the k-th eigenspace on the lambda side (zero at k = 0)."""
-    if not 1 <= p <= n - 1:
-        raise DegreeOutOfRange(f"dim_V needs 1 <= p <= n-1, got p={p}, n={n}")
+    _degree("dim_V", n, p, 1)
     if k < 0:
         raise ValueError("k must be nonnegative")
     return _lambda_series(n, p, 1, 1).dim(k) if k else 0
@@ -124,8 +115,7 @@ def dim_V(n: int, p: int, k: int) -> int:
 
 def dim_W(n: int, p: int, k: int) -> int:
     """Dimension of the k-th eigenspace on the mu side (defined for k >= 0)."""
-    if not 1 <= p <= n - 1:
-        raise DegreeOutOfRange(f"dim_W needs 1 <= p <= n-1, got p={p}, n={n}")
+    _degree("dim_W", n, p, 1)
     if k < 0:
         raise ValueError("k must be nonnegative")
     return _mu_series(n, p, 1, 1).dim(k)
@@ -217,10 +207,8 @@ class _SeriesFormula:
         made.  From term to term, C(k+top, n) = C(k-1+top, n) *
         (k+top) / (k+top-n) is an exact division, checked at every step.  A
         zero (the constants' term) does not step, so the next term starts
-        again from ``_binomials``.  The spectrum queries read their cutoff
-        here, so a negative one is refused here.
+        again from ``_binomials``.
         """
-        cutoff = _nonnegative(cutoff)
         n, p, b, top = self.n, self.p, self.b, self.top
         factor = self.scale.numerator * (den // self.scale.denominator)
         # floor(cutoff/scale) = floor(floor(cutoff * den) / factor)
@@ -239,8 +227,8 @@ class _SeriesFormula:
             quadratic = (k + p) * (k + b)
             yield k, factor * quadratic, self._dim(k, binomials, quadratic)
 
-    def spectrum(self, cutoff) -> WeightedSpectrum:
-        cutoff, den = Fraction(cutoff), self.scale.denominator
+    def spectrum(self, cutoff: Fraction) -> WeightedSpectrum:
+        den = self.scale.denominator
         entries = [(key, dim) for _, key, dim in self.terms(cutoff, den)]
         return _from_int_keys(Unit.PLAIN, cutoff, entries, den)
 
@@ -261,8 +249,8 @@ def _scalar_series(n: int, coefficient, r_squared, series: Series) -> _SeriesFor
     return _SeriesFormula(series, 0, scale, n, 0, n - 1, n, n - 1)
 
 
-def _series_of(op: SphereOperator, cutoff) -> tuple[int, dict[Series, list]]:
-    """The operator's series, each stepped once up to ``cutoff``.
+def _series_of(op: SphereOperator, cutoff: Fraction) -> tuple[int, dict[Series, list]]:
+    """The operator's series, each stepped once up to a checked ``cutoff``.
 
     Returns ``(den, {series: [(k, key, dim), ...]})`` with den the lcm of the
     series' scale denominators, so that every key is an integer over it, and
@@ -317,7 +305,7 @@ def spectrum_parts(
     op: SphereOperator, cutoff
 ) -> tuple[WeightedSpectrum, WeightedSpectrum]:
     """(alpha part, beta part), each complete up to ``cutoff``, never merged."""
-    cutoff = Fraction(cutoff)
+    cutoff = _nonnegative(cutoff)
     den, alpha_part, beta_part = _parts(op, cutoff)
     return (
         _from_int_keys(Unit.PLAIN, cutoff, alpha_part, den),
@@ -329,7 +317,7 @@ def spectrum(op: SphereOperator, cutoff) -> WeightedSpectrum:
     """Merged spectrum on p-forms, truncated at ``cutoff``."""
     if op.generic:
         raise ValueError("generic-mode operators have no merged spectrum; use spectrum_parts")
-    cutoff = Fraction(cutoff)
+    cutoff = _nonnegative(cutoff)
     den, alpha_part, beta_part = _parts(op, cutoff)
     return _from_int_keys(Unit.PLAIN, cutoff, _merge(alpha_part, 1, beta_part, 1), den)
 
@@ -357,7 +345,7 @@ def eigenvalue_details(op: SphereOperator, cutoff) -> tuple[SphereEigenvalue, ..
     """Merged eigenvalues <= cutoff with their series bookkeeping."""
     if op.generic:
         raise ValueError("generic-mode operators do not merge series")
-    den, series = _series_of(op, cutoff)
+    den, series = _series_of(op, _nonnegative(cutoff))
     found: dict[int, list[SeriesTerm]] = {}
     for side, terms in series.items():
         for k, key, dim in terms:

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import DegreeOutOfRange, NonpositiveScalar, UnrepresentedNorm
+from .errors import NonpositiveScalar, UnrepresentedNorm
 from .lattice import Lattice, _count_at, _grid_keys, _walk, dual, enumerate_norms
-from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merge, _nonnegative
-from .rationals import _echo_number
+from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merge
+from .rationals import _degree, _echo, _echo_number, _nonnegative, _positive
 
 __all__ = [
     "Branch",
@@ -55,15 +55,10 @@ class TorusOperator:
     generic: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        if not 0 <= self.p <= self.lattice.n:
-            raise DegreeOutOfRange(f"p={self.p} outside 0..{self.lattice.n}")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise NonpositiveScalar(
-                f"alpha and beta must be positive, got "
-                f"{_echo_number(self.alpha)}, {_echo_number(self.beta)}"
-            )
+        _degree("torus operator", self.lattice.n, self.p, 0)
+        alpha, beta = _positive(NonpositiveScalar, "alpha and beta", self.alpha, self.beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @property
     def n(self) -> int:
@@ -148,15 +143,14 @@ def eigenvalue_multiplicity(op: TorusOperator, norm, branch: Branch) -> int:
     beta*norm.  The count includes the other family's contribution at the
     same key unless the operator is generic or that family has no copies.
     """
-    norm = Fraction(norm)
-    if norm <= 0:
-        raise ValueError("norm must be positive; the zero eigenvalue has its own count")
+    # the zero eigenvalue has its own count
+    (norm,) = _positive(ValueError, "norm", norm)
     if branch is Branch.ALPHA:
         own, other, own_copies, other_copies = op.alpha, op.beta, op.alpha_copies, op.beta_copies
     elif branch is Branch.BETA:
         own, other, own_copies, other_copies = op.beta, op.alpha, op.beta_copies, op.alpha_copies
     else:
-        raise TypeError(f"branch must be a Branch, got {branch!r}")
+        raise TypeError(f"branch must be a Branch, got {_echo(branch)}")
     # The other family reaches the key own*norm at the dual norm norm*own/other:
     # one walk to the larger of the two norms counts both, and only them.
     cross = norm * own / other

@@ -661,6 +661,16 @@ def test_huge_zn_is_refused_before_any_matrix(within, n, monkeypatch, capsys):
     assert len(err) < 200
 
 
+def test_long_negative_cutoff_is_echoed_short(capsys):
+    code, out, err = run(
+        ["spectrum", "torus", "--zn", "2", "--p", "1",
+         "--alpha", "1", "--beta", "1", "--cutoff", "-" + "7" * 4000],
+        capsys,
+    )
+    assert (code, out, error_kind(err)) == (2, "", "ParseError")
+    assert len(err) < 200
+
+
 def test_degree_out_of_range_exits_3(capsys):
     code, _, err = run(
         ["spectrum", "torus", "--zn", "2", "--p", "5",

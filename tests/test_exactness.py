@@ -9,10 +9,8 @@ import pytest
 import hodgespec
 
 TESTS = Path(__file__).parent
-MODULES = sorted(Path(hodgespec.__file__).parent.glob("*.py")) + [
-    TESTS / "exterior.py",
-    TESTS / "oracles.py",
-]
+PACKAGE = sorted(Path(hodgespec.__file__).parent.glob("*.py"))
+MODULES = PACKAGE + [TESTS / "exterior.py", TESTS / "oracles.py"]
 FLOAT_CALLS = {"float", "round", "complex"}
 FLOAT_MATH = {"sqrt", "log", "log2", "log10", "exp", "pi", "e", "inf", "nan"}
 
@@ -108,3 +106,37 @@ def test_bypass_guard_catches_each_form():
         "        object.__setattr__(self, 'alpha', 1)\n"
     )
     assert bypasses(ast.parse(source)) == [("build", 2), ("build", 3), ("build", 4)]
+
+
+# The parameter rules (exact types, signs, degree ranges) live in rationals.py,
+# so no other package module builds the errors they raise.
+RULE_MODULE = "rationals.py"
+RULE_ERRORS = {"DegreeOutOfRange", "NonpositiveScalar", "NonpositiveMin"}
+
+
+def rule_error_calls(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in RULE_ERRORS:
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.stem)
+def test_only_the_rules_module_builds_parameter_rule_errors(path):
+    found = rule_error_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert found if path.name == RULE_MODULE else found == []
+
+
+def test_rule_error_guard_catches_each_form():
+    source = (
+        "raise DegreeOutOfRange('p')\n"
+        "raise errors.NonpositiveScalar('alpha')\n"
+        "rule = _positive(NonpositiveMin, 'minimum', x)\n"
+        "error = NonpositiveMin('minimum')\n"
+    )
+    found = rule_error_calls(ast.parse(source))
+    assert found == ["line 1: DegreeOutOfRange", "line 2: NonpositiveScalar", "line 4: NonpositiveMin"]

@@ -27,7 +27,6 @@ from hodgespec.isospec import (
     recover_radius,
     recover_sphere_params,
     recover_torus_params,
-    scaling_transfer,
 )
 from hodgespec.lattice import Lattice, standard_lattice
 from hodgespec.multiset import Unit, WeightedSpectrum, repeated_union
@@ -385,18 +384,10 @@ def test_recover_radius_refusals():
         recover_radius(1, 1, 3, 1, -3)
 
 
-def test_scaling_transfer_values():
-    assert scaling_transfer(1, 3, 1) == (1, 3)
-    assert scaling_transfer(1, 3, 2) == (4, 12)
-    assert scaling_transfer(1, 3, -2) == (4, 12)
-    assert scaling_transfer(F(1, 2), F(5, 3), F(2, 3)) == (F(2, 9), F(20, 27))
-    with pytest.raises(NonpositiveScalar):
-        scaling_transfer(1, 3, 0)
-
-
 def test_scaling_transfer_matches_lattice_rescale():
     lattice = standard_lattice(2)
     op = TorusOperator(lattice, 1, F(1), F(3))
-    moved_alpha, moved_beta = scaling_transfer(op.alpha, op.beta, 2)
+    # scaling the metric by c scales (alpha, beta) by c^2
+    moved_alpha, moved_beta = 2 * 2 * op.alpha, 2 * 2 * op.beta
     moved = TorusOperator(lattice.scaled(2), 1, moved_alpha, moved_beta)
     assert f_spectrum(op, 8) == f_spectrum(moved, 8)

@@ -25,7 +25,6 @@ from hodgespec.isospec import (
     recover_sphere_params,
     reconstruct_base,
     recover_torus_params,
-    scaling_transfer,
 )
 from hodgespec.lattice import Lattice, brute_force_enumerate, count_norm, dual, enumerate_norms
 from hodgespec.multiset import Unit, WeightedSpectrum, repeated_union
@@ -517,7 +516,8 @@ def test_torus_spectrum_follows_metric_scaling(lattice, data, alpha, beta, cutof
         st.fractions(-3, 3, max_denominator=5).filter(bool) | st.sampled_from((F(-1), F(7, 5)))
     )
     p = data.draw(st.integers(0, lattice.n))
-    moved = TorusOperator(lattice.scaled(factor), p, *scaling_transfer(alpha, beta, factor))
+    squared = factor * factor
+    moved = TorusOperator(lattice.scaled(factor), p, squared * alpha, squared * beta)
     assert f_spectrum(moved, cutoff) == f_spectrum(TorusOperator(lattice, p, alpha, beta), cutoff)
 
 
@@ -747,8 +747,10 @@ def test_sphere_builders_pass_the_public_constructor(op, data):
 )
 def test_sphere_spectrum_follows_metric_scaling(op, factor, data):
     cutoff = data.draw(sphere_cutoffs(op))
-    alpha, beta = scaling_transfer(op.alpha, op.beta, factor)
-    moved = SphereOperator(op.n, op.p, alpha, beta, factor * factor * op.r_squared)
+    squared = factor * factor
+    moved = SphereOperator(
+        op.n, op.p, squared * op.alpha, squared * op.beta, squared * op.r_squared
+    )
     assert spectrum(moved, cutoff) == spectrum(op, cutoff)
     assert spectrum_parts(moved, cutoff) == spectrum_parts(op, cutoff)
 

@@ -39,7 +39,6 @@ MODULE_SURFACE = {
         "recover_torus_params",
         "recover_sphere_params",
         "recover_radius",
-        "scaling_transfer",
     },
     "lattice": {
         "Lattice",
@@ -114,7 +113,6 @@ PACKAGE_SURFACE = {
     "recover_radius",
     "recover_sphere_params",
     "recover_torus_params",
-    "scaling_transfer",
     # lattice
     "BUDGET_ENV_VAR",
     "DEFAULT_BUDGET",
@@ -155,7 +153,7 @@ PACKAGE_SURFACE = {
 
 
 def test_package_surface():
-    assert len(PACKAGE_SURFACE) == 62
+    assert len(PACKAGE_SURFACE) == 61
     assert sorted(hodgespec.__all__) == sorted(PACKAGE_SURFACE)
 
 

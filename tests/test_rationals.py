@@ -8,17 +8,39 @@ import pytest
 from hodgespec import linalg
 from hodgespec.errors import (
     CutoffExceeded,
+    DegreeOutOfRange,
     NonpositiveMin,
     NonpositiveScalar,
     ParseError,
     UnrepresentedNorm,
 )
-from hodgespec.isospec import reconstruct_base, recover_radius, recover_sphere_params
-from hodgespec.lattice import standard_lattice
+from hodgespec.isospec import (
+    first_divergence,
+    reconstruct_base,
+    recover_radius,
+    recover_sphere_params,
+    recover_torus_params,
+)
+from hodgespec.lattice import Lattice, count_norm, dual, enumerate_norms, standard_lattice
 from hodgespec.multiset import Unit, WeightedSpectrum
-from hodgespec.rationals import _echo_number, format_rational, parse_rational, sqrt_floor
-from hodgespec.sphere import SphereOperator
-from hodgespec.torus import Branch, TorusOperator, eigenvalue_multiplicity
+from hodgespec.rationals import _echo, _echo_number, format_rational, parse_rational, sqrt_floor
+from hodgespec.sphere import (
+    SphereOperator,
+    coincidences,
+    dim_V,
+    dim_W,
+    eigenvalue_details,
+    spectrum,
+    spectrum_parts,
+)
+from hodgespec.torus import (
+    Branch,
+    TorusOperator,
+    eigenvalue_multiplicity,
+    f_spectrum,
+    f_spectrum_parts,
+    laplace0_spectrum,
+)
 
 from oracles import ldlt, rank
 
@@ -59,6 +81,7 @@ def test_echo_number_names_long_numbers_by_their_digits():
 
 
 HUGE = F(10**5000)  # str() of it raises past Python's 4300-digit conversion limit
+BIG = 10**5000  # the same number as an int, as a degree or dimension
 LONG = F(10**100 + 1, 10**100)  # written out, it made a 235-character message
 PLAIN = WeightedSpectrum(Unit.PLAIN, 1, ())
 
@@ -92,10 +115,21 @@ def _torus(alpha=1, beta=2) -> TorusOperator:
         (lambda: WeightedSpectrum(Unit.PLAIN, LONG, ((2, 1),)), ValueError, "key 2 exceeds"),
         (lambda: PLAIN.scale(-HUGE), NonpositiveScalar, "scale factor must be positive"),
         (lambda: PLAIN.truncate(LONG), CutoffExceeded, "truncation bound"),
+        (lambda: first_divergence(WeightedSpectrum(Unit.PLAIN, BIG, ()), PLAIN, 2),
+         CutoffExceeded, "comparison bound 2 exceeds a cutoff"),
+        (lambda: eigenvalue_multiplicity(_torus(), 1, BIG), TypeError, "branch must be a Branch"),
+        (lambda: TorusOperator(standard_lattice(2), BIG, 1, 1), DegreeOutOfRange,
+         "torus operator: degree p must lie in 0..n"),
+        (lambda: SphereOperator(-BIG, 1, 1, 1), ValueError, "sphere dimension must be at least 1"),
+        (lambda: recover_radius(1, 1, BIG, BIG, 1), DegreeOutOfRange,
+         "radius recovery: degree p must lie in 1..n-1"),
+        (lambda: dim_V(3, BIG, 1), DegreeOutOfRange, "dim_V: degree p must lie in 1..n-1"),
     ],
     ids=["torus-alpha", "torus-beta", "torus-norm-huge", "torus-norm-long", "sphere-operator",
          "reconstruct-base", "recover-sphere", "recover-radius-alpha", "recover-radius-min",
-         "negative-key", "key-over-cutoff", "long-cutoff", "scale", "truncate"],
+         "negative-key", "key-over-cutoff", "long-cutoff", "scale", "truncate",
+         "first-divergence", "torus-branch", "torus-degree", "sphere-dimension",
+         "recover-radius-degree", "dim-V-degree"],
 )
 def test_long_numbers_in_messages_are_named_by_their_digits(make, error, start):
     with pytest.raises(error) as raised:
@@ -104,6 +138,13 @@ def test_long_numbers_in_messages_are_named_by_their_digits(make, error, start):
     assert type(raised.value) is error
     assert message.startswith(start) and "-digit" in message
     assert len(message) < 200
+
+
+def test_long_values_in_messages_are_cut():
+    with pytest.raises(TypeError) as raised:
+        eigenvalue_multiplicity(_torus(), 1, "x" * 500)
+    assert str(raised.value) == "branch must be a Branch, got '" + "x" * 79 + "..."
+    assert _echo([BIG]) == "a list too long to write"
 
 
 def test_numbers_of_up_to_80_digits_are_written_out():
@@ -117,6 +158,57 @@ def test_numbers_of_up_to_80_digits_are_written_out():
     with pytest.raises(CutoffExceeded) as raised:
         PLAIN.truncate(3)
     assert str(raised.value) == "truncation bound 3 exceeds cutoff 1"
+
+
+Z2 = standard_lattice(2)
+SPHERE = SphereOperator(3, 1, 1, 2)
+TORUS_BASE = laplace0_spectrum(Z2, 2)
+
+# Every public entry point that reads a number, fed one value in its place.
+ENTRY_POINTS = {
+    "TorusOperator-p": lambda bad: TorusOperator(Z2, bad, 1, 1),
+    "TorusOperator-alpha": lambda bad: TorusOperator(Z2, 1, bad, 1),
+    "TorusOperator-beta": lambda bad: TorusOperator(Z2, 1, 1, bad),
+    "eigenvalue_multiplicity": lambda bad: eigenvalue_multiplicity(_torus(), bad, Branch.ALPHA),
+    "laplace0_spectrum": lambda bad: laplace0_spectrum(Z2, bad),
+    "f_spectrum": lambda bad: f_spectrum(_torus(), bad),
+    "f_spectrum_parts": lambda bad: f_spectrum_parts(_torus(), bad),
+    "SphereOperator-n": lambda bad: SphereOperator(bad, 1, 1, 1),
+    "SphereOperator-p": lambda bad: SphereOperator(3, bad, 1, 1),
+    "SphereOperator-r_squared": lambda bad: SphereOperator(3, 1, 1, 1, bad),
+    "dim_V": lambda bad: dim_V(3, bad, 1),
+    "dim_W": lambda bad: dim_W(bad, 1, 1),
+    "spectrum": lambda bad: spectrum(SPHERE, bad),
+    "spectrum_parts": lambda bad: spectrum_parts(SPHERE, bad),
+    "eigenvalue_details": lambda bad: eigenvalue_details(SPHERE, bad),
+    "coincidences": lambda bad: coincidences(SPHERE, bad),
+    "first_divergence": lambda bad: first_divergence(PLAIN, PLAIN, bad),
+    "reconstruct_base": lambda bad: reconstruct_base(PLAIN, bad, 1, 1, 1),
+    "recover_torus_params": lambda bad: recover_torus_params(TORUS_BASE, TORUS_BASE, 2, bad),
+    "recover_sphere_params-p": lambda bad: recover_sphere_params(PLAIN, 3, bad, 1),
+    "recover_sphere_params-r_squared": lambda bad: recover_sphere_params(PLAIN, 3, 1, bad),
+    "recover_radius-n": lambda bad: recover_radius(1, 1, bad, 1, 1),
+    "recover_radius-beta": lambda bad: recover_radius(1, bad, 3, 1, 1),
+    "recover_radius-min": lambda bad: recover_radius(1, 1, 3, 1, bad),
+    "Lattice": lambda bad: Lattice(((1, 0), (bad, 1))),
+    "Lattice.scaled": lambda bad: Z2.scaled(bad),
+    "enumerate_norms": lambda bad: enumerate_norms(dual(Z2), bad),
+    "count_norm": lambda bad: count_norm(dual(Z2), bad),
+    "WeightedSpectrum-cutoff": lambda bad: WeightedSpectrum(Unit.PLAIN, bad, ()),
+    "from_pairs": lambda bad: WeightedSpectrum.from_pairs(Unit.PLAIN, 1, [(bad, 1)]),
+    "multiplicity": lambda bad: PLAIN.multiplicity(bad),
+    "scale": lambda bad: PLAIN.scale(bad),
+    "truncate": lambda bad: PLAIN.truncate(bad),
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1/2", None], ids=["float", "bool", "str", "None"])
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_numbers_are_taken_only_as_int_or_fraction(call, bad):
+    with pytest.raises(TypeError) as raised:
+        call(bad)
+    message = str(raised.value)
+    assert repr(bad) in message and len(message) < 200
 
 
 def test_format_is_lowest_terms():
