@@ -6,6 +6,10 @@ Subcommands:
   recover base-set | torus-params | sphere-params | radius
   enumerate                          dump a lattice's dual-norm table
 
+Each operator or recovery flag is declared once, in ``_FLAGS``.  Argparse
+requires an operator's p, alpha and beta; ``_operator`` checks its other flags,
+for ``spectrum torus|sphere`` and for each isospec side (``--left-p``) alike.
+
 Exit codes: 0 success (isospec: isospectral), 1 isospec found a divergence,
 2 malformed input, 3 computation refused (domain errors), 4 a recovery gave
 up (BranchAmbiguous / CutoffTooSmall).  The codes 2-4 live on the error
@@ -181,7 +185,7 @@ def _operator(args, kind: str, side: str = "") -> TorusOperator | SphereOperator
     if flag("lattice") is not None or flag("zn") is not None:
         raise ParseError(f"{dash}lattice and {dash}zn apply to torus sides only")
     if flag("n") is None or flag("r2") is None:
-        raise ParseError(f"a sphere side needs {dash}n and {dash}r2")
+        raise ParseError(f"a sphere operator needs {dash}n and {dash}r2")
     return SphereOperator(flag("n"), p, alpha, beta, flag("r2"), generic=generic)
 
 
@@ -267,58 +271,34 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _parameter_flags(parser) -> None:
-    parser.add_argument("--alpha", type=parse_rational, required=True, help="d-delta weight")
-    parser.add_argument("--beta", type=parse_rational, required=True, help="delta-d weight")
-
-
-def _output_flags(parser) -> None:
-    parser.add_argument(
-        "--mode",
-        choices=("merged", "generic"),
-        default="merged",
-        help="generic keeps the alpha and beta series separate",
-    )
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--output", help="output file, stdout when omitted")
-
-
-def _lattice_flags(parser) -> None:
-    parser.add_argument("--lattice", help="lattice JSON file, - for stdin")
-    parser.add_argument("--zn", type=_positive_int, help="standard Z^n lattice")
-
-
-def _side_flags(parser, side: str) -> None:
-    parser.add_argument(f"--{side}-kind", choices=("torus", "sphere"), required=True)
-    parser.add_argument(f"--{side}-lattice", help="lattice JSON file (torus side)")
-    parser.add_argument(f"--{side}-zn", type=_positive_int, help="standard Z^n (torus side)")
-    parser.add_argument(f"--{side}-n", type=_positive_int, help="sphere dimension")
-    parser.add_argument(f"--{side}-p", type=int, required=True, help="form degree")
-    parser.add_argument(f"--{side}-alpha", type=parse_rational, required=True)
-    parser.add_argument(f"--{side}-beta", type=parse_rational, required=True)
-    parser.add_argument(f"--{side}-r2", type=parse_rational, help="squared radius (sphere side)")
-
-
-# the recover commands' flags after --spectrum; every one is required
-_RECOVER_FLAGS = {
-    "--alpha": {"type": parse_rational},
-    "--beta": {"type": parse_rational},
-    "--copies-alpha": {"type": _positive_int},
-    "--copies-beta": {"type": _positive_int},
-    "--base": {"help": "scalar spectrum JSON of the same lattice"},
-    "--n": {"type": _positive_int},
-    "--p": {"type": int},
-    "--r2": {"type": parse_rational, "help": "squared radius"},
+# Every flag that names an operator or a recovery input, declared once: a
+# command picks its flags by name, and an isospec side prefixes them.
+_FLAGS = {
+    "lattice": {"help": "lattice JSON file, - for stdin"},
+    "zn": {"type": _positive_int, "help": "standard Z^n lattice"},
+    "n": {"type": _positive_int, "help": "dimension n"},
+    "p": {"type": int, "help": "form degree"},
+    "alpha": {"type": parse_rational, "help": "d-delta weight"},
+    "beta": {"type": parse_rational, "help": "delta-d weight"},
+    "r2": {"type": parse_rational, "help": "squared radius"},
+    "copies-alpha": {"type": _positive_int},
+    "copies-beta": {"type": _positive_int},
+    "base": {"help": "scalar spectrum JSON of the same lattice"},
 }
+# each kind's own operator flags; every kind also has p, alpha and beta
+_KIND_FLAGS = {"torus": ("lattice", "zn"), "sphere": ("n", "r2")}
 
 
-def _recover_command(what, name: str, help: str, spectrum_help: str, flags, handler) -> None:
-    cmd = what.add_parser(name, help=help)
-    cmd.add_argument("--spectrum", required=True, help=spectrum_help)
-    for flag in flags:
-        cmd.add_argument(flag, required=True, **_RECOVER_FLAGS[flag])
-    cmd.add_argument("--output")
-    cmd.set_defaults(handler=handler)
+def _flags(parser, names, required=(), dash: str = "--") -> None:
+    for name in names:
+        parser.add_argument(dash + name, required=name in required, **_FLAGS[name])
+
+
+def _operator_flags(parser, kinds, side: str = "") -> None:
+    """The operator flags of ``kinds``, named ``--<side>-p`` etc. for an isospec side."""
+    shared = ("p", "alpha", "beta")
+    own = tuple(name for kind in kinds for name in _KIND_FLAGS[kind])
+    _flags(parser, own + shared, shared, f"--{side}-" if side else "--")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -334,56 +314,54 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum = sub.add_parser("spectrum", help="compute a truncated spectrum")
     surface = spectrum.add_subparsers(dest="surface", required=True)
 
-    torus_cmd = surface.add_parser("torus", help="flat torus R^n / lattice")
-    _lattice_flags(torus_cmd)
-    torus_cmd.add_argument("--p", type=int, required=True, help="form degree")
-    _parameter_flags(torus_cmd)
-    torus_cmd.add_argument(
-        "--cutoff",
-        type=_nonnegative_rational,
-        required=True,
-        help="truncation bound, in units of 4 pi^2",
-    )
-    _output_flags(torus_cmd)
-    torus_cmd.set_defaults(handler=_cmd_spectrum)
-
-    sphere_cmd = surface.add_parser("sphere", help="round sphere S^n")
-    sphere_cmd.add_argument("--n", type=_positive_int, required=True, help="sphere dimension")
-    sphere_cmd.add_argument("--p", type=int, required=True, help="form degree")
-    _parameter_flags(sphere_cmd)
-    sphere_cmd.add_argument("--r2", type=parse_rational, required=True, help="squared radius")
-    sphere_cmd.add_argument("--cutoff", type=_nonnegative_rational, required=True)
-    _output_flags(sphere_cmd)
-    sphere_cmd.set_defaults(handler=_cmd_spectrum)
+    for kind, help, unit in (
+        ("torus", "flat torus R^n / lattice", ", in units of 4 pi^2"),
+        ("sphere", "round sphere S^n", ""),
+    ):
+        cmd = surface.add_parser(kind, help=help)
+        _operator_flags(cmd, (kind,))
+        cmd.add_argument(
+            "--cutoff", type=_nonnegative_rational, required=True, help=f"truncation bound{unit}"
+        )
+        cmd.add_argument(
+            "--mode",
+            choices=("merged", "generic"),
+            default="merged",
+            help="generic keeps the alpha and beta series separate",
+        )
+        cmd.add_argument("--format", choices=("json", "csv"), default="json")
+        cmd.add_argument("--output", help="output file, stdout when omitted")
+        cmd.set_defaults(handler=_cmd_spectrum)
 
     iso = sub.add_parser("isospec", help="compare two operators up to a cutoff")
-    _side_flags(iso, "left")
-    _side_flags(iso, "right")
+    for side in ("left", "right"):
+        iso.add_argument(f"--{side}-kind", choices=("torus", "sphere"), required=True)
+        _operator_flags(iso, ("torus", "sphere"), side)
     iso.add_argument("--cutoff", type=_nonnegative_rational, required=True)
     iso.add_argument("--output", help="output file, stdout when omitted")
     iso.set_defaults(handler=_cmd_isospec)
 
     recover = sub.add_parser("recover", help="run an inverse algorithm on spectrum files")
     what = recover.add_subparsers(dest="what", required=True)
-    _recover_command(
-        what, "base-set", "invert a two-scale repeated union", "spectrum JSON file, - for stdin",
-        ("--alpha", "--beta", "--copies-alpha", "--copies-beta"), _cmd_recover_base,
-    )
-    _recover_command(
-        what, "torus-params", "read (alpha, beta) off a torus spectrum",
-        "p-form spectrum JSON file", ("--base", "--n", "--p"), _cmd_recover_torus,
-    )
-    _recover_command(
-        what, "sphere-params", "read (alpha, beta) off a sphere spectrum", "spectrum JSON file",
-        ("--n", "--p", "--r2"), _cmd_recover_sphere,
-    )
-    _recover_command(
-        what, "radius", "read r^2 off a sphere spectrum's minimum", "spectrum JSON file",
-        ("--alpha", "--beta", "--n", "--p"), _cmd_recover_radius,
-    )
+    # every recover flag after --spectrum is required
+    for name, help, spectrum_help, flags, handler in (
+        ("base-set", "invert a two-scale repeated union", "spectrum JSON file, - for stdin",
+         ("alpha", "beta", "copies-alpha", "copies-beta"), _cmd_recover_base),
+        ("torus-params", "read (alpha, beta) off a torus spectrum", "p-form spectrum JSON file",
+         ("base", "n", "p"), _cmd_recover_torus),
+        ("sphere-params", "read (alpha, beta) off a sphere spectrum", "spectrum JSON file",
+         ("n", "p", "r2"), _cmd_recover_sphere),
+        ("radius", "read r^2 off a sphere spectrum's minimum", "spectrum JSON file",
+         ("alpha", "beta", "n", "p"), _cmd_recover_radius),
+    ):
+        cmd = what.add_parser(name, help=help)
+        cmd.add_argument("--spectrum", required=True, help=spectrum_help)
+        _flags(cmd, flags, flags)
+        cmd.add_argument("--output")
+        cmd.set_defaults(handler=handler)
 
     enum_cmd = sub.add_parser("enumerate", help="dump the dual-norm table of a lattice")
-    _lattice_flags(enum_cmd)
+    _flags(enum_cmd, _KIND_FLAGS["torus"])
     enum_cmd.add_argument("--bound", type=_nonnegative_rational, required=True)
     enum_cmd.add_argument(
         "--box", action="store_true", help="use the box-scan reference enumeration"

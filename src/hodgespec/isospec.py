@@ -33,7 +33,7 @@ from .errors import (
     UnitMismatch,
 )
 from .multiset import Unit, WeightedSpectrum
-from .rationals import _degree, _echo_number, _nonnegative, _positive, format_rational
+from .rationals import _degree, _echo_number, _int, _nonnegative, _positive, format_rational
 from .sphere import _lambda_series, _mu_series
 
 __all__ = [
@@ -125,7 +125,7 @@ def reconstruct_base(
     guaranteed region fails.
     """
     alpha, beta = _positive(NonpositiveScalar, "alpha and beta", alpha, beta)
-    if copies_alpha < 1 or copies_beta < 1:
+    if min(_int(copies_alpha, "copies_alpha"), _int(copies_beta, "copies_beta")) < 1:
         raise ValueError("copy counts must be positive")
     if m_spec.is_empty():
         raise EmptyInput("cannot reconstruct a base set from an empty spectrum")

@@ -16,10 +16,11 @@ integer y_i, and one global scale T turns every pivot into an integer weight,
 so T*|l|^2 = sum_i w_i y_i^2.  The walk runs in Python ints: the bracket
 |y_i| <= isqrt(remaining // w_i) is exact, every candidate in it is a member,
 and the integer norms are sorted before one Fraction is built per distinct
-norm.  Queries that need one or two counts (``count_norm`` here, and the
-torus multiplicity query) walk the same layers but count only their integer
-keys ``q * T`` at the last layer, one ``isqrt`` per key, and build no
-spectrum; a norm whose ``q * T`` is not an integer has count 0.
+norm.  Queries that need one or two exact counts (``count_norm`` here, and
+the torus multiplicity query) share one helper: it walks the same layers to
+the largest norm asked for but counts only the integer keys ``q * T`` at the
+last layer, one ``isqrt`` per key, and builds no spectrum; a norm whose
+``q * T`` is not an integer has count 0.
 ``brute_force_enumerate`` is the deliberately dumb reference: it scans the
 full integer box given by the per-coordinate bound x_i^2 <= Q * <b_i, b_i>
 (from x_i = <l, b_i> and Cauchy-Schwarz) and rechecks every cell in integers,
@@ -45,7 +46,7 @@ from . import linalg
 from .errors import BoxTooLarge, BudgetExceeded, ParseError, SingularBasis
 from .multiset import Unit, WeightedSpectrum, _from_int_keys
 from .rationals import (
-    _echo, _echo_number, _exact, _nonnegative, format_rational, parse_rational, sqrt_floor
+    _echo, _echo_number, _exact, _int, _nonnegative, format_rational, parse_rational, sqrt_floor
 )
 
 __all__ = [
@@ -144,7 +145,7 @@ def standard_lattice(n: int) -> Lattice:
 
     The n^3 charge of :func:`dual` comes first, before the n x n identity is built.
     """
-    _charge_dimension(n)
+    _charge_dimension(_int(n, "n"))
     return Lattice(linalg.identity(n))
 
 
@@ -238,23 +239,19 @@ def _build_dual(lattice: Lattice) -> DualData:
     )
 
 
-def _walk(
-    dual_data: DualData, bound: Fraction, keys: set[int] | None = None
-) -> tuple[dict[int, int], int]:
+def _walk(dual_data: DualData, bound: Fraction, keys: set[int] | None = None) -> dict[int, int]:
     """Integer norm table of the dual vectors with squared norm <= bound >= 0.
 
-    Returns ``(counts, scale)``: ``counts[key]`` vectors have squared norm
-    ``key / scale``.  The scale is the dual data's T, whatever the bound.
-    Given a set of ``keys``, each at most ``scale * bound``, the table holds
-    only those: the last layer solves w y^2 = key - base for each key instead
-    of scanning its bracket, which it still charges in full, so the budget
-    counts the same visits either way.
+    The table maps each key to the number of vectors of squared norm
+    ``key / T``, T the dual data's scale.  Given a set of ``keys``, each at
+    most ``T * bound``, the table holds only those: the last layer solves
+    w y^2 = key - base for each key instead of scanning its bracket, which it
+    still charges in full, so the budget counts the same visits either way.
     """
     limit = _resolve_budget()
     n = dual_data.lattice.n
     clear, terms, weights = dual_data.clear, dual_data.terms, dual_data.weights
-    scale = dual_data.scale
-    top = scale * bound.numerator // bound.denominator
+    top = dual_data.scale * bound.numerator // bound.denominator
     counts: dict[int, int] = {}
     coords = [0] * n
     visited = 0
@@ -295,33 +292,26 @@ def _walk(
         coords[level] = 0
 
     descend(n - 1, top)
-    return counts, scale
+    return counts
 
 
-def _grid_keys(scale: int, *norms: Fraction) -> set[int]:
-    """The integer keys ``norm * scale`` of those norms where that is an integer.
+def _exact_counts(dual_data: DualData, *norms: Fraction) -> tuple[int, ...]:
+    """The number of dual vectors of each squared norm in ``norms`` (all >= 0).
 
-    A set, so that a norm given twice is one key and the walk counts it once.
+    One walk to the largest norm counts only their integer keys ``norm * T``:
+    a norm where that is not an integer has count 0, and a norm given twice
+    is one key, counted once.
     """
-    keys = set()
-    for norm in norms:
-        key, rest = divmod(scale * norm.numerator, norm.denominator)
-        if not rest:
-            keys.add(key)
-    return keys
-
-
-def _count_at(counts: dict[int, int], scale: int, norm: Fraction) -> int:
-    """The count at squared norm ``norm``: 0 unless ``norm * scale`` is an integer key."""
-    key, rest = divmod(scale * norm.numerator, norm.denominator)
-    return 0 if rest else counts.get(key, 0)
+    keyed = [divmod(dual_data.scale * norm.numerator, norm.denominator) for norm in norms]
+    counts = _walk(dual_data, max(norms), {key for key, rest in keyed if not rest})
+    return tuple(0 if rest else counts.get(key, 0) for key, rest in keyed)
 
 
 def enumerate_norms(dual_data: DualData, bound) -> WeightedSpectrum:
     """Exact counts of dual vectors with squared norm <= bound (zero included)."""
     bound = _nonnegative(bound)
-    counts, scale = _walk(dual_data, bound)
-    return _from_int_keys(Unit.FOUR_PI_SQUARED, bound, sorted(counts.items()), scale)
+    counts = _walk(dual_data, bound)
+    return _from_int_keys(Unit.FOUR_PI_SQUARED, bound, sorted(counts.items()), dual_data.scale)
 
 
 def count_norm(dual_data: DualData, norm) -> int:
@@ -333,8 +323,7 @@ def count_norm(dual_data: DualData, norm) -> int:
     norm = _exact(norm, "norm")
     if norm < 0:
         return 0
-    counts, scale = _walk(dual_data, norm, _grid_keys(dual_data.scale, norm))
-    return _count_at(counts, scale, norm)
+    return _exact_counts(dual_data, norm)[0]
 
 
 def brute_force_enumerate(dual_data: DualData, bound) -> WeightedSpectrum:

@@ -23,7 +23,8 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
 from .rationals import (
-    _EXACT, _echo, _echo_number, _exact, _nonnegative, _positive, format_rational, parse_rational
+    _EXACT, _echo, _echo_number, _exact, _int, _nonnegative, _positive, format_rational,
+    parse_rational,
 )
 
 __all__ = ["Unit", "WeightedSpectrum", "repeated_union"]
@@ -247,6 +248,22 @@ def _from_int_keys(unit: Unit, cutoff, entries, den: int) -> WeightedSpectrum:
     return spectrum
 
 
+def _operator_spectrum(unit: Unit, parts, op, cutoff, parts_name: str = ""):
+    """The spectrum of a torus or sphere operator ``op`` up to ``cutoff``.
+
+    ``parts(op, cutoff)`` gives ``(den, alpha_part, beta_part)``, key-sorted
+    (int key, multiplicity) pairs over den.  With a ``parts_name`` the parts
+    are merged, and a generic operator is refused by an error naming it.
+    """
+    if parts_name and op.generic:
+        raise ValueError(f"generic-mode operators have no merged spectrum; use {parts_name}")
+    cutoff = _nonnegative(cutoff)
+    den, alpha_part, beta_part = parts(op, cutoff)
+    if parts_name:
+        return _from_int_keys(unit, cutoff, _merge(alpha_part, 1, beta_part, 1), den)
+    return tuple(_from_int_keys(unit, cutoff, part, den) for part in (alpha_part, beta_part))
+
+
 def repeated_union(
     left: WeightedSpectrum, left_count: int, right: WeightedSpectrum, right_count: int
 ) -> WeightedSpectrum:
@@ -255,6 +272,8 @@ def repeated_union(
     Counts may be zero (but not both); the cutoff is the min of the two.
     """
     left._require_same_unit(right)
+    _int(left_count, "left_count")
+    _int(right_count, "right_count")
     if left_count < 0 or right_count < 0 or left_count + right_count < 1:
         raise ValueError("copy counts must be nonnegative and not both zero")
     cutoff = min(left.cutoff, right.cutoff)

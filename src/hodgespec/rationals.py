@@ -6,7 +6,8 @@ for integers.  Decimal and float notation is rejected on purpose: every
 number in this package is exact.  The library itself takes numbers only as
 ``int`` or ``Fraction``: ``_exact`` refuses a float, bool, str or None with
 TypeError, and ``_nonnegative``, ``_positive`` and ``_degree`` add the sign
-and range rules on top of it.  Their messages write every number through
+and range rules on top of it; ``_int`` takes degrees, dimensions, counts
+and indices only as ``int``.  The rules' messages write every number through
 ``_echo`` or ``_echo_number``, so a message is short at any size.
 """
 
@@ -85,10 +86,17 @@ def _positive(error: type[Exception], names: str, *values) -> tuple[Fraction, ..
     return values
 
 
+def _int(value, name: str) -> int:
+    """``value`` if its type is exactly int (so not a bool); else TypeError naming ``name``."""
+    if type(value) is not int:
+        raise TypeError(f"{name}: expected an int, got {type(value).__name__} {_echo(value)}")
+    return value
+
+
 def _degree(what: str, n, p, low: int) -> None:
     """Refuse a form degree ``p`` outside ``low..n-low``, or a non-int p or n, for ``what``."""
-    if type(n) is not int or type(p) is not int:
-        raise TypeError(f"{what}: degrees must be ints, got p={_echo(p)}, n={_echo(n)}")
+    _int(p, f"{what}: degree p")
+    _int(n, f"{what}: dimension n")
     if not low <= p <= n - low:
         top = f"n-{low}" if low else "n"
         raise DegreeOutOfRange(

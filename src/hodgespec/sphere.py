@@ -39,8 +39,8 @@ from typing import Iterator
 
 from .errors import BudgetExceeded, NonpositiveScalar
 from .lattice import _resolve_budget
-from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merge
-from .rationals import _degree, _echo_number, _nonnegative, _positive
+from .multiset import Unit, WeightedSpectrum, _from_int_keys, _operator_spectrum
+from .rationals import _degree, _echo_number, _int, _nonnegative, _positive
 
 __all__ = [
     "Series",
@@ -108,7 +108,7 @@ def _as_int(numerator: int, denominator: int, formula: "_SeriesFormula", k: int)
 def dim_V(n: int, p: int, k: int) -> int:
     """Dimension of the k-th eigenspace on the lambda side (zero at k = 0)."""
     _degree("dim_V", n, p, 1)
-    if k < 0:
+    if _int(k, "k") < 0:
         raise ValueError("k must be nonnegative")
     return _lambda_series(n, p, 1, 1).dim(k) if k else 0
 
@@ -116,7 +116,7 @@ def dim_V(n: int, p: int, k: int) -> int:
 def dim_W(n: int, p: int, k: int) -> int:
     """Dimension of the k-th eigenspace on the mu side (defined for k >= 0)."""
     _degree("dim_W", n, p, 1)
-    if k < 0:
+    if _int(k, "k") < 0:
         raise ValueError("k must be nonnegative")
     return _mu_series(n, p, 1, 1).dim(k)
 
@@ -127,6 +127,7 @@ def harmonic_polynomial_dim(nvars: int, degree: int) -> int:
     The scalar series of S^(nvars-1).  On R^1 (n = 0) both 1 and x have
     (k+p)(k+b) = 0, so the dimensions are 1, 1, 0, 0, ...
     """
+    nvars, degree = _int(nvars, "nvars"), _int(degree, "degree")
     if nvars < 1 or degree < 0:
         raise ValueError("need nvars >= 1 and degree >= 0")
     return _scalar_series(nvars - 1, 1, 1, Series.LAMBDA).dim(degree)
@@ -272,7 +273,7 @@ def _series_of(op: SphereOperator, cutoff: Fraction) -> tuple[int, dict[Series, 
 def lambda_k(op: SphereOperator, k: int) -> Fraction:
     """k-th eigenvalue of the beta series, k >= 1."""
     op._require_interior()
-    if k < 1:
+    if _int(k, "k") < 1:
         raise ValueError("lambda series starts at k = 1")
     return _lambda_series(op.n, op.p, op.beta, op.r_squared).value(k)
 
@@ -280,7 +281,7 @@ def lambda_k(op: SphereOperator, k: int) -> Fraction:
 def mu_k(op: SphereOperator, k: int) -> Fraction:
     """k-th eigenvalue of the alpha series, k >= 0."""
     op._require_interior()
-    if k < 0:
+    if _int(k, "k") < 0:
         raise ValueError("mu series starts at k = 0")
     return _mu_series(op.n, op.p, op.alpha, op.r_squared).value(k)
 
@@ -305,21 +306,12 @@ def spectrum_parts(
     op: SphereOperator, cutoff
 ) -> tuple[WeightedSpectrum, WeightedSpectrum]:
     """(alpha part, beta part), each complete up to ``cutoff``, never merged."""
-    cutoff = _nonnegative(cutoff)
-    den, alpha_part, beta_part = _parts(op, cutoff)
-    return (
-        _from_int_keys(Unit.PLAIN, cutoff, alpha_part, den),
-        _from_int_keys(Unit.PLAIN, cutoff, beta_part, den),
-    )
+    return _operator_spectrum(Unit.PLAIN, _parts, op, cutoff)
 
 
 def spectrum(op: SphereOperator, cutoff) -> WeightedSpectrum:
     """Merged spectrum on p-forms, truncated at ``cutoff``."""
-    if op.generic:
-        raise ValueError("generic-mode operators have no merged spectrum; use spectrum_parts")
-    cutoff = _nonnegative(cutoff)
-    den, alpha_part, beta_part = _parts(op, cutoff)
-    return _from_int_keys(Unit.PLAIN, cutoff, _merge(alpha_part, 1, beta_part, 1), den)
+    return _operator_spectrum(Unit.PLAIN, _parts, op, cutoff, "spectrum_parts")
 
 
 @dataclass(frozen=True)

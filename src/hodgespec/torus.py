@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import comb
 
 from .errors import NonpositiveScalar, UnrepresentedNorm
-from .lattice import Lattice, _count_at, _grid_keys, _walk, dual, enumerate_norms
-from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merge
+from .lattice import Lattice, _exact_counts, _walk, dual, enumerate_norms
+from .multiset import Unit, WeightedSpectrum, _operator_spectrum
 from .rationals import _degree, _echo, _echo_number, _nonnegative, _positive
 
 __all__ = [
@@ -97,8 +97,9 @@ def _parts(op: TorusOperator, cutoff: Fraction) -> tuple[int, list, list]:
     """
     alpha, beta = op.alpha, op.beta
     weight = min(w for w, copies in ((alpha, op.alpha_copies), (beta, op.beta_copies)) if copies)
-    counts, scale = _walk(dual(op.lattice), cutoff / weight)
-    den = scale * alpha.denominator * beta.denominator
+    data = dual(op.lattice)
+    counts = _walk(data, cutoff / weight)
+    den = data.scale * alpha.denominator * beta.denominator
     top = den * cutoff.numerator // cutoff.denominator
     norms = sorted(counts.items())
 
@@ -119,21 +120,12 @@ def _parts(op: TorusOperator, cutoff: Fraction) -> tuple[int, list, list]:
 
 def f_spectrum_parts(op: TorusOperator, cutoff) -> tuple[WeightedSpectrum, WeightedSpectrum]:
     """(alpha part, beta part), each complete up to ``cutoff``, never merged."""
-    cutoff = _nonnegative(cutoff)
-    den, alpha_part, beta_part = _parts(op, cutoff)
-    return (
-        _from_int_keys(Unit.FOUR_PI_SQUARED, cutoff, alpha_part, den),
-        _from_int_keys(Unit.FOUR_PI_SQUARED, cutoff, beta_part, den),
-    )
+    return _operator_spectrum(Unit.FOUR_PI_SQUARED, _parts, op, cutoff)
 
 
 def f_spectrum(op: TorusOperator, cutoff) -> WeightedSpectrum:
     """Merged spectrum on p-forms, truncated at ``cutoff``."""
-    if op.generic:
-        raise ValueError("generic-mode operators have no merged spectrum; use f_spectrum_parts")
-    cutoff = _nonnegative(cutoff)
-    den, alpha_part, beta_part = _parts(op, cutoff)
-    return _from_int_keys(Unit.FOUR_PI_SQUARED, cutoff, _merge(alpha_part, 1, beta_part, 1), den)
+    return _operator_spectrum(Unit.FOUR_PI_SQUARED, _parts, op, cutoff, "f_spectrum_parts")
 
 
 def eigenvalue_multiplicity(op: TorusOperator, norm, branch: Branch) -> int:
@@ -153,15 +145,8 @@ def eigenvalue_multiplicity(op: TorusOperator, norm, branch: Branch) -> int:
         raise TypeError(f"branch must be a Branch, got {_echo(branch)}")
     # The other family reaches the key own*norm at the dual norm norm*own/other:
     # one walk to the larger of the two norms counts both, and only them.
-    cross = norm * own / other
-    crossing = other_copies and not op.generic
-    norms = (norm, cross) if crossing else (norm,)
-    data = dual(op.lattice)
-    counts, scale = _walk(data, max(norms), _grid_keys(data.scale, *norms))
-    base = _count_at(counts, scale, norm)
+    norms = (norm, norm * own / other) if other_copies and not op.generic else (norm,)
+    base, *crossed = _exact_counts(dual(op.lattice), *norms)
     if base == 0:
         raise UnrepresentedNorm(f"no dual vector has squared norm {_echo_number(norm)}")
-    total = own_copies * base
-    if crossing:
-        total += other_copies * _count_at(counts, scale, cross)
-    return total
+    return own_copies * base + other_copies * sum(crossed)

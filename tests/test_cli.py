@@ -211,6 +211,39 @@ def test_isospec_rejects_misplaced_flags(capsys):
     assert code == 2
 
 
+WEIGHTS = ["--p", "1", "--alpha", "1", "--beta", "1"]
+TORUS_SIDE = ["--right-kind", "torus", "--right-zn", "2", "--right-p", "1",
+              "--right-alpha", "1", "--right-beta", "1", "--cutoff", "2"]
+
+
+def left_side(kind, *flags):
+    return ["isospec", "--left-kind", kind, "--left-p", "1", "--left-alpha", "1",
+            "--left-beta", "1", *flags, *TORUS_SIDE]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "sphere", *WEIGHTS, "--r2", "1", "--cutoff", "2"],
+        ["spectrum", "sphere", "--n", "3", *WEIGHTS, "--cutoff", "2"],
+        ["spectrum", "torus", "--zn", "2", *WEIGHTS, "--r2", "1", "--cutoff", "2"],
+        ["spectrum", "sphere", "--n", "3", "--r2", "1", *WEIGHTS, "--zn", "2", "--cutoff", "2"],
+        left_side("sphere", "--left-r2", "1"),
+        left_side("sphere", "--left-n", "3"),
+        left_side("torus", "--left-zn", "2", "--left-n", "3"),
+        left_side("sphere", "--left-n", "3", "--left-r2", "1", "--left-lattice", "l.json"),
+    ],
+    ids=["sphere-without-n", "sphere-without-r2", "sphere-flag-on-torus", "torus-flag-on-sphere",
+         "side-sphere-without-n", "side-sphere-without-r2", "side-sphere-flag-on-torus",
+         "side-torus-flag-on-sphere"],
+)
+def test_misplaced_or_missing_operator_flags_exit_2(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)  # all of stderr is one object
+    assert set(payload) == {"error", "message"} and payload["error"] == "ParseError"
+
+
 def test_recover_base_set(tmp_path, capsys):
     m_file = tmp_path / "m.json"
     m_file.write_text(json.dumps({

@@ -1,5 +1,6 @@
-"""No floating point anywhere in the package or in the test-side oracles it is
-checked against: a syntax-level guard on every module."""
+"""Syntax-level guards on every module: no floating point anywhere in the
+package or in the test-side oracles it is checked against, one constructor
+bypass, the parameter rules in one module, and no dead code in the package."""
 
 import ast
 from pathlib import Path
@@ -140,3 +141,88 @@ def test_rule_error_guard_catches_each_form():
     )
     found = rule_error_calls(ast.parse(source))
     assert found == ["line 1: DegreeOutOfRange", "line 2: NonpositiveScalar", "line 4: NonpositiveMin"]
+
+
+# No dead code: every module-level private name of the package is used by
+# another statement of the package, and every module uses what it imports
+# (the package's __init__ imports to re-export).
+
+
+def _defined(statement: ast.stmt) -> list[str]:
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        names = [target.id for target in targets if isinstance(target, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.endswith("__")]
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Names read, attributes taken and names imported anywhere under ``node``."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def dead_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level private names that no other top-level statement refers to."""
+    statements = [(stmt, _referenced(stmt)) for tree in trees.values() for stmt in tree.body]
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        for name in _defined(stmt)
+        if not any(name in names for other, names in statements if other is not stmt)
+    ]
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_package_has_no_unused_private_name():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE}
+    assert dead_names(trees) == []
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in PACKAGE if path.name != "__init__.py"], ids=lambda path: path.stem
+)
+def test_module_uses_every_import(path):
+    assert unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_dead_code_guards_catch_each_form():
+    walk = ast.parse(
+        "from .rationals import _echo\n"
+        "_LIMIT = 3\n"
+        "def _helper(x):\n"
+        "    return _helper(x - 1) + _LIMIT\n"
+        "def _unused():\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _echo(1)\n"
+    )
+    rationals = ast.parse("def _echo(x):\n    return x\ndef _orphan():\n    pass\n")
+    assert dead_names({"walk.py": walk, "rationals.py": rationals}) == [
+        "walk.py: _helper", "walk.py: _unused", "rationals.py: _orphan"
+    ]
+    source = "import math\nimport os.path\nfrom .multiset import _merge, _from_int_keys\n"
+    source += "x = math.gcd(4, 6) + _from_int_keys\n"
+    assert unused_imports(ast.parse(source)) == ["line 2: os", "line 3: _merge"]

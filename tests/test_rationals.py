@@ -22,7 +22,7 @@ from hodgespec.isospec import (
     recover_torus_params,
 )
 from hodgespec.lattice import Lattice, count_norm, dual, enumerate_norms, standard_lattice
-from hodgespec.multiset import Unit, WeightedSpectrum
+from hodgespec.multiset import Unit, WeightedSpectrum, repeated_union
 from hodgespec.rationals import _echo, _echo_number, format_rational, parse_rational, sqrt_floor
 from hodgespec.sphere import (
     SphereOperator,
@@ -30,6 +30,9 @@ from hodgespec.sphere import (
     dim_V,
     dim_W,
     eigenvalue_details,
+    harmonic_polynomial_dim,
+    lambda_k,
+    mu_k,
     spectrum,
     spectrum_parts,
 )
@@ -178,18 +181,27 @@ ENTRY_POINTS = {
     "SphereOperator-r_squared": lambda bad: SphereOperator(3, 1, 1, 1, bad),
     "dim_V": lambda bad: dim_V(3, bad, 1),
     "dim_W": lambda bad: dim_W(bad, 1, 1),
+    "dim_V-k": lambda bad: dim_V(3, 1, bad),
+    "dim_W-k": lambda bad: dim_W(3, 1, bad),
+    "lambda_k": lambda bad: lambda_k(SPHERE, bad),
+    "mu_k": lambda bad: mu_k(SPHERE, bad),
+    "harmonic_polynomial_dim-nvars": lambda bad: harmonic_polynomial_dim(bad, 1),
+    "harmonic_polynomial_dim-degree": lambda bad: harmonic_polynomial_dim(3, bad),
     "spectrum": lambda bad: spectrum(SPHERE, bad),
     "spectrum_parts": lambda bad: spectrum_parts(SPHERE, bad),
     "eigenvalue_details": lambda bad: eigenvalue_details(SPHERE, bad),
     "coincidences": lambda bad: coincidences(SPHERE, bad),
     "first_divergence": lambda bad: first_divergence(PLAIN, PLAIN, bad),
     "reconstruct_base": lambda bad: reconstruct_base(PLAIN, bad, 1, 1, 1),
+    "reconstruct_base-copies_alpha": lambda bad: reconstruct_base(PLAIN, 1, 2, bad, 1),
+    "reconstruct_base-copies_beta": lambda bad: reconstruct_base(PLAIN, 1, 2, 1, bad),
     "recover_torus_params": lambda bad: recover_torus_params(TORUS_BASE, TORUS_BASE, 2, bad),
     "recover_sphere_params-p": lambda bad: recover_sphere_params(PLAIN, 3, bad, 1),
     "recover_sphere_params-r_squared": lambda bad: recover_sphere_params(PLAIN, 3, 1, bad),
     "recover_radius-n": lambda bad: recover_radius(1, 1, bad, 1, 1),
     "recover_radius-beta": lambda bad: recover_radius(1, bad, 3, 1, 1),
     "recover_radius-min": lambda bad: recover_radius(1, 1, 3, 1, bad),
+    "standard_lattice": lambda bad: standard_lattice(bad),
     "Lattice": lambda bad: Lattice(((1, 0), (bad, 1))),
     "Lattice.scaled": lambda bad: Z2.scaled(bad),
     "enumerate_norms": lambda bad: enumerate_norms(dual(Z2), bad),
@@ -199,6 +211,8 @@ ENTRY_POINTS = {
     "multiplicity": lambda bad: PLAIN.multiplicity(bad),
     "scale": lambda bad: PLAIN.scale(bad),
     "truncate": lambda bad: PLAIN.truncate(bad),
+    "repeated_union-left_count": lambda bad: repeated_union(PLAIN, bad, PLAIN, 1),
+    "repeated_union-right_count": lambda bad: repeated_union(PLAIN, 1, PLAIN, bad),
 }
 
 
