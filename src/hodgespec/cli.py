@@ -54,11 +54,17 @@ _SPECTRA = {
 }
 
 
+# the longest message argparse builds from the declared flags alone (isospec's
+# required flags); past it, the rest is an offending value echoed in full
+_USAGE_LIMIT = 150
+
+
 class _Parser(argparse.ArgumentParser):
     # surface usage problems as ParseError so main() can emit the JSON
     # error object and the documented exit code instead of argparse's exit
     def error(self, message):
-        raise ParseError(message)
+        cut = len(message) > _USAGE_LIMIT
+        raise ParseError(message[:_USAGE_LIMIT] + "..." if cut else message)
 
 
 def _positive_int(text: str) -> int:
@@ -135,20 +141,20 @@ def _write(args, payload) -> None:
     try:
         Path(args.output).write_text(text)
     except OSError as exc:
-        raise ParseError(f"cannot write output file {args.output}: {exc}") from None
+        raise ParseError(f"cannot write output file {_echo(args.output)}: {exc.strerror}") from None
 
 
 def _load_json(path: str, what: str):
     try:
         data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     except OSError as exc:
-        raise ParseError(f"cannot read {what} file {path}: {exc}") from None
+        raise ParseError(f"cannot read {what} file {_echo(path)}: {exc.strerror}") from None
     try:
         return json.loads(data.decode("utf-8"))
     except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
-        raise ParseError(f"{what} file {path} is not valid UTF-8 JSON: {exc}") from None
+        raise ParseError(f"{what} file {_echo(path)} is not valid UTF-8 JSON: {exc}") from None
     except RecursionError:
-        raise ParseError(f"{what} file {path} nests too deeply") from None
+        raise ParseError(f"{what} file {_echo(path)} nests too deeply") from None
 
 
 def _load_spectrum(path: str) -> WeightedSpectrum:

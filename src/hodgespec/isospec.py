@@ -34,7 +34,7 @@ from .errors import (
 )
 from .multiset import Unit, WeightedSpectrum
 from .rationals import _degree, _echo_number, _int, _nonnegative, _positive, format_rational
-from .sphere import _lambda_series, _mu_series
+from .sphere import Series, _series
 
 __all__ = [
     "BRANCH_ALPHA_FIRST",
@@ -254,15 +254,15 @@ def recover_sphere_params(
     _degree("sphere recovery", n, p, 1)
     (r_squared,) = _positive(NonpositiveScalar, "r_squared", r_squared)
 
-    def share(series) -> _Share:
-        first = series(n, p, 1, r_squared)
+    def share(side: Series) -> _Share:
+        first = _series(side, n, p, 1, r_squared)
 
         def spectrum(c: Fraction) -> WeightedSpectrum:
-            return series(n, p, c, r_squared).spectrum(m_spec.cutoff)
+            return _series(side, n, p, c, r_squared).spectrum(m_spec.cutoff)
 
         return _Share(first.value(first.start), first.dim(first.start), spectrum)
 
-    return _recover_pair(m_spec, share(_mu_series), share(_lambda_series), n == 2 * p)
+    return _recover_pair(m_spec, share(Series.MU), share(Series.LAMBDA), n == 2 * p)
 
 
 def recover_radius(alpha, beta, n: int, p: int, min_eigenvalue) -> Fraction:
@@ -274,6 +274,6 @@ def recover_radius(alpha, beta, n: int, p: int, min_eigenvalue) -> Fraction:
     _degree("radius recovery", n, p, 1)
     alpha, beta = _positive(NonpositiveScalar, "alpha and beta", alpha, beta)
     (min_eigenvalue,) = _positive(NonpositiveMin, "minimal eigenvalue", min_eigenvalue)
-    leads = (_mu_series(n, p, alpha, 1), _lambda_series(n, p, beta, 1))
+    leads = (_series(Series.MU, n, p, alpha, 1), _series(Series.LAMBDA, n, p, beta, 1))
     return min(series.value(series.start) for series in leads) / min_eigenvalue
 

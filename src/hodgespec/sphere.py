@@ -17,22 +17,32 @@ p = n is p = 0 with alpha and beta swapped; both are flagged as duality
 extensions on the operator.  ``generic=True`` again means a formally
 irrational alpha/beta: parts stay unmerged and coincidences are suppressed.
 
-Every series value is scale * (k+p)(k+b) with the rational scale
-coefficient / r^2 (p = 0 for the scalar series).  Over den, the lcm of the
-operator's scale denominators, term k has the integer key
-scale * den * (k+p)(k+b).  The series are cut at floor(cutoff * den), merged
-and matched as integers, and one Fraction is built per returned entry, as for
-the torus norm tables.  Each series describes its dimensions once, as
-products of two binomial coefficients; a series steps C(k + top, n) from one
-term to the next by exact integer ratios, and ``dim_V``, ``dim_W`` and
-``harmonic_polynomial_dim`` read the same description in closed form.  The
-budget is charged for the size of those binomials before any term is made.
+The Hodge star takes the co-exact p-forms to the exact (n-p)-forms, so
+lambda_k on p-forms is mu_{k-1} on (n-p)-forms: every series is the mu
+series of one degree q at scale coefficient / r^2, read at j = k - shift
+(mu: q = p, shift 0; lambda: q = n-p, shift 1), with term k of value
+scale * (j+q)(j+n-q+1) and dimension
+
+    C(n, q) * q * C(j+n, n) * (2j+n+1) / ((j+q)(j+n-q+1)).
+
+The scalar series (lambda at p = 0, mu at p = n) is q = n, shift 1, from
+k = 0: at j = -1 the quadratic vanishes, and that term is the zero
+eigenvalue of the constants (the volume form at p = n), of dimension 1.
+
+Over den, the lcm of the operator's scale denominators, every key is an
+integer.  The series are cut at floor(cutoff * den), merged and matched as
+integers, and one Fraction is built per returned entry, as for the torus
+norm tables.  A series steps C(j+n, n) from one term to the next by exact
+integer ratios; ``dim_V``, ``dim_W`` and ``harmonic_polynomial_dim`` read
+the first term of the series from k on, so one path computes every
+dimension.  The budget is charged for the size of those binomials before
+any term is made.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, isqrt, lcm
 from typing import Iterator
@@ -110,7 +120,7 @@ def dim_V(n: int, p: int, k: int) -> int:
     _degree("dim_V", n, p, 1)
     if _int(k, "k") < 0:
         raise ValueError("k must be nonnegative")
-    return _lambda_series(n, p, 1, 1).dim(k) if k else 0
+    return _series(Series.LAMBDA, n, p, 1, 1).dim(k) if k else 0
 
 
 def dim_W(n: int, p: int, k: int) -> int:
@@ -118,115 +128,91 @@ def dim_W(n: int, p: int, k: int) -> int:
     _degree("dim_W", n, p, 1)
     if _int(k, "k") < 0:
         raise ValueError("k must be nonnegative")
-    return _mu_series(n, p, 1, 1).dim(k)
+    return _series(Series.MU, n, p, 1, 1).dim(k)
 
 
 def harmonic_polynomial_dim(nvars: int, degree: int) -> int:
     """Dimension of harmonic homogeneous polynomials of a given degree.
 
-    The scalar series of S^(nvars-1).  On R^1 (n = 0) both 1 and x have
-    (k+p)(k+b) = 0, so the dimensions are 1, 1, 0, 0, ...
+    The scalar series of S^(nvars-1).  On R^1 (S^0) only 1 and x are
+    harmonic, so the dimensions are 1, 1, 0, 0, ...
     """
     nvars, degree = _int(nvars, "nvars"), _int(degree, "degree")
     if nvars < 1 or degree < 0:
         raise ValueError("need nvars >= 1 and degree >= 0")
-    return _scalar_series(nvars - 1, 1, 1, Series.LAMBDA).dim(degree)
+    if nvars == 1:
+        return int(degree <= 1)
+    return _series(Series.LAMBDA, nvars - 1, 0, 1, 1).dim(degree)
 
 
 @dataclass(frozen=True)
 class _SeriesFormula:
-    """One eigenvalue series of p-forms on S^n: value(k) = scale (k+p)(k+b), k >= start.
+    """The mu series of q-forms on S^n, as ``series``: terms k >= start, at j = k - shift.
 
-    ``scale`` is the coefficient over r^2, both positive (the factories take
-    checked values), and the scalar series is p = 0.
-    Values strictly increase in k, so the terms come out as sorted entries.
-    The eigenspace of term k has dimension
-
-        C(n, p) * weight * C(k + top, n) * (2k + p + b) / ((k + p)(k + b))
-
-    (Ikeda & Taniguchi), except where (k+p)(k+b) vanishes: that term is the
-    zero eigenvalue of the scalar series, spanned by the constants, of
-    dimension 1.  ``dim`` reads this closed form with ``math.comb``;
-    ``terms`` steps its binomials from one term to the next.  Both charge
-    the budget through ``_charge`` and compute through ``_binomials`` and
-    ``_dim``.
+    value(k) = scale (j+q)(j+n-q+1), with ``scale`` the coefficient over r^2,
+    both positive (``_series`` takes checked values).  Values strictly
+    increase in k, so the terms come out as sorted entries.  Term k has the
+    dimension C(n, q) q C(j+n, n) (2j+n+1) / ((j+q)(j+n-q+1)) (Ikeda &
+    Taniguchi) unless j = -1: only the scalar series (q = n) starts there,
+    where (j+q)(j+n-q+1) vanishes, with the constants' zero of dimension 1.
     """
 
     series: Series
     start: int
+    shift: int
     scale: Fraction
     n: int
-    p: int
-    b: int
-    weight: int
-    top: int
+    q: int
 
     def value(self, k: int) -> Fraction:
-        scale = self.scale
-        return Fraction(scale.numerator * (k + self.p) * (k + self.b), scale.denominator)
+        j, q, scale = k - self.shift, self.q, self.scale
+        return Fraction(scale.numerator * (j + q) * (j + self.n - q + 1), scale.denominator)
 
     def dim(self, k: int) -> int:
-        """The dimension of term k, from the closed form, charged as one term."""
-        self._charge(1, k)
-        quadratic = (k + self.p) * (k + self.b)
-        return self._dim(k, quadratic and self._binomials(k), quadratic)
-
-    def _charge(self, terms: int, last: int) -> None:
-        """Charge ``terms`` dimensions up to term ``last`` to HODGESPEC_BUDGET.
-
-        Each costs 1 + min(n, last) + min(p, n-p), which bounds the smaller
-        sides of C(k + top, n) and C(n, p), so the size of the dimension.
-        """
-        n, p = self.n, self.p
-        width = 1 + min(n, last) + min(p, n - p)
-        limit = _resolve_budget()
-        if terms * width > limit:
-            count, width = _echo_number(terms), _echo_number(width)
-            raise BudgetExceeded(
-                f"sphere dimensions need {count} terms times {width} work, budget is {limit}"
-            )
-
-    def _binomials(self, k: int) -> int:
-        """C(n, p) * weight * C(k + top, n): the part of the dimension that steps in k."""
-        return comb(self.n, self.p) * self.weight * comb(k + self.top, self.n)
-
-    def _dim(self, k: int, binomials: int, quadratic: int) -> int:
-        """The dimension of term k from its ``_binomials`` and (k+p)(k+b)."""
-        if not quadratic:
-            return 1
-        return _as_int(binomials * (2 * k + self.p + self.b), quadratic, self, k)
+        """The dimension of term k: the first term of the series from k on, charged as one."""
+        _, _, dim = next(replace(self, start=k).terms(self.value(k), self.scale.denominator))
+        return dim
 
     def terms(self, cutoff: Fraction, den: int) -> Iterator[tuple[int, int, int]]:
         """(k, key, dim) of every term with value(k) = key / den <= cutoff.
 
         ``den`` is a multiple of the scale's denominator, so the key is the
-        integer factor * (k+p)(k+b) with factor = scale * den.  value(k) <=
-        cutoff exactly when (k+p)(k+b) <= m = floor(cutoff/scale), and
-        4(k+p)(k+b) = (2k+p+b)^2 - (p-b)^2 names the last such k.
+        integer factor * (j+q)(j+b) with factor = scale * den and b = n-q+1.
+        value(k) <= cutoff exactly when (j+q)(j+b) <= m = floor(cutoff/scale),
+        and 4(j+q)(j+b) = (2j+q+b)^2 - (q-b)^2 names the last such j.
 
-        Every term's dimension is charged (``_charge``) before any term is
-        made.  From term to term, C(k+top, n) = C(k-1+top, n) *
-        (k+top) / (k+top-n) is an exact division, checked at every step.  A
-        zero (the constants' term) does not step, so the next term starts
-        again from ``_binomials``.
+        Every term is charged to HODGESPEC_BUDGET before any term is made.
+        Each costs 1 + min(n, last k) + min(q, n-q), which bounds the smaller
+        sides of C(j+n, n) and C(n, q), so the size of the dimension.  The
+        boundary zero comes first; from then on, C(j+n, n) = C(j-1+n, n) *
+        (j+n) / j is an exact division, checked at every step.
         """
-        n, p, b, top = self.n, self.p, self.b, self.top
+        n, q, shift = self.n, self.q, self.shift
+        b = n - q + 1
         factor = self.scale.numerator * (den // self.scale.denominator)
         # floor(cutoff/scale) = floor(floor(cutoff * den) / factor)
         m = den * cutoff.numerator // cutoff.denominator // factor
-        if m < (self.start + p) * (self.start + b):
+        first = self.start - shift
+        if m < (first + q) * (first + b):
             return
-        last = (isqrt(4 * m + (p - b) ** 2) - p - b) // 2
-        ks = range(self.start, last + 1)
-        self._charge(len(ks), last)
-        binomials = 0
-        for k in ks:
-            if binomials:
-                binomials = _as_int(binomials * (k + top), k + top - n, self, k)
-            else:
-                binomials = self._binomials(k)
-            quadratic = (k + p) * (k + b)
-            yield k, factor * quadratic, self._dim(k, binomials, quadratic)
+        last = (isqrt(4 * m + (q - b) ** 2) - q - b) // 2
+        count, width = last + 1 - first, 1 + min(n, last + shift) + min(q, n - q)
+        limit = _resolve_budget()
+        if count * width > limit:
+            count, width = _echo_number(count), _echo_number(width)
+            raise BudgetExceeded(
+                f"sphere dimensions need {count} terms times {width} work, budget is {limit}"
+            )
+        if first < 0:
+            yield self.start, 0, 1
+            first = 0
+        binomials = comb(n, q) * q * comb(first + n, n)
+        for j in range(first, last + 1):
+            quadratic = (j + q) * (j + b)
+            yield j + shift, factor * quadratic, _as_int(
+                binomials * (2 * j + n + 1), quadratic, self, j + shift
+            )
+            binomials = _as_int(binomials * (j + 1 + n), j + 1, self, j + 1 + shift)
 
     def spectrum(self, cutoff: Fraction) -> WeightedSpectrum:
         den = self.scale.denominator
@@ -234,20 +220,18 @@ class _SeriesFormula:
         return _from_int_keys(Unit.PLAIN, cutoff, entries, den)
 
 
-def _lambda_series(n: int, p: int, coefficient, r_squared) -> _SeriesFormula:
+def _series(side: Series, n: int, p: int, coefficient, r_squared) -> _SeriesFormula:
+    """The ``side`` series of p-forms on S^n: the mu series of q-forms.
+
+    Mu is q = p from k = 0; lambda is q = n-p one index on, from k = 1.
+    Where q = n (lambda at p = 0, mu at p = n) it is the scalar series, one
+    index on, after the constants' zero at k = 0.
+    """
     scale = Fraction(coefficient) / Fraction(r_squared)
-    return _SeriesFormula(Series.LAMBDA, 1, scale, n, p, n - p - 1, n - p, n - 1)
-
-
-def _mu_series(n: int, p: int, coefficient, r_squared) -> _SeriesFormula:
-    scale = Fraction(coefficient) / Fraction(r_squared)
-    return _SeriesFormula(Series.MU, 0, scale, n, p, n - p + 1, p, n)
-
-
-def _scalar_series(n: int, coefficient, r_squared, series: Series) -> _SeriesFormula:
-    """The lambda series' formula at p = 0, from k = 0: the functions."""
-    scale = Fraction(coefficient) / Fraction(r_squared)
-    return _SeriesFormula(series, 0, scale, n, 0, n - 1, n, n - 1)
+    q, shift = (n - p, 1) if side is Series.LAMBDA else (p, 0)
+    if q == n:
+        return _SeriesFormula(side, 0, 1, scale, n, n)
+    return _SeriesFormula(side, shift, shift, scale, n, q)
 
 
 def _series_of(op: SphereOperator, cutoff: Fraction) -> tuple[int, dict[Series, list]]:
@@ -255,17 +239,12 @@ def _series_of(op: SphereOperator, cutoff: Fraction) -> tuple[int, dict[Series, 
 
     Returns ``(den, {series: [(k, key, dim), ...]})`` with den the lcm of the
     series' scale denominators, so that every key is an integer over it, and
-    each list sorted by key.  Lambda (beta side) is stepped before mu (alpha
-    side).  p = 0 has only the beta-scaled scalar series, tagged lambda; p = n
-    only the alpha-scaled one, tagged mu.
+    each list sorted by key.  Lambda (beta side, the co-exact forms, for
+    p < n) is stepped before mu (alpha side, the exact forms, for p > 0).
     """
-    n, p, r_squared = op.n, op.p, op.r_squared
-    if p == 0:
-        formulas = (_scalar_series(n, op.beta, r_squared, Series.LAMBDA),)
-    elif p == n:
-        formulas = (_scalar_series(n, op.alpha, r_squared, Series.MU),)
-    else:
-        formulas = (_lambda_series(n, p, op.beta, r_squared), _mu_series(n, p, op.alpha, r_squared))
+    n, p = op.n, op.p
+    sides = ((Series.LAMBDA, op.beta, p < n), (Series.MU, op.alpha, p > 0))
+    formulas = [_series(side, n, p, c, op.r_squared) for side, c, present in sides if present]
     den = lcm(*(formula.scale.denominator for formula in formulas))
     return den, {formula.series: list(formula.terms(cutoff, den)) for formula in formulas}
 
@@ -275,7 +254,7 @@ def lambda_k(op: SphereOperator, k: int) -> Fraction:
     op._require_interior()
     if _int(k, "k") < 1:
         raise ValueError("lambda series starts at k = 1")
-    return _lambda_series(op.n, op.p, op.beta, op.r_squared).value(k)
+    return _series(Series.LAMBDA, op.n, op.p, op.beta, op.r_squared).value(k)
 
 
 def mu_k(op: SphereOperator, k: int) -> Fraction:
@@ -283,7 +262,7 @@ def mu_k(op: SphereOperator, k: int) -> Fraction:
     op._require_interior()
     if _int(k, "k") < 0:
         raise ValueError("mu series starts at k = 0")
-    return _mu_series(op.n, op.p, op.alpha, op.r_squared).value(k)
+    return _series(Series.MU, op.n, op.p, op.alpha, op.r_squared).value(k)
 
 
 def _parts(op: SphereOperator, cutoff: Fraction) -> tuple[int, list, list]:

@@ -694,13 +694,32 @@ def test_huge_zn_is_refused_before_any_matrix(within, n, monkeypatch, capsys):
     assert len(err) < 200
 
 
-def test_long_negative_cutoff_is_echoed_short(capsys):
-    code, out, err = run(
-        ["spectrum", "torus", "--zn", "2", "--p", "1",
-         "--alpha", "1", "--beta", "1", "--cutoff", "-" + "7" * 4000],
-        capsys,
-    )
-    assert (code, out, error_kind(err)) == (2, "", "ParseError")
+LONG = "x" * 5000
+TORUS_ARGV = ["spectrum", "torus", "--zn", "2", "--p", "1", "--alpha", "1", "--beta", "1"]
+
+
+# argparse echoes a bad value and an OS error names its path: both stay short
+@pytest.mark.parametrize(
+    "argv",
+    [
+        TORUS_ARGV + ["--cutoff", "-" + "7" * 4000],
+        ["spectrum", "torus", "--zn", "7" * 5000, "--p", "1", "--alpha", "1", "--beta", "1",
+         "--cutoff", "1"],
+        ["spectrum", "torus", "--zn", "2", "--p", LONG, "--alpha", "1", "--beta", "1",
+         "--cutoff", "1"],
+        TORUS_ARGV + ["--cutoff", "1", "--format", LONG],
+        TORUS_ARGV + ["--cutoff", "1", "--" + LONG],
+        ["recover", "radius", "--spectrum", LONG, "--alpha", "1", "--beta", "1", "--n", "3",
+         "--p", "1"],
+        ["enumerate", "--lattice", LONG, "--bound", "1"],
+        TORUS_ARGV + ["--cutoff", "1", "--output", LONG],
+    ],
+    ids=["cutoff", "zn", "p", "format", "unknown-flag", "spectrum-path", "lattice-path",
+         "output-path"],
+)
+def test_long_negative_cutoff_is_echoed_short(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out, json.loads(err)["error"]) == (2, "", "ParseError")  # one object
     assert len(err) < 200
 
 

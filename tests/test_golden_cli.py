@@ -5,7 +5,8 @@ Each ``tests/golden/*.json`` fixture holds one run: ``argv``, an optional
 ``@name`` stands for the input file ``tests/golden/inputs/name``.  The
 fixtures were recorded once from an earlier, independently tested state of
 the program; they are a byte-for-byte guard for refactors, so a mismatch
-means the program changed, never that the fixture should be rewritten.
+means the program changed, never that the fixture should be rewritten.  A
+refusal's stderr must be one error object of under 1000 bytes.
 """
 
 import json
@@ -41,3 +42,4 @@ def test_golden_run(path, capsys, monkeypatch):
     if code >= 2:
         payload = json.loads(captured.err)
         assert set(payload) == {"error", "message"}
+        assert len(captured.err.encode()) < 1000  # error messages stay short

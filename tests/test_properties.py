@@ -31,9 +31,7 @@ from hodgespec.multiset import Unit, WeightedSpectrum, repeated_union
 from hodgespec.sphere import (
     Series,
     SphereOperator,
-    _lambda_series,
-    _mu_series,
-    _scalar_series,
+    _series,
     coincidences,
     dim_V,
     dim_W,
@@ -620,17 +618,16 @@ def stepped_dims(formula, last):
 def test_stepped_dimensions_equal_the_closed_forms(n):
     last = 300
     for p in range(1, n):
-        lam = stepped_dims(_lambda_series(n, p, 1, 1), last)
-        mu = stepped_dims(_mu_series(n, p, 1, 1), last)
+        lam = stepped_dims(_series(Series.LAMBDA, n, p, 1, 1), last)
+        mu = stepped_dims(_series(Series.MU, n, p, 1, 1), last)
         assert lam == [dim_V(n, p, k) for k in range(1, last + 1)]
         assert mu == [dim_W(n, p, k) for k in range(last + 1)]
-        # the closed forms against factorials, on a sparser grid
-        for k in range(0, last + 1, 23):
-            assert dim_V(n, p, k) == factorial_dim_V(n, p, k)
-            assert dim_W(n, p, k) == factorial_dim_W(n, p, k)
+        # dim_V and dim_W read the same steps, so the factorials are the independent check
+        assert lam == [factorial_dim_V(n, p, k) for k in range(1, last + 1)]
+        assert mu == [factorial_dim_W(n, p, k) for k in range(last + 1)]
     # p = 0 and p = n: the scalar series, S^1 included (1, 2, 2, ...)
     for series in Series:
-        scalar = stepped_dims(_scalar_series(n, 2, 3, series), last)
+        scalar = stepped_dims(_series(series, n, 0 if series is Series.LAMBDA else n, 2, 3), last)
         assert scalar == [harmonic_polynomial_dim(n + 1, k) for k in range(last + 1)]
         assert scalar == [harmonic_dim(n + 1, k) for k in range(last + 1)]
     assert [harmonic_polynomial_dim(1, k) for k in range(5)] == [1, 1, 0, 0, 0]
@@ -733,8 +730,8 @@ def test_sphere_builders_pass_the_public_constructor(op, data):
     if not op.generic:
         built.append(spectrum(op, cutoff))
     if not op.duality_extension:
-        built += (series(op.n, op.p, op.alpha, op.r_squared).spectrum(cutoff)
-                  for series in (_lambda_series, _mu_series))
+        built += (_series(side, op.n, op.p, op.alpha, op.r_squared).spectrum(cutoff)
+                  for side in Series)
     for spectrum_ in built:
         assert rebuilt(spectrum_) == spectrum_
 

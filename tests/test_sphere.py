@@ -1,6 +1,5 @@
 """Round sphere spectra: series values, eigenspace dimensions, oracle recount."""
 
-import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -25,7 +24,8 @@ from hodgespec.sphere import (
     spectrum,
     spectrum_parts,
 )
-from hodgespec.sphere import _lambda_series
+from hodgespec import sphere
+from hodgespec.sphere import _series
 
 from oracles import ORACLE_MAX_AMBIENT_DIM, ORACLE_MAX_POLY_DEGREE, harmonic_form_dims_oracle
 
@@ -75,11 +75,12 @@ def test_dim_W_refuses_a_negative_k():
         dim_W(2, 1, -1)
 
 
-def test_a_non_integral_dimension_step_is_caught():
-    # b = 1 in place of n - p - 1 = 0 breaks the lambda dimension at k = 1:
-    # C(3, 2) * 1 * C(3, 3) * (2 + 2 + 1) / ((1 + 2)(1 + 1)) = 15/6
-    broken = dataclasses.replace(_lambda_series(3, 2, 1, 1), b=1)
-    message = "^lambda dimension at n=3, k=1 came out non-integral: 5/2$"
+def test_a_non_integral_dimension_step_is_caught(monkeypatch):
+    # Binomials one too large break the lambda dimension at k = 1 (q = 1, j = 0):
+    # (C(3, 1) + 1) * 1 * (C(3, 3) + 1) * (0 + 3 + 1) / ((0 + 1)(0 + 3)) = 32/3
+    monkeypatch.setattr(sphere, "comb", lambda top, bottom: comb(top, bottom) + 1)
+    broken = _series(Series.LAMBDA, 3, 2, 1, 1)
+    message = "^lambda dimension at n=3, k=1 came out non-integral: 32/3$"
     with pytest.raises(AssertionError, match=message):
         broken.dim(1)
     with pytest.raises(AssertionError, match=message):
@@ -329,7 +330,8 @@ def test_scalar_series_spectrum_rejects_nonpositive_scalars(within, coefficient,
 
 # Each series is charged on its own, so the other part of the operator has fewer terms.
 # The charge is the term count times 1 + min(n, last k) + min(p, n - p), the smaller
-# sides of the two binomials in each dimension; the scalar series has p = 0.
+# sides of the two binomials in each dimension; the scalar series has p = 0.  A single
+# dimension is one term, cut at its own value.
 @pytest.mark.parametrize(
     "build, n, p, start, value, cutoff",
     [
@@ -339,8 +341,11 @@ def test_scalar_series_spectrum_rejects_nonpositive_scalars(within, coefficient,
          5, 2, 0, lambda k: F(1, 7) * (k + 2) * (k + 4) / 3, F(1000, 3)),
         (lambda cutoff: spectrum_parts(SphereOperator(4, 0, 1, F(3, 2), F(1, 3)), cutoff)[1],
          4, 0, 0, lambda k: F(3, 2) * k * (k + 3) / F(1, 3), 500),
+        (lambda cutoff: [dim_V(7, 2, 3)], 7, 2, 3, lambda k: (k + 2) * (k + 4), 35),
+        (lambda cutoff: [dim_W(6, 4, 2)], 6, 4, 2, lambda k: (k + 4) * (k + 3), 30),
+        (lambda cutoff: [harmonic_polynomial_dim(5, 3)], 4, 0, 3, lambda k: k * (k + 3), 18),
     ],
-    ids=["lambda-cutoff-on-a-value", "mu", "scalar"],
+    ids=["lambda-cutoff-on-a-value", "mu", "scalar", "dim_V", "dim_W", "harmonic"],
 )
 def test_series_budget_counts_exact_terms(build, n, p, start, value, cutoff, monkeypatch):
     terms = 0
