@@ -140,15 +140,17 @@ def _write(args, payload) -> None:
         return
     try:
         Path(args.output).write_text(text)
-    except OSError as exc:
-        raise ParseError(f"cannot write output file {_echo(args.output)}: {exc.strerror}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", exc)
+        raise ParseError(f"cannot write output file {_echo(args.output)}: {reason}") from None
 
 
 def _load_json(path: str, what: str):
     try:
         data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read {what} file {_echo(path)}: {exc.strerror}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", exc)
+        raise ParseError(f"cannot read {what} file {_echo(path)}: {reason}") from None
     try:
         return json.loads(data.decode("utf-8"))
     except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit

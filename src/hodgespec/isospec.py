@@ -61,8 +61,9 @@ class RecoveryResult:
     """Outcome of a parameter recovery run.
 
     kind "ordered": values = (alpha, beta).  kind "unordered": values is the
-    sorted parameter pair that is only determined as a set (the half
-    dimension case n = 2p).
+    sorted parameter pair that is only determined as a set.  That happens
+    exactly when the two parameters' shares of the spectrum coincide, which
+    is the half-dimension case n = 2p.
     """
 
     kind: str
@@ -169,15 +170,19 @@ class _Share:
     spectrum: Callable[[Fraction], WeightedSpectrum]
 
 
-def _recover_pair(
-    spec: WeightedSpectrum, alpha: _Share, beta: _Share, half: bool
-) -> RecoveryResult:
+def _recover_pair(spec: WeightedSpectrum, alpha: _Share, beta: _Share) -> RecoveryResult:
     """Read (alpha, beta) off the positive part of a p-form spectrum.
 
     The leading multiplicity names the share that starts the spectrum (both
     when they start together); removing that share leaves the other one's
-    first key as the smallest remaining key.  ``half`` (n = 2p) makes the two
-    shares indistinguishable, so the pair comes back unordered.
+    first key as the smallest remaining key.  The pair comes back unordered
+    exactly when the two shares start alike, i.e. have equal ``(lead, count)``:
+    then no spectrum can tell them apart.  On both surfaces that is n = 2p.
+    A torus gives both shares the base's least positive key, with copy counts
+    C(n-1, p-1) and C(n-1, p), which are equal only when n = 2p.  A sphere's
+    leading dimensions dim_W(n, p, 0) = C(n+1, p) and dim_V(n, p, 1) =
+    C(n+1, p+1) are equal only when n = 2p, and so are its leading values
+    p(n-p+1) and (p+1)(n-p).
     """
     if spec.is_empty():
         raise CutoffTooSmall("spectrum shows no positive eigenvalue below the cutoff")
@@ -193,29 +198,22 @@ def _recover_pair(
             )
         return rest.min_entry()[0] / other.lead
 
-    if half:
-        if lead_mult not in (alpha.count, 2 * alpha.count):
-            raise BranchAmbiguous(
-                f"leading multiplicity {_echo_number(lead_mult)} fits no half-dimension case"
-            )
-        gamma = lead_key / alpha.lead
-        pair = tuple(sorted((gamma, second(alpha, gamma, beta))))
-        return RecoveryResult("unordered", pair, (BRANCH_UNORDERED,))
     if lead_mult == alpha.count:
         gamma = lead_key / alpha.lead
-        delta = second(alpha, gamma, beta)
-        return RecoveryResult("ordered", (gamma, delta), (BRANCH_ALPHA_FIRST,))
-    if lead_mult == beta.count:
+        values, branch = (gamma, second(alpha, gamma, beta)), BRANCH_ALPHA_FIRST
+    elif lead_mult == beta.count:
         delta = lead_key / beta.lead
-        gamma = second(beta, delta, alpha)
-        return RecoveryResult("ordered", (gamma, delta), (BRANCH_BETA_FIRST,))
-    if lead_mult == alpha.count + beta.count:
-        values = (lead_key / alpha.lead, lead_key / beta.lead)
-        return RecoveryResult("ordered", values, (BRANCH_COINCIDENT,))
-    raise BranchAmbiguous(
-        f"leading multiplicity {_echo_number(lead_mult)} matches none of "
-        + ", ".join(map(_echo_number, (alpha.count, beta.count, alpha.count + beta.count)))
-    )
+        values, branch = (second(beta, delta, alpha), delta), BRANCH_BETA_FIRST
+    elif lead_mult == alpha.count + beta.count:
+        values, branch = (lead_key / alpha.lead, lead_key / beta.lead), BRANCH_COINCIDENT
+    else:
+        raise BranchAmbiguous(
+            f"leading multiplicity {_echo_number(lead_mult)} matches none of "
+            + ", ".join(map(_echo_number, (alpha.count, beta.count, alpha.count + beta.count)))
+        )
+    if (alpha.lead, alpha.count) == (beta.lead, beta.count):
+        return RecoveryResult("unordered", tuple(sorted(values)), (BRANCH_UNORDERED,))
+    return RecoveryResult("ordered", values, (branch,))
 
 
 def recover_torus_params(
@@ -226,6 +224,17 @@ def recover_torus_params(
     ``base`` is the scalar Laplace spectrum of the same torus.  For n = 2p
     the parameters are only determined as an unordered pair.  Degrees 0 and
     n are refused: there the spectrum depends on one parameter only.
+
+    ``base`` is required because the p-form spectrum M alone fixes beta/alpha
+    at most up to square factors.  At n = 2p, with k = C(n-1, p) copies in
+    each share, ``reconstruct_base(M, 1, c**2, k, k)`` accepts M for every
+    integer c >= 2, and its positive multiplicities are even, as those of a
+    scalar spectrum are.  Proof: l -> c*l maps the dual vectors of norm q one
+    to one into those of norm c^2 q, so M(c^2 x) >= M(x).  The alternating
+    sum C(x) = sum_j (-1)^j M(x / c^(2j)) / k is therefore >= 0, and even
+    for x > 0, since M(y) / k is a sum of scalar multiplicities, which pair
+    l with -l.  C(x) + C(x / c^2) = M(x) / k, so M is k copies of C and k of
+    c^2 C, and no removal step fails.
     """
     if m_spec.unit is not base.unit:
         raise UnitMismatch("p-form spectrum and scalar spectrum carry different units")
@@ -240,9 +249,7 @@ def recover_torus_params(
         return _Share(*part.min_entry(), part.scale)
 
     zeros = WeightedSpectrum(m_spec.unit, m_spec.cutoff, ((Fraction(0), comb(n, p)),))
-    return _recover_pair(
-        m_spec.difference(zeros), share(comb(n - 1, p - 1)), share(comb(n - 1, p)), n == 2 * p
-    )
+    return _recover_pair(m_spec.difference(zeros), share(comb(n - 1, p - 1)), share(comb(n - 1, p)))
 
 
 def recover_sphere_params(
@@ -262,7 +269,7 @@ def recover_sphere_params(
 
         return _Share(first.value(first.start), first.dim(first.start), spectrum)
 
-    return _recover_pair(m_spec, share(Series.MU), share(Series.LAMBDA), n == 2 * p)
+    return _recover_pair(m_spec, share(Series.MU), share(Series.LAMBDA))
 
 
 def recover_radius(alpha, beta, n: int, p: int, min_eigenvalue) -> Fraction:

@@ -284,7 +284,14 @@ def _parts(op: SphereOperator, cutoff: Fraction) -> tuple[int, list, list]:
 def spectrum_parts(
     op: SphereOperator, cutoff
 ) -> tuple[WeightedSpectrum, WeightedSpectrum]:
-    """(alpha part, beta part), each complete up to ``cutoff``, never merged."""
+    """(alpha part, beta part), each complete up to ``cutoff``, never merged.
+
+    At p = n the zero eigenvalue (the volume form) sits in the beta part,
+    although a torus puts it in the alpha part and ``eigenvalue_details``
+    tags it mu.  It stays there because two records pin it: the golden run
+    ``sphere_n3_p3_generic`` and the closed-form reference ``sphere_parts``
+    in ``perfbench/workloads.py``.
+    """
     return _operator_spectrum(Unit.PLAIN, _parts, op, cutoff)
 
 

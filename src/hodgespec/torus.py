@@ -119,7 +119,12 @@ def _parts(op: TorusOperator, cutoff: Fraction) -> tuple[int, list, list]:
 
 
 def f_spectrum_parts(op: TorusOperator, cutoff) -> tuple[WeightedSpectrum, WeightedSpectrum]:
-    """(alpha part, beta part), each complete up to ``cutoff``, never merged."""
+    """(alpha part, beta part), each complete up to ``cutoff``, never merged.
+
+    At p = n the zero eigenvalue sits in the alpha part, with the rest of the
+    alpha family; a sphere puts it in the beta part (see
+    ``sphere.spectrum_parts``).
+    """
     return _operator_spectrum(Unit.FOUR_PI_SQUARED, _parts, op, cutoff)
 
 

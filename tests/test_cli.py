@@ -345,6 +345,29 @@ def test_recover_sphere_params(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "surface, unit, entries, message",
+    [
+        ("sphere", "plain", [["6", 30]], "leading multiplicity 30 matches none of 10, 10, 20"),
+        ("torus", "four_pi_squared", [["0", 2], ["1", 3]],
+         "leading multiplicity 3 matches none of 4, 4, 8"),
+    ],
+    ids=["sphere", "torus"],
+)
+def test_recover_params_half_dimension_refusal(tmp_path, capsys, surface, unit, entries, message):
+    m_file, base_file = tmp_path / "m.json", tmp_path / "base.json"
+    m_file.write_text(json.dumps({"unit": unit, "cutoff": "12", "entries": entries}))
+    base_file.write_text(json.dumps(laplace0_spectrum(standard_lattice(2), 2).to_json_dict()))
+    flags = {
+        "sphere": ["--n", "4", "--p", "2", "--r2", "1"],
+        "torus": ["--base", str(base_file), "--n", "2", "--p", "1"],
+    }[surface]
+    argv = ["recover", f"{surface}-params", "--spectrum", str(m_file), *flags]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {"error": "BranchAmbiguous", "message": message}
+
+
 def test_recover_radius(tmp_path, capsys):
     op = SphereOperator(3, 1, F(1), F(1), r_squared=F(4))
     m_file = tmp_path / "m.json"
@@ -713,13 +736,20 @@ TORUS_ARGV = ["spectrum", "torus", "--zn", "2", "--p", "1", "--alpha", "1", "--b
          "--p", "1"],
         ["enumerate", "--lattice", LONG, "--bound", "1"],
         TORUS_ARGV + ["--cutoff", "1", "--output", LONG],
+        # a NUL byte in a path fails in the path layer, before any system call
+        ["recover", "radius", "--spectrum", "a\0b", "--alpha", "1", "--beta", "1", "--n", "3",
+         "--p", "1"],
+        ["spectrum", "torus", "--lattice", "a\0b", "--p", "1", "--alpha", "1", "--beta", "1",
+         "--cutoff", "1"],
+        TORUS_ARGV + ["--cutoff", "1", "--output", "a\0b"],
     ],
     ids=["cutoff", "zn", "p", "format", "unknown-flag", "spectrum-path", "lattice-path",
-         "output-path"],
+         "output-path", "spectrum-nul", "lattice-nul", "output-nul"],
 )
 def test_long_negative_cutoff_is_echoed_short(argv, capsys):
     code, out, err = run(argv, capsys)
     assert (code, out, json.loads(err)["error"]) == (2, "", "ParseError")  # one object
+    assert set(json.loads(err)) == {"error", "message"}
     assert len(err) < 200
 
 

@@ -30,7 +30,7 @@ from hodgespec.isospec import (
 )
 from hodgespec.lattice import Lattice, standard_lattice
 from hodgespec.multiset import Unit, WeightedSpectrum, repeated_union
-from hodgespec.sphere import SphereOperator, spectrum
+from hodgespec.sphere import SphereOperator, dim_V, dim_W, lambda_k, mu_k, spectrum
 from hodgespec.torus import TorusOperator, f_spectrum, laplace0_spectrum
 
 
@@ -292,6 +292,29 @@ def test_recover_sphere_half_dimension_is_unordered():
     equal = SphereOperator(2, 1, F(3), F(3))
     m2 = spectrum(equal, sphere_cutoff(2, 1, F(3), F(3), F(1)))
     assert recover_sphere_params(m2, 2, 1, 1).values == (F(3), F(3))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_shares_start_alike_exactly_at_half_dimension(n):
+    # The rule that makes a recovery unordered: equal leading (key, count) of the two shares.
+    for p in range(1, n):
+        sphere = SphereOperator(n, p, 1, 1)
+        torus = TorusOperator(standard_lattice(n), p, 1, 1)
+        assert (dim_W(n, p, 0) == dim_V(n, p, 1)) == (n == 2 * p)
+        assert (mu_k(sphere, 0) == lambda_k(sphere, 1)) == (n == 2 * p)
+        assert (torus.alpha_copies == torus.beta_copies) == (n == 2 * p)
+
+
+def test_half_dimension_refusal_names_all_three_cases():
+    # n = 2p: the refusal lists both equal counts and their sum, as at any other degree
+    sphere = wspec([(6, 30)], 12, Unit.PLAIN)
+    with pytest.raises(
+        BranchAmbiguous, match="^leading multiplicity 30 matches none of 10, 10, 20$"
+    ):
+        recover_sphere_params(sphere, 4, 2, 1)
+    base = laplace0_spectrum(standard_lattice(2), 2)
+    with pytest.raises(BranchAmbiguous, match="^leading multiplicity 3 matches none of 4, 4, 8$"):
+        recover_torus_params(wspec([(0, 2), (1, 3)], 2), base, 2, 1)
 
 
 def test_recover_sphere_random_round_trip():

@@ -791,6 +791,23 @@ def test_torus_recovery_round_trip(order, data):
     )
 
 
+@PROPERTY
+@given(
+    small_lattices(st.sampled_from((2, 4))), positive, positive, st.sampled_from((2, 3)), st.data()
+)
+def test_torus_spectrum_fixes_the_ratio_only_up_to_squares(lattice, alpha, beta, c, data):
+    # Why torus recovery needs the scalar spectrum: at n = 2p the p-form spectrum
+    # is also k copies of some C and k of c^2 C, with C as even as a scalar spectrum.
+    p = lattice.n // 2
+    k = comb(lattice.n - 1, p)
+    reach = min(row[i] for i, row in enumerate(dual(lattice).dual_gram))  # >= first norm
+    cutoff = c**2 * min(alpha, beta) * reach * data.draw(st.fractions(1, 3, max_denominator=3))
+    m_spec = f_spectrum(TorusOperator(lattice, p, alpha, beta), cutoff)
+    found = reconstruct_base(m_spec, 1, c**2, k, k)  # never NotInImage
+    assert len(found.entries) >= 2
+    assert all(mult % 2 == 0 for key, mult in found.entries if key > 0)
+
+
 def drawn_sphere(draw, order):
     n = draw(st.integers(2, 6))
     p = draw(st.integers(1, n - 1))
