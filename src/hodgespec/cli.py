@@ -220,40 +220,23 @@ def _cmd_isospec(args) -> int:
     payload = {"isospectral": True, "cutoff": args.cutoff}
     divergence = first_divergence(left, right, args.cutoff)
     if divergence is not None:
-        key, left_mult, right_mult = divergence
         payload["isospectral"] = False
-        payload["first_divergence"] = {
-            "key": key,
-            "left_multiplicity": left_mult,
-            "right_multiplicity": right_mult,
-        }
+        fields = ("key", "left_multiplicity", "right_multiplicity")
+        payload["first_divergence"] = dict(zip(fields, divergence))
     _write(args, payload)
     _extension_note(left_op, "left")
     _extension_note(right_op, "right")
     return 0 if divergence is None else 1
 
 
-def _cmd_recover_base(args) -> int:
-    m_spec = _load_spectrum(args.spectrum)
-    _write(args, reconstruct_base(m_spec, args.alpha, args.beta, args.copies_alpha, args.copies_beta))
+def _cmd_recover(args) -> int:
+    # the spectrum file is read first, so its refusals win over --base's
+    _write(args, args.recover(args, _load_spectrum(args.spectrum)))
     return 0
 
 
-def _cmd_recover_torus(args) -> int:
-    m_spec = _load_spectrum(args.spectrum)
-    base = _load_spectrum(args.base)
-    _write(args, recover_torus_params(m_spec, base, args.n, args.p))
-    return 0
-
-
-def _cmd_recover_sphere(args) -> int:
-    m_spec = _load_spectrum(args.spectrum)
-    _write(args, recover_sphere_params(m_spec, args.n, args.p, args.r2))
-    return 0
-
-
-def _cmd_recover_radius(args) -> int:
-    m_spec = _load_spectrum(args.spectrum)
+def _recover_radius(args, m_spec: WeightedSpectrum) -> Fraction:
+    """r^2 of ``recover radius``, checked against the spectrum's leading entry."""
     if m_spec.unit is not Unit.PLAIN:
         raise UnitMismatch(f"radius recovery needs a plain spectrum, got {m_spec.unit.value}")
     leading = m_spec.min_entry()
@@ -267,8 +250,7 @@ def _cmd_recover_radius(args) -> int:
             f"first eigenvalue of a sphere with these parameters, which has multiplicity "
             f"{_echo_number(expected[0][1])}"
         )
-    _write(args, r_squared)
-    return 0
+    return r_squared
 
 
 def _cmd_enumerate(args) -> int:
@@ -351,22 +333,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     recover = sub.add_parser("recover", help="run an inverse algorithm on spectrum files")
     what = recover.add_subparsers(dest="what", required=True)
-    # every recover flag after --spectrum is required
-    for name, help, spectrum_help, flags, handler in (
+    # every recover flag after --spectrum is required; each row computes recover(args, m_spec)
+    for name, help, spectrum_help, flags, recover in (
         ("base-set", "invert a two-scale repeated union", "spectrum JSON file, - for stdin",
-         ("alpha", "beta", "copies-alpha", "copies-beta"), _cmd_recover_base),
+         ("alpha", "beta", "copies-alpha", "copies-beta"), lambda args, m_spec: reconstruct_base(
+             m_spec, args.alpha, args.beta, args.copies_alpha, args.copies_beta)),
         ("torus-params", "read (alpha, beta) off a torus spectrum", "p-form spectrum JSON file",
-         ("base", "n", "p"), _cmd_recover_torus),
+         ("base", "n", "p"), lambda args, m_spec: recover_torus_params(
+             m_spec, _load_spectrum(args.base), args.n, args.p)),
         ("sphere-params", "read (alpha, beta) off a sphere spectrum", "spectrum JSON file",
-         ("n", "p", "r2"), _cmd_recover_sphere),
+         ("n", "p", "r2"), lambda args, m_spec: recover_sphere_params(
+             m_spec, args.n, args.p, args.r2)),
         ("radius", "read r^2 off a sphere spectrum's minimum", "spectrum JSON file",
-         ("alpha", "beta", "n", "p"), _cmd_recover_radius),
+         ("alpha", "beta", "n", "p"), _recover_radius),
     ):
         cmd = what.add_parser(name, help=help)
         cmd.add_argument("--spectrum", required=True, help=spectrum_help)
         _flags(cmd, flags, flags)
         cmd.add_argument("--output")
-        cmd.set_defaults(handler=handler)
+        cmd.set_defaults(handler=_cmd_recover, recover=recover)
 
     enum_cmd = sub.add_parser("enumerate", help="dump the dual-norm table of a lattice")
     _flags(enum_cmd, _KIND_FLAGS["torus"])

@@ -32,6 +32,7 @@ from .errors import (
     NotInImage,
     UnitMismatch,
 )
+from .lattice import _charge_comb
 from .multiset import Unit, WeightedSpectrum
 from .rationals import _degree, _echo_number, _int, _nonnegative, _positive, format_rational
 from .sphere import Series, _series
@@ -223,7 +224,9 @@ def recover_torus_params(
 
     ``base`` is the scalar Laplace spectrum of the same torus.  For n = 2p
     the parameters are only determined as an unordered pair.  Degrees 0 and
-    n are refused: there the spectrum depends on one parameter only.
+    n are refused: there the spectrum depends on one parameter only.  The
+    copy counts C(n-1, p-1) and C(n-1, p) are charged to HODGESPEC_BUDGET
+    before they are computed.
 
     ``base`` is required because the p-form spectrum M alone fixes beta/alpha
     at most up to square factors.  At n = 2p, with k = C(n-1, p) copies in
@@ -248,8 +251,12 @@ def recover_torus_params(
         part = WeightedSpectrum(base.unit, base.cutoff, entries)
         return _Share(*part.min_entry(), part.scale)
 
-    zeros = WeightedSpectrum(m_spec.unit, m_spec.cutoff, ((Fraction(0), comb(n, p)),))
-    return _recover_pair(m_spec.difference(zeros), share(comb(n - 1, p - 1)), share(comb(n - 1, p)))
+    _charge_comb(n - 1, p - 1)
+    _charge_comb(n - 1, p)
+    copies = comb(n - 1, p - 1), comb(n - 1, p)
+    # Pascal's rule: the copy counts add up to the zero multiplicity C(n, p)
+    zeros = WeightedSpectrum(m_spec.unit, m_spec.cutoff, ((Fraction(0), sum(copies)),))
+    return _recover_pair(m_spec.difference(zeros), *map(share, copies))
 
 
 def recover_sphere_params(

@@ -29,7 +29,11 @@ bound floor(S * Q).  It uses no walk data.  Both count the zero vector.
 
 The environment variable HODGESPEC_BUDGET caps enumeration work for both,
 and the n^3 matrix work of :func:`dual`, which each Lattice object pays once,
-on first use: the object keeps the DualData built for it.
+on first use: the object keeps the DualData built for it.  ``_charge`` is
+the budget's one charge rule: it decides and words every budget refusal,
+here, in the sphere series and in torus recovery, except the walk's in-loop
+visit check.  ``_charge_comb`` charges an exact binomial C(N, k) as
+k * bit_length(N), k the smaller side, from k >= 64 on.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import linalg
 from .errors import BoxTooLarge, BudgetExceeded, ParseError, SingularBasis
@@ -76,6 +80,31 @@ def _resolve_budget() -> int:
     if value < 1:
         raise ParseError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
     return value
+
+
+def _charge(work: int, what: Callable[[], str], error=BudgetExceeded) -> None:
+    """Refuse ``work`` past HODGESPEC_BUDGET: the one rule of every budget refusal.
+
+    ``what()`` words the work.  It is called only on a refusal, so a charge
+    that passes formats no text.
+    """
+    limit = _resolve_budget()
+    if work > limit:
+        raise error(f"{what()}, budget is {limit}")
+
+
+def _charge_comb(n: int, k: int) -> None:
+    """Charge the exact binomial C(n, k) before it is computed.
+
+    With k the smaller side, C(n, k) < n^k has at most k * bit_length(n)
+    bits, and that bound is the charge.  Below k = 64 a binomial costs
+    microseconds and is free.
+    """
+    k = min(k, n - k)
+    if k >= 64:
+        bits = n.bit_length()
+        _charge(k * bits, lambda: f"binomial C({_echo_number(n)}, {_echo_number(k)}) needs "
+                f"{_echo_number(k)} x {bits} bits")
 
 
 def _is_list_of(value, length: int) -> bool:
@@ -174,10 +203,7 @@ class DualData:
 
 def _charge_dimension(n: int) -> None:
     """Refuse a dimension whose n^3 matrix work exceeds HODGESPEC_BUDGET."""
-    limit = _resolve_budget()
-    if n**3 > limit:
-        dim = _echo_number(n)
-        raise BudgetExceeded(f"dimension {dim} needs {dim}^3 matrix steps, budget is {limit}")
+    _charge(n**3, lambda: f"dimension {_echo_number(n)} needs {_echo_number(n)}^3 matrix steps")
 
 
 def dual(lattice: Lattice) -> DualData:
@@ -329,14 +355,12 @@ def count_norm(dual_data: DualData, norm) -> int:
 def brute_force_enumerate(dual_data: DualData, bound) -> WeightedSpectrum:
     """Reference enumeration: scan the Cauchy-Schwarz box, recheck every cell."""
     bound = _nonnegative(bound)
-    limit = _resolve_budget()
     n = dual_data.lattice.n
     radii = [sqrt_floor(bound * dual_data.gram[i][i]) for i in range(n)]
     cells = 1
     for r in radii:
         cells *= 2 * r + 1
-    if cells > limit:
-        raise BoxTooLarge(f"brute-force box has {_echo_number(cells)} cells, budget is {limit}")
+    _charge(cells, lambda: f"brute-force box has {_echo_number(cells)} cells", BoxTooLarge)
     # scale * dual_gram is an integer matrix, so scale * |l|^2 is an integer per cell.
     scale = math.lcm(*(x.denominator for row in dual_data.dual_gram for x in row))
     dual_gram = [[int(scale * x) for x in row] for row in dual_data.dual_gram]

@@ -36,7 +36,10 @@ norm tables.  A series steps C(j+n, n) from one term to the next by exact
 integer ratios; ``dim_V``, ``dim_W`` and ``harmonic_polynomial_dim`` read
 the first term of the series from k on, so one path computes every
 dimension.  The budget is charged for the size of those binomials before
-any term is made.
+any term is made, through ``lattice._charge``, the one charge rule: a series
+pays its term count times their width, and each binomial C(N, k) it starts
+from pays k * bit_length(N), k the smaller side, from k >= 64 on; below that
+a binomial is free.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from fractions import Fraction
 from math import comb, isqrt, lcm
 from typing import Iterator
 
-from .errors import BudgetExceeded, NonpositiveScalar
-from .lattice import _resolve_budget
+from .errors import NonpositiveScalar
+from .lattice import _charge, _charge_comb
 from .multiset import Unit, WeightedSpectrum, _from_int_keys, _operator_spectrum
 from .rationals import _degree, _echo_number, _int, _nonnegative, _positive
 
@@ -183,9 +186,12 @@ class _SeriesFormula:
 
         Every term is charged to HODGESPEC_BUDGET before any term is made.
         Each costs 1 + min(n, last k) + min(q, n-q), which bounds the smaller
-        sides of C(j+n, n) and C(n, q), so the size of the dimension.  The
-        boundary zero comes first; from then on, C(j+n, n) = C(j-1+n, n) *
-        (j+n) / j is an exact division, checked at every step.
+        sides of C(j+n, n) and C(n, q), so the size of the dimension.  The two
+        binomials the stepping starts from are charged too
+        (``lattice._charge_comb``), since ``comb`` takes more than linear time
+        in the smaller side.  The boundary zero comes first; from then on,
+        C(j+n, n) = C(j-1+n, n) * (j+n) / j is an exact division, checked at
+        every step.
         """
         n, q, shift = self.n, self.q, self.shift
         b = n - q + 1
@@ -197,12 +203,10 @@ class _SeriesFormula:
             return
         last = (isqrt(4 * m + (q - b) ** 2) - q - b) // 2
         count, width = last + 1 - first, 1 + min(n, last + shift) + min(q, n - q)
-        limit = _resolve_budget()
-        if count * width > limit:
-            count, width = _echo_number(count), _echo_number(width)
-            raise BudgetExceeded(
-                f"sphere dimensions need {count} terms times {width} work, budget is {limit}"
-            )
+        _charge(count * width, lambda: f"sphere dimensions need {_echo_number(count)} terms "
+                f"times {_echo_number(width)} work")
+        _charge_comb(n, q)
+        _charge_comb(max(first, 0) + n, n)
         if first < 0:
             yield self.start, 0, 1
             first = 0

@@ -717,6 +717,25 @@ def test_huge_zn_is_refused_before_any_matrix(within, n, monkeypatch, capsys):
     assert len(err) < 200
 
 
+def test_huge_torus_copy_counts_are_refused_before_they_are_computed(within, monkeypatch,
+                                                                     capsys):
+    # computing C(1999999, 999999) would take most of a minute
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    with within(1):
+        code, out, err = run(
+            ["recover", "torus-params", "--spectrum", str(inputs / "torus-two.json"),
+             "--base", str(inputs / "base-two.json"), "--n", "2000000", "--p", "1000000"],
+            capsys,
+        )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "BudgetExceeded",
+        "message": "binomial C(1999999, 999999) needs 999999 x 21 bits, budget is 5000000",
+    }
+
+
 LONG = "x" * 5000
 TORUS_ARGV = ["spectrum", "torus", "--zn", "2", "--p", "1", "--alpha", "1", "--beta", "1"]
 

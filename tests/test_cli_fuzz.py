@@ -3,12 +3,14 @@
 Whatever the input, ``cli.main`` must return an exit code in 0-4 without
 raising, and on codes 2-4 standard error must be exactly one
 ``{"error", "message"}`` object.  HODGESPEC_BUDGET is small, so every run is
-bounded.  ``--n`` and copy counts stay small: they are not charged to the
-budget.  ``--zn`` is, as n^3 matrix steps, so it is drawn on both sides of the
-budget and far past it.  A second fuzz drives the recovery commands with a
-huge ``--n``, whose binomial counts run past Python's 4300-digit limit for
-int-to-string conversion.  Hypothesis runs derandomized, so every run draws
-the same examples.
+bounded.  Copy counts stay small: they are not charged to the budget.
+``--zn`` is, as n^3 matrix steps, and so are the exact binomials that ``--n``
+and ``--p`` make, as k * bit_length(N) for C(N, k) from k >= 64 on, so both
+are drawn on both sides of the budget and far past it.  A second fuzz drives
+the recovery commands under the default budget with a huge ``--n``, whose
+binomial counts run past Python's 4300-digit limit for int-to-string
+conversion.  Hypothesis runs derandomized, so every run draws the same
+examples.
 """
 
 import io
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgespec.cli import main
-from hodgespec.lattice import BUDGET_ENV_VAR, Lattice, standard_lattice
+from hodgespec.lattice import BUDGET_ENV_VAR, DEFAULT_BUDGET, Lattice, standard_lattice
 from hodgespec.sphere import SphereOperator
 from hodgespec.sphere import spectrum as sphere_spectrum
 from hodgespec.torus import TorusOperator, f_spectrum, laplace0_spectrum
@@ -49,6 +51,11 @@ lattice_dims = mostly(
     hostile_counts,
 )
 degrees = mostly(st.integers(0, 4).map(str), hostile_counts)
+# --n and --p are drawn together, half of them large: C(300, 100) fits the fuzz
+# budget of 2000 as 100 x 9 bits, C(10^9, 100) and C(10^100, 100) do not
+large_sizes = st.tuples(
+    st.sampled_from([300, 10**9, 10**100]).map(str), st.sampled_from(["2", "100"])
+)
 # "@i" names payload file i (0 and 1 hold spectra, 2 a lattice), "-" the stdin payload
 missing = st.just("/nonexistent/input.json")
 spectrum_files = mostly(st.sampled_from(["@0", "@1", "-"]), missing)
@@ -59,17 +66,21 @@ def flag(name, values=None):
     return st.just([name]) if values is None else values.map(lambda value: [name, value])
 
 
+def sizes(prefix="--"):
+    pairs = st.one_of(st.tuples(dims, degrees), large_sizes)
+    return pairs.map(lambda pair: [f"{prefix}n", pair[0], f"{prefix}p", pair[1]])
+
+
 def lattice_source(prefix="--"):
     return st.one_of(flag(f"{prefix}zn", lattice_dims), flag(f"{prefix}lattice", lattice_files))
 
 
 def side(name):
     dash = f"--{name}-"
-    common = [flag(f"{dash}p", degrees), flag(f"{dash}alpha", numbers), flag(f"{dash}beta", numbers)]
-    torus = [flag(f"{dash}kind", st.just("torus")), lattice_source(dash)]
-    sphere = [flag(f"{dash}kind", st.just("sphere")), flag(f"{dash}n", dims),
-              flag(f"{dash}r2", numbers)]
-    return st.sampled_from([torus + common, sphere + common, torus + sphere[1:] + common])
+    common = [flag(f"{dash}alpha", numbers), flag(f"{dash}beta", numbers)]
+    torus = [flag(f"{dash}kind", st.just("torus")), lattice_source(dash), flag(f"{dash}p", degrees)]
+    sphere = [flag(f"{dash}kind", st.just("sphere")), sizes(dash), flag(f"{dash}r2", numbers)]
+    return st.sampled_from([torus + common, sphere + common, torus[:2] + sphere[1:] + common])
 
 
 output = [flag("--mode", mostly(st.sampled_from(["merged", "generic"]), st.just("x"))),
@@ -81,8 +92,7 @@ GRAMMAR = {
         [lattice_source(), flag("--p", degrees), *parameters, flag("--cutoff", numbers), *output]
     ),
     ("spectrum", "sphere"): st.just(
-        [flag("--n", dims), flag("--p", degrees), *parameters, flag("--r2", numbers),
-         flag("--cutoff", numbers), *output]
+        [sizes(), *parameters, flag("--r2", numbers), flag("--cutoff", numbers), *output]
     ),
     ("isospec",): st.builds(
         lambda left, right: left + right + [flag("--cutoff", numbers)], side("left"), side("right")
@@ -92,15 +102,13 @@ GRAMMAR = {
          flag("--copies-beta", dims)]
     ),
     ("recover", "torus-params"): st.just(
-        [flag("--spectrum", spectrum_files), flag("--base", spectrum_files), flag("--n", dims),
-         flag("--p", degrees)]
+        [flag("--spectrum", spectrum_files), flag("--base", spectrum_files), sizes()]
     ),
     ("recover", "sphere-params"): st.just(
-        [flag("--spectrum", spectrum_files), flag("--n", dims), flag("--p", degrees),
-         flag("--r2", numbers)]
+        [flag("--spectrum", spectrum_files), sizes(), flag("--r2", numbers)]
     ),
     ("recover", "radius"): st.just(
-        [flag("--spectrum", spectrum_files), *parameters, flag("--n", dims), flag("--p", degrees)]
+        [flag("--spectrum", spectrum_files), *parameters, sizes()]
     ),
     ("enumerate",): st.just([lattice_source(), flag("--bound", numbers), flag("--box")]),
 }
@@ -190,10 +198,10 @@ def payloads(examples):
     )
 
 
-def run_cli(argv, stdin=None):
-    """(exit code, stdout, stderr) of one ``cli.main`` run under the fuzz budget."""
+def run_cli(argv, stdin=None, budget=2000):
+    """(exit code, stdout, stderr) of one ``cli.main`` run, under the fuzz budget by default."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, {BUDGET_ENV_VAR: "2000"}), \
+    with mock.patch.dict(os.environ, {BUDGET_ENV_VAR: str(budget)}), \
             mock.patch.object(sys, "stdin", stdin), redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
@@ -227,21 +235,40 @@ RECOVERIES = {
 }
 
 
-@settings(FUZZ, max_examples=20)
-@given(st.sampled_from(sorted(RECOVERIES)), st.integers(20_000, 100_001), st.integers(1, 7),
-       st.sampled_from(SPECTRA + [{"unit": "plain", "cutoff": "1", "entries": [["1", 1]]}]))
-def test_recovery_with_a_huge_n_gives_a_short_error(tmp_path_factory, command, n, eighths,
-                                                     payload):
-    folder = tmp_path_factory.mktemp("huge")
+RECOVERY_PAYLOADS = st.sampled_from(
+    SPECTRA + [{"unit": "plain", "cutoff": "1", "entries": [["1", 1]]}]
+)
+
+
+def run_recovery(tmp_path_factory, command, n, p, payload, budget=2000):
+    """Run ``recover <command>`` on ``payload`` and check its exit and its error's length."""
+    folder = tmp_path_factory.mktemp("recover")
     spectrum, base = folder / "spectrum.json", folder / "base.json"
     spectrum.write_bytes(encoded(payload))
     base.write_bytes(encoded(SPECTRA[2]))
     extra = [word.format(base=base) for word in RECOVERIES[command]]
-    argv = ["recover", command, "--spectrum", str(spectrum), "--n", str(n),
-            "--p", str(n * eighths // 8), *extra]
-    code, out, err = run_cli(argv)
+    argv = ["recover", command, "--spectrum", str(spectrum), "--n", str(n), "--p", str(p), *extra]
+    code, out, err = run_cli(argv, budget=budget)
     assert code in range(5), argv
     if code >= 2:
         assert out == ""
         assert set(json.loads(err)) == {"error", "message"}, err
         assert len(err) < 500, err
+
+
+@settings(FUZZ, max_examples=20)
+@given(st.sampled_from(sorted(RECOVERIES)), st.integers(20_000, 100_001), st.integers(1, 7),
+       RECOVERY_PAYLOADS)
+def test_recovery_with_a_huge_n_gives_a_short_error(tmp_path_factory, command, n, eighths,
+                                                     payload):
+    # the default budget: the fuzz budget would refuse these binomials before any message
+    run_recovery(tmp_path_factory, command, n, n * eighths // 8, payload, DEFAULT_BUDGET)
+
+
+# C(1000, 100) fits the fuzz budget of 2000 as 100 x 10 bits and C(10^9, 64) as
+# 64 x 30 bits; C(10^9, 100) and C(10^100, 64) do not
+@settings(FUZZ, max_examples=40)
+@given(st.sampled_from(sorted(RECOVERIES)), st.sampled_from([300, 1000, 10**9, 10**100]),
+       st.sampled_from([2, 64, 100]), RECOVERY_PAYLOADS)
+def test_recovery_sizes_on_both_sides_of_the_budget(tmp_path_factory, command, n, p, payload):
+    run_recovery(tmp_path_factory, command, n, p, payload)

@@ -1,6 +1,7 @@
 """Syntax-level guards on every module: no floating point anywhere in the
 package or in the test-side oracles it is checked against, one constructor
-bypass, the parameter rules in one module, and no dead code in the package."""
+bypass, the parameter rules in one module, one work-budget rule, and no dead
+code in the package."""
 
 import ast
 from pathlib import Path
@@ -141,6 +142,54 @@ def test_rule_error_guard_catches_each_form():
     )
     found = rule_error_calls(ast.parse(source))
     assert found == ["line 1: DegreeOutOfRange", "line 2: NonpositiveScalar", "line 4: NonpositiveMin"]
+
+
+# One work-budget rule: lattice._charge reads HODGESPEC_BUDGET's limit and
+# raises the refusal for every charge.  Only the walk checks the limit in its
+# own loop, since a call per visited node would slow every torus spectrum.
+BUDGET_READERS = {"lattice.py: _charge", "lattice.py: _walk"}
+BUDGET_ERRORS = {"BudgetExceeded", "BoxTooLarge"}
+
+
+def budget_uses(module: str, tree: ast.Module) -> list[str]:
+    """The top-level statements that read the limit or raise a budget error, by name."""
+    found = []
+    for statement in tree.body:
+        scope = getattr(statement, "name", "<module>")
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                hit = (getattr(func, "id", None) or getattr(func, "attr", None)) in BUDGET_ERRORS
+            elif isinstance(node, ast.ImportFrom):
+                hit = any(alias.name == "_resolve_budget" for alias in node.names)
+            else:
+                hit = "_resolve_budget" in (getattr(node, "id", None), getattr(node, "attr", None))
+            if hit:
+                found.append(f"{module}: {scope}")
+    return found
+
+
+def test_one_rule_reads_the_budget_and_refuses():
+    found = set()
+    for path in PACKAGE:
+        found.update(budget_uses(path.name, ast.parse(path.read_text(), filename=str(path))))
+    assert found == BUDGET_READERS
+
+
+def test_budget_guard_catches_each_form():
+    source = (
+        "from .lattice import _resolve_budget\n"
+        "def terms(work):\n"
+        "    if work > lattice._resolve_budget():\n"
+        "        raise BudgetExceeded('terms')\n"
+        "def box(cells):\n"
+        "    raise errors.BoxTooLarge('cells')\n"
+        "def charged(cells):\n"
+        "    _charge(cells, lambda: 'cells', BoxTooLarge)\n"
+    )
+    assert budget_uses("sphere.py", ast.parse(source)) == [
+        "sphere.py: <module>", "sphere.py: terms", "sphere.py: terms", "sphere.py: box"
+    ]
 
 
 # No dead code: every module-level private name of the package is used by

@@ -17,6 +17,8 @@ from hodgespec.errors import (
 from hodgespec.lattice import (
     BUDGET_ENV_VAR,
     Lattice,
+    _charge,
+    _charge_comb,
     brute_force_enumerate,
     count_norm,
     dual,
@@ -319,6 +321,29 @@ def test_budget_env_var(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV_VAR, "0")
     with pytest.raises(ParseError):
         enumerate_norms(data, 1)
+
+
+def test_a_charge_words_its_refusal_only_when_it_refuses(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "5")
+    _charge(5, lambda: pytest.fail("a passing charge formatted its text"))
+    with pytest.raises(BoxTooLarge) as raised:
+        _charge(6, lambda: "six cells", BoxTooLarge)
+    assert str(raised.value) == "six cells, budget is 5"
+
+
+def test_a_binomial_is_charged_its_bit_bound_from_k_64(monkeypatch):
+    # C(1000, 64) has fewer than 64 x bit_length(1000) = 640 bits
+    monkeypatch.setenv(BUDGET_ENV_VAR, "640")
+    _charge_comb(1000, 64)
+    _charge_comb(1000, 936)  # the smaller side is the one charged
+    monkeypatch.setenv(BUDGET_ENV_VAR, "639")
+    with pytest.raises(BudgetExceeded) as raised:
+        _charge_comb(1000, 936)
+    assert str(raised.value) == "binomial C(1000, 64) needs 64 x 10 bits, budget is 639"
+    # below k = 64 a binomial is free, however large N is
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1")
+    for n, k in ((1000, 63), (10**100, 63), (10**100, 10**100 - 63), (5, 7), (5, -1)):
+        _charge_comb(n, k)
 
 
 def test_dual_charges_n_cubed_to_the_budget(monkeypatch):

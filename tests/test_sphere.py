@@ -377,8 +377,13 @@ def test_every_query_steps_lambda_before_mu(query, monkeypatch):
         ("20000", "10000", "1000000000"),
         # one term per series: the dimensions' C(n, p) alone is past the budget
         ("1000000000", "500000000", "250000000500000000"),
+        # one term, within the term charge; computing C(2000000, 1000000) would take most
+        # of a minute, so the binomial charge refuses it first
+        ("2000000", "1000000", "1000001000000"),
+        # C(10^100, 100000), charged 100000 x 333 bits
+        (str(10**100), "100000", str(100000 * (10**100 - 99999))),
     ],
-    ids=["many-wide-terms", "one-huge-term"],
+    ids=["many-wide-terms", "one-huge-term", "one-term-huge-binomial", "huge-n-huge-binomial"],
 )
 def test_huge_sphere_dimensions_are_refused_before_any_term(within, monkeypatch, capsys,
                                                            n, p, cutoff):
@@ -391,6 +396,21 @@ def test_huge_sphere_dimensions_are_refused_before_any_term(within, monkeypatch,
     assert code == 3
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "BudgetExceeded"
+
+
+def test_a_dimension_charges_its_binomials_before_computing_them(within, monkeypatch):
+    # dim_W(100, 1, 64) steps from C(100, 1) and C(164, 100); the smaller side
+    # of the second is 64, so it is charged 64 x bit_length(164) = 512
+    monkeypatch.setenv(BUDGET_ENV_VAR, "512")
+    assert dim_W(100, 1, 64) == 100 * comb(164, 100) * 229 // (65 * 164)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "511")
+    with pytest.raises(BudgetExceeded) as raised:
+        dim_W(100, 1, 64)
+    assert str(raised.value) == "binomial C(164, 64) needs 64 x 8 bits, budget is 511"
+    # C(3000000, 1000000) would take tens of seconds; the default budget refuses it at once
+    monkeypatch.delenv(BUDGET_ENV_VAR)
+    with within(1), pytest.raises(BudgetExceeded, match=r"^binomial C\(3000000, 1000000\)"):
+        dim_W(2000000, 1, 1000000)
 
 
 def test_huge_sphere_cutoff_is_refused_before_any_term(within, monkeypatch, capsys):
