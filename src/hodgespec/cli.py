@@ -37,7 +37,7 @@ from .isospec import (
     recover_sphere_params,
     recover_torus_params,
 )
-from .lattice import Lattice, brute_force_enumerate, dual, enumerate_norms, standard_lattice
+from .lattice import Lattice, _charge, brute_force_enumerate, dual, enumerate_norms, standard_lattice
 from .multiset import Unit, WeightedSpectrum
 from .rationals import _echo, _echo_number, format_rational, parse_rational
 from .sphere import SphereOperator
@@ -67,8 +67,15 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message[:_USAGE_LIMIT] + "..." if cut else message)
 
 
+def _integer(text: str) -> int:
+    """An integer flag, read as a rational literal (ASCII digits, no ``_``) that is whole."""
+    if (value := parse_rational(text)).denominator != 1:
+        raise ParseError(f"expected an integer, got {_echo(text)}")
+    return value.numerator
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise ValueError("must be positive")
     return value
@@ -200,11 +207,12 @@ def _operator(args, kind: str, side: str = "") -> TorusOperator | SphereOperator
 def _cmd_spectrum(args) -> int:
     op = _operator(args, args.surface)
     spectrum, parts = _SPECTRA[args.surface]
-    if op.generic:
-        alpha_part, beta_part = parts(op, args.cutoff)
-        _write(args, {"alpha_part": alpha_part, "beta_part": beta_part})
-    else:
-        _write(args, spectrum(op, args.cutoff))
+    spectra = parts(op, args.cutoff) if op.generic else (spectrum(op, args.cutoff),)
+    # CPython writes an int in decimal in time quadratic in its length: a
+    # multiplicity of b bits is charged (b >> 10)^2, so one under 1024 bits is free
+    work = sum((mult.bit_length() >> 10) ** 2 for part in spectra for _, mult in part)
+    _charge(work, lambda: f"writing the multiplicities in decimal needs {_echo_number(work)} work")
+    _write(args, dict(zip(("alpha_part", "beta_part"), spectra)) if op.generic else spectra[0])
     _extension_note(op)
     return 0
 
@@ -267,7 +275,7 @@ _FLAGS = {
     "lattice": {"help": "lattice JSON file, - for stdin"},
     "zn": {"type": _positive_int, "help": "standard Z^n lattice"},
     "n": {"type": _positive_int, "help": "dimension n"},
-    "p": {"type": int, "help": "form degree"},
+    "p": {"type": _integer, "help": "form degree"},
     "alpha": {"type": parse_rational, "help": "d-delta weight"},
     "beta": {"type": parse_rational, "help": "delta-d weight"},
     "r2": {"type": parse_rational, "help": "squared radius"},

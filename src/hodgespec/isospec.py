@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from math import comb
 from typing import Callable
 
@@ -33,7 +32,7 @@ from .errors import (
     UnitMismatch,
 )
 from .lattice import _charge_comb
-from .multiset import Unit, WeightedSpectrum
+from .multiset import Unit, WeightedSpectrum, _merged, repeated_union
 from .rationals import _degree, _echo_number, _int, _nonnegative, _positive, format_rational
 from .sphere import Series, _series
 
@@ -88,24 +87,19 @@ def first_divergence(
 ) -> tuple[Fraction, int, int] | None:
     """Smallest key <= bound where multiplicities differ, or None.
 
-    One lockstep walk over both entry lists: while the entries agree the
-    keys line up, so the first disagreement is either one key with two
-    multiplicities or the smaller key, missing from the other side.  A
-    negative bound is refused, like a negative cutoff.
+    The first nonzero entry of the one merge walk of ``left`` minus
+    ``right`` up to the bound, over the lcm of their denominators, names the
+    key; both multiplicities are then read off by bisection.  A negative
+    bound is refused, like a negative cutoff.
     """
     left._require_same_unit(right)
     bound = _nonnegative(bound)
     if bound > left.cutoff or bound > right.cutoff:
         cutoffs = ", ".join(map(_echo_number, (left.cutoff, right.cutoff)))
         raise CutoffExceeded(f"comparison bound {_echo_number(bound)} exceeds a cutoff ({cutoffs})")
-    past_bound = (bound + 1, 0)
-    upto = (left._entries_upto(bound), right._entries_upto(bound))
-    for (lk, lm), (rk, rm) in zip_longest(*upto, fillvalue=past_bound):
-        if lk != rk:
-            return (lk, lm, 0) if lk < rk else (rk, 0, rm)
-        if lm != rm:
-            return lk, lm, rm
-    return None
+    den, merged = _merged(left, 1, right, -1, bound)
+    key = next((Fraction(key, den) for key, diff in merged if diff), None)
+    return None if key is None else (key, left.multiplicity(key), right.multiplicity(key))
 
 
 def reconstruct_base(
@@ -135,11 +129,11 @@ def reconstruct_base(
     guarantee = m_spec.cutoff / high
     work = dict(m_spec.entries)
     out: list[tuple[Fraction, int]] = []
-    for key, _ in m_spec.entries:
+    for key in list(work):
         element = key / low
         if element > guarantee:
             break
-        if key not in work:  # exhausted keys were removed along the way
+        if not work[key]:  # exhausted along the way
             continue
         removals = ((alpha * element, copies_alpha), (beta * element, copies_beta))
         count = -(-work[key] // sum(copies for value, copies in removals if value == key))
@@ -150,10 +144,7 @@ def reconstruct_base(
                     f"removing {_echo_number(needed)} at key {_echo_number(value)} but only "
                     f"{_echo_number(available)} present"
                 )
-            if available == needed:
-                del work[value]
-            else:
-                work[value] = available - needed
+            work[value] = available - needed
         out.append((element, count))
     return WeightedSpectrum(m_spec.unit, guarantee, tuple(out))
 
@@ -242,13 +233,12 @@ def recover_torus_params(
     if m_spec.unit is not base.unit:
         raise UnitMismatch("p-form spectrum and scalar spectrum carry different units")
     _degree("torus recovery", n, p, 1)
-    positive = [(key, mult) for key, mult in base.entries if key > 0]
-    if not positive:
+    positive = WeightedSpectrum(base.unit, base.cutoff, [entry for entry in base if entry[0] > 0])
+    if positive.is_empty():
         raise CutoffTooSmall("scalar spectrum shows no positive eigenvalue")
 
     def share(copies: int) -> _Share:
-        entries = tuple((key, copies * mult) for key, mult in positive)
-        part = WeightedSpectrum(base.unit, base.cutoff, entries)
+        part = repeated_union(positive, copies, positive, 0)
         return _Share(*part.min_entry(), part.scale)
 
     _charge_comb(n - 1, p - 1)

@@ -15,12 +15,12 @@ per layer, an integer c_i and integer terms make the layer's offset an
 integer y_i, and one global scale T turns every pivot into an integer weight,
 so T*|l|^2 = sum_i w_i y_i^2.  The walk runs in Python ints: the bracket
 |y_i| <= isqrt(remaining // w_i) is exact, every candidate in it is a member,
-and the integer norms are sorted before one Fraction is built per distinct
-norm.  Queries that need one or two exact counts (``count_norm`` here, and
-the torus multiplicity query) share one helper: it walks the same layers to
-the largest norm asked for but counts only the integer keys ``q * T`` at the
-last layer, one ``isqrt`` per key, and builds no spectrum; a norm whose
-``q * T`` is not an integer has count 0.
+and the integer norms are sorted and kept as the spectrum's int keys over T;
+no Fraction is built.  Queries that need one or two exact counts
+(``count_norm`` here, and the torus multiplicity query) share one helper: it
+walks the same layers to the largest norm asked for but counts only the
+integer keys ``q * T`` at the last layer, one ``isqrt`` per key, and builds
+no spectrum; a norm whose ``q * T`` is not an integer has count 0.
 ``brute_force_enumerate`` is the deliberately dumb reference: it scans the
 full integer box given by the per-coordinate bound x_i^2 <= Q * <b_i, b_i>
 (from x_i = <l, b_i> and Cauchy-Schwarz) and rechecks every cell in integers,

@@ -7,6 +7,15 @@ at most ``cutoff`` appears, with its exact multiplicity.  The cutoff is part
 of the value; every binary operation takes the min of the two cutoffs and
 drops entries beyond it.
 
+The keys have one representation: int numerators over the least denominator
+that makes every key an integer.  Torus and sphere builders hand their int
+keys over one common denominator to ``_from_int_keys``; the public
+constructor clears its keys' denominators once and hands the numerators to
+the same check-and-store step.  Union, difference, scaling, truncation and
+comparison bring two sides to the lcm of their denominators and run on
+integers through one merge walk, ``_merge``; ``entries`` builds the Fraction
+keys only when it is read.
+
 Unit tags keep flat-torus spectra (keys are eigenvalues divided by 4*pi^2)
 from being compared with round-sphere spectra (keys are plain eigenvalues)
 by accident.  Cross-unit operations are hard errors, never coercions.
@@ -18,7 +27,8 @@ import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, lt
+from math import gcd, lcm
+from operator import lt
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
@@ -48,57 +58,66 @@ def _multiplicity_error(mult) -> ValueError:
     return ValueError(f"multiplicity must be a positive int, got {shown}")
 
 
-def _checked_cutoff(unit, cutoff, entries, den: int | None = None) -> Fraction:
-    """Check a spectrum's fields against its entry rules; return the cutoff as a Fraction.
-
-    The entries' keys are the eigenvalue keys themselves, of type exactly int
-    or Fraction, or with ``den`` the int numerators of ``key / den``, bounded
-    by floor(cutoff * den).  As den > 0, both bounds say the same of the
-    values, and every message names the value and the cutoff.
-    """
-    if not isinstance(unit, Unit):
-        raise TypeError("unit must be a Unit")
-    cutoff = _nonnegative(cutoff)
-    for _, mult in entries:
-        if type(mult) is not int or mult < 1:  # refuses bools, unlike isinstance
-            raise _multiplicity_error(mult)
-    keys = [key for key, _ in entries]
-    if den is None and not _EXACT.issuperset(map(type, keys)):
-        inexact = next(key for key in keys if type(key) not in _EXACT)
-        raise ValueError(f"eigenvalue key must be an int or a Fraction, got {_echo(inexact)}")
-    if not all(map(lt, keys, keys[1:])):
-        raise ValueError("entries must be strictly increasing in key")
-    if not keys:
-        return cutoff
-    # keys strictly increase, so the first and last ones bound them all
-    if keys[0] < 0:
-        raise ValueError(f"negative eigenvalue key: {_echo_key(keys[0], den)}")
-    bound = cutoff if den is None else den * cutoff.numerator // cutoff.denominator
-    if keys[-1] > bound:
-        first = keys[bisect_right(keys, bound)]
-        raise ValueError(f"key {_echo_key(first, den)} exceeds cutoff {_echo_number(cutoff)}")
-    return cutoff
-
-
-def _echo_key(key, den: int | None) -> str:
-    """For a message: the key an entry stands for, ``key / den`` when a den is given."""
-    return _echo_number(key if den is None else Fraction(key, den))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightedSpectrum:
-    """Weighted set of eigenvalue keys, truncated at ``cutoff``."""
+    """Weighted set of eigenvalue keys, truncated at ``cutoff``.
+
+    The keys are held as int numerators over ``_den``, the least denominator
+    that makes every key an integer, so the generated equality and hash
+    compare values whatever denominator a spectrum was built over.
+    ``entries`` builds the (Fraction key, multiplicity) pairs on each read.
+    """
 
     unit: Unit
     cutoff: Fraction
-    entries: tuple[tuple[Fraction, int], ...]
-
-    def __post_init__(self) -> None:
-        entries = tuple(map(tuple, self.entries))
-        object.__setattr__(self, "cutoff", _checked_cutoff(self.unit, self.cutoff, entries))
-        object.__setattr__(self, "entries", entries)
+    _den: int
+    _ints: tuple[tuple[int, int], ...]
 
     # -- construction ----------------------------------------------------
+
+    def __init__(self, unit: Unit, cutoff, entries: Iterable[tuple]) -> None:
+        entries = tuple(entries)
+        bad = [key for key, _ in entries if type(key) not in _EXACT]
+        if bad:
+            raise ValueError(f"eigenvalue key must be an int or a Fraction, got {_echo(bad[0])}")
+        den = lcm(*{key.denominator for key, _ in entries})
+        from .lattice import _charge  # lattice imports this module, so not at its top
+        # each key becomes an int as wide as den: its 64-bit words are charged first
+        _charge(len(entries) * (den.bit_length() >> 6), lambda: f"{_echo_number(len(entries))} "
+                f"keys over a {_echo_number(den.bit_length())}-bit common denominator")
+        self._store(unit, cutoff, [(key.numerator * (den // key.denominator), mult)
+                                   for key, mult in entries], den)
+
+    def _store(self, unit, cutoff, entries, den: int) -> "WeightedSpectrum":
+        """Check (int key, multiplicity) pairs standing for ``key / den``, store them, return self.
+
+        The one check-and-store step: the keys must strictly increase, be
+        nonnegative and be at most floor(cutoff * den), which says the same
+        of ``key / den`` as den > 0; every message names the key as a value.
+        The keys are then reduced by their gcd with den.
+        """
+        if not isinstance(unit, Unit):
+            raise TypeError("unit must be a Unit")
+        cutoff = _nonnegative(cutoff)
+        for _, mult in entries:
+            if type(mult) is not int or mult < 1:  # refuses bools, unlike isinstance
+                raise _multiplicity_error(mult)
+        keys = [key for key, _ in entries]
+        if not all(map(lt, keys, keys[1:])):
+            raise ValueError("entries must be strictly increasing in key")
+        # keys strictly increase, so the first and last ones bound them all
+        if keys and keys[0] < 0:
+            raise ValueError(f"negative eigenvalue key: {_echo_number(Fraction(keys[0], den))}")
+        bound = den * cutoff.numerator // cutoff.denominator
+        if keys and keys[-1] > bound:
+            first = Fraction(keys[bisect_right(keys, bound)], den)
+            raise ValueError(f"key {_echo_number(first)} exceeds cutoff {_echo_number(cutoff)}")
+        step = gcd(den, *keys)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "_den", den // step)
+        object.__setattr__(self, "_ints", tuple((key // step, mult) for key, mult in entries))
+        return self
 
     @classmethod
     def from_pairs(
@@ -124,31 +143,41 @@ class WeightedSpectrum:
 
     # -- accessors --------------------------------------------------------
 
+    @property
+    def entries(self) -> tuple[tuple[Fraction, int], ...]:
+        """The (key, multiplicity) pairs in increasing key order, keys as Fractions."""
+        return tuple(self)
+
     def multiplicity(self, key) -> int:
-        key = _exact(key, "key")
-        i = bisect_left(self.entries, key, key=itemgetter(0))
-        if i < len(self.entries) and self.entries[i][0] == key:
-            return self.entries[i][1]
+        # the key's numerator over _den, a Fraction that equals no int key when off the grid
+        num = _exact(key, "key") * self._den
+        i = bisect_left(self._ints, (num,))  # (num,) sorts just before (num, mult)
+        if i < len(self._ints) and self._ints[i][0] == num:
+            return self._ints[i][1]
         return 0
 
-    def _entries_upto(self, bound) -> tuple[tuple[Fraction, int], ...]:
-        """The entries with key <= bound, cut by bisection."""
-        return self.entries[: bisect_right(self.entries, bound, key=itemgetter(0))]
+    def _upto(self, bound: Fraction, den: int) -> list[tuple[int, int]]:
+        """The int entries with key <= bound, as numerators over ``den``, a multiple of ``_den``."""
+        # (top + 1,) sorts after every entry (key, mult) with key <= top
+        cut = bisect_left(self._ints, (self._den * bound.numerator // bound.denominator + 1,))
+        factor = den // self._den
+        return [(key * factor, mult) for key, mult in self._ints[:cut]]
 
     def is_empty(self) -> bool:
-        return not self.entries
+        return not self._ints
 
     def min_entry(self) -> tuple[Fraction, int]:
         """Smallest key with its multiplicity."""
-        if not self.entries:
+        if not self._ints:
             raise EmptySpectrum("spectrum has no entries")
-        return self.entries[0]
+        return next(iter(self))
 
     def __iter__(self) -> Iterator[tuple[Fraction, int]]:
-        return iter(self.entries)
+        """The (key, multiplicity) pairs, each key built as a Fraction when it is reached."""
+        return ((Fraction(key, self._den), mult) for key, mult in self._ints)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._ints)
 
     # -- algebra ----------------------------------------------------------
 
@@ -166,14 +195,14 @@ class WeightedSpectrum:
         """Pointwise max(self - other, 0), truncated at the smaller cutoff."""
         self._require_same_unit(other)
         cutoff = min(self.cutoff, other.cutoff)
-        merged = _merge(self._entries_upto(cutoff), 1, other._entries_upto(cutoff), -1)
-        return WeightedSpectrum(self.unit, cutoff, tuple(entry for entry in merged if entry[1] > 0))
+        den, merged = _merged(self, 1, other, -1, cutoff)
+        return _from_int_keys(self.unit, cutoff, [entry for entry in merged if entry[1] > 0], den)
 
     def scale(self, factor) -> "WeightedSpectrum":
         """Multiply every key (and the cutoff) by a positive rational."""
         (factor,) = _positive(NonpositiveScalar, "scale factor", factor)
-        entries = tuple((key * factor, mult) for key, mult in self.entries)
-        return WeightedSpectrum(self.unit, self.cutoff * factor, entries)
+        ints = [(key * factor.numerator, mult) for key, mult in self._ints]
+        return _from_int_keys(self.unit, self.cutoff * factor, ints, self._den * factor.denominator)
 
     def truncate(self, bound) -> "WeightedSpectrum":
         """Restrict to keys <= bound; bound must not exceed the cutoff."""
@@ -182,7 +211,7 @@ class WeightedSpectrum:
             raise CutoffExceeded(
                 f"truncation bound {_echo_number(bound)} exceeds cutoff {_echo_number(self.cutoff)}"
             )
-        return WeightedSpectrum(self.unit, bound, self._entries_upto(bound))
+        return _from_int_keys(self.unit, bound, self._upto(bound, self._den), self._den)
 
     def with_unit(self, unit: Unit) -> "WeightedSpectrum":
         """Reinterpret the keys under another unit tag (keys unchanged).
@@ -192,7 +221,7 @@ class WeightedSpectrum:
         never applied implicitly.  No package code calls it; it stays public
         for acceptance criterion 8, which equates S^1 with the circle torus.
         """
-        return WeightedSpectrum(unit, self.cutoff, self.entries)
+        return _from_int_keys(unit, self.cutoff, self._ints, self._den)
 
     # -- serialization ----------------------------------------------------
 
@@ -234,18 +263,11 @@ def _from_int_keys(unit: Unit, cutoff, entries, den: int) -> WeightedSpectrum:
     """Keys ``key / den`` from (int key, multiplicity) pairs sorted by key.
 
     The builder behind every spectrum assembled over one common denominator
-    (torus norm tables and parts, sphere series).  It runs the constructor's
-    checks on the int keys, with the same messages, then builds one Fraction
-    per entry and the instance without running those checks again on
-    Fractions.  It is the only place that skips ``__post_init__``.
+    (torus norm tables and parts, sphere series, and the algebra above).  It
+    hands the int keys to the one check-and-store step without building a
+    Fraction, and is the only place that skips ``__init__``.
     """
-    cutoff = _checked_cutoff(unit, cutoff, entries, den)
-    spectrum = object.__new__(WeightedSpectrum)
-    object.__setattr__(spectrum, "unit", unit)
-    object.__setattr__(spectrum, "cutoff", cutoff)
-    entries = tuple((Fraction(key, den), mult) for key, mult in entries)
-    object.__setattr__(spectrum, "entries", entries)
-    return spectrum
+    return object.__new__(WeightedSpectrum)._store(unit, cutoff, entries, den)
 
 
 def _operator_spectrum(unit: Unit, parts, op, cutoff, parts_name: str = ""):
@@ -277,8 +299,18 @@ def repeated_union(
     if left_count < 0 or right_count < 0 or left_count + right_count < 1:
         raise ValueError("copy counts must be nonnegative and not both zero")
     cutoff = min(left.cutoff, right.cutoff)
-    merged = _merge(left._entries_upto(cutoff), left_count, right._entries_upto(cutoff), right_count)
-    return WeightedSpectrum(left.unit, cutoff, tuple(merged))
+    den, merged = _merged(left, left_count, right, right_count, cutoff)
+    return _from_int_keys(left.unit, cutoff, merged, den)
+
+
+def _merged(left, left_count: int, right, right_count: int, cutoff) -> tuple[int, list]:
+    """``(den, merged)``: ``_merge`` of both sides' entries with key <= cutoff, over one den.
+
+    den is the lcm of the two sides' denominators, and the merged keys are
+    int numerators over it.
+    """
+    den = lcm(left._den, right._den)
+    return den, _merge(left._upto(cutoff, den), left_count, right._upto(cutoff, den), right_count)
 
 
 def _merge(a, a_count: int, b, b_count: int) -> list:
@@ -287,9 +319,9 @@ def _merge(a, a_count: int, b, b_count: int) -> list:
     Multiplicities are multiplied by their side's copy count, and a side with
     count zero contributes nothing.  A count of -1 subtracts that side, so a
     total may come out zero or negative; ``difference`` keeps the positive
-    ones.  Keys may be Fractions or, for callers that merge over one common
-    denominator, plain ints.  Every union, difference and spectrum assembly
-    goes through this walk.
+    ones.  Keys are int numerators over one common denominator.  Every
+    union, difference, comparison and spectrum assembly goes through this
+    walk.
     """
     a, b = (a if a_count else ()), (b if b_count else ())
     merged = []

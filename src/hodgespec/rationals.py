@@ -26,7 +26,8 @@ __all__ = [
     "sqrt_floor",
 ]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# ASCII digits only: \d would take every Unicode digit, which int() converts
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 _ECHO_LIMIT = 80
 _EXACT = frozenset((int, Fraction))  # exact types, so a bool is not an int here
 

@@ -31,8 +31,8 @@ eigenvalue of the constants (the volume form at p = n), of dimension 1.
 
 Over den, the lcm of the operator's scale denominators, every key is an
 integer.  The series are cut at floor(cutoff * den), merged and matched as
-integers, and one Fraction is built per returned entry, as for the torus
-norm tables.  A series steps C(j+n, n) from one term to the next by exact
+integers, and the spectrum keeps the int keys over den, as the torus norm
+tables do.  A series steps C(j+n, n) from one term to the next by exact
 integer ratios; ``dim_V``, ``dim_W`` and ``harmonic_polynomial_dim`` read
 the first term of the series from k on, so one path computes every
 dimension.  The budget is charged for the size of those binomials before

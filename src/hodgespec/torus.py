@@ -13,6 +13,11 @@ beta * delta d there; p = 0 is flagged as a duality extension).
 An operator built with ``generic=True`` models a formally irrational
 alpha/beta ratio: the alpha and beta parts are kept as separate weighted
 sets and never merged, and cross-terms drop out of multiplicity counts.
+
+Both parts are built from the walk's integer norms as int keys over one
+common denominator (the walk scale times the weights' denominators), cut
+and merged as integers, and the spectrum keeps those int keys: no Fraction
+is built until a caller reads ``entries``.
 """
 
 from __future__ import annotations

@@ -843,3 +843,87 @@ def test_module_entry_point_matches_main(p, capsys):
     )
     assert (child.stdout, child.returncode, child.stderr) == (out, code, err)
     assert code == (0 if p == "1" else 3)
+
+
+# Python's int() reads every Unicode decimal digit and "_" separators; a flag or
+# a spectrum key takes ASCII digits only, so each of these is malformed input.
+NON_ASCII_OR_SEPARATED = {
+    "p-separator": [*SPHERE_S3[:2], "--n", "20", "--p", "1_0", *SPHERE_S3[4:]],
+    "zn-fullwidth": ["enumerate", "--zn", "２", "--bound", "2"],
+    "n-arabic-indic": [*SPHERE_S3[:2], "--n", "٣", "--p", "1", *SPHERE_S3[4:]],
+    "p-fraction": [*SPHERE_S3, "--p", "1/2"],
+    "copies-separator": ["recover", "base-set", "--spectrum",
+                         str(Path(__file__).parent / "golden" / "inputs" / "base-set-m.json"),
+                         "--alpha", "1", "--beta", "2", "--copies-alpha", "1_0",
+                         "--copies-beta", "1"],
+    "left-p-fullwidth": ["isospec", "--left-kind", "sphere", "--left-n", "3", "--left-p", "１",
+                         "--left-alpha", "1", "--left-beta", "1", "--left-r2", "1",
+                         "--right-kind", "sphere", "--right-n", "3", "--right-p", "1",
+                         "--right-alpha", "1", "--right-beta", "1", "--right-r2", "1",
+                         "--cutoff", "4"],
+}
+
+
+@pytest.mark.parametrize("argv", NON_ASCII_OR_SEPARATED.values(), ids=NON_ASCII_OR_SEPARATED.keys())
+def test_integer_flags_take_ascii_digits_only(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParseError"  # all of stderr is one object
+
+
+def test_integer_flags_still_read_signs_and_whole_fractions(capsys):
+    assert run([*SPHERE_S3, "--p", "+1"], capsys) == run([*SPHERE_S3, "--p", "2/2"], capsys)
+    assert run([*SPHERE_S3, "--p", "1"], capsys)[:2] == run([*SPHERE_S3, "--p", "+1"], capsys)[:2]
+
+
+def test_spectrum_file_key_in_non_ascii_digits_exits_2(tmp_path, capsys):
+    m_file = tmp_path / "m.json"
+    m_file.write_text(json.dumps({"unit": "plain", "cutoff": "4", "entries": [["٣", 4]]}))
+    code, out, err = run(["recover", "radius", "--spectrum", str(m_file),
+                          "--alpha", "1", "--beta", "1", "--n", "3", "--p", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_writing_huge_multiplicities_is_charged_before_any_output(within, monkeypatch, capsys):
+    # S^(10^100), p = 1: up to 500 (10^100 + 600) the spectrum has 999 entries, whose
+    # multiplicities reach 162339 bits; CPython's quadratic int-to-decimal conversion
+    # took 14 s to write them.  Each is charged (bits >> 10)^2, 8348962 in all.
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    n = 10**100
+    argv = ["spectrum", "sphere", "--n", str(n), "--p", "1", "--alpha", "1", "--beta", "1",
+            "--r2", "1", "--cutoff"]
+    with within(2):
+        code, out, err = run([*argv, str(500 * (n + 600))], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "BudgetExceeded",
+        "message": "writing the multiplicities in decimal needs 8348962 work, budget is 5000000",
+    }
+    # 199 entries up to 100 (10^100 + 200) are charged 65994 and still written
+    with within(2):
+        code, out, err = run([*argv, str(100 * (n + 200)), "--format", "csv"], capsys)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 199
+
+
+def test_spectrum_file_over_many_denominators_is_refused_before_it_is_held(within, tmp_path,
+                                                                           monkeypatch, capsys):
+    # Keys 1/p over the first 6000 primes: each key would be held as an int over
+    # their 85393-bit product, 64 MB in all for a 90 kB file.
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    composite = [False] * 60000
+    for p in range(2, 245):
+        composite[p * p::p] = [True] * len(range(p * p, 60000, p))
+    primes = [p for p in range(2, 60000) if not composite[p]][:6000]
+    m_file = tmp_path / "m.json"
+    entries = [[f"1/{p}", 1] for p in reversed(primes)]
+    m_file.write_text(json.dumps({"unit": "plain", "cutoff": "1", "entries": entries}))
+    with within(2):
+        code, out, err = run(["recover", "radius", "--spectrum", str(m_file), "--alpha", "1",
+                              "--beta", "1", "--n", "3", "--p", "1"], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "BudgetExceeded",
+        "message": "6000 keys over a 85393-bit common denominator, budget is 5000000",
+    }

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction as F
+from math import isqrt, lcm, prod
 
 import pytest
 
-from hodgespec.errors import CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
+from hodgespec.errors import (
+    BudgetExceeded, CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
+)
+from hodgespec.lattice import BUDGET_ENV_VAR
 from hodgespec.multiset import (
     Unit,
     WeightedSpectrum,
@@ -120,6 +125,77 @@ def test_int_keyed_builder_keeps_a_key_on_the_cutoff():
     built = _from_int_keys(Unit.PLAIN, F(7, 3), [(0, 2), (13, 1), (14, 3)], 6)
     assert built == WeightedSpectrum(Unit.PLAIN, F(7, 3), ((F(0), 2), (F(13, 6), 1), (F(7, 3), 3)))
     assert type(built.cutoff) is F and all(type(key) is F for key, _ in built)
+
+
+# Keys are held as int numerators over the least denominator that makes them
+# integers, so one value is one spectrum whatever denominator built it.
+@pytest.mark.parametrize(
+    "values",
+    [((0, 1), (1, 3), (3, 2)), ((F(0), 2), (F(1, 2), 1), (F(7, 4), 5))],
+    ids=["integer-keys", "quarter-keys"],
+)
+def test_one_value_is_one_spectrum_whatever_built_it(values):
+    cutoff = F(15, 4)
+    fractions = tuple((F(key), mult) for key, mult in values)
+    built = [
+        WeightedSpectrum(Unit.PLAIN, cutoff, fractions),
+        *(_from_int_keys(Unit.PLAIN, cutoff, [(int(key * den), mult) for key, mult in fractions],
+                         den) for den in (4, 12)),
+    ]
+    if all(key.denominator == 1 for key, _ in fractions):
+        built.append(WeightedSpectrum(Unit.PLAIN, cutoff, [(int(key), m) for key, m in values]))
+        built.append(_from_int_keys(Unit.PLAIN, cutoff, [(2 * int(key), m) for key, m in values], 2))
+    for spectrum in built:
+        assert spectrum == built[0] and hash(spectrum) == hash(built[0])
+        assert spectrum.entries == fractions
+        assert all(type(key) is F for key, _ in spectrum.entries)
+        assert spectrum._den == lcm(*(key.denominator for key, _ in fractions))
+    assert len(set(built)) == 1
+
+
+def test_entries_read_back_int_keys_as_fractions():
+    built = WeightedSpectrum(Unit.PLAIN, 5, [(0, 1), (2, 3)])
+    assert built.entries == ((F(0), 1), (F(2), 3))
+    assert all(type(key) is F for key, _ in built.entries)
+    assert all(type(key) is F for key, _ in built)
+    assert type(built.min_entry()[0]) is F
+    assert [field.name for field in dataclasses.fields(built)] == ["unit", "cutoff", "_den", "_ints"]
+    assert (built._den, built._ints) == (1, ((0, 1), (2, 3)))
+
+
+def test_algebra_keeps_the_least_denominator():
+    halves = spec([(F(1, 2), 1), (1, 2)], 4)
+    thirds = spec([(F(1, 3), 1), (1, 1)], 4)
+    assert halves.union(thirds)._den == 6
+    assert halves.union(thirds).difference(thirds) == halves
+    assert halves.union(thirds).difference(thirds)._den == 2
+    assert halves.truncate(F(3, 4)) == spec([(F(1, 2), 1)], F(3, 4))
+    assert halves.truncate(F(3, 4)).difference(spec([(F(1, 2), 1)], 4))._den == 1
+    assert halves.scale(2) == spec([(1, 1), (2, 2)], 8) and halves.scale(2)._den == 1
+    assert halves.scale(F(2, 3)) == spec([(F(1, 3), 1), (F(2, 3), 2)], F(8, 3))
+    assert halves.with_unit(Unit.FOUR_PI_SQUARED)._ints == halves._ints
+
+
+def test_keys_over_a_wide_common_denominator_are_charged_first(monkeypatch):
+    # Keys 1/p over distinct primes p make the common denominator their product,
+    # and every key an int that wide: the 64-bit words of all keys are charged
+    # before any is made.
+    primes = [p for p in range(2, 600) if all(p % q for q in range(2, isqrt(p) + 1))]
+    entries = [(F(1, p), 1) for p in reversed(primes)]
+    words = len(entries) * (prod(primes).bit_length() >> 6)
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(words))
+    assert len(WeightedSpectrum(Unit.PLAIN, 1, entries)) == len(primes)
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(words - 1))
+    with pytest.raises(BudgetExceeded) as raised:
+        WeightedSpectrum(Unit.PLAIN, 1, entries)
+    bits = prod(primes).bit_length()
+    assert str(raised.value) == (
+        f"{len(primes)} keys over a {bits}-bit common denominator, budget is {words - 1}"
+    )
+    # keys over one shared denominator are as wide as their Fractions were
+    monkeypatch.delenv(BUDGET_ENV_VAR)
+    shared = [(F(k, prod(primes)), 1) for k in range(1, 1000)]
+    assert WeightedSpectrum(Unit.PLAIN, 1, shared)._den == prod(primes)
 
 
 def test_union_pointwise_addition():

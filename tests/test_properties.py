@@ -13,7 +13,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hodgespec import linalg
-from hodgespec.errors import NotInImage, ParseError, SingularBasis, UnrepresentedNorm
+from hodgespec.errors import (
+    EmptySpectrum, NotInImage, ParseError, SingularBasis, UnrepresentedNorm
+)
 from hodgespec.isospec import (
     BRANCH_ALPHA_FIRST,
     BRANCH_BETA_FIRST,
@@ -27,7 +29,7 @@ from hodgespec.isospec import (
     recover_torus_params,
 )
 from hodgespec.lattice import Lattice, brute_force_enumerate, count_norm, dual, enumerate_norms
-from hodgespec.multiset import Unit, WeightedSpectrum, repeated_union
+from hodgespec.multiset import Unit, WeightedSpectrum, _from_int_keys, repeated_union
 from hodgespec.sphere import (
     Series,
     SphereOperator,
@@ -141,6 +143,69 @@ def test_repeated_union_matches_per_key_reference(left, right, counts):
 @given(truncated_spectra(), truncated_spectra())
 def test_difference_matches_per_key_reference(left, right):
     assert left.difference(right) == reference_difference(left, right)
+
+
+# -- the same references over mixed denominators ------------------------------
+#
+# A spectrum holds int numerators over the lcm of its keys' denominators; these
+# draw keys over denominators up to 12, and build some spectra over a multiple
+# of that lcm, so every operation meets sides over different denominators.
+
+mixed_keys = st.fractions(min_value=0, max_value=MAX_KEY, max_denominator=12)
+OFF_GRID_DENS = (13, 97, 101)  # coprime to every key denominator up to 12
+
+
+@st.composite
+def mixed_spectra(draw):
+    """A spectrum over mixed denominators, built publicly or over a multiple of its lcm."""
+    cutoff = draw(st.fractions(0, MAX_KEY + 2, max_denominator=12))
+    entries = sorted(draw(st.dictionaries(mixed_keys, st.integers(1, 4), max_size=10)).items())
+    entries = [(key, mult) for key, mult in entries if key <= cutoff]
+    if not draw(st.booleans()):
+        return WeightedSpectrum(Unit.PLAIN, cutoff, entries)
+    den = math.lcm(1, *(key.denominator for key, _ in entries)) * draw(st.integers(1, 6))
+    return _from_int_keys(Unit.PLAIN, cutoff, [(int(key * den), m) for key, m in entries], den)
+
+
+@PROPERTY
+@given(mixed_spectra(), mixed_spectra(), copy_counts, st.fractions(0, 1))
+def test_comparison_and_algebra_match_references_over_mixed_denominators(left, right, counts,
+                                                                           share):
+    bound = min(left.cutoff, right.cutoff) * share
+    assert first_divergence(left, right, bound) == reference_divergence(left, right, bound)
+    got = repeated_union(left, counts[0], right, counts[1])
+    assert got == reference_union(left, counts[0], right, counts[1])
+    assert left.difference(right) == reference_difference(left, right)
+
+
+@PROPERTY
+@given(mixed_spectra(), st.fractions(F(1, 12), 12, max_denominator=12), st.fractions(0, 1))
+def test_scale_and_truncate_match_references_over_mixed_denominators(spectrum, factor, share):
+    scaled = spectrum.scale(factor)
+    assert scaled.cutoff == spectrum.cutoff * factor
+    assert scaled.entries == tuple((key * factor, mult) for key, mult in spectrum.entries)
+    bound = spectrum.cutoff * share
+    cut = spectrum.truncate(bound)
+    assert cut.cutoff == bound
+    assert cut.entries == tuple((key, mult) for key, mult in spectrum.entries if key <= bound)
+    assert cut == weighted({key: mult for key, mult in spectrum.entries if key <= bound}, bound)
+
+
+@PROPERTY
+@given(mixed_spectra(), mixed_keys, st.sampled_from(OFF_GRID_DENS))
+def test_lookups_match_references_over_mixed_denominators(spectrum, key, off):
+    table = dict(spectrum.entries)
+    # on the key grid, anywhere, just off each key, and below zero
+    for probe in (*table, key, *(k + F(1, off) for k in table), -F(1, off)):
+        assert spectrum.multiplicity(probe) == table.get(probe, 0)
+    if table:
+        assert spectrum.min_entry() == min(table.items())
+    else:
+        with pytest.raises(EmptySpectrum):
+            spectrum.min_entry()
+    retagged = spectrum.with_unit(Unit.FOUR_PI_SQUARED)
+    assert retagged == WeightedSpectrum(Unit.FOUR_PI_SQUARED, spectrum.cutoff, spectrum.entries)
+    assert retagged.with_unit(Unit.PLAIN) == spectrum
 
 
 def reference_base(m_spec, alpha, beta, copies_alpha, copies_beta):

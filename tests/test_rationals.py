@@ -55,7 +55,10 @@ def test_parse_accepts_integers_and_fractions():
     assert parse_rational(" 6/8 ") == F(3, 4)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1e3", "", "a", "3/", "/4", "3/0", "1/-2", "1 / 2"])
+# int() would read every Unicode decimal digit and "_" separators; the wire
+# format takes ASCII digits only
+@pytest.mark.parametrize("bad", ["1.5", "1e3", "", "a", "3/", "/4", "3/0", "1/-2", "1 / 2",
+                                 "١", "٣", "３/４", "3/٤", "𝟘", "1_0"])
 def test_parse_rejects_non_rationals(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
