@@ -67,24 +67,32 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message[:_USAGE_LIMIT] + "..." if cut else message)
 
 
+# A flag type refuses with ArgumentTypeError, so argparse words the refusal
+# "argument --<flag>: <reason>" and _Parser.error makes it a ParseError.
+def _rational(text: str) -> Fraction:
+    """A rational flag, read by ``parse_rational``."""
+    try:
+        return parse_rational(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _integer(text: str) -> int:
     """An integer flag, read as a rational literal (ASCII digits, no ``_``) that is whole."""
-    if (value := parse_rational(text)).denominator != 1:
-        raise ParseError(f"expected an integer, got {_echo(text)}")
+    if (value := _rational(text)).denominator != 1:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {_echo(text)}")
     return value.numerator
 
 
 def _positive_int(text: str) -> int:
-    value = _integer(text)
-    if value < 1:
-        raise ValueError("must be positive")
+    if (value := _integer(text)) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {_echo(text)}")
     return value
 
 
 def _nonnegative_rational(text: str) -> Fraction:
-    value = parse_rational(text)
-    if value < 0:
-        raise ParseError(f"expected a nonnegative rational, got {_echo(text)}")
+    if (value := _rational(text)) < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative rational, got {_echo(text)}")
     return value
 
 
@@ -276,9 +284,9 @@ _FLAGS = {
     "zn": {"type": _positive_int, "help": "standard Z^n lattice"},
     "n": {"type": _positive_int, "help": "dimension n"},
     "p": {"type": _integer, "help": "form degree"},
-    "alpha": {"type": parse_rational, "help": "d-delta weight"},
-    "beta": {"type": parse_rational, "help": "delta-d weight"},
-    "r2": {"type": parse_rational, "help": "squared radius"},
+    "alpha": {"type": _rational, "help": "d-delta weight"},
+    "beta": {"type": _rational, "help": "delta-d weight"},
+    "r2": {"type": _rational, "help": "squared radius"},
     "copies-alpha": {"type": _positive_int},
     "copies-beta": {"type": _positive_int},
     "base": {"help": "scalar spectrum JSON of the same lattice"},

@@ -16,11 +16,15 @@ integer y_i, and one global scale T turns every pivot into an integer weight,
 so T*|l|^2 = sum_i w_i y_i^2.  The walk runs in Python ints: the bracket
 |y_i| <= isqrt(remaining // w_i) is exact, every candidate in it is a member,
 and the integer norms are sorted and kept as the spectrum's int keys over T;
-no Fraction is built.  Queries that need one or two exact counts
-(``count_norm`` here, and the torus multiplicity query) share one helper: it
-walks the same layers to the largest norm asked for but counts only the
-integer keys ``q * T`` at the last layer, one ``isqrt`` per key, and builds
-no spectrum; a norm whose ``q * T`` is not an integer has count 0.
+no Fraction is built.  The walk visits one vector of each pair +-l (the one
+whose first nonzero coordinate, from the top layer down, is positive) and
+counts it twice; it charges each bracket once for itself and once for its
+mirror, so the budget counts the visits of the full walk.  Queries that need
+one or two exact counts (``count_norm`` here, and the torus multiplicity
+query) share one helper: it walks the same layers to the largest norm asked
+for but counts only the integer keys ``q * T`` at the last layer, one
+``isqrt`` per key, and builds no spectrum; a norm whose ``q * T`` is not an
+integer has count 0.
 ``brute_force_enumerate`` is the deliberately dumb reference: it scans the
 full integer box given by the per-coordinate bound x_i^2 <= Q * <b_i, b_i>
 (from x_i = <l, b_i> and Cauchy-Schwarz) and rechecks every cell in integers,
@@ -273,6 +277,16 @@ def _walk(dual_data: DualData, bound: Fraction, keys: set[int] | None = None) ->
     most ``T * bound``, the table holds only those: the last layer solves
     w y^2 = key - base for each key instead of scanning its bracket, which it
     still charges in full, so the budget counts the same visits either way.
+
+    l and -l have the same norm, so the walk visits one of each pair: the
+    vectors whose first nonzero coordinate, from the top level down, is
+    positive, each counted twice, and the zero vector once.  A multiplier
+    carried down the walk is 1 while every coordinate above is 0; there the
+    shift is 0 and the bracket -high..high, so x = 0 keeps multiplier 1 and
+    x = 1..high take 2.  The subtree at -x mirrors the one at x, bracket for
+    bracket, so charging each bracket ``multiplier`` times charges exactly
+    the visits of the full walk, and every budget refusal is the one the
+    full walk would make.
     """
     limit = _resolve_budget()
     n = dual_data.lattice.n
@@ -282,14 +296,15 @@ def _walk(dual_data: DualData, bound: Fraction, keys: set[int] | None = None) ->
     coords = [0] * n
     visited = 0
 
-    def descend(level: int, remaining: int) -> None:
+    def descend(level: int, remaining: int, multiplier: int) -> None:
         # Every x with w * (c*x + shift)^2 <= remaining is a candidate, and each one fits.
+        # At multiplier 2 the node also stands for its unwalked mirror.
         nonlocal visited
         c, w = clear[level], weights[level]
         shift = sum(a * coords[j] for j, a in terms[level])
         radius = math.isqrt(remaining // w)
         low, high = -((radius + shift) // c), (radius - shift) // c
-        visited += high - low + 1
+        visited += multiplier * (high - low + 1)
         if visited > limit:
             raise BudgetExceeded(f"norm enumeration exceeded budget of {limit} candidate visits")
         if level == 0:
@@ -297,7 +312,7 @@ def _walk(dual_data: DualData, bound: Fraction, keys: set[int] | None = None) ->
             if keys is None:
                 for y in range(c * low + shift, c * high + shift + 1, c):
                     key = base + w * y * y
-                    counts[key] = counts.get(key, 0) + 1
+                    counts[key] = counts.get(key, 0) + multiplier
                 return
             for key in keys:
                 square, rest = divmod(key - base, w)
@@ -309,15 +324,20 @@ def _walk(dual_data: DualData, bound: Fraction, keys: set[int] | None = None) ->
                 # key <= top puts +-y in the bracket, and each is a member when = shift mod c
                 hits = ((y - shift) % c == 0) + (y > 0 and (y + shift) % c == 0)
                 if hits:
-                    counts[key] = counts.get(key, 0) + hits
+                    counts[key] = counts.get(key, 0) + multiplier * hits
             return
+        if multiplier == 1:
+            # Every coordinate above is 0, so shift is 0 and the bracket is -high..high:
+            # walk x = 0 as it is, and x = 1..high for themselves and their mirrors -x.
+            descend(level - 1, remaining, 1)
+            low, multiplier = 1, 2
         for x in range(low, high + 1):
             coords[level] = x
             y = c * x + shift
-            descend(level - 1, remaining - w * y * y)
+            descend(level - 1, remaining - w * y * y, multiplier)
         coords[level] = 0
 
-    descend(n - 1, top)
+    descend(n - 1, top, 1)
     return counts
 
 

@@ -1,5 +1,6 @@
-"""Test-side references: a Fraction LDL^T, the walk data read off it, D_n^+,
-the rank of sparse rows and the polynomial-space sphere oracle.
+"""Test-side references: a Fraction LDL^T, the walk data read off it, the
+candidate visits of an exact layered walk, D_n^+, the rank of sparse rows
+and the polynomial-space sphere oracle.
 
 The oracle rebuilds the eigenspaces behind ``hodgespec.sphere``'s closed-form
 dimensions from componentwise-harmonic, co-closed, homogeneous polynomial
@@ -16,6 +17,7 @@ from typing import Hashable, Mapping, Sequence
 from hodgespec.errors import BudgetExceeded, DegreeOutOfRange
 from hodgespec.lattice import Lattice
 from hodgespec.linalg import _eliminate
+from hodgespec.rationals import sqrt_floor
 
 from exterior import Poly, PolyForm, contract_position, d_flat, delta_flat, homogeneous_exponents
 
@@ -58,6 +60,26 @@ def walk_data(dual_gram):
     ratios = [diag[i] / (clear[i] * clear[i]) for i in range(n)]
     scale = math.lcm(*(r.denominator for r in ratios))
     return tuple(clear), terms, tuple(int(scale * r) for r in ratios), scale
+
+
+def exact_visit_count(data, bound) -> int:
+    """Candidates of an exact layered walk: the tails (x_i, ..., x_{n-1}) whose
+    projected norm sum_{k>=i} d_k (x_k + sum_{j>k} L[j][k] x_j)^2 is <= bound,
+    counted by scanning the Cauchy-Schwarz box in Fractions, with L diag(d) L^T the
+    reference LDL^T of the dual Gram matrix."""
+    n = data.lattice.n
+    lower, diag = ldlt(data.dual_gram)
+    radii = [sqrt_floor(bound * data.gram[i][i]) for i in range(n)]
+    visits = 0
+    for level in range(n):
+        for tail in itertools.product(*(range(-r, r + 1) for r in radii[level:])):
+            x = dict(zip(range(level, n), tail))
+            norm = sum(
+                diag[k] * (x[k] + sum(lower[j][k] * x[j] for j in range(k + 1, n))) ** 2
+                for k in range(level, n)
+            )
+            visits += norm <= bound
+    return visits
 
 
 def d_plus(n: int) -> Lattice:

@@ -876,6 +876,34 @@ def test_integer_flags_still_read_signs_and_whole_fractions(capsys):
     assert run([*SPHERE_S3, "--p", "1"], capsys)[:2] == run([*SPHERE_S3, "--p", "+1"], capsys)[:2]
 
 
+NOT_A_RATIONAL = "not a rational literal: 'x' (use 'a/b' or an integer string)"
+BASE_SET = ["recover", "base-set", "--spectrum",
+            str(Path(__file__).parent / "golden" / "inputs" / "base-set-m.json"),
+            "--alpha", "1", "--beta", "2", "--copies-beta", "1"]
+# Each bad flag value is refused by its flag's type, and the refusal names the flag.
+BAD_FLAG_VALUES = {
+    "alpha": ([*SPHERE_S3[:4], "--p", "1", "--alpha", "x", *SPHERE_S3[6:]],
+              f"argument --alpha: {NOT_A_RATIONAL}"),
+    "cutoff": ([*SPHERE_S3[:-2], "--p", "1", "--cutoff", "x"],
+               f"argument --cutoff: {NOT_A_RATIONAL}"),
+    "cutoff-negative": ([*SPHERE_S3[:-2], "--p", "1", "--cutoff=-1/2"],
+                        "argument --cutoff: expected a nonnegative rational, got '-1/2'"),
+    "p": ([*SPHERE_S3, "--p", "x"], f"argument --p: {NOT_A_RATIONAL}"),
+    "p-fraction": ([*SPHERE_S3, "--p", "1/2"], "argument --p: expected an integer, got '1/2'"),
+    "n": ([*SPHERE_S3[:2], "--n", "0", "--p", "1", *SPHERE_S3[4:]],
+          "argument --n: expected a positive integer, got '0'"),
+    "copies-alpha": ([*BASE_SET, "--copies-alpha", "0"],
+                     "argument --copies-alpha: expected a positive integer, got '0'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", BAD_FLAG_VALUES.values(), ids=BAD_FLAG_VALUES.keys())
+def test_a_bad_flag_value_is_refused_by_name(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ParseError", "message": message}
+
+
 def test_spectrum_file_key_in_non_ascii_digits_exits_2(tmp_path, capsys):
     m_file = tmp_path / "m.json"
     m_file.write_text(json.dumps({"unit": "plain", "cutoff": "4", "entries": [["٣", 4]]}))

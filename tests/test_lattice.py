@@ -1,7 +1,6 @@
 """Lattice duals and exact norm enumeration, layered vs brute force."""
 
 import dataclasses
-import itertools
 import random
 from fractions import Fraction as F
 
@@ -25,10 +24,9 @@ from hodgespec.lattice import (
     enumerate_norms,
     standard_lattice,
 )
-from hodgespec.rationals import sqrt_floor
 from hodgespec.torus import Branch, TorusOperator, eigenvalue_multiplicity, f_spectrum
 
-from oracles import ldlt, walk_data
+from oracles import exact_visit_count, walk_data
 
 
 def random_lattice(rng: random.Random, n: int) -> Lattice:
@@ -245,26 +243,6 @@ def test_budget_argument_limits_enumeration(monkeypatch):
         enumerate_norms(data, 4)
     with pytest.raises(BoxTooLarge):
         brute_force_enumerate(data, 4)
-
-
-def exact_visit_count(data, bound) -> int:
-    """Candidates of an exact layered walk: the tails (x_i, ..., x_{n-1}) whose
-    projected norm sum_{k>=i} d_k (x_k + sum_{j>k} L[j][k] x_j)^2 is <= bound,
-    counted by scanning the Cauchy-Schwarz box in Fractions, with L diag(d) L^T the
-    reference LDL^T of the dual Gram matrix."""
-    n = data.lattice.n
-    lower, diag = ldlt(data.dual_gram)
-    radii = [sqrt_floor(bound * data.gram[i][i]) for i in range(n)]
-    visits = 0
-    for level in range(n):
-        for tail in itertools.product(*(range(-r, r + 1) for r in radii[level:])):
-            x = dict(zip(range(level, n), tail))
-            norm = sum(
-                diag[k] * (x[k] + sum(lower[j][k] * x[j] for j in range(k + 1, n))) ** 2
-                for k in range(level, n)
-            )
-            visits += norm <= bound
-    return visits
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hodgespec import linalg
 from hodgespec.errors import (
-    EmptySpectrum, NotInImage, ParseError, SingularBasis, UnrepresentedNorm
+    BudgetExceeded, EmptySpectrum, NotInImage, ParseError, SingularBasis, UnrepresentedNorm
 )
 from hodgespec.isospec import (
     BRANCH_ALPHA_FIRST,
@@ -28,7 +28,9 @@ from hodgespec.isospec import (
     reconstruct_base,
     recover_torus_params,
 )
-from hodgespec.lattice import Lattice, brute_force_enumerate, count_norm, dual, enumerate_norms
+from hodgespec.lattice import (
+    BUDGET_ENV_VAR, Lattice, brute_force_enumerate, count_norm, dual, enumerate_norms
+)
 from hodgespec.multiset import Unit, WeightedSpectrum, _from_int_keys, repeated_union
 from hodgespec.sphere import (
     Series,
@@ -52,7 +54,7 @@ from hodgespec.torus import (
     laplace0_spectrum,
 )
 
-from oracles import d_plus, e8_plus_e8, rank, walk_data
+from oracles import d_plus, e8_plus_e8, exact_visit_count, rank, walk_data
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -356,6 +358,48 @@ def small_lattices(draw, dims=st.integers(1, 3)):
 def test_layered_walk_equals_box_scan(lattice, bound):
     data = dual(lattice)
     assert enumerate_norms(data, bound) == brute_force_enumerate(data, bound)
+
+
+# In one dimension the whole walk is the one level whose bracket is -high..high.
+LINES = [Lattice(((F(1),),)), Lattice(((F(2, 3),),))]
+
+
+@PROPERTY
+@given(small_lattices(), st.fractions(0, 4, max_denominator=3))
+@example(LINES[0], F(9))
+@example(LINES[1], F(0))
+def test_half_walk_charges_the_visits_of_the_full_walk(lattice, bound):
+    # The walk visits one of each +-l but charges the mirror's brackets too, so
+    # its refusal falls exactly past the full walk's candidate count.
+    data = dual(lattice)
+    visits = exact_visit_count(data, bound)
+    want = brute_force_enumerate(data, bound)
+    queries = (lambda: enumerate_norms(data, bound), lambda: count_norm(data, bound))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(BUDGET_ENV_VAR, str(visits))
+        assert enumerate_norms(data, bound) == want
+        assert count_norm(data, bound) == want.multiplicity(bound)
+        if visits == 1:  # the zero vector alone; a budget must be positive
+            return
+        patch.setenv(BUDGET_ENV_VAR, str(visits - 1))
+        for query in queries:
+            with pytest.raises(BudgetExceeded, match=f"budget of {visits - 1} candidate visits"):
+                query()
+
+
+@PROPERTY
+@given(small_lattices(), st.fractions(0, 4, max_denominator=3))
+@example(LINES[0], F(9))
+@example(LINES[1], F(4))
+def test_key_counts_equal_the_table_counts(lattice, bound):
+    # Key mode multiplies its hits as table mode multiplies its leaves.
+    data = dual(lattice)
+    table = enumerate_norms(data, bound)
+    for norm, count in table.entries:
+        assert count_norm(data, norm) == count
+    assert count_norm(data, 0) == 1
+    # Half a step of the walk's key grid 1/T past a key is no key.
+    assert count_norm(data, table.entries[-1][0] + F(1, 2 * data.scale)) == 0
 
 
 @PROPERTY
