@@ -262,7 +262,7 @@ def _recover_radius(args, m_spec: WeightedSpectrum) -> Fraction:
     expected = sphere_spectrum(op, leading[0]).entries
     if expected != (leading,):
         raise BranchAmbiguous(
-            f"leading entry {format_rational(leading[0])} x {_echo_number(leading[1])} is not the "
+            f"leading entry {_echo_number(leading[0])} x {_echo_number(leading[1])} is not the "
             f"first eigenvalue of a sphere with these parameters, which has multiplicity "
             f"{_echo_number(expected[0][1])}"
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Callable
 
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     UnitMismatch,
 )
 from .lattice import _charge_comb
-from .multiset import Unit, WeightedSpectrum, _merged, repeated_union
+from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merged, repeated_union
 from .rationals import _degree, _echo_number, _int, _nonnegative, _positive, format_rational
 from .sphere import Series, _series
 
@@ -119,6 +119,14 @@ def reconstruct_base(
     element.  The result is complete up to cutoff / max(alpha, beta), which
     is its cutoff.  Raises NotInImage as soon as a removal inside the
     guaranteed region fails.
+
+    The work table holds the spectrum's int numerators over den, its
+    denominator times the lcm of the denominators of alpha / low and
+    beta / low, where low = min(alpha, beta).  The key K reads the element
+    K / (den * low), and its removal keys K * alpha / low and K * beta / low
+    are ints; one off the spectrum's grid is absent from the table, so its
+    removal is refused.  A Fraction is built only for each element of C and
+    for a refusal's text.
     """
     alpha, beta = _positive(NonpositiveScalar, "alpha and beta", alpha, beta)
     if min(_int(copies_alpha, "copies_alpha"), _int(copies_beta, "copies_beta")) < 1:
@@ -127,25 +135,26 @@ def reconstruct_base(
         raise EmptyInput("cannot reconstruct a base set from an empty spectrum")
     low, high = min(alpha, beta), max(alpha, beta)
     guarantee = m_spec.cutoff / high
-    work = dict(m_spec.entries)
+    ratios = (alpha / low, copies_alpha), (beta / low, copies_beta)
+    step = lcm(*(ratio.denominator for ratio, _ in ratios))
+    den = m_spec._den * step
+    work = dict(m_spec._upto(m_spec.cutoff, den))
     out: list[tuple[Fraction, int]] = []
-    for key in list(work):
-        element = key / low
-        if element > guarantee:
-            break
+    # the keys whose element is at most the guarantee, read off before the peel
+    for key, _ in m_spec._upto(low * guarantee, den):
         if not work[key]:  # exhausted along the way
             continue
-        removals = ((alpha * element, copies_alpha), (beta * element, copies_beta))
+        removals = [(key * ratio.numerator // ratio.denominator, copies) for ratio, copies in ratios]
         count = -(-work[key] // sum(copies for value, copies in removals if value == key))
         for value, copies in removals:
             needed, available = count * copies, work.get(value, 0)
             if available < needed:
                 raise NotInImage(
-                    f"removing {_echo_number(needed)} at key {_echo_number(value)} but only "
-                    f"{_echo_number(available)} present"
+                    f"removing {_echo_number(needed)} at key {_echo_number(Fraction(value, den))} "
+                    f"but only {_echo_number(available)} present"
                 )
             work[value] = available - needed
-        out.append((element, count))
+        out.append((Fraction(key * low.denominator, den * low.numerator), count))
     return WeightedSpectrum(m_spec.unit, guarantee, tuple(out))
 
 
@@ -233,7 +242,8 @@ def recover_torus_params(
     if m_spec.unit is not base.unit:
         raise UnitMismatch("p-form spectrum and scalar spectrum carry different units")
     _degree("torus recovery", n, p, 1)
-    positive = WeightedSpectrum(base.unit, base.cutoff, [entry for entry in base if entry[0] > 0])
+    # the int keys without the zero key, over the same denominator
+    positive = _from_int_keys(base.unit, base.cutoff, [e for e in base._ints if e[0]], base._den)
     if positive.is_empty():
         raise CutoffTooSmall("scalar spectrum shows no positive eigenvalue")
 
@@ -245,7 +255,7 @@ def recover_torus_params(
     _charge_comb(n - 1, p)
     copies = comb(n - 1, p - 1), comb(n - 1, p)
     # Pascal's rule: the copy counts add up to the zero multiplicity C(n, p)
-    zeros = WeightedSpectrum(m_spec.unit, m_spec.cutoff, ((Fraction(0), sum(copies)),))
+    zeros = _from_int_keys(m_spec.unit, m_spec.cutoff, ((0, sum(copies)),), 1)
     return _recover_pair(m_spec.difference(zeros), *map(share, copies))
 
 

@@ -82,7 +82,7 @@ def _resolve_budget() -> int:
     except ValueError:
         raise ParseError(f"{BUDGET_ENV_VAR} must be an integer, got {_echo(raw)}") from None
     if value < 1:
-        raise ParseError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
+        raise ParseError(f"{BUDGET_ENV_VAR} must be positive, got {_echo_number(value)}")
     return value
 
 
@@ -94,7 +94,7 @@ def _charge(work: int, what: Callable[[], str], error=BudgetExceeded) -> None:
     """
     limit = _resolve_budget()
     if work > limit:
-        raise error(f"{what()}, budget is {limit}")
+        raise error(f"{what()}, budget is {_echo_number(limit)}")
 
 
 def _charge_comb(n: int, k: int) -> None:
@@ -306,7 +306,8 @@ def _walk(dual_data: DualData, bound: Fraction, keys: set[int] | None = None) ->
         low, high = -((radius + shift) // c), (radius - shift) // c
         visited += multiplier * (high - low + 1)
         if visited > limit:
-            raise BudgetExceeded(f"norm enumeration exceeded budget of {limit} candidate visits")
+            shown = _echo_number(limit)
+            raise BudgetExceeded(f"norm enumeration exceeded budget of {shown} candidate visits")
         if level == 0:
             base = top - remaining
             if keys is None:
@@ -377,9 +378,7 @@ def brute_force_enumerate(dual_data: DualData, bound) -> WeightedSpectrum:
     bound = _nonnegative(bound)
     n = dual_data.lattice.n
     radii = [sqrt_floor(bound * dual_data.gram[i][i]) for i in range(n)]
-    cells = 1
-    for r in radii:
-        cells *= 2 * r + 1
+    cells = math.prod(2 * r + 1 for r in radii)
     _charge(cells, lambda: f"brute-force box has {_echo_number(cells)} cells", BoxTooLarge)
     # scale * dual_gram is an integer matrix, so scale * |l|^2 is an integer per cell.
     scale = math.lcm(*(x.denominator for row in dual_data.dual_gram for x in row))

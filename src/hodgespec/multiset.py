@@ -235,9 +235,11 @@ class WeightedSpectrum:
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "WeightedSpectrum":
         try:
-            unit = Unit(payload["unit"])
+            unit = Unit(value := payload["unit"])
         except (KeyError, ValueError, TypeError) as exc:
-            raise ParseError(f"bad or missing spectrum unit: {exc}") from None
+            # the enum's own ValueError text holds the value's whole repr; echo it cut instead
+            reason = f"{_echo(value)} is not a valid Unit" if isinstance(exc, ValueError) else exc
+            raise ParseError(f"bad or missing spectrum unit: {reason}") from None
         if "cutoff" not in payload or "entries" not in payload:
             raise ParseError("spectrum payload needs 'unit', 'cutoff' and 'entries'")
         cutoff = parse_rational(str(payload["cutoff"]))

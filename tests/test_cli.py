@@ -608,13 +608,15 @@ RECOVER_RADIUS = ["recover", "radius", "--alpha", "1", "--beta", "1", "--n", "3"
     [
         (RECOVER_RADIUS, {"unit": "plain", "cutoff": "1", "entries": {"x": list(range(300))}}),
         (RECOVER_RADIUS, {"unit": "plain", "cutoff": "1", "entries": [list(range(300))]}),
+        (RECOVER_RADIUS, {"unit": "x" * 5000, "cutoff": "1", "entries": []}),
+        (RECOVER_RADIUS, {"unit": list(range(2000)), "cutoff": "1", "entries": []}),
         (["enumerate", "--bound", "1", "--lattice"],
          {"n": 1, "basis": [["1"]], "layout": "x" * 5000}),
         (["enumerate", "--bound", "1", "--lattice"], {"n": list(range(300)), "basis": []}),
         (["enumerate", "--bound", "1", "--lattice"], {"n": 10**4000, "basis": [["1"]]}),
     ],
-    ids=["spectrum-entries", "spectrum-entry", "lattice-layout", "lattice-dimension",
-         "lattice-size"],
+    ids=["spectrum-entries", "spectrum-entry", "spectrum-unit-text", "spectrum-unit-list",
+         "lattice-layout", "lattice-dimension", "lattice-size"],
 )
 def test_huge_json_value_gives_a_short_error(command, payload, tmp_path, capsys):
     path = tmp_path / "input.json"

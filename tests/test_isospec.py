@@ -141,16 +141,39 @@ def test_reconstruct_base_recovers_scalar_spectrum():
     assert base == laplace0_spectrum(lattice, 4)
 
 
+def base_refusal(error, *args) -> str:
+    with pytest.raises(error) as caught:
+        reconstruct_base(*args)
+    return str(caught.value)
+
+
 def test_reconstruct_base_refusals():
-    with pytest.raises(EmptyInput):
-        reconstruct_base(wspec([], 4), 1, 2, 1, 1)
-    with pytest.raises(ValueError):
-        reconstruct_base(wspec([(0, 1)], 4), 1, 2, 0, 1)
-    with pytest.raises(NonpositiveScalar):
-        reconstruct_base(wspec([(0, 1)], 4), 0, 2, 1, 1)
+    assert base_refusal(EmptyInput, wspec([], 4), 1, 2, 1, 1) == (
+        "cannot reconstruct a base set from an empty spectrum"
+    )
+    assert base_refusal(ValueError, wspec([(0, 1)], 4), 1, 2, 0, 1) == (
+        "copy counts must be positive"
+    )
+    assert base_refusal(NonpositiveScalar, wspec([(0, 1)], 4), 0, 2, 1, 1) == (
+        "alpha and beta must be positive, got 0, 2"
+    )
     # element 1 needs two copies at key 2 but only one is present
-    with pytest.raises(NotInImage):
-        reconstruct_base(wspec([(1, 1), (2, 1)], 4), 1, 2, 1, 2)
+    assert base_refusal(NotInImage, wspec([(1, 1), (2, 1)], 4), 1, 2, 1, 2) == (
+        "removing 2 at key 2 but only 1 present"
+    )
+    # over denominator 2 the smallest key 1/2 is the element 1/2, whose beta copy at 3/4 is
+    # off the grid: it is absent, so nothing may be taken from the key 1/2 for it
+    assert base_refusal(NotInImage, wspec([(F(1, 2), 2)], 4), 1, F(3, 2), 1, 1) == (
+        "removing 2 at key 3/4 but only 0 present"
+    )
+    # equal weights put both copies on one key, and its 3 copies do not split into 2 + 2
+    assert base_refusal(NotInImage, wspec([(1, 3)], 4), 1, 1, 1, 1) == (
+        "removing 2 at key 1 but only 1 present"
+    )
+    # over denominator 3, with beta / alpha = 3/2: the element 2/3 needs its beta copy at 1
+    assert base_refusal(NotInImage, wspec([(F(2, 3), 1), (1, 1)], 4), 1, F(3, 2), 1, 2) == (
+        "removing 2 at key 1 but only 1 present"
+    )
 
 
 def torus_inputs(lattice, p, alpha, beta):

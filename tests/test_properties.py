@@ -228,20 +228,31 @@ def reference_base(m_spec, alpha, beta, copies_alpha, copies_beta):
     return weighted(out, guarantee)
 
 
+BASE_WEIGHTS = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 3),
+                (F(1, 2), F(3, 4)), (F(3, 2), 1), (F(2, 3), F(2, 3))]
+
+
 @st.composite
 def near_images(draw):
-    """copies_alpha (alpha C) + copies_beta (beta C) up to 8, at times with one multiplicity redrawn."""
-    alpha, beta = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 3), (3, 3)]))
+    """copies_alpha (alpha C) + copies_beta (beta C) up to 8, at times with one multiplicity redrawn.
+
+    The weights may be fractions, and the elements of C have denominators up to 3, so the
+    keys' common denominator and the ratio of the weights need not be whole.  A redrawn
+    multiplicity may also land on a new key, off the grid of the image.
+    """
+    alpha, beta = map(F, draw(st.sampled_from(BASE_WEIGHTS)))
     copies = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    elements = st.fractions(min_value=0, max_value=5, max_denominator=3)
     acc = {}
-    for k, mult in draw(st.dictionaries(st.integers(0, 5), st.integers(1, 9), min_size=1)).items():
+    for k, mult in draw(st.dictionaries(elements, st.integers(1, 9), min_size=1)).items():
         for value, count in ((alpha * k, copies[0]), (beta * k, copies[1])):
             if value <= 8:
-                acc[F(value)] = acc.get(F(value), 0) + count * mult
+                acc[value] = acc.get(value, 0) + count * mult
     assume(acc)
     if draw(st.booleans()):
-        acc[draw(st.sampled_from(sorted(acc)))] = draw(st.integers(1, 30))
-    return weighted(acc, 8), (F(alpha), F(beta)), copies
+        at = st.sampled_from(sorted(acc)) | st.fractions(min_value=0, max_value=8, max_denominator=4)
+        acc[draw(at)] = draw(st.integers(1, 30))
+    return weighted(acc, 8), (alpha, beta), copies
 
 
 @PROPERTY
