@@ -87,10 +87,10 @@ def first_divergence(
 ) -> tuple[Fraction, int, int] | None:
     """Smallest key <= bound where multiplicities differ, or None.
 
-    The first nonzero entry of the one merge walk of ``left`` minus
-    ``right`` up to the bound, over the lcm of their denominators, names the
-    key; both multiplicities are then read off by bisection.  A negative
-    bound is refused, like a negative cutoff.
+    ``_merge`` sums ``left`` minus ``right`` up to the bound, over the lcm
+    of their denominators, and keeps zero totals in key order; its first
+    nonzero total names the key, and both multiplicities are then read off
+    by bisection.  A negative bound is refused, like a negative cutoff.
     """
     left._require_same_unit(right)
     bound = _nonnegative(bound)

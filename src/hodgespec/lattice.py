@@ -47,7 +47,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping
 
 from . import linalg
@@ -74,16 +74,27 @@ BUDGET_ENV_VAR = "HODGESPEC_BUDGET"
 
 
 def _resolve_budget() -> int:
+    """The value of HODGESPEC_BUDGET, or DEFAULT_BUDGET when it is unset."""
     raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
+    return DEFAULT_BUDGET if raw is None else _read_budget(raw)
+
+
+@lru_cache(maxsize=16)
+def _read_budget(raw: str) -> int:
+    """A HODGESPEC_BUDGET value, read as an integer flag is.
+
+    It must be a rational literal (ASCII digits, no ``_``) whose value is a
+    positive whole number, so ``4/2`` is 2.  Every refusal names the
+    variable.  The environment is read at every charge, so each value is
+    parsed once and kept.
+    """
     try:
-        value = int(raw)
-    except ValueError:
-        raise ParseError(f"{BUDGET_ENV_VAR} must be an integer, got {_echo(raw)}") from None
-    if value < 1:
-        raise ParseError(f"{BUDGET_ENV_VAR} must be positive, got {_echo_number(value)}")
-    return value
+        value = parse_rational(raw)
+    except ParseError as exc:
+        raise ParseError(f"{BUDGET_ENV_VAR}: {exc}") from None
+    if value.denominator != 1 or value < 1:
+        raise ParseError(f"{BUDGET_ENV_VAR} must be a positive integer, got {_echo_number(value)}")
+    return value.numerator
 
 
 def _charge(work: int, what: Callable[[], str], error=BudgetExceeded) -> None:

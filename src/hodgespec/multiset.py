@@ -9,12 +9,14 @@ drops entries beyond it.
 
 The keys have one representation: int numerators over the least denominator
 that makes every key an integer.  Torus and sphere builders hand their int
-keys over one common denominator to ``_from_int_keys``; the public
-constructor clears its keys' denominators once and hands the numerators to
-the same check-and-store step.  Union, difference, scaling, truncation and
-comparison bring two sides to the lcm of their denominators and run on
-integers through one merge walk, ``_merge``; ``entries`` builds the Fraction
-keys only when it is read.
+keys over one common denominator to ``_from_int_keys``, which reduces them by
+their gcd with it; the public constructor clears its keys' denominators once,
+to their lcm, over which the numerators are already in least terms, and
+hands them to the same check-and-store step without a gcd.  Union,
+difference, scaling, truncation and comparison bring two sides to the lcm of
+their denominators and run on integers through one merge, ``_merge``: a dict
+sum of both sides and one sort.  ``entries`` builds the Fraction keys only
+when it is read.
 
 Unit tags keep flat-torus spectra (keys are eigenvalues divided by 4*pi^2)
 from being compared with round-sphere spectra (keys are plain eigenvalues)
@@ -28,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import lt
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
@@ -76,6 +78,16 @@ class WeightedSpectrum:
     # -- construction ----------------------------------------------------
 
     def __init__(self, unit: Unit, cutoff, entries: Iterable[tuple]) -> None:
+        """Store (key, multiplicity) pairs, keys given as ints or Fractions.
+
+        The keys' denominators are cleared once, to den, the lcm of the
+        denominators, and no gcd is run, as the numerators over den are
+        already in least terms.  Proof: for each prime p dividing den, some
+        key a/d has p's full power of den in d, as den is the lcm of the d's.
+        p divides d, so it does not divide a (a Fraction is in lowest terms),
+        nor den / d; so p does not divide that key's numerator a * (den / d).
+        Hence gcd(den, *numerators) is 1.
+        """
         entries = tuple(entries)
         bad = [key for key, _ in entries if type(key) not in _EXACT]
         if bad:
@@ -94,7 +106,8 @@ class WeightedSpectrum:
         The one check-and-store step: the keys must strictly increase, be
         nonnegative and be at most floor(cutoff * den), which says the same
         of ``key / den`` as den > 0; every message names the key as a value.
-        The keys are then reduced by their gcd with den.
+        The keys are stored as given: den must already be their least
+        denominator, gcd(den, *keys) == 1, which every caller ensures.
         """
         if not isinstance(unit, Unit):
             raise TypeError("unit must be a Unit")
@@ -112,11 +125,10 @@ class WeightedSpectrum:
         if keys and keys[-1] > bound:
             first = Fraction(keys[bisect_right(keys, bound)], den)
             raise ValueError(f"key {_echo_number(first)} exceeds cutoff {_echo_number(cutoff)}")
-        step = gcd(den, *keys)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "_den", den // step)
-        object.__setattr__(self, "_ints", tuple((key // step, mult) for key, mult in entries))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_ints", tuple(entries))
         return self
 
     @classmethod
@@ -266,10 +278,19 @@ def _from_int_keys(unit: Unit, cutoff, entries, den: int) -> WeightedSpectrum:
 
     The builder behind every spectrum assembled over one common denominator
     (torus norm tables and parts, sphere series, and the algebra above).  It
-    hands the int keys to the one check-and-store step without building a
-    Fraction, and is the only place that skips ``__init__``.
+    reduces the keys and den by their gcd, which is where a spectrum gets
+    its least denominator, and hands them to the one check-and-store step
+    without building a Fraction; it is the only place that skips
+    ``__init__``.  The gcd runs in time quadratic in den's width, so from
+    den >= 2^64 on it is charged first, ``(den.bit_length() >> 6)^2`` per key.
     """
-    return object.__new__(WeightedSpectrum)._store(unit, cutoff, entries, den)
+    if den >> 64:
+        from .lattice import _charge  # lattice imports this module, so not at its top
+        _charge(len(entries) * (den.bit_length() >> 6) ** 2, lambda: f"reducing "
+                f"{_echo_number(len(entries))} keys over a {den.bit_length()}-bit denominator")
+    step = gcd(den, *map(itemgetter(0), entries))
+    entries = [(key // step, mult) for key, mult in entries] if step > 1 else entries
+    return object.__new__(WeightedSpectrum)._store(unit, cutoff, entries, den // step)
 
 
 def _operator_spectrum(unit: Unit, parts, op, cutoff, parts_name: str = ""):
@@ -316,30 +337,19 @@ def _merged(left, left_count: int, right, right_count: int, cutoff) -> tuple[int
 
 
 def _merge(a, a_count: int, b, b_count: int) -> list:
-    """One linear walk over two key-sorted (key, multiplicity) sequences.
+    """Sum two key-sorted (key, multiplicity) sequences, each side times its copy count.
 
-    Multiplicities are multiplied by their side's copy count, and a side with
-    count zero contributes nothing.  A count of -1 subtracts that side, so a
-    total may come out zero or negative; ``difference`` keeps the positive
-    ones.  Keys are int numerators over one common denominator.  Every
-    union, difference, comparison and spectrum assembly goes through this
-    walk.
+    Side a goes into a dict scaled by its count and side b is added to it;
+    a side with count zero adds nothing.  A count of -1 subtracts that side,
+    so a total may come out zero or negative, and such totals stay:
+    ``difference`` keeps the positive ones and ``first_divergence`` reads the
+    first nonzero one.  Keys are int numerators over one common denominator.
+    Both inputs are key-sorted, so the dict holds two ascending runs and
+    ``sorted`` merges them in one linear timsort pass.  Every union,
+    difference, comparison and spectrum assembly goes through this merge.
     """
-    a, b = (a if a_count else ()), (b if b_count else ())
-    merged = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        (left_key, left_mult), (right_key, right_mult) = a[i], b[j]
-        if left_key < right_key:
-            merged.append((left_key, a_count * left_mult))
-            i += 1
-        elif right_key < left_key:
-            merged.append((right_key, b_count * right_mult))
-            j += 1
-        else:
-            merged.append((left_key, a_count * left_mult + b_count * right_mult))
-            i += 1
-            j += 1
-    merged += ((key, a_count * mult) for key, mult in a[i:])
-    merged += ((key, b_count * mult) for key, mult in b[j:])
-    return merged
+    merged = {key: a_count * mult for key, mult in a} if a_count else {}
+    if b_count:
+        for key, mult in b:
+            merged[key] = merged.get(key, 0) + b_count * mult
+    return sorted(merged.items())

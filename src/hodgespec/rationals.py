@@ -50,16 +50,17 @@ def _echo(value) -> str:
 def _echo_number(value) -> str:
     """A computed int or Fraction for an error message: in full while its
     numerator and denominator have at most _ECHO_LIMIT digits, else by their
-    digit counts, which need no int-to-string conversion."""
+    sign and digit counts, which need no int-to-string conversion."""
     value = Fraction(value)
     parts = (abs(value.numerator), value.denominator)
     if max(parts) < 10**_ECHO_LIMIT:
         return format_rational(value)
     # 1233 / 4096 < log10(2), so each count starts at or below the part's digit count
     num, den = (next(d for d in count(p.bit_length() * 1233 >> 12) if 10**d > p) for p in parts)
+    sign = "negative " if value < 0 else ""
     if value.denominator == 1:
-        return f"a {num}-digit integer"
-    return f"a fraction of a {num}-digit over a {den}-digit integer"
+        return f"a {sign}{num}-digit integer"
+    return f"a {sign}fraction of a {num}-digit over a {den}-digit integer"
 
 
 def _exact(value, name: str) -> Fraction:

@@ -301,6 +301,25 @@ def test_budget_env_var(monkeypatch):
         enumerate_norms(data, 1)
 
 
+def test_budget_env_var_is_read_as_a_whole_rational_literal(monkeypatch):
+    # the integer-flag rule: ASCII digits, no "_", a whole value, sign and digits kept
+    monkeypatch.setenv(BUDGET_ENV_VAR, "4/2")
+    _charge(2, lambda: pytest.fail("a budget of 4/2 is 2"))
+    refusals = {
+        "1_000": "not a rational literal",
+        "\u0661\u0660\u0660": "not a rational literal",  # Arabic-Indic 100, which int() reads
+        "9" * 5000: "rational literal of 5000 characters is too long",
+        "3/2": "must be a positive integer, got 3/2",
+        "-" + "9" * 4000: "must be a positive integer, got a negative 4000-digit integer",
+    }
+    for raw, reason in refusals.items():
+        monkeypatch.setenv(BUDGET_ENV_VAR, raw)
+        with pytest.raises(ParseError) as raised:
+            _charge(1, lambda: "one step")
+        message = str(raised.value)
+        assert message.startswith(BUDGET_ENV_VAR) and reason in message and len(message) < 200
+
+
 def test_a_charge_words_its_refusal_only_when_it_refuses(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV_VAR, "5")
     _charge(5, lambda: pytest.fail("a passing charge formatted its text"))

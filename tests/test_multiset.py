@@ -3,10 +3,11 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction as F
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 
+from hodgespec import multiset
 from hodgespec.errors import (
     BudgetExceeded, CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
 )
@@ -196,6 +197,52 @@ def test_keys_over_a_wide_common_denominator_are_charged_first(monkeypatch):
     monkeypatch.delenv(BUDGET_ENV_VAR)
     shared = [(F(k, prod(primes)), 1) for k in range(1, 1000)]
     assert WeightedSpectrum(Unit.PLAIN, 1, shared)._den == prod(primes)
+
+
+def test_the_constructor_stores_least_terms_without_running_a_gcd(monkeypatch):
+    # Over the lcm of already reduced denominators the numerators are in least terms.
+    def refuse(*_):
+        raise AssertionError("the constructor ran a gcd")
+
+    rng = random.Random(26)
+    for _ in range(300):
+        size = rng.randrange(0, 8)
+        keys = sorted({F(rng.randrange(0, 400), rng.randrange(1, 90)) for _ in range(size)})
+        entries = [(key, rng.randrange(1, 4)) for key in keys]
+        with monkeypatch.context() as patched:
+            patched.setattr(multiset, "gcd", refuse)
+            built = WeightedSpectrum(Unit.PLAIN, 400, entries)
+        assert built._den == lcm(*(key.denominator for key in keys))
+        assert gcd(built._den, *(key for key, _ in built._ints)) == 1
+        assert built.entries == tuple(entries)
+
+
+def test_the_least_terms_reduction_is_charged_from_a_64_bit_denominator(within, monkeypatch):
+    # Keys 1/p over the first 4000 primes: their 54281-bit product is the least
+    # denominator, so the constructor needs no gcd, while truncate and difference
+    # reduce it once more, at about a millisecond per key.
+    composite = [False] * 38000
+    for p in range(2, 195):
+        composite[p * p::p] = [True] * len(range(p * p, 38000, p))
+    primes = [p for p in range(2, 38000) if not composite[p]][:4000]
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    with within(1):
+        built = WeightedSpectrum(Unit.PLAIN, 1, [(F(1, p), 1) for p in reversed(primes)])
+    assert (len(built), built._den) == (4000, prod(primes))
+    bits = built._den.bit_length()
+    for work in (lambda: built.truncate(F(1, 2)), lambda: built.difference(spec([], 1))):
+        with within(1), pytest.raises(BudgetExceeded) as raised:
+            work()
+        assert str(raised.value) == (
+            f"reducing 4000 keys over a {bits}-bit denominator, budget is 5000000"
+        )
+    # the charge is (64-bit words of den)^2 per key, and below 2^64 no charge is made
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1")
+    assert _from_int_keys(Unit.PLAIN, 1, [(1, 1), (3, 1)], 2**64 - 1)._den == 2**64 - 1
+    with pytest.raises(BudgetExceeded):
+        _from_int_keys(Unit.PLAIN, 1, [(1, 1), (3, 1)], 2**64)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "2")
+    assert _from_int_keys(Unit.PLAIN, 1, [(2, 1), (6, 1)], 2**64)._den == 2**63
 
 
 def test_union_pointwise_addition():

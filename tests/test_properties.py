@@ -5,6 +5,7 @@ Hypothesis runs derandomized, so every run draws the same examples.
 
 import itertools
 import math
+from collections import Counter
 from math import comb, factorial
 from fractions import Fraction as F
 
@@ -31,7 +32,7 @@ from hodgespec.isospec import (
 from hodgespec.lattice import (
     BUDGET_ENV_VAR, Lattice, brute_force_enumerate, count_norm, dual, enumerate_norms
 )
-from hodgespec.multiset import Unit, WeightedSpectrum, _from_int_keys, repeated_union
+from hodgespec.multiset import Unit, WeightedSpectrum, _from_int_keys, _merge, repeated_union
 from hodgespec.sphere import (
     Series,
     SphereOperator,
@@ -145,6 +146,26 @@ def test_repeated_union_matches_per_key_reference(left, right, counts):
 @given(truncated_spectra(), truncated_spectra())
 def test_difference_matches_per_key_reference(left, right):
     assert left.difference(right) == reference_difference(left, right)
+
+
+sorted_sides = st.dictionaries(st.integers(0, 20), st.integers(1, 4), max_size=8).map(
+    lambda side: sorted(side.items())
+)
+merge_counts = st.sampled_from((-1, 0, 1, 3))
+
+
+@PROPERTY
+@given(sorted_sides, merge_counts, sorted_sides, merge_counts)
+@example([(1, 2), (4, 1)], 1, [(1, 2), (5, 1)], -1)  # the total at key 1 is zero
+def test_merge_matches_a_counter_reference(a, a_count, b, b_count):
+    expected = Counter()
+    for side, count in ((a, a_count), (b, b_count)):
+        for key, mult in side if count else ():
+            expected[key] += count * mult  # item assignment keeps zero and negative totals
+    merged = _merge(a, a_count, b, b_count)
+    assert merged == sorted(expected.items())
+    keys = [key for key, _ in merged]
+    assert keys == sorted(set(keys))
 
 
 # -- the same references over mixed denominators ------------------------------

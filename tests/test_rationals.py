@@ -79,11 +79,23 @@ def test_echo_number_names_long_numbers_by_their_digits():
     assert _echo_number(F(-(10**80) + 1, 19)) == "-" + "9" * 80 + "/19"
     for size in (81, 300, 4301, 30103):  # none a multiple of 16, so 17 divides no value
         for value in (10 ** (size - 1), 10**size - 1, -(7 * 10 ** (size - 1))):
-            assert _echo_number(value) == f"a {size}-digit integer"
-            over = f"a fraction of a {size}-digit over a 2-digit integer"
+            sign = "negative " if value < 0 else ""
+            assert _echo_number(value) == f"a {sign}{size}-digit integer"
+            over = f"a {sign}fraction of a {size}-digit over a 2-digit integer"
             assert (_echo_number(F(value, 17)), _echo_number(F(17, value))) == (
-                over, f"a fraction of a 2-digit over a {size}-digit integer"
+                over, f"a {sign}fraction of a 2-digit over a {size}-digit integer"
             )
+
+
+def test_echo_number_keeps_the_sign_of_long_numbers():
+    assert _echo_number(10**100) == "a 101-digit integer"
+    assert _echo_number(-(10**100)) == "a negative 101-digit integer"
+    assert _echo_number(F(-(10**100) - 1, 3)) == (
+        "a negative fraction of a 101-digit over a 1-digit integer"
+    )
+    assert _echo_number(F(-3, 10**100 + 1)) == (
+        "a negative fraction of a 1-digit over a 101-digit integer"
+    )
 
 
 HUGE = F(10**5000)  # str() of it raises past Python's 4300-digit conversion limit
