@@ -1,11 +1,13 @@
-"""Full-rank rational lattices, their dual Gram data, and exact norm enumeration.
+"""Full-rank rational lattices, their dual walk data, and exact norm enumeration.
 
 A lattice is given by a basis of R^n with rational coordinates.  The dual
 basis pairs to the identity against the primal one, so its Gram matrix is
 G^-1 for the basis's Gram matrix G, and spectra of flat tori R^n / Lambda
 reduce to counting dual vectors of a given squared length.  :func:`dual`
-reaches G^-1 and the walk's integer data from one sparse fraction-free
-elimination of the denominator-cleared Gram matrix.
+reaches the walk's integer data, the cleared LDL^T of G^-1, from one sparse
+fraction-free elimination of the denominator-cleared Gram matrix.  The
+Fraction matrices G and G^-1 are built from the lattice and the walk data on
+their first read; only the box scan reads them.
 
 Two enumeration routes are provided; both return a FOUR_PI_SQUARED
 :class:`WeightedSpectrum` whose keys are the dual squared norms, complete up
@@ -16,10 +18,13 @@ integer y_i, and one global scale T turns every pivot into an integer weight,
 so T*|l|^2 = sum_i w_i y_i^2.  The walk runs in Python ints: the bracket
 |y_i| <= isqrt(remaining // w_i) is exact, every candidate in it is a member,
 and the integer norms are sorted and kept as the spectrum's int keys over T;
-no Fraction is built.  The walk visits one vector of each pair +-l (the one
-whose first nonzero coordinate, from the top layer down, is positive) and
-counts it twice; it charges each bracket once for itself and once for its
-mirror, so the budget counts the visits of the full walk.  Queries that need
+no Fraction is built.  Each layer's shift, the terms' part of y_i, is carried
+down the walk (Schnorr-Euchner): setting x_j moves the shifts of the layers
+below by t x_j, each step of x_j by t, and its loop moves them back at the
+end.  The walk visits one vector of each pair +-l (the one whose first
+nonzero coordinate, from the top layer down, is positive) and counts it
+twice; it charges each bracket once for itself and once for its mirror, so
+the budget counts the visits of the full walk.  Queries that need
 one or two exact counts (``count_norm`` here, and the torus multiplicity
 query) share one helper: it walks the same layers to the largest norm asked
 for but counts only the integer keys ``q * T`` at the last layer, one
@@ -195,25 +200,42 @@ def standard_lattice(n: int) -> Lattice:
 
 @dataclass(frozen=True)
 class DualData:
-    """A lattice with the Gram matrices of its basis and dual basis, and the walk data.
+    """A lattice with the walk data of its dual, and the Gram matrices built on first read.
 
-    The dual basis pairs to the identity against the basis, so ``dual_gram``
-    is the inverse of ``gram``.  The walk data are integers: the dual vector
-    with coordinates x has T|l|^2 = sum_i w_i y_i^2 with
-    y_i = c_i x_i + sum_{(j, t) in terms[i]} t x_j, where ``clear`` holds the
-    c_i, ``weights`` the w_i > 0 and ``scale`` is T.  This is the LDL^T of
-    ``dual_gram`` with its denominators cleared: L[j][i] = t / c_i and
-    d_i = w_i c_i^2 / T.  Get it from :func:`dual`, which builds it once per
-    Lattice object.
+    The walk data are integers: the dual vector with coordinates x has
+    T|l|^2 = sum_i w_i y_i^2 with y_i = c_i x_i + sum_{(j, t) in terms[i]} t x_j,
+    where ``clear`` holds the c_i, ``weights`` the w_i > 0 and ``scale`` is T.
+    This is the LDL^T of ``dual_gram`` with its denominators cleared:
+    L[j][i] = t / c_i and d_i = w_i c_i^2 / T.  The Fraction matrices ``gram``
+    and ``dual_gram`` (its inverse: the dual basis pairs to the identity
+    against the basis) are read only by the box scan, so each is built on
+    its first read and kept; no walk builds them.  Get a DualData from
+    :func:`dual`, which builds it once per Lattice object.
     """
 
     lattice: Lattice
-    gram: tuple[tuple[Fraction, ...], ...]
-    dual_gram: tuple[tuple[Fraction, ...], ...]
     clear: tuple[int, ...]
     terms: tuple[tuple[tuple[int, int], ...], ...]
     weights: tuple[int, ...]
     scale: int
+
+    # Built on first read and kept in the instance dict; not fields, so
+    # equality, hashing and repr ignore them.
+    @cached_property
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        return linalg.gram(self.lattice.basis)
+
+    @cached_property
+    def dual_gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        # T G^-1 = sum_i w_i t_i t_i^T, with t_i = c_i e_i + the terms of level i
+        totals: list[dict[int, int]] = [{} for _ in self.clear]
+        for i, (c, w) in enumerate(zip(self.clear, self.weights)):
+            entries = ((i, c),) + self.terms[i]
+            for at, (a, x) in enumerate(entries):
+                total, wx = totals[a], w * x
+                for b, y in entries[at:]:
+                    total[b] = total.get(b, 0) + wx * y
+        return linalg._symmetric(totals, self.scale)
 
 
 def _charge_dimension(n: int) -> None:
@@ -222,7 +244,7 @@ def _charge_dimension(n: int) -> None:
 
 
 def dual(lattice: Lattice) -> DualData:
-    """Gram matrices of the lattice and its dual, with the walk's integer data.
+    """The walk's integer data for the dual of the lattice (and its Gram matrices, on read).
 
     The lattice object owns the result: the first call builds it and stores it
     on the object, and every later call returns that same DualData and charges
@@ -245,7 +267,8 @@ def _build_dual(lattice: Lattice) -> DualData:
     part, so the gcd of v divides the whole row, which the elimination keeps
     primitive: c_i is the least integer that clears column i of L.  The
     elimination takes about n^3 steps, charged to HODGESPEC_BUDGET before any
-    matrix work starts.  A singular basis shows up as a zero pivot.
+    matrix work starts.  A singular basis shows up as a zero pivot.  The build
+    stops at the weights: G and G^-1 are left to ``DualData``'s first read.
     """
     n = lattice.n
     _charge_dimension(n)
@@ -266,18 +289,7 @@ def _build_dual(lattice: Lattice) -> DualData:
     # T is the least common denominator of the d_i / c_i^2, and w_i = T d_i / c_i^2
     scale = math.lcm(*(den // math.gcd(square, den) for den in dens))
     weights = tuple(scale * square // den for den in dens)
-    # T G^-1 = sum_i w_i t_i t_i^T, with t_i = c_i e_i + the terms of level i
-    totals: list[dict[int, int]] = [{} for _ in range(n)]
-    for i in range(n):
-        entries = ((i, clear[i]),) + terms[i]
-        for at, (a, x) in enumerate(entries):
-            total, wx = totals[a], weights[i] * x
-            for b, y in entries[at:]:
-                total[b] = total.get(b, 0) + wx * y
-    return DualData(
-        lattice, linalg._symmetric(ints, square), linalg._symmetric(totals, scale),
-        tuple(clear), tuple(terms), weights, scale,
-    )
+    return DualData(lattice, tuple(clear), tuple(terms), weights, scale)
 
 
 def _walk(dual_data: DualData, bound: Fraction, keys: set[int] | None = None) -> dict[int, int]:
@@ -298,21 +310,31 @@ def _walk(dual_data: DualData, bound: Fraction, keys: set[int] | None = None) ->
     bracket, so charging each bracket ``multiplier`` times charges exactly
     the visits of the full walk, and every budget refusal is the one the
     full walk would make.
+
+    No node sums its own shift: ``shifts[i]`` holds the terms' part of y_i
+    for the coordinates set so far.  A level j that sets x = low adds t * low
+    to the shift of each level i with a term (j, t), adds t at each step of
+    x, and takes t * (high + 1) back after its loop, which also restores an
+    empty bracket, where low = high + 1.
     """
     limit = _resolve_budget()
     n = dual_data.lattice.n
     clear, terms, weights = dual_data.clear, dual_data.terms, dual_data.weights
     top = dual_data.scale * bound.numerator // bound.denominator
     counts: dict[int, int] = {}
-    coords = [0] * n
+    # moves[j] lists the (i, t) with t x_j in y_i: the shifts that x_j moves
+    shifts = [0] * n
+    moves: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j, t in terms[i]:
+            moves[j].append((i, t))
     visited = 0
 
     def descend(level: int, remaining: int, multiplier: int) -> None:
         # Every x with w * (c*x + shift)^2 <= remaining is a candidate, and each one fits.
         # At multiplier 2 the node also stands for its unwalked mirror.
         nonlocal visited
-        c, w = clear[level], weights[level]
-        shift = sum(a * coords[j] for j, a in terms[level])
+        c, w, shift = clear[level], weights[level], shifts[level]
         radius = math.isqrt(remaining // w)
         low, high = -((radius + shift) // c), (radius - shift) // c
         visited += multiplier * (high - low + 1)
@@ -343,11 +365,15 @@ def _walk(dual_data: DualData, bound: Fraction, keys: set[int] | None = None) ->
             # walk x = 0 as it is, and x = 1..high for themselves and their mirrors -x.
             descend(level - 1, remaining, 1)
             low, multiplier = 1, 2
-        for x in range(low, high + 1):
-            coords[level] = x
-            y = c * x + shift
+        moved = moves[level]
+        for i, t in moved:
+            shifts[i] += t * low
+        for y in range(c * low + shift, c * high + shift + 1, c):
             descend(level - 1, remaining - w * y * y, multiplier)
-        coords[level] = 0
+            for i, t in moved:
+                shifts[i] += t
+        for i, t in moved:
+            shifts[i] -= t * (high + 1)
 
     descend(n - 1, top, 1)
     return counts
@@ -369,7 +395,8 @@ def enumerate_norms(dual_data: DualData, bound) -> WeightedSpectrum:
     """Exact counts of dual vectors with squared norm <= bound (zero included)."""
     bound = _nonnegative(bound)
     counts = _walk(dual_data, bound)
-    return _from_int_keys(Unit.FOUR_PI_SQUARED, bound, sorted(counts.items()), dual_data.scale)
+    table = [(key, counts[key]) for key in sorted(counts)]
+    return _from_int_keys(Unit.FOUR_PI_SQUARED, bound, table, dual_data.scale)
 
 
 def count_norm(dual_data: DualData, norm) -> int:
@@ -408,4 +435,5 @@ def brute_force_enumerate(dual_data: DualData, bound) -> WeightedSpectrum:
                     norm += 2 * row[j] * coords[i] * coords[j]
         if norm <= top:
             counts[norm] = counts.get(norm, 0) + 1
-    return _from_int_keys(Unit.FOUR_PI_SQUARED, bound, sorted(counts.items()), scale)
+    table = [(key, counts[key]) for key in sorted(counts)]
+    return _from_int_keys(Unit.FOUR_PI_SQUARED, bound, table, scale)

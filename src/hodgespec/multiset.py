@@ -265,7 +265,7 @@ class WeightedSpectrum:
                 raise ParseError(f"bad spectrum entry: {_echo(item)}") from None
             key = parse_rational(str(key_text))
             if key in pairs:
-                raise ParseError(f"repeated spectrum key {format_rational(key)}: {_echo(item)}")
+                raise ParseError(f"repeated spectrum key {_echo_number(key)}: {_echo(item)}")
             pairs[key] = mult
         try:
             return cls(unit, cutoff, tuple(sorted(pairs.items())))

@@ -98,7 +98,8 @@ def _parts(op: TorusOperator, cutoff: Fraction) -> tuple[int, list, list]:
     over den = T*a'*b', and the beta key is k*b*a' over den; a key is kept
     when it is at most floor(cutoff * den).  Returns ``(den, alpha_part,
     beta_part)``, each part sorted by key and already multiplied by its
-    binomial copy count (empty for zero copies).
+    binomial copy count (empty for zero copies).  The walk's table is sorted
+    on its int keys alone, and each part reads the counts off the table.
     """
     alpha, beta = op.alpha, op.beta
     weight = min(w for w, copies in ((alpha, op.alpha_copies), (beta, op.beta_copies)) if copies)
@@ -106,14 +107,14 @@ def _parts(op: TorusOperator, cutoff: Fraction) -> tuple[int, list, list]:
     counts = _walk(data, cutoff / weight)
     den = data.scale * alpha.denominator * beta.denominator
     top = den * cutoff.numerator // cutoff.denominator
-    norms = sorted(counts.items())
+    norms = sorted(counts)
 
     def part(factor: int, copies: int) -> list:
         entries = []
-        for norm, count in norms if copies else ():
+        for norm in norms if copies else ():
             if norm * factor > top:
                 break
-            entries.append((norm * factor, copies * count))
+            entries.append((norm * factor, copies * counts[norm]))
         return entries
 
     return (

@@ -399,6 +399,22 @@ def test_owned_dual_data_leaves_the_lattice_value_alone():
     assert len({lattice, fresh}) == 1
 
 
+def test_dual_data_holds_the_walk_data_and_builds_its_matrices_on_first_read():
+    lattice = Lattice(CUBE)
+    data = dual(lattice)
+    fields = [field.name for field in dataclasses.fields(data)]
+    assert fields == ["lattice", "clear", "terms", "weights", "scale"]
+    # The walks and the queries on them read only the integer walk data.
+    enumerate_norms(data, 3)
+    count_norm(data, 2)
+    f_spectrum(TorusOperator(lattice, 1, F(1), F(2)), 3)
+    assert "gram" not in vars(data) and "dual_gram" not in vars(data)
+    # The box scan reads both Fraction matrices, which are then kept.
+    brute_force_enumerate(data, 3)
+    assert {"gram", "dual_gram"} <= vars(data).keys()
+    assert vars(data)["gram"] is data.gram and vars(data)["dual_gram"] is data.dual_gram
+
+
 # 324 |l|^2 = (9 x0 - 5 x1)^2 + 900 x1^2: the last layer has c = 9 and shift -5 x1.
 NINE = Lattice(((F(2), F(1, 3)), (F(0), F(3, 5))))
 

@@ -385,8 +385,26 @@ def small_lattices(draw, dims=st.integers(1, 3)):
     return Lattice(tuple(rows))
 
 
+# Past n = 3 the walk re-enters levels with three or more levels above the leaf, so a
+# shift moved there and not taken back shows.  Every shear of these 4-D and 5-D bases is
+# nonzero.  At bound 3/4 each example, D5+ too, has an upper bracket that is empty once
+# x = 0 is walked; at bound 2, D5+ tells a walk that leaves level 3's moves in place.
+SHEARED = [
+    Lattice(((F(1), F(1, 2), F(-1, 3), F(1, 2)), (F(0), F(3, 2), F(1, 3), F(-1, 2)),
+             (F(0), F(0), F(1), F(2, 3)), (F(0), F(0), F(0), F(2)))),
+    Lattice(((F(1), F(1, 2), F(-1, 3), F(1, 2), F(1, 3)),
+             (F(0), F(3, 2), F(1, 3), F(-1, 2), F(-2, 3)),
+             (F(0), F(0), F(1), F(2, 3), F(1, 2)), (F(0), F(0), F(0), F(2), F(-1, 3)),
+             (F(0), F(0), F(0), F(0), F(3, 2)))),
+]
+
+
 @PROPERTY
 @given(small_lattices(), st.fractions(0, 4, max_denominator=3))
+@example(SHEARED[0], F(3, 4))
+@example(SHEARED[1], F(3, 4))
+@example(d_plus(5), F(3, 4))
+@example(d_plus(5), F(2))
 def test_layered_walk_equals_box_scan(lattice, bound):
     data = dual(lattice)
     assert enumerate_norms(data, bound) == brute_force_enumerate(data, bound)
@@ -400,6 +418,10 @@ LINES = [Lattice(((F(1),),)), Lattice(((F(2, 3),),))]
 @given(small_lattices(), st.fractions(0, 4, max_denominator=3))
 @example(LINES[0], F(9))
 @example(LINES[1], F(0))
+@example(SHEARED[0], F(3, 4))
+@example(SHEARED[1], F(3, 4))
+@example(d_plus(5), F(3, 4))
+@example(d_plus(5), F(2))
 def test_half_walk_charges_the_visits_of_the_full_walk(lattice, bound):
     # The walk visits one of each +-l but charges the mirror's brackets too, so
     # its refusal falls exactly past the full walk's candidate count.
