@@ -37,9 +37,9 @@ from .isospec import (
     recover_sphere_params,
     recover_torus_params,
 )
-from .lattice import Lattice, _charge, brute_force_enumerate, dual, enumerate_norms, standard_lattice
+from .lattice import Lattice, brute_force_enumerate, dual, enumerate_norms, standard_lattice
 from .multiset import Unit, WeightedSpectrum
-from .rationals import _echo, _echo_number, format_rational, parse_rational
+from .rationals import _charge, _echo, _echo_number, format_rational, parse_rational
 from .sphere import SphereOperator
 from .sphere import spectrum as sphere_spectrum
 from .sphere import spectrum_parts as sphere_spectrum_parts

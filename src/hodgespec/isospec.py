@@ -31,9 +31,10 @@ from .errors import (
     NotInImage,
     UnitMismatch,
 )
-from .lattice import _charge_comb
 from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merged, repeated_union
-from .rationals import _degree, _echo_number, _int, _nonnegative, _positive, format_rational
+from .rationals import (
+    _charge_comb, _degree, _echo_number, _int, _nonnegative, _positive, format_rational
+)
 from .sphere import Series, _series
 
 __all__ = [

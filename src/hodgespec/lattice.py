@@ -24,42 +24,40 @@ below by t x_j, each step of x_j by t, and its loop moves them back at the
 end.  The walk visits one vector of each pair +-l (the one whose first
 nonzero coordinate, from the top layer down, is positive) and counts it
 twice; it charges each bracket once for itself and once for its mirror, so
-the budget counts the visits of the full walk.  Queries that need
-one or two exact counts (``count_norm`` here, and the torus multiplicity
-query) share one helper: it walks the same layers to the largest norm asked
-for but counts only the integer keys ``q * T`` at the last layer, one
-``isqrt`` per key, and builds no spectrum; a norm whose ``q * T`` is not an
-integer has count 0.
+the budget counts the visits of the full walk.  Queries that need one or two
+exact counts (``count_norm`` here, and the torus multiplicity query) share
+one helper: it walks the same layers to the largest norm asked for but counts
+only the integer keys ``q * T`` at the last layer, one ``isqrt`` per key, and
+builds no spectrum; a norm whose ``q * T`` is not an integer has count 0.
 ``brute_force_enumerate`` is the deliberately dumb reference: it scans the
 full integer box given by the per-coordinate bound x_i^2 <= Q * <b_i, b_i>
 (from x_i = <l, b_i> and Cauchy-Schwarz) and rechecks every cell in integers,
 against the dual Gram matrix scaled by the lcm S of its denominators and the
-bound floor(S * Q).  It uses no walk data.  Both count the zero vector.
+bound floor(S * Q).  Its ``dual_gram`` is rebuilt from the walk data, so
+``test_dual_factor_is_the_ldlt_of_the_inverse_gram`` keeps it an independent
+check: G G^-1 = I against ``linalg.gram(basis)``, and the walk data against
+``tests/oracles.walk_data``.  Both count the zero vector.
 
 The environment variable HODGESPEC_BUDGET caps enumeration work for both,
 and the n^3 matrix work of :func:`dual`, which each Lattice object pays once,
-on first use: the object keeps the DualData built for it.  ``_charge`` is
-the budget's one charge rule: it decides and words every budget refusal,
-here, in the sphere series and in torus recovery, except the walk's in-loop
-visit check.  ``_charge_comb`` charges an exact binomial C(N, k) as
-k * bit_length(N), k the smaller side, from k >= 64 on.
+on first use: the object keeps the DualData built for it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Callable, Mapping
+from functools import cached_property
+from typing import Mapping
 
-from . import linalg
+from . import linalg, rationals
 from .errors import BoxTooLarge, BudgetExceeded, ParseError, SingularBasis
 from .multiset import Unit, WeightedSpectrum, _from_int_keys
 from .rationals import (
-    _echo, _echo_number, _exact, _int, _nonnegative, format_rational, parse_rational, sqrt_floor
+    _charge, _echo, _echo_number, _exact, _int, _nonnegative, format_rational, parse_rational,
+    sqrt_floor,
 )
 
 __all__ = [
@@ -74,57 +72,7 @@ __all__ = [
     "BUDGET_ENV_VAR",
 ]
 
-DEFAULT_BUDGET = 5_000_000
-BUDGET_ENV_VAR = "HODGESPEC_BUDGET"
-
-
-def _resolve_budget() -> int:
-    """The value of HODGESPEC_BUDGET, or DEFAULT_BUDGET when it is unset."""
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    return DEFAULT_BUDGET if raw is None else _read_budget(raw)
-
-
-@lru_cache(maxsize=16)
-def _read_budget(raw: str) -> int:
-    """A HODGESPEC_BUDGET value, read as an integer flag is.
-
-    It must be a rational literal (ASCII digits, no ``_``) whose value is a
-    positive whole number, so ``4/2`` is 2.  Every refusal names the
-    variable.  The environment is read at every charge, so each value is
-    parsed once and kept.
-    """
-    try:
-        value = parse_rational(raw)
-    except ParseError as exc:
-        raise ParseError(f"{BUDGET_ENV_VAR}: {exc}") from None
-    if value.denominator != 1 or value < 1:
-        raise ParseError(f"{BUDGET_ENV_VAR} must be a positive integer, got {_echo_number(value)}")
-    return value.numerator
-
-
-def _charge(work: int, what: Callable[[], str], error=BudgetExceeded) -> None:
-    """Refuse ``work`` past HODGESPEC_BUDGET: the one rule of every budget refusal.
-
-    ``what()`` words the work.  It is called only on a refusal, so a charge
-    that passes formats no text.
-    """
-    limit = _resolve_budget()
-    if work > limit:
-        raise error(f"{what()}, budget is {_echo_number(limit)}")
-
-
-def _charge_comb(n: int, k: int) -> None:
-    """Charge the exact binomial C(n, k) before it is computed.
-
-    With k the smaller side, C(n, k) < n^k has at most k * bit_length(n)
-    bits, and that bound is the charge.  Below k = 64 a binomial costs
-    microseconds and is free.
-    """
-    k = min(k, n - k)
-    if k >= 64:
-        bits = n.bit_length()
-        _charge(k * bits, lambda: f"binomial C({_echo_number(n)}, {_echo_number(k)}) needs "
-                f"{_echo_number(k)} x {bits} bits")
+DEFAULT_BUDGET, BUDGET_ENV_VAR = rationals.DEFAULT_BUDGET, rationals.BUDGET_ENV_VAR
 
 
 def _is_list_of(value, length: int) -> bool:
@@ -317,7 +265,7 @@ def _walk(dual_data: DualData, bound: Fraction, keys: set[int] | None = None) ->
     x, and takes t * (high + 1) back after its loop, which also restores an
     empty bracket, where low = high + 1.
     """
-    limit = _resolve_budget()
+    limit = rationals._resolve_budget()
     n = dual_data.lattice.n
     clear, terms, weights = dual_data.clear, dual_data.terms, dual_data.weights
     top = dual_data.scale * bound.numerator // bound.denominator
@@ -412,7 +360,7 @@ def count_norm(dual_data: DualData, norm) -> int:
 
 
 def brute_force_enumerate(dual_data: DualData, bound) -> WeightedSpectrum:
-    """Reference enumeration: scan the Cauchy-Schwarz box, recheck every cell."""
+    """Reference enumeration: scan the Cauchy-Schwarz box, recheck every cell on ``dual_gram``."""
     bound = _nonnegative(bound)
     n = dual_data.lattice.n
     radii = [sqrt_floor(bound * dual_data.gram[i][i]) for i in range(n)]

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
 from .rationals import (
-    _EXACT, _echo, _echo_number, _exact, _int, _nonnegative, _positive, format_rational,
+    _EXACT, _charge, _echo, _echo_number, _exact, _int, _nonnegative, _positive, format_rational,
     parse_rational,
 )
 
@@ -93,7 +93,6 @@ class WeightedSpectrum:
         if bad:
             raise ValueError(f"eigenvalue key must be an int or a Fraction, got {_echo(bad[0])}")
         den = lcm(*{key.denominator for key, _ in entries})
-        from .lattice import _charge  # lattice imports this module, so not at its top
         # each key becomes an int as wide as den: its 64-bit words are charged first
         _charge(len(entries) * (den.bit_length() >> 6), lambda: f"{_echo_number(len(entries))} "
                 f"keys over a {_echo_number(den.bit_length())}-bit common denominator")
@@ -285,7 +284,6 @@ def _from_int_keys(unit: Unit, cutoff, entries, den: int) -> WeightedSpectrum:
     den >= 2^64 on it is charged first, ``(den.bit_length() >> 6)^2`` per key.
     """
     if den >> 64:
-        from .lattice import _charge  # lattice imports this module, so not at its top
         _charge(len(entries) * (den.bit_length() >> 6) ** 2, lambda: f"reducing "
                 f"{_echo_number(len(entries))} keys over a {den.bit_length()}-bit denominator")
     step = gcd(den, *map(itemgetter(0), entries))

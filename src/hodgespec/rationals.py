@@ -8,17 +8,22 @@ number in this package is exact.  The library itself takes numbers only as
 TypeError, and ``_nonnegative``, ``_positive`` and ``_degree`` add the sign
 and range rules on top of it; ``_int`` takes degrees, dimensions, counts
 and indices only as ``int``.  The rules' messages write every number through
-``_echo`` or ``_echo_number``, so a message is short at any size.
+``_echo`` or ``_echo_number``, so a message is short at any size.  The budget
+rules ``_charge`` and ``_charge_comb`` word every HODGESPEC_BUDGET refusal
+except the lattice walk's in-loop visit check.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
+from typing import Callable
 
-from .errors import DegreeOutOfRange, ParseError
+from .errors import BudgetExceeded, DegreeOutOfRange, ParseError
 
 __all__ = [
     "parse_rational",
@@ -30,6 +35,8 @@ __all__ = [
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 _ECHO_LIMIT = 80
 _EXACT = frozenset((int, Fraction))  # exact types, so a bool is not an int here
+DEFAULT_BUDGET = 5_000_000
+BUDGET_ENV_VAR = "HODGESPEC_BUDGET"
 
 
 def _echo(value) -> str:
@@ -105,6 +112,55 @@ def _degree(what: str, n, p, low: int) -> None:
             f"{what}: degree p must lie in {low}..{top}, "
             f"got p={_echo_number(p)}, n={_echo_number(n)}"
         )
+
+
+def _resolve_budget() -> int:
+    """The value of HODGESPEC_BUDGET, or DEFAULT_BUDGET when it is unset."""
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    return DEFAULT_BUDGET if raw is None else _read_budget(raw)
+
+
+@lru_cache(maxsize=16)
+def _read_budget(raw: str) -> int:
+    """A HODGESPEC_BUDGET value, read as an integer flag is.
+
+    It must be a rational literal (ASCII digits, no ``_``) whose value is a
+    positive whole number, so ``4/2`` is 2.  Every refusal names the
+    variable.  The environment is read at every charge, so each value is
+    parsed once and kept.
+    """
+    try:
+        value = parse_rational(raw)
+    except ParseError as exc:
+        raise ParseError(f"{BUDGET_ENV_VAR}: {exc}") from None
+    if value.denominator != 1 or value < 1:
+        raise ParseError(f"{BUDGET_ENV_VAR} must be a positive integer, got {_echo_number(value)}")
+    return value.numerator
+
+
+def _charge(work: int, what: Callable[[], str], error=BudgetExceeded) -> None:
+    """Refuse ``work`` past HODGESPEC_BUDGET: the one rule of every budget refusal.
+
+    ``what()`` words the work.  It is called only on a refusal, so a charge
+    that passes formats no text.
+    """
+    limit = _resolve_budget()
+    if work > limit:
+        raise error(f"{what()}, budget is {_echo_number(limit)}")
+
+
+def _charge_comb(n: int, k: int) -> None:
+    """Charge the exact binomial C(n, k) before it is computed.
+
+    With k the smaller side, C(n, k) < n^k has at most k * bit_length(n)
+    bits, and that bound is the charge.  Below k = 64 a binomial costs
+    microseconds and is free.
+    """
+    k = min(k, n - k)
+    if k >= 64:
+        bits = n.bit_length()
+        _charge(k * bits, lambda: f"binomial C({_echo_number(n)}, {_echo_number(k)}) needs "
+                f"{_echo_number(k)} x {bits} bits")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -36,10 +36,8 @@ tables do.  A series steps C(j+n, n) from one term to the next by exact
 integer ratios; ``dim_V``, ``dim_W`` and ``harmonic_polynomial_dim`` read
 the first term of the series from k on, so one path computes every
 dimension.  The budget is charged for the size of those binomials before
-any term is made, through ``lattice._charge``, the one charge rule: a series
-pays its term count times their width, and each binomial C(N, k) it starts
-from pays k * bit_length(N), k the smaller side, from k >= 64 on; below that
-a binomial is free.
+any term is made, through ``rationals._charge``: a series pays its term count
+times their width, and each binomial it starts from pays ``_charge_comb``.
 """
 
 from __future__ import annotations
@@ -51,9 +49,8 @@ from math import comb, isqrt, lcm
 from typing import Iterator
 
 from .errors import NonpositiveScalar
-from .lattice import _charge, _charge_comb
 from .multiset import Unit, WeightedSpectrum, _from_int_keys, _operator_spectrum
-from .rationals import _degree, _echo_number, _int, _nonnegative, _positive
+from .rationals import _charge, _charge_comb, _degree, _echo_number, _int, _nonnegative, _positive
 
 __all__ = [
     "Series",
@@ -188,7 +185,7 @@ class _SeriesFormula:
         Each costs 1 + min(n, last k) + min(q, n-q), which bounds the smaller
         sides of C(j+n, n) and C(n, q), so the size of the dimension.  The two
         binomials the stepping starts from are charged too
-        (``lattice._charge_comb``), since ``comb`` takes more than linear time
+        (``rationals._charge_comb``), since ``comb`` takes more than linear time
         in the smaller side.  The boundary zero comes first; from then on,
         C(j+n, n) = C(j-1+n, n) * (j+n) / j is an exact division, checked at
         every step.

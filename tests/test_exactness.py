@@ -1,9 +1,10 @@
 """Syntax-level guards on every module: no floating point anywhere in the
 package or in the test-side oracles it is checked against, one constructor
-bypass, the parameter rules in one module, one work-budget rule, and no dead
-code in the package."""
+bypass, the parameter rules in one module, one work-budget rule, an acyclic
+import graph, and no dead code in the package."""
 
 import ast
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -144,10 +145,10 @@ def test_rule_error_guard_catches_each_form():
     assert found == ["line 1: DegreeOutOfRange", "line 2: NonpositiveScalar", "line 4: NonpositiveMin"]
 
 
-# One work-budget rule: lattice._charge reads HODGESPEC_BUDGET's limit and
+# One work-budget rule: rationals._charge reads HODGESPEC_BUDGET's limit and
 # raises the refusal for every charge.  Only the walk checks the limit in its
 # own loop, since a call per visited node would slow every torus spectrum.
-BUDGET_READERS = {"lattice.py: _charge", "lattice.py: _walk"}
+BUDGET_READERS = {"rationals.py: _charge", "lattice.py: _walk"}
 BUDGET_ERRORS = {"BudgetExceeded", "BoxTooLarge"}
 
 
@@ -190,6 +191,72 @@ def test_budget_guard_catches_each_form():
     assert budget_uses("sphere.py", ast.parse(source)) == [
         "sphere.py: <module>", "sphere.py: terms", "sphere.py: terms", "sphere.py: box"
     ]
+
+
+# The package's imports form no cycle, so no module needs a function-local
+# import to break one.  The sphere and recovery modules reach nothing in
+# lattice.py, directly or through another module: the torus is its only user.
+LATTICE_FREE = ("multiset.py", "sphere.py", "isospec.py")
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, at module level or inside functions."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:  # from .x import name
+                found.add(node.module.split(".")[0] + ".py")
+            else:  # from . import x, y
+                found.update(alias.name + ".py" for alias in node.names)
+    return found
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the import graph, as the modules along it, or [] if there is none."""
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        return exc.args[1]
+    return []
+
+
+def reached(graph: dict[str, set[str]], module: str) -> set[str]:
+    """Every module that ``module`` imports, directly or through other modules."""
+    seen, stack = set(), [module]
+    while stack:
+        for other in graph.get(stack.pop(), ()):
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+    return seen
+
+
+def test_package_import_graph_is_acyclic():
+    graph = {
+        path.name: package_imports(ast.parse(path.read_text(), filename=str(path)))
+        for path in PACKAGE
+    }
+    assert {"multiset.py", "rationals.py", "linalg.py"} <= graph["lattice.py"]
+    assert import_cycle(graph) == []
+    assert [name for name in LATTICE_FREE if "lattice.py" in reached(graph, name)] == []
+
+
+def test_import_guard_catches_each_form():
+    walk = ast.parse("from . import linalg, spectra\nfrom .rationals import _charge\n")
+    spectra = ast.parse(
+        "from .rationals import _echo\n"
+        "def build():\n"
+        "    from .walk import _walk  # closes the cycle inside a function\n"
+    )
+    graph = {"walk.py": package_imports(walk), "spectra.py": package_imports(spectra)}
+    assert graph == {
+        "walk.py": {"linalg.py", "spectra.py", "rationals.py"},
+        "spectra.py": {"rationals.py", "walk.py"},
+    }
+    cycle = import_cycle(graph)
+    assert cycle[0] == cycle[-1] and set(cycle) == {"spectra.py", "walk.py"}
+    assert reached(graph, "spectra.py") == {"rationals.py", "walk.py", "linalg.py", "spectra.py"}
+    assert import_cycle({"walk.py": {"spectra.py"}, "spectra.py": {"rationals.py"}}) == []
 
 
 # No dead code: every module-level private name of the package is used by

@@ -1,10 +1,12 @@
 """Isospectrality checks and the constructive recovery algorithms."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import hodgespec.lattice
 from hodgespec.errors import (
     BranchAmbiguous,
     CutoffExceeded,
@@ -30,7 +32,17 @@ from hodgespec.isospec import (
 )
 from hodgespec.lattice import Lattice, standard_lattice
 from hodgespec.multiset import Unit, WeightedSpectrum, repeated_union
-from hodgespec.sphere import SphereOperator, dim_V, dim_W, lambda_k, mu_k, spectrum
+from hodgespec.sphere import (
+    SphereOperator,
+    coincidences,
+    dim_V,
+    dim_W,
+    eigenvalue_details,
+    lambda_k,
+    mu_k,
+    spectrum,
+    spectrum_parts,
+)
 from hodgespec.torus import TorusOperator, f_spectrum, laplace0_spectrum
 
 
@@ -437,3 +449,45 @@ def test_scaling_transfer_matches_lattice_rescale():
     moved_alpha, moved_beta = 2 * 2 * op.alpha, 2 * 2 * op.beta
     moved = TorusOperator(lattice.scaled(2), 1, moved_alpha, moved_beta)
     assert f_spectrum(op, 8) == f_spectrum(moved, 8)
+
+
+def lattice_calls(run) -> list[str]:
+    """The functions of lattice.py that ``run()`` calls, seen by a profile hook."""
+    called = []
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == hodgespec.lattice.__file__:
+            called.append(frame.f_code.co_name)
+
+    sys.setprofile(record)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return called
+
+
+def test_sphere_and_recovery_paths_run_no_lattice_code():
+    # The sphere series, comparisons and recoveries share only exact arithmetic and the
+    # work budget with the torus, so none of them may enter lattice.py.
+    op, dual_op = SphereOperator(5, 2, F(1), F(2), F(3)), SphereOperator(5, 3, F(2), F(1), F(3))
+    cutoff = sphere_cutoff(5, 2, F(1), F(2), F(3))
+    torus_m, torus_base = torus_inputs(standard_lattice(3), 1, F(3), F(5))
+    torus_op = TorusOperator(standard_lattice(2), 1, F(1), F(2))
+    scalar_m, copies = f_spectrum(torus_op, 8), (torus_op.alpha_copies, torus_op.beta_copies)
+
+    def sphere_round():
+        m = spectrum(op, cutoff)
+        spectrum_parts(op, cutoff)
+        eigenvalue_details(op, cutoff)
+        coincidences(op, cutoff)
+        assert first_divergence(m, spectrum(dual_op, cutoff), cutoff) is None
+        assert is_isospectral_upto(m, spectrum(dual_op, cutoff), cutoff)
+        assert recover_sphere_params(m, 5, 2, 3).values == (F(1), F(2))
+        assert recover_radius(1, 2, 5, 2, m.min_entry()[0]) == 3
+        assert recover_torus_params(torus_m, torus_base, 3, 1).values == (F(3), F(5))
+        reconstruct_base(scalar_m, 1, 2, *copies)
+
+    assert lattice_calls(sphere_round) == []
+    # the hook does see lattice code where it runs
+    assert "_walk" in lattice_calls(lambda: f_spectrum(torus_op, 4))

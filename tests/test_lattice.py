@@ -17,13 +17,13 @@ from hodgespec.lattice import (
     BUDGET_ENV_VAR,
     Lattice,
     _charge,
-    _charge_comb,
     brute_force_enumerate,
     count_norm,
     dual,
     enumerate_norms,
     standard_lattice,
 )
+from hodgespec.rationals import _charge_comb
 from hodgespec.torus import Branch, TorusOperator, eigenvalue_multiplicity, f_spectrum
 
 from oracles import exact_visit_count, walk_data
