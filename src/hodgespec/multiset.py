@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, lt
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
 from .rationals import (
@@ -167,10 +167,16 @@ class WeightedSpectrum:
             return self._ints[i][1]
         return 0
 
-    def _upto(self, bound: Fraction, den: int) -> list[tuple[int, int]]:
-        """The int entries with key <= bound, as numerators over ``den``, a multiple of ``_den``."""
+    def _upto(self, bound: Fraction, den: int) -> Sequence[tuple[int, int]]:
+        """The int entries with key <= bound, as numerators over ``den``, a multiple of ``_den``.
+
+        Over ``_den`` itself that is a slice of the stored tuple, copied by
+        no comprehension; over another den a list of the rescaled keys.
+        """
         # (top + 1,) sorts after every entry (key, mult) with key <= top
         cut = bisect_left(self._ints, (self._den * bound.numerator // bound.denominator + 1,))
+        if den == self._den:
+            return self._ints[:cut]
         factor = den // self._den
         return [(key * factor, mult) for key, mult in self._ints[:cut]]
 
@@ -337,16 +343,20 @@ def _merged(left, left_count: int, right, right_count: int, cutoff) -> tuple[int
 def _merge(a, a_count: int, b, b_count: int) -> list:
     """Sum two key-sorted (key, multiplicity) sequences, each side times its copy count.
 
-    Side a goes into a dict scaled by its count and side b is added to it;
-    a side with count zero adds nothing.  A count of -1 subtracts that side,
-    so a total may come out zero or negative, and such totals stay:
-    ``difference`` keeps the positive ones and ``first_divergence`` reads the
-    first nonzero one.  Keys are int numerators over one common denominator.
-    Both inputs are key-sorted, so the dict holds two ascending runs and
-    ``sorted`` merges them in one linear timsort pass.  Every union,
-    difference, comparison and spectrum assembly goes through this merge.
+    Side a goes into a dict scaled by its count (at count 1 the dict is a
+    plain copy) and side b is added to it; a side with count zero adds
+    nothing.  A count of -1 subtracts that side, so a total may come out zero
+    or negative, and such totals stay: ``difference`` keeps the positive ones
+    and ``first_divergence`` reads the first nonzero one.  Keys are int
+    numerators over one common denominator.  Both inputs are key-sorted, so
+    the dict holds two ascending runs and ``sorted`` merges them in one
+    linear timsort pass.  Every union, difference, comparison and spectrum
+    assembly goes through this merge.
     """
-    merged = {key: a_count * mult for key, mult in a} if a_count else {}
+    if a_count == 1:
+        merged = dict(a)
+    else:
+        merged = {key: a_count * mult for key, mult in a} if a_count else {}
     if b_count:
         for key, mult in b:
             merged[key] = merged.get(key, 0) + b_count * mult

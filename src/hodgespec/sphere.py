@@ -33,11 +33,12 @@ Over den, the lcm of the operator's scale denominators, every key is an
 integer.  The series are cut at floor(cutoff * den), merged and matched as
 integers, and the spectrum keeps the int keys over den, as the torus norm
 tables do.  A series steps C(j+n, n) from one term to the next by exact
-integer ratios; ``dim_V``, ``dim_W`` and ``harmonic_polynomial_dim`` read
-the first term of the series from k on, so one path computes every
-dimension.  The budget is charged for the size of those binomials before
-any term is made, through ``rationals._charge``: a series pays its term count
-times their width, and each binomial it starts from pays ``_charge_comb``.
+integer ratios, each checked in line, and its quadratic by addition;
+``dim_V``, ``dim_W`` and ``harmonic_polynomial_dim`` read the first term of
+the series from k on, so one path computes every dimension.  The budget
+is charged for the size of those binomials before any term is made, through
+``rationals._charge``: a series pays its term count times their width, and
+each binomial it starts from pays ``_charge_comb``.
 """
 
 from __future__ import annotations
@@ -104,15 +105,14 @@ class SphereOperator:
         _degree("series formulas", self.n, self.p, 1)
 
 
-def _as_int(numerator: int, denominator: int, formula: "_SeriesFormula", k: int) -> int:
-    """The exact quotient of a step of the series' dimension at term k."""
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise AssertionError(
-            f"{formula.series.value} dimension at n={formula.n}, k={k} came out "
-            f"non-integral: {Fraction(numerator, denominator)}"
-        )
-    return quotient
+def _non_integral(
+    formula: "_SeriesFormula", k: int, numerator: int, denominator: int
+) -> AssertionError:
+    """The error of a step of the series' dimension at term k that left a remainder."""
+    return AssertionError(
+        f"{formula.series.value} dimension at n={formula.n}, k={k} came out "
+        f"non-integral: {Fraction(numerator, denominator)}"
+    )
 
 
 def dim_V(n: int, p: int, k: int) -> int:
@@ -186,9 +186,13 @@ class _SeriesFormula:
         sides of C(j+n, n) and C(n, q), so the size of the dimension.  The two
         binomials the stepping starts from are charged too
         (``rationals._charge_comb``), since ``comb`` takes more than linear time
-        in the smaller side.  The boundary zero comes first; from then on,
-        C(j+n, n) = C(j-1+n, n) * (j+n) / j is an exact division, checked at
-        every step.
+        in the smaller side.  The boundary zero comes first.  From then on k,
+        2j+n+1 and the quadratic are stepped by addition: q + b = n + 1, so
+        (j+q)(j+b) rises by 2j+n+2 from j to j+1.  Both exact divisions, the
+        dimension and the binomial step C(j+n, n) = C(j-1+n, n) * (j+n) / j,
+        are divmods whose remainder is checked in line at every term; a
+        nonzero one raises an AssertionError naming the series, n, k and the
+        fraction.
         """
         n, q, shift = self.n, self.q, self.shift
         b = n - q + 1
@@ -208,12 +212,19 @@ class _SeriesFormula:
             yield self.start, 0, 1
             first = 0
         binomials = comb(n, q) * q * comb(first + n, n)
-        for j in range(first, last + 1):
-            quadratic = (j + q) * (j + b)
-            yield j + shift, factor * quadratic, _as_int(
-                binomials * (2 * j + n + 1), quadratic, self, j + shift
-            )
-            binomials = _as_int(binomials * (j + 1 + n), j + 1, self, j + 1 + shift)
+        k, quadratic, linear = first + shift, (first + q) * (first + b), 2 * first + n + 1
+        for i in range(first + 1, last + 2):  # i = j + 1
+            dim, remainder = divmod(binomials * linear, quadratic)
+            if remainder:
+                raise _non_integral(self, k, binomials * linear, quadratic)
+            yield k, factor * quadratic, dim
+            k += 1
+            stepped, remainder = divmod(binomials * (i + n), i)
+            if remainder:
+                raise _non_integral(self, k, binomials * (i + n), i)
+            binomials = stepped
+            quadratic += linear + 1
+            linear += 2
 
     def spectrum(self, cutoff: Fraction) -> WeightedSpectrum:
         den = self.scale.denominator

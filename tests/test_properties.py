@@ -773,8 +773,19 @@ def harmonic_dim(nvars, k):
 
 
 def stepped_dims(formula, last):
-    """The dimensions that ``terms`` steps, from the series' start up to term ``last``."""
-    return [dim for _, _, dim in formula.terms(formula.value(last), formula.scale.denominator)]
+    """The dimensions that ``terms`` steps, from the series' start up to term ``last``.
+
+    On the way it asserts that the terms are k = start..last, each with the
+    key scale (j+q)(j+n-q+1) over the scale's denominator, which is 0 at the
+    scalar series' first term, j = -1.
+    """
+    den, n, q, shift = formula.scale.denominator, formula.n, formula.q, formula.shift
+    terms = list(formula.terms(formula.value(last), den))
+    assert [k for k, _, _ in terms] == list(range(formula.start, last + 1))
+    assert [key for _, key, _ in terms] == [
+        formula.scale * (k - shift + q) * (k - shift + n - q + 1) * den for k, _, _ in terms
+    ]
+    return [dim for _, _, dim in terms]
 
 
 @pytest.mark.parametrize("n", range(1, 13))

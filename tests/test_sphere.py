@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
 
@@ -85,6 +86,20 @@ def test_a_non_integral_dimension_step_is_caught(monkeypatch):
         broken.dim(1)
     with pytest.raises(AssertionError, match=message):
         list(broken.terms(broken.value(1), 1))
+
+
+def test_a_non_integral_binomial_step_is_caught(monkeypatch):
+    # C(6, 4) read as 14 leaves the mu dimension at k = 2 (q = 1, j = 2) whole:
+    # C(4, 1) * 1 * 14 * (2*2 + 4 + 1) / ((2 + 1)(2 + 4)) = 28, but the step
+    # to C(7, 4) is 14 * 4 * 7 / 3 = 392/3, caught at k = 3 before its dimension
+    monkeypatch.setattr(sphere, "comb", lambda top, bottom: 14 if (top, bottom) == (6, 4)
+                        else comb(top, bottom))
+    f = replace(_series(Series.MU, 4, 1, 1, 1), start=2)
+    message = "^mu dimension at n=4, k=3 came out non-integral: 392/3$"
+    with pytest.raises(AssertionError, match=message):
+        list(f.terms(f.value(3), 1))
+    assert f.dim(2) == 28
+
 
 def test_harmonic_polynomial_dims():
     assert [harmonic_polynomial_dim(3, k) for k in range(4)] == [1, 3, 5, 7]
