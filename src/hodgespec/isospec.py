@@ -16,7 +16,6 @@ so tests can demand that engineered inputs exercise every case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from typing import Callable
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merged, repeated_union
 from .rationals import (
-    _charge_comb, _degree, _echo_number, _int, _nonnegative, _positive, format_rational
+    _charge_comb, _degree, _echo_number, _int, _nonnegative, _positive, _Record, format_rational
 )
 from .sphere import Series, _series
 
@@ -57,8 +56,7 @@ BRANCH_COINCIDENT = "series-coincide"
 BRANCH_UNORDERED = "half-dimension-unordered"
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
+class RecoveryResult(_Record):
     """Outcome of a parameter recovery run.
 
     kind "ordered": values = (alpha, beta).  kind "unordered": values is the
@@ -70,6 +68,11 @@ class RecoveryResult:
     kind: str
     values: tuple[Fraction, ...]
     branch_trace: tuple[str, ...]
+
+    def __init__(
+        self, kind: str, values: tuple[Fraction, ...], branch_trace: tuple[str, ...]
+    ) -> None:
+        vars(self).update(kind=kind, values=values, branch_trace=branch_trace)
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,8 +162,7 @@ def reconstruct_base(
     return WeightedSpectrum(m_spec.unit, guarantee, tuple(out))
 
 
-@dataclass(frozen=True)
-class _Share:
+class _Share(_Record):
     """One parameter's part of a p-form spectrum, as a function of that parameter.
 
     At parameter value c the part starts at ``c * lead`` with multiplicity
@@ -170,6 +172,11 @@ class _Share:
     lead: Fraction
     count: int
     spectrum: Callable[[Fraction], WeightedSpectrum]
+
+    def __init__(
+        self, lead: Fraction, count: int, spectrum: Callable[[Fraction], WeightedSpectrum]
+    ) -> None:
+        vars(self).update(lead=lead, count=count, spectrum=spectrum)
 
 
 def _recover_pair(spec: WeightedSpectrum, alpha: _Share, beta: _Share) -> RecoveryResult:

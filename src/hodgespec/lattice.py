@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
@@ -56,8 +55,8 @@ from . import linalg, rationals
 from .errors import BoxTooLarge, BudgetExceeded, ParseError, SingularBasis
 from .multiset import Unit, WeightedSpectrum, _from_int_keys
 from .rationals import (
-    _charge, _echo, _echo_number, _exact, _int, _nonnegative, format_rational, parse_rational,
-    sqrt_floor,
+    _charge, _echo, _echo_number, _exact, _int, _nonnegative, _Record, format_rational,
+    parse_rational, sqrt_floor,
 )
 
 __all__ = [
@@ -79,20 +78,19 @@ def _is_list_of(value, length: int) -> bool:
     return isinstance(value, (list, tuple)) and len(value) == length
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(_Record):
     """Full-rank lattice; ``basis[i]`` is the i-th basis vector."""
 
     basis: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        basis = tuple(tuple(_exact(x, "basis entry") for x in row) for row in self.basis)
-        object.__setattr__(self, "basis", basis)
+    def __init__(self, basis: tuple[tuple[Fraction, ...], ...]) -> None:
+        basis = tuple(tuple(_exact(x, "basis entry") for x in row) for row in basis)
         n = len(basis)
         if n < 1:
             raise ValueError("lattice needs at least one basis vector")
         if any(len(row) != n for row in basis):
             raise ValueError("basis must be a square matrix")
+        vars(self).update(basis=basis)
 
     @property
     def n(self) -> int:
@@ -146,8 +144,7 @@ def standard_lattice(n: int) -> Lattice:
     return Lattice(linalg.identity(n))
 
 
-@dataclass(frozen=True)
-class DualData:
+class DualData(_Record):
     """A lattice with the walk data of its dual, and the Gram matrices built on first read.
 
     The walk data are integers: the dual vector with coordinates x has
@@ -166,6 +163,16 @@ class DualData:
     terms: tuple[tuple[tuple[int, int], ...], ...]
     weights: tuple[int, ...]
     scale: int
+
+    def __init__(
+        self,
+        lattice: Lattice,
+        clear: tuple[int, ...],
+        terms: tuple[tuple[tuple[int, int], ...], ...],
+        weights: tuple[int, ...],
+        scale: int,
+    ) -> None:
+        vars(self).update(lattice=lattice, clear=clear, terms=terms, weights=weights, scale=scale)
 
     # Built on first read and kept in the instance dict; not fields, so
     # equality, hashing and repr ignore them.

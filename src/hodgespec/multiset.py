@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, lt
@@ -35,8 +34,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
 from .rationals import (
-    _EXACT, _charge, _echo, _echo_number, _exact, _int, _nonnegative, _positive, format_rational,
-    parse_rational,
+    _EXACT, _charge, _echo, _echo_number, _exact, _int, _nonnegative, _positive, _Record,
+    format_rational, parse_rational,
 )
 
 __all__ = ["Unit", "WeightedSpectrum", "repeated_union"]
@@ -60,12 +59,11 @@ def _multiplicity_error(mult) -> ValueError:
     return ValueError(f"multiplicity must be a positive int, got {shown}")
 
 
-@dataclass(frozen=True, init=False)
-class WeightedSpectrum:
+class WeightedSpectrum(_Record):
     """Weighted set of eigenvalue keys, truncated at ``cutoff``.
 
     The keys are held as int numerators over ``_den``, the least denominator
-    that makes every key an integer, so the generated equality and hash
+    that makes every key an integer, so the record's equality and hash
     compare values whatever denominator a spectrum was built over.
     ``entries`` builds the (Fraction key, multiplicity) pairs on each read.
     """
@@ -124,10 +122,7 @@ class WeightedSpectrum:
         if keys and keys[-1] > bound:
             first = Fraction(keys[bisect_right(keys, bound)], den)
             raise ValueError(f"key {_echo_number(first)} exceeds cutoff {_echo_number(cutoff)}")
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_ints", tuple(entries))
+        vars(self).update(unit=unit, cutoff=cutoff, _den=den, _ints=tuple(entries))
         return self
 
     @classmethod

@@ -10,7 +10,8 @@ and range rules on top of it; ``_int`` takes degrees, dimensions, counts
 and indices only as ``int``.  The rules' messages write every number through
 ``_echo`` or ``_echo_number``, so a message is short at any size.  The budget
 rules ``_charge`` and ``_charge_comb`` word every HODGESPEC_BUDGET refusal
-except the lattice walk's in-loop visit check.
+except the lattice walk's in-loop visit check.  ``_Record`` is the frozen
+base of the package's record classes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
+from operator import attrgetter
 from typing import Callable
 
 from .errors import BudgetExceeded, DegreeOutOfRange, ParseError
@@ -37,6 +39,43 @@ _ECHO_LIMIT = 80
 _EXACT = frozenset((int, Fraction))  # exact types, so a bool is not an int here
 DEFAULT_BUDGET = 5_000_000
 BUDGET_ENV_VAR = "HODGESPEC_BUDGET"
+
+
+class _Record:
+    """A frozen record: its fields are its class's own annotations, in order.
+
+    A subclass writes its own ``__init__``, which checks its arguments and
+    stores the fields with one ``vars(self).update(...)``.  Equality (within
+    one class), hash and repr read the fields in order, as a frozen
+    dataclass's do; assignment and deletion raise AttributeError.  Values
+    kept beside the fields, such as ``cached_property`` results, are ignored.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+        # the field tuple, or a one-field record's one value
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _echo(value) -> str:

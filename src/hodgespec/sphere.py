@@ -44,14 +44,15 @@ each binomial it starts from pays ``_charge_comb``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, isqrt, lcm
 from typing import Iterator
 
 from .errors import NonpositiveScalar
 from .multiset import Unit, WeightedSpectrum, _from_int_keys, _operator_spectrum
-from .rationals import _charge, _charge_comb, _degree, _echo_number, _int, _nonnegative, _positive
+from .rationals import (
+    _charge, _charge_comb, _degree, _echo_number, _int, _nonnegative, _positive, _Record,
+)
 
 __all__ = [
     "Series",
@@ -75,26 +76,32 @@ class Series(enum.Enum):
     MU = "mu"
 
 
-@dataclass(frozen=True)
-class SphereOperator:
+class SphereOperator(_Record):
     """alpha d delta + beta delta d on p-forms of S^n with squared radius r_squared."""
 
     n: int
     p: int
     alpha: Fraction
     beta: Fraction
-    r_squared: Fraction = Fraction(1)
-    generic: bool = False
+    r_squared: Fraction
+    generic: bool
 
-    def __post_init__(self) -> None:
-        if type(self.n) is int and self.n < 1:
-            raise ValueError(f"sphere dimension must be at least 1, got {_echo_number(self.n)}")
-        _degree("sphere operator", self.n, self.p, 0)
-        scalars = _positive(
-            NonpositiveScalar, "alpha, beta, r_squared", self.alpha, self.beta, self.r_squared
+    def __init__(
+        self,
+        n: int,
+        p: int,
+        alpha: Fraction,
+        beta: Fraction,
+        r_squared: Fraction = Fraction(1),
+        generic: bool = False,
+    ) -> None:
+        if type(n) is int and n < 1:
+            raise ValueError(f"sphere dimension must be at least 1, got {_echo_number(n)}")
+        _degree("sphere operator", n, p, 0)
+        alpha, beta, r_squared = _positive(
+            NonpositiveScalar, "alpha, beta, r_squared", alpha, beta, r_squared
         )
-        for name, value in zip(("alpha", "beta", "r_squared"), scalars):
-            object.__setattr__(self, name, value)
+        vars(self).update(n=n, p=p, alpha=alpha, beta=beta, r_squared=r_squared, generic=generic)
 
     @property
     def duality_extension(self) -> bool:
@@ -145,8 +152,7 @@ def harmonic_polynomial_dim(nvars: int, degree: int) -> int:
     return _series(Series.LAMBDA, nvars - 1, 0, 1, 1).dim(degree)
 
 
-@dataclass(frozen=True)
-class _SeriesFormula:
+class _SeriesFormula(_Record):
     """The mu series of q-forms on S^n, as ``series``: terms k >= start, at j = k - shift.
 
     value(k) = scale (j+q)(j+n-q+1), with ``scale`` the coefficient over r^2,
@@ -164,13 +170,19 @@ class _SeriesFormula:
     n: int
     q: int
 
+    def __init__(
+        self, series: Series, start: int, shift: int, scale: Fraction, n: int, q: int
+    ) -> None:
+        vars(self).update(series=series, start=start, shift=shift, scale=scale, n=n, q=q)
+
     def value(self, k: int) -> Fraction:
         j, q, scale = k - self.shift, self.q, self.scale
         return Fraction(scale.numerator * (j + q) * (j + self.n - q + 1), scale.denominator)
 
     def dim(self, k: int) -> int:
         """The dimension of term k: the first term of the series from k on, charged as one."""
-        _, _, dim = next(replace(self, start=k).terms(self.value(k), self.scale.denominator))
+        first = _SeriesFormula(self.series, k, self.shift, self.scale, self.n, self.q)
+        _, _, dim = next(first.terms(self.value(k), self.scale.denominator))
         return dim
 
     def terms(self, cutoff: Fraction, den: int) -> Iterator[tuple[int, int, int]]:
@@ -312,19 +324,25 @@ def spectrum(op: SphereOperator, cutoff) -> WeightedSpectrum:
     return _operator_spectrum(Unit.PLAIN, _parts, op, cutoff, "spectrum_parts")
 
 
-@dataclass(frozen=True)
-class SeriesTerm:
+class SeriesTerm(_Record):
+    """One series term at a merged eigenvalue: term k of ``series``, of dimension ``dim``."""
+
     series: Series
     k: int
     dim: int
 
+    def __init__(self, series: Series, k: int, dim: int) -> None:
+        vars(self).update(series=series, k=k, dim=dim)
 
-@dataclass(frozen=True)
-class SphereEigenvalue:
+
+class SphereEigenvalue(_Record):
     """One merged eigenvalue with the series terms that meet there."""
 
     value: Fraction
     terms: tuple[SeriesTerm, ...]
+
+    def __init__(self, value: Fraction, terms: tuple[SeriesTerm, ...]) -> None:
+        vars(self).update(value=value, terms=terms)
 
     @property
     def multiplicity(self) -> int:

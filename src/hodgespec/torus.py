@@ -23,14 +23,13 @@ is built until a caller reads ``entries``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import NonpositiveScalar, UnrepresentedNorm
 from .lattice import Lattice, _exact_counts, _walk, dual, enumerate_norms
 from .multiset import Unit, WeightedSpectrum, _operator_spectrum
-from .rationals import _degree, _echo, _echo_number, _nonnegative, _positive
+from .rationals import _degree, _echo, _echo_number, _nonnegative, _positive, _Record
 
 __all__ = [
     "Branch",
@@ -49,21 +48,21 @@ class Branch(enum.Enum):
     BETA = "beta"
 
 
-@dataclass(frozen=True)
-class TorusOperator:
+class TorusOperator(_Record):
     """alpha d delta + beta delta d on p-forms of R^n / lattice."""
 
     lattice: Lattice
     p: int
     alpha: Fraction
     beta: Fraction
-    generic: bool = False
+    generic: bool
 
-    def __post_init__(self) -> None:
-        _degree("torus operator", self.lattice.n, self.p, 0)
-        alpha, beta = _positive(NonpositiveScalar, "alpha and beta", self.alpha, self.beta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+    def __init__(
+        self, lattice: Lattice, p: int, alpha: Fraction, beta: Fraction, generic: bool = False
+    ) -> None:
+        _degree("torus operator", lattice.n, p, 0)
+        alpha, beta = _positive(NonpositiveScalar, "alpha and beta", alpha, beta)
+        vars(self).update(lattice=lattice, p=p, alpha=alpha, beta=beta, generic=generic)
 
     @property
     def n(self) -> int:

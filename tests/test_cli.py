@@ -847,6 +847,19 @@ def test_module_entry_point_matches_main(p, capsys):
     assert code == (0 if p == "1" else 3)
 
 
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Every CLI call imports the package; the records are plain frozen classes,
+    # so the call pays for neither module.  -S keeps the .pth start-up hooks of
+    # installed packages out of the count.
+    src = str(Path(hodgespec.__file__).parent.parent)
+    script = "import sys, hodgespec.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
+
+
 # Python's int() reads every Unicode decimal digit and "_" separators; a flag or
 # a spectrum key takes ASCII digits only, so each of these is malformed input.
 NON_ASCII_OR_SEPARATED = {

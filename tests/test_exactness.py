@@ -59,9 +59,9 @@ TRUSTED_BUILDER = ("multiset.py", "_from_int_keys")
 class _Bypasses(ast.NodeVisitor):
     """Calls that make an instance or set its fields without the constructor.
 
-    Any ``__new__`` call, and any ``__setattr__`` call on something other
-    than ``self`` (a frozen class setting its own fields in ``__post_init__``),
-    recorded with the name of the function it sits in.
+    Any ``__new__`` call, and any ``__setattr__`` call, ``vars(x)`` or
+    ``x.__dict__`` on something other than ``self`` (a record storing its own
+    fields in ``__init__``), recorded with the name of the function it sits in.
     """
 
     def __init__(self) -> None:
@@ -75,12 +75,22 @@ class _Bypasses(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
+        target = node.args[0] if node.args else None
         if isinstance(func, ast.Attribute) and func.attr in ("__new__", "__setattr__"):
-            target = node.args[0] if node.args else None
-            on_self = isinstance(target, ast.Name) and target.id == "self"
-            if func.attr == "__new__" or not on_self:
+            if func.attr == "__new__" or not _is_self(target):
                 self.found.append((self.scope, node.lineno))
+        elif isinstance(func, ast.Name) and func.id == "vars" and target and not _is_self(target):
+            self.found.append((self.scope, node.lineno))
         self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == "__dict__" and not _is_self(node.value):
+            self.found.append((self.scope, node.lineno))
+        self.generic_visit(node)
+
+
+def _is_self(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
 
 
 def bypasses(tree: ast.AST) -> list[tuple[str, int]]:
@@ -104,11 +114,17 @@ def test_bypass_guard_catches_each_form():
         "    spectrum = object.__new__(WeightedSpectrum)\n"
         "    other = WeightedSpectrum.__new__(WeightedSpectrum)\n"
         "    object.__setattr__(spectrum, 'unit', unit)\n"
+        "    vars(spectrum).update(unit=unit)\n"
+        "    spectrum.__dict__['unit'] = unit\n"
+        "    names = vars()\n"
         "class Op:\n"
-        "    def __post_init__(self):\n"
-        "        object.__setattr__(self, 'alpha', 1)\n"
+        "    def __init__(self, alpha):\n"
+        "        object.__setattr__(self, 'alpha', alpha)\n"
+        "        vars(self).update(alpha=alpha)\n"
+        "        self.__dict__['alpha'] = alpha\n"
     )
-    assert bypasses(ast.parse(source)) == [("build", 2), ("build", 3), ("build", 4)]
+    found = bypasses(ast.parse(source))
+    assert found == [("build", 2), ("build", 3), ("build", 4), ("build", 5), ("build", 6)]
 
 
 # The parameter rules (exact types, signs, degree ranges) live in rationals.py,

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction as F
 from math import gcd, isqrt, lcm, prod
@@ -160,7 +159,7 @@ def test_entries_read_back_int_keys_as_fractions():
     assert all(type(key) is F for key, _ in built.entries)
     assert all(type(key) is F for key, _ in built)
     assert type(built.min_entry()[0]) is F
-    assert [field.name for field in dataclasses.fields(built)] == ["unit", "cutoff", "_den", "_ints"]
+    assert built._fields == ("unit", "cutoff", "_den", "_ints")
     assert (built._den, built._ints) == (1, ((0, 1), (2, 3)))
 
 

@@ -1,11 +1,19 @@
 """The public names of the package, pinned: adding or dropping one edits this file."""
 
 import importlib
+import inspect
 import pkgutil
+from fractions import Fraction as F
 
 import pytest
 
 import hodgespec
+from hodgespec import (
+    Lattice, RecoveryResult, Series, SphereOperator, TorusOperator, Unit, WeightedSpectrum, dual,
+    eigenvalue_details,
+)
+from hodgespec.isospec import BRANCH_ALPHA_FIRST
+from hodgespec.sphere import SeriesTerm
 
 MODULE_SURFACE = {
     "cli": {"main"},
@@ -165,3 +173,89 @@ def test_every_module_is_pinned():
 def test_module_surface(name):
     public = importlib.import_module(f"hodgespec.{name}").__all__
     assert sorted(public) == sorted(MODULE_SURFACE[name])
+
+
+# The public records, each with its repr and constructor signature as pinned
+# when they were frozen dataclasses: (name, default) per parameter.
+CUBE = ((1, 0), (0, 2))
+CUBE_REPR = "Lattice(basis=((Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(2, 1))))"
+REQUIRED = inspect.Parameter.empty
+RECORDS = {
+    "Lattice": (
+        lambda: Lattice(CUBE),
+        CUBE_REPR,
+        [("basis", REQUIRED)],
+    ),
+    "DualData": (
+        lambda: dual(Lattice(CUBE)),
+        f"DualData(lattice={CUBE_REPR}, clear=(1, 1), terms=((), ()), weights=(4, 1), scale=4)",
+        [(name, REQUIRED) for name in ("lattice", "clear", "terms", "weights", "scale")],
+    ),
+    "WeightedSpectrum": (
+        lambda: WeightedSpectrum(Unit.PLAIN, 3, [(0, 1), (F(1, 2), 2)]),
+        "WeightedSpectrum(unit=<Unit.PLAIN: 'plain'>, cutoff=Fraction(3, 1), _den=2, "
+        "_ints=((0, 1), (1, 2)))",
+        [(name, REQUIRED) for name in ("unit", "cutoff", "entries")],
+    ),
+    "TorusOperator": (
+        lambda: TorusOperator(Lattice(CUBE), 1, 1, F(2)),
+        f"TorusOperator(lattice={CUBE_REPR}, p=1, alpha=Fraction(1, 1), beta=Fraction(2, 1), "
+        "generic=False)",
+        [*((name, REQUIRED) for name in ("lattice", "p", "alpha", "beta")), ("generic", False)],
+    ),
+    "SphereOperator": (
+        lambda: SphereOperator(3, 1, 1, 2),
+        "SphereOperator(n=3, p=1, alpha=Fraction(1, 1), beta=Fraction(2, 1), "
+        "r_squared=Fraction(1, 1), generic=False)",
+        [*((name, REQUIRED) for name in ("n", "p", "alpha", "beta")), ("r_squared", F(1)),
+         ("generic", False)],
+    ),
+    "SeriesTerm": (
+        lambda: SeriesTerm(Series.MU, 0, 6),
+        "SeriesTerm(series=<Series.MU: 'mu'>, k=0, dim=6)",
+        [(name, REQUIRED) for name in ("series", "k", "dim")],
+    ),
+    "SphereEigenvalue": (
+        lambda: eigenvalue_details(SphereOperator(3, 1, 1, 2), 3)[0],
+        "SphereEigenvalue(value=Fraction(3, 1), "
+        "terms=(SeriesTerm(series=<Series.MU: 'mu'>, k=0, dim=4),))",
+        [(name, REQUIRED) for name in ("value", "terms")],
+    ),
+    "RecoveryResult": (
+        lambda: RecoveryResult("ordered", (F(1), F(2)), (BRANCH_ALPHA_FIRST,)),
+        "RecoveryResult(kind='ordered', values=(Fraction(1, 1), Fraction(2, 1)), "
+        "branch_trace=('alpha-series-first',))",
+        [(name, REQUIRED) for name in ("kind", "values", "branch_trace")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_repr_and_signature_are_pinned(name):
+    build, shown, parameters = RECORDS[name]
+    record = build()
+    assert type(record).__name__ == name and repr(record) == shown
+    signature = inspect.signature(type(record)).parameters.values()
+    assert [(parameter.name, parameter.default) for parameter in signature] == parameters
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_frozen_and_hashes_by_value(name):
+    build = RECORDS[name][0]
+    record, twin = build(), build()
+    assert record is not twin and record == twin and hash(record) == hash(twin)
+    for field in (*record._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert record == twin and repr(record) == RECORDS[name][1]
+
+
+def test_records_of_different_classes_never_compare_equal():
+    records = [build() for build, _, _ in RECORDS.values()]
+    for record in records:
+        values = tuple(getattr(record, field) for field in record._fields)
+        assert record != values and values != record
+        for other in records:
+            assert (record == other) == (record is other)

@@ -2,7 +2,6 @@
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
 
@@ -26,7 +25,7 @@ from hodgespec.sphere import (
     spectrum_parts,
 )
 from hodgespec import sphere
-from hodgespec.sphere import _series
+from hodgespec.sphere import _series, _SeriesFormula
 
 from oracles import ORACLE_MAX_AMBIENT_DIM, ORACLE_MAX_POLY_DEGREE, harmonic_form_dims_oracle
 
@@ -94,7 +93,8 @@ def test_a_non_integral_binomial_step_is_caught(monkeypatch):
     # to C(7, 4) is 14 * 4 * 7 / 3 = 392/3, caught at k = 3 before its dimension
     monkeypatch.setattr(sphere, "comb", lambda top, bottom: 14 if (top, bottom) == (6, 4)
                         else comb(top, bottom))
-    f = replace(_series(Series.MU, 4, 1, 1, 1), start=2)
+    mu = _series(Series.MU, 4, 1, 1, 1)
+    f = _SeriesFormula(mu.series, 2, mu.shift, mu.scale, mu.n, mu.q)
     message = "^mu dimension at n=4, k=3 came out non-integral: 392/3$"
     with pytest.raises(AssertionError, match=message):
         list(f.terms(f.value(3), 1))
