@@ -32,7 +32,8 @@ from .errors import (
 )
 from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merged, repeated_union
 from .rationals import (
-    _charge_comb, _degree, _echo_number, _int, _nonnegative, _positive, _Record, format_rational
+    _charge_comb, _degree, _echo_number, _int, _nonnegative, _positive, _Record, _set_field,
+    format_rational,
 )
 from .sphere import Series, _series
 
@@ -72,7 +73,9 @@ class RecoveryResult(_Record):
     def __init__(
         self, kind: str, values: tuple[Fraction, ...], branch_trace: tuple[str, ...]
     ) -> None:
-        vars(self).update(kind=kind, values=values, branch_trace=branch_trace)
+        _set_field(self, "kind", kind)
+        _set_field(self, "values", values)
+        _set_field(self, "branch_trace", branch_trace)
 
     def to_json_dict(self) -> dict:
         return {
@@ -176,7 +179,9 @@ class _Share(_Record):
     def __init__(
         self, lead: Fraction, count: int, spectrum: Callable[[Fraction], WeightedSpectrum]
     ) -> None:
-        vars(self).update(lead=lead, count=count, spectrum=spectrum)
+        _set_field(self, "lead", lead)
+        _set_field(self, "count", count)
+        _set_field(self, "spectrum", spectrum)
 
 
 def _recover_pair(spec: WeightedSpectrum, alpha: _Share, beta: _Share) -> RecoveryResult:

@@ -18,22 +18,28 @@ integer y_i, and one global scale T turns every pivot into an integer weight,
 so T*|l|^2 = sum_i w_i y_i^2.  The walk runs in Python ints: the bracket
 |y_i| <= isqrt(remaining // w_i) is exact, every candidate in it is a member,
 and the integer norms are sorted and kept as the spectrum's int keys over T;
-no Fraction is built.  Each layer's shift, the terms' part of y_i, is carried
-down the walk (Schnorr-Euchner): setting x_j moves the shifts of the layers
-below by t x_j, each step of x_j by t, and its loop moves them back at the
-end.  The walk visits one vector of each pair +-l (the one whose first
-nonzero coordinate, from the top layer down, is positive) and counts it
-twice; it charges each bracket once for itself and once for its mirror, so
-the budget counts the visits of the full walk.  Queries that need one or two
-exact counts (``count_norm`` here, and the torus multiplicity query) share
-one helper: it walks the same layers to the largest norm asked for but counts
-only the integer keys ``q * T`` at the last layer, one ``isqrt`` per key, and
-builds no spectrum; a norm whose ``q * T`` is not an integer has count 0.
-``brute_force_enumerate`` is the deliberately dumb reference: it scans the
-full integer box given by the per-coordinate bound x_i^2 <= Q * <b_i, b_i>
-(from x_i = <l, b_i> and Cauchy-Schwarz) and rechecks every cell in integers,
-against the dual Gram matrix scaled by the lcm S of its denominators and the
-bound floor(S * Q).  Its ``dual_gram`` is rebuilt from the walk data, so
+no Fraction is built.  Each walk is handed its integer top floor(T * bound).
+Each layer's shift, the terms' part of y_i, is carried down the walk
+(Schnorr-Euchner): setting x_j moves the shifts of the layers below by t x_j,
+each step of x_j by t, and its loop moves them back at the end; the lists of
+those moves, the transpose of the terms, are built once per DualData.  The
+last layer runs inside level 1's loop, with no call per bracket, and each
+of its brackets is charged and checked before its own loop runs.  The walk
+visits one vector of each pair +-l (the one whose first nonzero coordinate,
+from the top layer down, is positive) and counts it twice; it charges each
+bracket once for itself and once for its mirror, so the budget counts the
+visits of the full walk.  Queries that need one or two exact counts
+(``count_norm`` here, and the torus multiplicity query) share one helper: it
+takes each norm as an int pair (num, den), walks the same layers to the
+largest one but counts only the integer keys ``T * num / den`` at the last
+layer, one ``isqrt`` per key, and builds no spectrum; a norm whose key is not
+an integer has count 0.  ``brute_force_enumerate`` is the deliberately dumb
+reference: it scans the full integer box given by the per-coordinate bound
+x_i^2 <= Q * <b_i, b_i> (from x_i = <l, b_i> and Cauchy-Schwarz) and
+rechecks every cell in integers, against the dual Gram matrix scaled by the
+lcm S of its denominators and the bound floor(S * Q); a cell costs its
+prefix's norm, summed once per prefix, plus one quadratic in the last
+coordinate.  Its ``dual_gram`` is rebuilt from the walk data, so
 ``test_dual_factor_is_the_ldlt_of_the_inverse_gram`` keeps it an independent
 check: G G^-1 = I against ``linalg.gram(basis)``, and the walk data against
 ``tests/oracles.walk_data``.  Both count the zero vector.
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
@@ -55,7 +62,7 @@ from . import linalg, rationals
 from .errors import BoxTooLarge, BudgetExceeded, ParseError, SingularBasis
 from .multiset import Unit, WeightedSpectrum, _from_int_keys
 from .rationals import (
-    _charge, _echo, _echo_number, _exact, _int, _nonnegative, _Record, format_rational,
+    _charge, _echo, _echo_number, _exact, _int, _nonnegative, _Record, _set_field, format_rational,
     parse_rational, sqrt_floor,
 )
 
@@ -90,7 +97,7 @@ class Lattice(_Record):
             raise ValueError("lattice needs at least one basis vector")
         if any(len(row) != n for row in basis):
             raise ValueError("basis must be a square matrix")
-        vars(self).update(basis=basis)
+        _set_field(self, "basis", basis)
 
     @property
     def n(self) -> int:
@@ -151,11 +158,12 @@ class DualData(_Record):
     T|l|^2 = sum_i w_i y_i^2 with y_i = c_i x_i + sum_{(j, t) in terms[i]} t x_j,
     where ``clear`` holds the c_i, ``weights`` the w_i > 0 and ``scale`` is T.
     This is the LDL^T of ``dual_gram`` with its denominators cleared:
-    L[j][i] = t / c_i and d_i = w_i c_i^2 / T.  The Fraction matrices ``gram``
-    and ``dual_gram`` (its inverse: the dual basis pairs to the identity
-    against the basis) are read only by the box scan, so each is built on
-    its first read and kept; no walk builds them.  Get a DualData from
-    :func:`dual`, which builds it once per Lattice object.
+    L[j][i] = t / c_i and d_i = w_i c_i^2 / T.  ``moves``, the terms
+    transposed, is built on the first walk and kept for every later one.
+    The Fraction matrices ``gram`` and ``dual_gram`` (its inverse: the dual
+    basis pairs to the identity against the basis) are read only by the box
+    scan, so each is built on its first read and kept; no walk builds them.
+    Get a DualData from :func:`dual`, which builds it once per Lattice object.
     """
 
     lattice: Lattice
@@ -172,10 +180,24 @@ class DualData(_Record):
         weights: tuple[int, ...],
         scale: int,
     ) -> None:
-        vars(self).update(lattice=lattice, clear=clear, terms=terms, weights=weights, scale=scale)
+        _set_field(self, "lattice", lattice)
+        _set_field(self, "clear", clear)
+        _set_field(self, "terms", terms)
+        _set_field(self, "weights", weights)
+        _set_field(self, "scale", scale)
 
     # Built on first read and kept in the instance dict; not fields, so
     # equality, hashing and repr ignore them.
+    @cached_property
+    def moves(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # terms transposed: moves[j] lists the (i, t) with t x_j in y_i, the
+        # shifts that setting x_j moves; every walk on this data reads them
+        moves: list[list[tuple[int, int]]] = [[] for _ in self.clear]
+        for i, level in enumerate(self.terms):
+            for j, t in level:
+                moves[j].append((i, t))
+        return tuple(map(tuple, moves))
+
     @cached_property
     def gram(self) -> tuple[tuple[Fraction, ...], ...]:
         return linalg.gram(self.lattice.basis)
@@ -247,12 +269,12 @@ def _build_dual(lattice: Lattice) -> DualData:
     return DualData(lattice, tuple(clear), tuple(terms), weights, scale)
 
 
-def _walk(dual_data: DualData, bound: Fraction, keys: set[int] | None = None) -> dict[int, int]:
-    """Integer norm table of the dual vectors with squared norm <= bound >= 0.
+def _walk(dual_data: DualData, top: int, keys: set[int] | None = None) -> dict[int, int]:
+    """Integer norm table of the dual vectors l with T|l|^2 <= top, an int >= 0.
 
-    The table maps each key to the number of vectors of squared norm
-    ``key / T``, T the dual data's scale.  Given a set of ``keys``, each at
-    most ``T * bound``, the table holds only those: the last layer solves
+    T is the dual data's scale, and the table maps each key to the number of
+    vectors l with T|l|^2 = key.  Given a set of ``keys``, each at most
+    ``top``, the table holds only those: the last layer solves
     w y^2 = key - base for each key instead of scanning its bracket, which it
     still charges in full, so the budget counts the same visits either way.
 
@@ -268,22 +290,61 @@ def _walk(dual_data: DualData, bound: Fraction, keys: set[int] | None = None) ->
 
     No node sums its own shift: ``shifts[i]`` holds the terms' part of y_i
     for the coordinates set so far.  A level j that sets x = low adds t * low
-    to the shift of each level i with a term (j, t), adds t at each step of
-    x, and takes t * (high + 1) back after its loop, which also restores an
-    empty bracket, where low = high + 1.
+    to the shift of each level i with a term (j, t) (the data's ``moves``),
+    adds t at each step of x, and takes t * (high + 1) back after its loop,
+    which also restores an empty bracket, where low = high + 1.  The last
+    layer runs inside level 1's loop, with no call per bracket: its shift is
+    a local that moves by level 1's one term in it, and each of its brackets
+    is charged and checked before its own loop runs, in the order of the
+    unfused walk.
     """
     limit = rationals._resolve_budget()
     n = dual_data.lattice.n
-    clear, terms, weights = dual_data.clear, dual_data.terms, dual_data.weights
-    top = dual_data.scale * bound.numerator // bound.denominator
+    clear, weights, moves = dual_data.clear, dual_data.weights, dual_data.moves
     counts: dict[int, int] = {}
-    # moves[j] lists the (i, t) with t x_j in y_i: the shifts that x_j moves
     shifts = [0] * n
-    moves: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j, t in terms[i]:
-            moves[j].append((i, t))
     visited = 0
+    # The last layer, and what level 1 adds to it: its weight, and the move
+    # t x_1 of the last layer's shift (moves[1] holds at most that one term).
+    c0, w0 = clear[0], weights[0]
+    w1 = weights[1] if n > 1 else 0
+    step = moves[1][0][1] if n > 1 and moves[1] else 0
+
+    def refuse():
+        shown = _echo_number(limit)
+        raise BudgetExceeded(f"norm enumeration exceeded budget of {shown} candidate visits")
+
+    def last_layer(remaining: int, offsets: range, shift: int, multiplier: int) -> None:
+        # One last-layer bracket per level-1 offset y in ``offsets``, its shift
+        # ``shift`` at the first one and moving by ``step`` per offset.
+        nonlocal visited
+        seen = visited  # a local in the loop, written back when it ends
+        for y1 in offsets:
+            rest = remaining - w1 * y1 * y1
+            radius = math.isqrt(rest // w0)
+            low, high = -((radius + shift) // c0), (radius - shift) // c0
+            seen += multiplier * (high - low + 1)
+            if seen > limit:
+                refuse()
+            base = top - rest
+            if keys is None:
+                for y in range(c0 * low + shift, c0 * high + shift + 1, c0):
+                    key = base + w0 * y * y
+                    counts[key] = counts.get(key, 0) + multiplier
+            else:
+                for key in keys:
+                    square, odd = divmod(key - base, w0)
+                    if odd or square < 0:
+                        continue
+                    y = math.isqrt(square)
+                    if y * y != square:
+                        continue
+                    # key <= top puts +-y in the bracket, and each is a member when = shift mod c
+                    hits = ((y - shift) % c0 == 0) + (y > 0 and (y + shift) % c0 == 0)
+                    if hits:
+                        counts[key] = counts.get(key, 0) + multiplier * hits
+            shift += step
+        visited = seen
 
     def descend(level: int, remaining: int, multiplier: int) -> None:
         # Every x with w * (c*x + shift)^2 <= remaining is a candidate, and each one fits.
@@ -294,32 +355,19 @@ def _walk(dual_data: DualData, bound: Fraction, keys: set[int] | None = None) ->
         low, high = -((radius + shift) // c), (radius - shift) // c
         visited += multiplier * (high - low + 1)
         if visited > limit:
-            shown = _echo_number(limit)
-            raise BudgetExceeded(f"norm enumeration exceeded budget of {shown} candidate visits")
-        if level == 0:
-            base = top - remaining
-            if keys is None:
-                for y in range(c * low + shift, c * high + shift + 1, c):
-                    key = base + w * y * y
-                    counts[key] = counts.get(key, 0) + multiplier
-                return
-            for key in keys:
-                square, rest = divmod(key - base, w)
-                if rest or square < 0:
-                    continue
-                y = math.isqrt(square)
-                if y * y != square:
-                    continue
-                # key <= top puts +-y in the bracket, and each is a member when = shift mod c
-                hits = ((y - shift) % c == 0) + (y > 0 and (y + shift) % c == 0)
-                if hits:
-                    counts[key] = counts.get(key, 0) + multiplier * hits
-            return
+            refuse()
         if multiplier == 1:
             # Every coordinate above is 0, so shift is 0 and the bracket is -high..high:
             # walk x = 0 as it is, and x = 1..high for themselves and their mirrors -x.
-            descend(level - 1, remaining, 1)
+            if level == 1:
+                last_layer(remaining, range(1), 0, 1)
+            else:
+                descend(level - 1, remaining, 1)
             low, multiplier = 1, 2
+        if level == 1:
+            offsets = range(c * low + shift, c * high + shift + 1, c)
+            last_layer(remaining, offsets, shifts[0] + step * low, multiplier)
+            return
         moved = moves[level]
         for i, t in moved:
             shifts[i] += t * low
@@ -330,26 +378,31 @@ def _walk(dual_data: DualData, bound: Fraction, keys: set[int] | None = None) ->
         for i, t in moved:
             shifts[i] -= t * (high + 1)
 
-    descend(n - 1, top, 1)
+    if n > 1:
+        descend(n - 1, top, 1)
+    else:
+        last_layer(top, range(1), 0, 1)
     return counts
 
 
-def _exact_counts(dual_data: DualData, *norms: Fraction) -> tuple[int, ...]:
-    """The number of dual vectors of each squared norm in ``norms`` (all >= 0).
+def _exact_counts(dual_data: DualData, *norms: tuple[int, int]) -> list[int]:
+    """The number of dual vectors of each squared norm num / den, given as (num, den) >= 0.
 
-    One walk to the largest norm counts only their integer keys ``norm * T``:
-    a norm where that is not an integer has count 0, and a norm given twice
-    is one key, counted once.
+    One walk to the largest norm counts only their integer keys
+    ``T * num / den``, each one int product and one ``divmod``: a norm where
+    that is not an integer has count 0, and a norm given twice is one key,
+    counted once.  The walk's top is the largest floor, which is the floor of
+    T times the largest norm.
     """
-    keyed = [divmod(dual_data.scale * norm.numerator, norm.denominator) for norm in norms]
-    counts = _walk(dual_data, max(norms), {key for key, rest in keyed if not rest})
-    return tuple(0 if rest else counts.get(key, 0) for key, rest in keyed)
+    keyed = [divmod(dual_data.scale * num, den) for num, den in norms]
+    counts = _walk(dual_data, max(keyed)[0], {key for key, rest in keyed if not rest})
+    return [0 if rest else counts.get(key, 0) for key, rest in keyed]
 
 
 def enumerate_norms(dual_data: DualData, bound) -> WeightedSpectrum:
     """Exact counts of dual vectors with squared norm <= bound (zero included)."""
     bound = _nonnegative(bound)
-    counts = _walk(dual_data, bound)
+    counts = _walk(dual_data, dual_data.scale * bound.numerator // bound.denominator)
     table = [(key, counts[key]) for key in sorted(counts)]
     return _from_int_keys(Unit.FOUR_PI_SQUARED, bound, table, dual_data.scale)
 
@@ -361,13 +414,20 @@ def count_norm(dual_data: DualData, norm) -> int:
     when ``norm`` is off the walk's grid), and builds no table.
     """
     norm = _exact(norm, "norm")
-    if norm < 0:
+    if norm.numerator < 0:
         return 0
-    return _exact_counts(dual_data, norm)[0]
+    return _exact_counts(dual_data, (norm.numerator, norm.denominator))[0]
 
 
 def brute_force_enumerate(dual_data: DualData, bound) -> WeightedSpectrum:
-    """Reference enumeration: scan the Cauchy-Schwarz box, recheck every cell on ``dual_gram``."""
+    """Reference enumeration: scan the Cauchy-Schwarz box, recheck every cell on ``dual_gram``.
+
+    Each cell's integer norm is its prefix's norm (every coordinate but the
+    last, summed once per prefix) plus ``(a * x + b) * x`` in the last
+    coordinate x, with a the last diagonal entry and b twice the prefix's
+    pairing with the last column: O(1) per cell.  The scan reads only ``gram``
+    and ``dual_gram``, never the walk's ``clear``, ``terms``, ``weights`` or ``moves``.
+    """
     bound = _nonnegative(bound)
     n = dual_data.lattice.n
     radii = [sqrt_floor(bound * dual_data.gram[i][i]) for i in range(n)]
@@ -377,18 +437,24 @@ def brute_force_enumerate(dual_data: DualData, bound) -> WeightedSpectrum:
     scale = math.lcm(*(x.denominator for row in dual_data.dual_gram for x in row))
     dual_gram = [[int(scale * x) for x in row] for row in dual_data.dual_gram]
     top = scale * bound.numerator // bound.denominator
+    last = n - 1
+    a, column = dual_gram[last][last], [2 * row[last] for row in dual_gram[:last]]
+    span = range(-radii[last], radii[last] + 1)
     counts: dict[int, int] = {}
-    for coords in itertools.product(*(range(-r, r + 1) for r in radii)):
+    for prefix in itertools.product(*(range(-r, r + 1) for r in radii[:last])):
         norm = 0
-        for i in range(n):
-            if coords[i] == 0:
+        for i in range(last):
+            if prefix[i] == 0:
                 continue
             row = dual_gram[i]
-            norm += row[i] * coords[i] * coords[i]
-            for j in range(i + 1, n):
-                if coords[j] != 0:
-                    norm += 2 * row[j] * coords[i] * coords[j]
-        if norm <= top:
-            counts[norm] = counts.get(norm, 0) + 1
+            norm += row[i] * prefix[i] * prefix[i]
+            for j in range(i + 1, last):
+                if prefix[j] != 0:
+                    norm += 2 * row[j] * prefix[i] * prefix[j]
+        b = sum(map(operator.mul, column, prefix))
+        for x in span:
+            cell = norm + (a * x + b) * x
+            if cell <= top:
+                counts[cell] = counts.get(cell, 0) + 1
     table = [(key, counts[key]) for key in sorted(counts)]
     return _from_int_keys(Unit.FOUR_PI_SQUARED, bound, table, scale)

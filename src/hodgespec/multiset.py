@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
 from .rationals import (
     _EXACT, _charge, _echo, _echo_number, _exact, _int, _nonnegative, _positive, _Record,
-    format_rational, parse_rational,
+    _set_field, format_rational, parse_rational,
 )
 
 __all__ = ["Unit", "WeightedSpectrum", "repeated_union"]
@@ -122,7 +122,10 @@ class WeightedSpectrum(_Record):
         if keys and keys[-1] > bound:
             first = Fraction(keys[bisect_right(keys, bound)], den)
             raise ValueError(f"key {_echo_number(first)} exceeds cutoff {_echo_number(cutoff)}")
-        vars(self).update(unit=unit, cutoff=cutoff, _den=den, _ints=tuple(entries))
+        _set_field(self, "unit", unit)
+        _set_field(self, "cutoff", cutoff)
+        _set_field(self, "_den", den)
+        _set_field(self, "_ints", tuple(entries))
         return self
 
     @classmethod

@@ -41,14 +41,20 @@ DEFAULT_BUDGET = 5_000_000
 BUDGET_ENV_VAR = "HODGESPEC_BUDGET"
 
 
+# Stores a field past _Record.__setattr__; only a record building itself calls it, on self.
+_set_field = object.__setattr__
+
+
 class _Record:
     """A frozen record: its fields are its class's own annotations, in order.
 
     A subclass writes its own ``__init__``, which checks its arguments and
-    stores the fields with one ``vars(self).update(...)``.  Equality (within
-    one class), hash and repr read the fields in order, as a frozen
-    dataclass's do; assignment and deletion raise AttributeError.  Values
-    kept beside the fields, such as ``cached_property`` results, are ignored.
+    stores each field with ``_set_field(self, name, value)``, as a frozen
+    dataclass does, so an instance keeps the interpreter's compact attribute
+    layout rather than a dict of its own.  Equality (within one class), hash
+    and repr read the fields in order, as a frozen dataclass's do; assignment
+    and deletion raise AttributeError.  Values kept beside the fields, such
+    as ``cached_property`` results, are ignored.
     """
 
     _fields: tuple[str, ...] = ()
@@ -115,7 +121,7 @@ def _exact(value, name: str) -> Fraction:
         raise TypeError(
             f"{name}: expected an int or a Fraction, got {type(value).__name__} {_echo(value)}"
         )
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def _nonnegative(cutoff) -> Fraction:

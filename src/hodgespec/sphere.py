@@ -52,6 +52,7 @@ from .errors import NonpositiveScalar
 from .multiset import Unit, WeightedSpectrum, _from_int_keys, _operator_spectrum
 from .rationals import (
     _charge, _charge_comb, _degree, _echo_number, _int, _nonnegative, _positive, _Record,
+    _set_field,
 )
 
 __all__ = [
@@ -101,7 +102,12 @@ class SphereOperator(_Record):
         alpha, beta, r_squared = _positive(
             NonpositiveScalar, "alpha, beta, r_squared", alpha, beta, r_squared
         )
-        vars(self).update(n=n, p=p, alpha=alpha, beta=beta, r_squared=r_squared, generic=generic)
+        _set_field(self, "n", n)
+        _set_field(self, "p", p)
+        _set_field(self, "alpha", alpha)
+        _set_field(self, "beta", beta)
+        _set_field(self, "r_squared", r_squared)
+        _set_field(self, "generic", generic)
 
     @property
     def duality_extension(self) -> bool:
@@ -173,7 +179,12 @@ class _SeriesFormula(_Record):
     def __init__(
         self, series: Series, start: int, shift: int, scale: Fraction, n: int, q: int
     ) -> None:
-        vars(self).update(series=series, start=start, shift=shift, scale=scale, n=n, q=q)
+        _set_field(self, "series", series)
+        _set_field(self, "start", start)
+        _set_field(self, "shift", shift)
+        _set_field(self, "scale", scale)
+        _set_field(self, "n", n)
+        _set_field(self, "q", q)
 
     def value(self, k: int) -> Fraction:
         j, q, scale = k - self.shift, self.q, self.scale
@@ -332,7 +343,9 @@ class SeriesTerm(_Record):
     dim: int
 
     def __init__(self, series: Series, k: int, dim: int) -> None:
-        vars(self).update(series=series, k=k, dim=dim)
+        _set_field(self, "series", series)
+        _set_field(self, "k", k)
+        _set_field(self, "dim", dim)
 
 
 class SphereEigenvalue(_Record):
@@ -342,7 +355,8 @@ class SphereEigenvalue(_Record):
     terms: tuple[SeriesTerm, ...]
 
     def __init__(self, value: Fraction, terms: tuple[SeriesTerm, ...]) -> None:
-        vars(self).update(value=value, terms=terms)
+        _set_field(self, "value", value)
+        _set_field(self, "terms", terms)
 
     @property
     def multiplicity(self) -> int:

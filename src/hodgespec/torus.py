@@ -29,7 +29,7 @@ from math import comb
 from .errors import NonpositiveScalar, UnrepresentedNorm
 from .lattice import Lattice, _exact_counts, _walk, dual, enumerate_norms
 from .multiset import Unit, WeightedSpectrum, _operator_spectrum
-from .rationals import _degree, _echo, _echo_number, _nonnegative, _positive, _Record
+from .rationals import _degree, _echo, _echo_number, _nonnegative, _positive, _Record, _set_field
 
 __all__ = [
     "Branch",
@@ -62,7 +62,11 @@ class TorusOperator(_Record):
     ) -> None:
         _degree("torus operator", lattice.n, p, 0)
         alpha, beta = _positive(NonpositiveScalar, "alpha and beta", alpha, beta)
-        vars(self).update(lattice=lattice, p=p, alpha=alpha, beta=beta, generic=generic)
+        _set_field(self, "lattice", lattice)
+        _set_field(self, "p", p)
+        _set_field(self, "alpha", alpha)
+        _set_field(self, "beta", beta)
+        _set_field(self, "generic", generic)
 
     @property
     def n(self) -> int:
@@ -103,7 +107,9 @@ def _parts(op: TorusOperator, cutoff: Fraction) -> tuple[int, list, list]:
     alpha, beta = op.alpha, op.beta
     weight = min(w for w, copies in ((alpha, op.alpha_copies), (beta, op.beta_copies)) if copies)
     data = dual(op.lattice)
-    counts = _walk(data, cutoff / weight)
+    # T * cutoff / weight, floored in ints
+    counts = _walk(data, data.scale * cutoff.numerator * weight.denominator
+                   // (cutoff.denominator * weight.numerator))
     den = data.scale * alpha.denominator * beta.denominator
     top = den * cutoff.numerator // cutoff.denominator
     norms = sorted(counts)
@@ -154,8 +160,12 @@ def eigenvalue_multiplicity(op: TorusOperator, norm, branch: Branch) -> int:
     else:
         raise TypeError(f"branch must be a Branch, got {_echo(branch)}")
     # The other family reaches the key own*norm at the dual norm norm*own/other:
-    # one walk to the larger of the two norms counts both, and only them.
-    norms = (norm, norm * own / other) if other_copies and not op.generic else (norm,)
+    # one walk to the larger of the two norms counts both, and only them.  Each
+    # norm goes in as an int (num, den) pair, so no Fraction is built here.
+    norms = [(norm.numerator, norm.denominator)]
+    if other_copies and not op.generic:
+        norms.append((norm.numerator * own.numerator * other.denominator,
+                      norm.denominator * own.denominator * other.numerator))
     base, *crossed = _exact_counts(dual(op.lattice), *norms)
     if base == 0:
         raise UnrepresentedNorm(f"no dual vector has squared norm {_echo_number(norm)}")

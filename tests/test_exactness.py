@@ -56,12 +56,17 @@ def test_guard_catches_each_float_form():
 TRUSTED_BUILDER = ("multiset.py", "_from_int_keys")
 
 
+# rationals' alias of object.__setattr__, through which a record stores its fields
+SETTER_ALIAS = "_set_field"
+
+
 class _Bypasses(ast.NodeVisitor):
     """Calls that make an instance or set its fields without the constructor.
 
-    Any ``__new__`` call, and any ``__setattr__`` call, ``vars(x)`` or
-    ``x.__dict__`` on something other than ``self`` (a record storing its own
-    fields in ``__init__``), recorded with the name of the function it sits in.
+    Any ``__new__`` call, and any ``__setattr__`` or ``_set_field`` call,
+    ``vars(x)`` or ``x.__dict__`` on something other than ``self`` (a record
+    storing its own fields in ``__init__``), recorded with the name of the
+    function it sits in.
     """
 
     def __init__(self) -> None:
@@ -76,10 +81,12 @@ class _Bypasses(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         target = node.args[0] if node.args else None
-        if isinstance(func, ast.Attribute) and func.attr in ("__new__", "__setattr__"):
+        setters = ("__new__", "__setattr__", SETTER_ALIAS)
+        if isinstance(func, ast.Attribute) and func.attr in setters:
             if func.attr == "__new__" or not _is_self(target):
                 self.found.append((self.scope, node.lineno))
-        elif isinstance(func, ast.Name) and func.id == "vars" and target and not _is_self(target):
+        elif (isinstance(func, ast.Name) and func.id in ("vars", SETTER_ALIAS) and target
+              and not _is_self(target)):
             self.found.append((self.scope, node.lineno))
         self.generic_visit(node)
 
@@ -125,6 +132,20 @@ def test_bypass_guard_catches_each_form():
     )
     found = bypasses(ast.parse(source))
     assert found == [("build", 2), ("build", 3), ("build", 4), ("build", 5), ("build", 6)]
+
+
+def test_bypass_guard_catches_the_field_setter_alias():
+    source = (
+        "def build(unit):\n"
+        "    spectrum = object.__new__(WeightedSpectrum)\n"
+        "    _set_field(spectrum, 'unit', unit)\n"
+        "    rationals._set_field(spectrum, 'unit', unit)\n"
+        "class Op:\n"
+        "    def __init__(self, alpha):\n"
+        "        _set_field(self, 'alpha', alpha)\n"
+        "        rationals._set_field(self, 'alpha', alpha)\n"
+    )
+    assert bypasses(ast.parse(source)) == [("build", 2), ("build", 3), ("build", 4)]
 
 
 # The parameter rules (exact types, signs, degree ranges) live in rationals.py,

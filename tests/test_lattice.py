@@ -1,6 +1,8 @@
 """Lattice duals and exact norm enumeration, layered vs brute force."""
 
+import contextlib
 import random
+import signal
 from fractions import Fraction as F
 
 import pytest
@@ -281,6 +283,41 @@ def test_budget_counts_exact_candidate_visits(lattice, bound, small_budget, monk
     else:
         with pytest.raises(UnrepresentedNorm):
             multiplicity()
+
+
+@contextlib.contextmanager
+def refused_within(seconds: float):
+    """Fail the block, by an AssertionError, if it is still running after ``seconds``."""
+
+    def late(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_last_layer_bracket_is_charged_before_its_loop_runs(monkeypatch):
+    # 10^18 |l|^2 = 10^18 x1^2 + x0^2: at the bound 10^18 the top layer has the
+    # 3 candidates x1 = -1..1, and under x1 = 0 the last layer's bracket has
+    # 2 * 10^9 + 1.  Charged before its loop, that bracket is refused at once;
+    # charged after it, the walk would first run 2 * 10^9 steps.
+    lattice = Lattice(((F(1), F(0)), (F(0), F(1, 10**9))))
+    data, bound = dual(lattice), 10**18
+    op = TorusOperator(lattice, 1, F(1), F(1))
+    monkeypatch.setenv(BUDGET_ENV_VAR, "100")
+    queries = (
+        lambda: enumerate_norms(data, bound), lambda: count_norm(data, bound),
+        lambda: f_spectrum(op, bound),
+    )
+    for query in queries:
+        with refused_within(1), pytest.raises(BudgetExceeded) as raised:
+            query()
+        assert str(raised.value) == "norm enumeration exceeded budget of 100 candidate visits"
 
 
 def test_budget_env_var(monkeypatch):

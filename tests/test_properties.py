@@ -527,8 +527,34 @@ def positive_keys(data, count: int) -> list:
 query_weights = st.fractions(F(1, 2), 2, max_denominator=7)
 
 
+class Draws:
+    """Stands in for ``st.data()`` in an ``@example``: each draw returns the next given value."""
+
+    def __init__(self, *values):
+        self.given, self.values = values, iter(values)
+
+    def __repr__(self) -> str:
+        return f"Draws{self.given!r}"
+
+    def draw(self, strategy, label=None):
+        return next(self.values)
+
+
+# 4 |l|^2 = 9 |x|^2: the first positive norms are 9/4, 9/2, 27/4 and 9, on the grid 1/T = 1/4.
+CUBE_2_3 = Lattice(tuple(tuple(F(2, 3) if r == c else F(0) for c in range(3)) for r in range(3)))
+# Numerators of 40 digits, coprime to each other.
+WIDE = (F(10**39 + 3, 10**39), F(10**39 + 1, 10**39))
+
+
 @PROPERTY
 @given(coprime_lattices(), st.data())
+# Draws, for a "key" query: i, j, alpha, a drawn weight, beta, kind, p.  The
+# cross norm 9 * (9/8) / (3/2) = 27/4 is a key, its int pair (162, 24) only
+# after cancellation; 9/4 * 21/10 and 9/4 * 10/21 lie off the grid; and the
+# wide weights make 79-digit pairs whose keys are off the grid.
+@example(CUBE_2_3, Draws(3, 2, F(3, 2), F(1), F(9, 8), "key", 1))
+@example(CUBE_2_3, Draws(0, 1, F(3, 2), F(5, 7), F(5, 7), "key", 2))
+@example(CUBE_2_3, Draws(1, 0, *WIDE, WIDE[1], "key", 1))
 def test_queries_read_the_enumerated_table(lattice, data):
     dual_data = dual(lattice)
     found = positive_keys(dual_data, 4)
@@ -658,6 +684,10 @@ def fraction_box_scan(data, bound) -> WeightedSpectrum:
 
 @settings(PROPERTY, max_examples=30)
 @given(coprime_lattices(), st.integers(1, 300), st.sampled_from(OFF_GRID))
+# n = 1: every cell is the empty prefix and a last coordinate.
+@example(Lattice(((F(3, 2),),)), 300, 97)
+# Every bound below 477/49, the last dual basis vector's norm: radii 12 and 0.
+@example(Lattice(((F(7), F(2)), (F(0), F(1, 3)))), 300, 101)
 def test_integer_box_scan_equals_fraction_recheck(lattice, num, den):
     data = dual(lattice)
     # The box scan's own integer scale: the lcm of the dual Gram denominators.
