@@ -1,4 +1,4 @@
-"""Isospectrality verdicts and constructive parameter recovery.
+"""Isospectrality verdicts, one tuple comparison of int entries, and constructive recovery.
 
 The recovery routines run the uniqueness proofs forward as algorithms.
 Every one of them works on truncated data and either finishes inside the
@@ -17,7 +17,9 @@ so tests can demand that engineered inputs exercise every case.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import comb, lcm
+from operator import ne
 from typing import Callable
 
 from .errors import (
@@ -30,7 +32,7 @@ from .errors import (
     NotInImage,
     UnitMismatch,
 )
-from .multiset import Unit, WeightedSpectrum, _from_int_keys, _merged, repeated_union
+from .multiset import Unit, WeightedSpectrum, _from_int_keys, repeated_union
 from .rationals import (
     _charge_comb, _degree, _echo_number, _int, _nonnegative, _positive, _Record, _set_field,
     format_rational,
@@ -94,9 +96,10 @@ def first_divergence(
 ) -> tuple[Fraction, int, int] | None:
     """Smallest key <= bound where multiplicities differ, or None.
 
-    ``_merge`` sums ``left`` minus ``right`` up to the bound, over the lcm
-    of their denominators, and keeps zero totals in key order; its first
-    nonzero total names the key, and both multiplicities are then read off
+    Both sides' int entries up to the bound, over the lcm of their
+    denominators, are compared as tuples.  At the first index where they
+    differ (or the shorter one ends) the smaller key is the divergence, as
+    stored multiplicities are positive, and both multiplicities are read off
     by bisection.  A negative bound is refused, like a negative cutoff.
     """
     left._require_same_unit(right)
@@ -104,9 +107,13 @@ def first_divergence(
     if bound > left.cutoff or bound > right.cutoff:
         cutoffs = ", ".join(map(_echo_number, (left.cutoff, right.cutoff)))
         raise CutoffExceeded(f"comparison bound {_echo_number(bound)} exceeds a cutoff ({cutoffs})")
-    den, merged = _merged(left, 1, right, -1, bound)
-    key = next((Fraction(key, den) for key, diff in merged if diff), None)
-    return None if key is None else (key, left.multiplicity(key), right.multiplicity(key))
+    den = lcm(left._den, right._den)
+    a, b = (tuple(side._upto(bound, den)) for side in (left, right))
+    if a == b:
+        return None
+    i = next(compress(range(len(a)), map(ne, a, b)), min(len(a), len(b)))  # the first difference
+    key = Fraction(min(side[i][0] for side in (a, b) if i < len(side)), den)
+    return key, left.multiplicity(key), right.multiplicity(key)
 
 
 def reconstruct_base(

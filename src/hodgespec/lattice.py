@@ -422,11 +422,12 @@ def count_norm(dual_data: DualData, norm) -> int:
 def brute_force_enumerate(dual_data: DualData, bound) -> WeightedSpectrum:
     """Reference enumeration: scan the Cauchy-Schwarz box, recheck every cell on ``dual_gram``.
 
-    Each cell's integer norm is its prefix's norm (every coordinate but the
-    last, summed once per prefix) plus ``(a * x + b) * x`` in the last
-    coordinate x, with a the last diagonal entry and b twice the prefix's
-    pairing with the last column: O(1) per cell.  The scan reads only ``gram``
-    and ``dual_gram``, never the walk's ``clear``, ``terms``, ``weights`` or ``moves``.
+    The coordinates are scanned by increasing radius, the widest innermost.
+    Each cell's integer norm is its prefix's norm (summed once per prefix)
+    plus ``(a * x + b) * x`` in the innermost coordinate x, with a its
+    diagonal entry and b twice the prefix's pairing with its column: O(1)
+    per cell.  The scan reads only ``gram`` and ``dual_gram``, never the
+    walk's ``clear``, ``terms``, ``weights`` or ``moves``.
     """
     bound = _nonnegative(bound)
     n = dual_data.lattice.n
@@ -435,7 +436,9 @@ def brute_force_enumerate(dual_data: DualData, bound) -> WeightedSpectrum:
     _charge(cells, lambda: f"brute-force box has {_echo_number(cells)} cells", BoxTooLarge)
     # scale * dual_gram is an integer matrix, so scale * |l|^2 is an integer per cell.
     scale = math.lcm(*(x.denominator for row in dual_data.dual_gram for x in row))
-    dual_gram = [[int(scale * x) for x in row] for row in dual_data.dual_gram]
+    order = sorted(range(n), key=radii.__getitem__)  # relabelling coordinates keeps every norm
+    radii.sort()
+    dual_gram = [[int(scale * dual_data.dual_gram[i][j]) for j in order] for i in order]
     top = scale * bound.numerator // bound.denominator
     last = n - 1
     a, column = dual_gram[last][last], [2 * row[last] for row in dual_gram[:last]]

@@ -13,9 +13,10 @@ keys over one common denominator to ``_from_int_keys``, which reduces them by
 their gcd with it; the public constructor clears its keys' denominators once,
 to their lcm, over which the numerators are already in least terms, and
 hands them to the same check-and-store step without a gcd.  Union,
-difference, scaling, truncation and comparison bring two sides to the lcm of
-their denominators and run on integers through one merge, ``_merge``: a dict
-sum of both sides and one sort.  ``entries`` builds the Fraction keys only
+difference and spectrum assembly bring two sides to the lcm of their
+denominators and run on integers through one merge, ``_merge``: one list,
+one sort on the int key, and a sum only where keys meet; comparison reads
+the same int entries as tuples.  ``entries`` builds the Fraction keys only
 when it is read.
 
 Unit tags keep flat-torus spectra (keys are eigenvalues divided by 4*pi^2)
@@ -29,7 +30,8 @@ import enum
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter, lt
+from itertools import compress, count, islice
+from operator import eq, itemgetter, lt
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CutoffExceeded, EmptySpectrum, NonpositiveScalar, ParseError, UnitMismatch
@@ -109,10 +111,9 @@ class WeightedSpectrum(_Record):
         if not isinstance(unit, Unit):
             raise TypeError("unit must be a Unit")
         cutoff = _nonnegative(cutoff)
-        for _, mult in entries:
-            if type(mult) is not int or mult < 1:  # refuses bools, unlike isinstance
-                raise _multiplicity_error(mult)
-        keys = [key for key, _ in entries]
+        keys = [key for key, mult in entries if type(mult) is int and mult > 0]  # refuses bools
+        if len(keys) < len(entries):
+            raise _multiplicity_error(next(m for _, m in entries if type(m) is not int or m < 1))
         if not all(map(lt, keys, keys[1:])):
             raise ValueError("entries must be strictly increasing in key")
         # keys strictly increase, so the first and last ones bound them all
@@ -329,11 +330,7 @@ def repeated_union(
 
 
 def _merged(left, left_count: int, right, right_count: int, cutoff) -> tuple[int, list]:
-    """``(den, merged)``: ``_merge`` of both sides' entries with key <= cutoff, over one den.
-
-    den is the lcm of the two sides' denominators, and the merged keys are
-    int numerators over it.
-    """
+    """``(den, merged)``: ``_merge`` of both sides' entries up to cutoff, over den, their lcm."""
     den = lcm(left._den, right._den)
     return den, _merge(left._upto(cutoff, den), left_count, right._upto(cutoff, den), right_count)
 
@@ -341,21 +338,22 @@ def _merged(left, left_count: int, right, right_count: int, cutoff) -> tuple[int
 def _merge(a, a_count: int, b, b_count: int) -> list:
     """Sum two key-sorted (key, multiplicity) sequences, each side times its copy count.
 
-    Side a goes into a dict scaled by its count (at count 1 the dict is a
-    plain copy) and side b is added to it; a side with count zero adds
-    nothing.  A count of -1 subtracts that side, so a total may come out zero
-    or negative, and such totals stay: ``difference`` keeps the positive ones
-    and ``first_divergence`` reads the first nonzero one.  Keys are int
-    numerators over one common denominator.  Both inputs are key-sorted, so
-    the dict holds two ascending runs and ``sorted`` merges them in one
-    linear timsort pass.  Every union, difference, comparison and spectrum
-    assembly goes through this merge.
+    Keys are int numerators over one common denominator.  Both sides, scaled
+    by their counts (a side at count 1 is taken as it is, at count zero it
+    adds nothing), go into one list, sorted once on the int key: two
+    ascending runs, so one linear timsort merge.  Only when some keys meet
+    is each run of equal keys summed into its last entry.  A count of -1
+    subtracts that side, so a total may come out zero or negative, and such
+    totals stay: ``difference`` keeps the positive ones.
     """
-    if a_count == 1:
-        merged = dict(a)
-    else:
-        merged = {key: a_count * mult for key, mult in a} if a_count else {}
-    if b_count:
-        for key, mult in b:
-            merged[key] = merged.get(key, 0) + b_count * mult
-    return sorted(merged.items())
+    a, b = (side if copies == 1 else [(key, copies * mult) for key, mult in side] if copies else ()
+            for side, copies in ((a, a_count), (b, b_count)))
+    merged = [*a, *b]
+    merged.sort(key=itemgetter(0))
+    if not any(map(eq, map(itemgetter(0), merged), map(itemgetter(0), islice(merged, 1, None)))):
+        return merged
+    keys = [*map(itemgetter(0), merged)]
+    for i in compress(count(), map(eq, keys, islice(keys, 1, None))):
+        merged[i + 1] = (keys[i], merged[i][1] + merged[i + 1][1])
+        merged[i] = None
+    return [*filter(None, merged)]

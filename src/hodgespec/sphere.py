@@ -30,7 +30,8 @@ k = 0: at j = -1 the quadratic vanishes, and that term is the zero
 eigenvalue of the constants (the volume form at p = n), of dimension 1.
 
 Over den, the lcm of the operator's scale denominators, every key is an
-integer.  The series are cut at floor(cutoff * den), merged and matched as
+integer.  The series are cut at floor(cutoff * den), each into one list of
+(key, dim) pairs that the merge reads without a copy, merged and matched as
 integers, and the spectrum keeps the int keys over den, as the torus norm
 tables do.  A series steps C(j+n, n) from one term to the next by exact
 integer ratios, each checked in line, and its quadratic by addition;
@@ -46,7 +47,6 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import comb, isqrt, lcm
-from typing import Iterator
 
 from .errors import NonpositiveScalar
 from .multiset import Unit, WeightedSpectrum, _from_int_keys, _operator_spectrum
@@ -193,14 +193,15 @@ class _SeriesFormula(_Record):
     def dim(self, k: int) -> int:
         """The dimension of term k: the first term of the series from k on, charged as one."""
         first = _SeriesFormula(self.series, k, self.shift, self.scale, self.n, self.q)
-        _, _, dim = next(first.terms(self.value(k), self.scale.denominator))
+        _, [(_, dim)] = first.terms(self.value(k), self.scale.denominator)
         return dim
 
-    def terms(self, cutoff: Fraction, den: int) -> Iterator[tuple[int, int, int]]:
-        """(k, key, dim) of every term with value(k) = key / den <= cutoff.
+    def terms(self, cutoff: Fraction, den: int) -> tuple[int, list[tuple[int, int]]]:
+        """``(start, pairs)``: (key, dim) of every term with value(k) = key / den <= cutoff.
 
-        ``den`` is a multiple of the scale's denominator, so the key is the
-        integer factor * (j+q)(j+b) with factor = scale * den and b = n-q+1.
+        Term k is ``pairs[k - start]``.  ``den`` is a multiple of the scale's
+        denominator, so the key is the integer factor * (j+q)(j+b) with
+        factor = scale * den and b = n-q+1.
         value(k) <= cutoff exactly when (j+q)(j+b) <= m = floor(cutoff/scale),
         and 4(j+q)(j+b) = (2j+q+b)^2 - (q-b)^2 names the last such j.
 
@@ -222,9 +223,9 @@ class _SeriesFormula(_Record):
         factor = self.scale.numerator * (den // self.scale.denominator)
         # floor(cutoff/scale) = floor(floor(cutoff * den) / factor)
         m = den * cutoff.numerator // cutoff.denominator // factor
-        first = self.start - shift
+        first, pairs = self.start - shift, []
         if m < (first + q) * (first + b):
-            return
+            return self.start, pairs
         last = (isqrt(4 * m + (q - b) ** 2) - q - b) // 2
         count, width = last + 1 - first, 1 + min(n, last + shift) + min(q, n - q)
         _charge(count * width, lambda: f"sphere dimensions need {_echo_number(count)} terms "
@@ -232,27 +233,28 @@ class _SeriesFormula(_Record):
         _charge_comb(n, q)
         _charge_comb(max(first, 0) + n, n)
         if first < 0:
-            yield self.start, 0, 1
+            pairs.append((0, 1))
             first = 0
         binomials = comb(n, q) * q * comb(first + n, n)
-        k, quadratic, linear = first + shift, (first + q) * (first + b), 2 * first + n + 1
+        quadratic, linear, append = (first + q) * (first + b), 2 * first + n + 1, pairs.append
         for i in range(first + 1, last + 2):  # i = j + 1
             dim, remainder = divmod(binomials * linear, quadratic)
             if remainder:
-                raise _non_integral(self, k, binomials * linear, quadratic)
-            yield k, factor * quadratic, dim
-            k += 1
+                raise _non_integral(self, i - 1 + shift, binomials * linear, quadratic)
+            append((factor * quadratic, dim))
+            if i > last:  # no step past the last term: dim(k) checks its own steps only
+                break
             stepped, remainder = divmod(binomials * (i + n), i)
             if remainder:
-                raise _non_integral(self, k, binomials * (i + n), i)
+                raise _non_integral(self, i + shift, binomials * (i + n), i)
             binomials = stepped
             quadratic += linear + 1
             linear += 2
+        return self.start, pairs
 
     def spectrum(self, cutoff: Fraction) -> WeightedSpectrum:
         den = self.scale.denominator
-        entries = [(key, dim) for _, key, dim in self.terms(cutoff, den)]
-        return _from_int_keys(Unit.PLAIN, cutoff, entries, den)
+        return _from_int_keys(Unit.PLAIN, cutoff, self.terms(cutoff, den)[1], den)
 
 
 def _series(side: Series, n: int, p: int, coefficient, r_squared) -> _SeriesFormula:
@@ -262,7 +264,8 @@ def _series(side: Series, n: int, p: int, coefficient, r_squared) -> _SeriesForm
     Where q = n (lambda at p = 0, mu at p = n) it is the scalar series, one
     index on, after the constants' zero at k = 0.
     """
-    scale = Fraction(coefficient) / Fraction(r_squared)
+    scale = Fraction(coefficient.numerator * r_squared.denominator,
+                     coefficient.denominator * r_squared.numerator)
     q, shift = (n - p, 1) if side is Series.LAMBDA else (p, 0)
     if q == n:
         return _SeriesFormula(side, 0, 1, scale, n, n)
@@ -272,16 +275,16 @@ def _series(side: Series, n: int, p: int, coefficient, r_squared) -> _SeriesForm
 def _series_of(op: SphereOperator, cutoff: Fraction) -> tuple[int, dict[Series, list]]:
     """The operator's series, each stepped once up to a checked ``cutoff``.
 
-    Returns ``(den, {series: [(k, key, dim), ...]})`` with den the lcm of the
-    series' scale denominators, so that every key is an integer over it, and
-    each list sorted by key.  Lambda (beta side, the co-exact forms, for
-    p < n) is stepped before mu (alpha side, the exact forms, for p > 0).
+    Returns ``(den, {series: (start, [(key, dim), ...])})`` with den the lcm
+    of the series' scale denominators, so that every key is an integer over
+    it, and each list sorted by key.  Lambda (beta side, the co-exact forms,
+    for p < n) is stepped before mu (alpha side, the exact forms, for p > 0).
     """
     n, p = op.n, op.p
     sides = ((Series.LAMBDA, op.beta, p < n), (Series.MU, op.alpha, p > 0))
     formulas = [_series(side, n, p, c, op.r_squared) for side, c, present in sides if present]
     den = lcm(*(formula.scale.denominator for formula in formulas))
-    return den, {formula.series: list(formula.terms(cutoff, den)) for formula in formulas}
+    return den, {formula.series: formula.terms(cutoff, den) for formula in formulas}
 
 
 def lambda_k(op: SphereOperator, k: int) -> Fraction:
@@ -306,9 +309,7 @@ def _parts(op: SphereOperator, cutoff: Fraction) -> tuple[int, list, list]:
     Returns ``(den, alpha_part, beta_part)``, each part sorted by key.
     """
     den, series = _series_of(op, cutoff)
-    alpha_part, beta_part = (
-        [(key, dim) for _, key, dim in series.get(side, ())] for side in (Series.MU, Series.LAMBDA)
-    )
+    alpha_part, beta_part = (series.get(side, (0, []))[1] for side in (Series.MU, Series.LAMBDA))
     if op.p == op.n:
         # Duality image of p = 0: the alpha-scaled scalar series; its zero
         # eigenvalue (the volume form, term k = 0) sits on the beta side.
@@ -369,8 +370,8 @@ def eigenvalue_details(op: SphereOperator, cutoff) -> tuple[SphereEigenvalue, ..
         raise ValueError("generic-mode operators do not merge series")
     den, series = _series_of(op, _nonnegative(cutoff))
     found: dict[int, list[SeriesTerm]] = {}
-    for side, terms in series.items():
-        for k, key, dim in terms:
+    for side, (start, pairs) in series.items():
+        for k, (key, dim) in enumerate(pairs, start):
             found.setdefault(key, []).append(SeriesTerm(side, k, dim))
     return tuple(
         SphereEigenvalue(Fraction(key, den), tuple(terms)) for key, terms in sorted(found.items())
@@ -384,5 +385,6 @@ def coincidences(op: SphereOperator, cutoff) -> tuple[tuple[int, int], ...]:
         return ()
     _, series = _series_of(op, cutoff)
     # keys strictly increase in k, so each key names at most one mu term
-    mu_at = {key: k for k, key, _ in series[Series.MU]}
-    return tuple((k, mu_at[key]) for k, key, _ in series[Series.LAMBDA] if key in mu_at)
+    (mu_start, mu), (lambda_start, lam) = series[Series.MU], series[Series.LAMBDA]
+    mu_at = {key: k for k, (key, _) in enumerate(mu, mu_start)}
+    return tuple((k, mu_at[key]) for k, (key, _) in enumerate(lam, lambda_start) if key in mu_at)

@@ -93,6 +93,13 @@ def reference_divergence(left, right, bound):
 
 @PROPERTY
 @given(spectrum_pairs())
+# Equal up to the bound over least denominators 2 and 6; 37/3, off the left's grid, lies above it.
+@example((weighted({F(1): 2, F(3, 2): 1}, 13), weighted({F(1): 2, F(3, 2): 1, F(37, 3): 1}, 13),
+          F(12)))
+# The left side is a strict prefix of the right one: multiplicity 0 on the left at 5.
+@example((weighted({F(1): 1, F(2): 3}, 12), weighted({F(1): 1, F(2): 3, F(5): 2}, 12), F(10)))
+# The last keys agree and their multiplicities differ.
+@example((weighted({F(1): 1, F(4): 2}, 12), weighted({F(1): 1, F(4): 3}, 12), F(4)))
 def test_first_divergence_matches_per_key_reference(pair):
     left, right, bound = pair
     found = first_divergence(left, right, bound)
@@ -157,6 +164,10 @@ merge_counts = st.sampled_from((-1, 0, 1, 3))
 @PROPERTY
 @given(sorted_sides, merge_counts, sorted_sides, merge_counts)
 @example([(1, 2), (4, 1)], 1, [(1, 2), (5, 1)], -1)  # the total at key 1 is zero
+@example([(0, 2), (3, 1), (7, 4)], 1, [(0, 2), (3, 1), (7, 4)], 1)  # every key collides
+@example([(0, 2), (3, 1), (7, 4)], 1, [(0, 2), (3, 1), (7, 4)], -1)  # every total is zero
+@example([(1, 1), (2, 4), (6, 1)], 3, [(2, 1), (5, 2), (6, 3)], 1)  # shared keys at count 3
+@example([(1, 1), (2, 4)], 0, [(2, 1), (5, 2)], 1)  # side a adds nothing
 def test_merge_matches_a_counter_reference(a, a_count, b, b_count):
     expected = Counter()
     for side, count in ((a, a_count), (b, b_count)):
@@ -688,6 +699,9 @@ def fraction_box_scan(data, bound) -> WeightedSpectrum:
 @example(Lattice(((F(3, 2),),)), 300, 97)
 # Every bound below 477/49, the last dual basis vector's norm: radii 12 and 0.
 @example(Lattice(((F(7), F(2)), (F(0), F(1, 3)))), 300, 101)
+# At bounds near 1/2 the radii are 1, 1, 1, 0: the widest coordinate is not the last.
+@example(Lattice(((F(4, 3), F(1, 2), F(-1, 3), F(1, 4)), (F(0), F(3, 2), F(1, 5), F(-1, 2)),
+                  (F(0), F(0), F(5, 4), F(2, 3)), (F(0), F(0), F(0), F(7, 6)))), 51, 101)
 def test_integer_box_scan_equals_fraction_recheck(lattice, num, den):
     data = dual(lattice)
     # The box scan's own integer scale: the lcm of the dual Gram denominators.
@@ -810,7 +824,8 @@ def stepped_dims(formula, last):
     scalar series' first term, j = -1.
     """
     den, n, q, shift = formula.scale.denominator, formula.n, formula.q, formula.shift
-    terms = list(formula.terms(formula.value(last), den))
+    start, pairs = formula.terms(formula.value(last), den)
+    terms = [(k, key, dim) for k, (key, dim) in enumerate(pairs, start)]
     assert [k for k, _, _ in terms] == list(range(formula.start, last + 1))
     assert [key for _, key, _ in terms] == [
         formula.scale * (k - shift + q) * (k - shift + n - q + 1) * den for k, _, _ in terms
