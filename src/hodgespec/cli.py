@@ -6,9 +6,11 @@ Subcommands:
   recover base-set | torus-params | sphere-params | radius
   enumerate                          dump a lattice's dual-norm table
 
-Each operator or recovery flag is declared once, in ``_FLAGS``.  Argparse
-requires an operator's p, alpha and beta; ``_operator`` checks its other flags,
-for ``spectrum torus|sphere`` and for each isospec side (``--left-p``) alike.
+Every flag is declared once, in ``_FLAGS``; each command names its flags, in
+order, in one ``_flags`` call, and an isospec side prefixes them (``--left-p``).
+Argparse requires an operator's p, alpha and beta; ``_operator`` checks its
+other flags against ``_KIND_FLAGS``, for ``spectrum torus|sphere`` and for each
+isospec side alike.
 
 Exit codes: 0 success (isospec: isospectral), 1 isospec found a divergence,
 2 malformed input, 3 computation refused (domain errors), 4 a recovery gave
@@ -198,15 +200,14 @@ def _operator(args, kind: str, side: str = "") -> TorusOperator | SphereOperator
     def flag(name: str):
         return getattr(args, f"{side}_{name}" if side else name, None)
 
+    for other, names in _KIND_FLAGS.items():
+        if other != kind and any(flag(name) is not None for name in names):
+            raise ParseError(f"{dash}{names[0]} and {dash}{names[1]} apply to {other} sides only")
     generic = flag("mode") == "generic"
     p, alpha, beta = flag("p"), flag("alpha"), flag("beta")
     if kind == "torus":
-        if flag("n") is not None or flag("r2") is not None:
-            raise ParseError(f"{dash}n and {dash}r2 apply to sphere sides only")
         lattice = _load_lattice(flag("lattice"), flag("zn"), dash)
         return TorusOperator(lattice, p, alpha, beta, generic=generic)
-    if flag("lattice") is not None or flag("zn") is not None:
-        raise ParseError(f"{dash}lattice and {dash}zn apply to torus sides only")
     if flag("n") is None or flag("r2") is None:
         raise ParseError(f"a sphere operator needs {dash}n and {dash}r2")
     return SphereOperator(flag("n"), p, alpha, beta, flag("r2"), generic=generic)
@@ -216,10 +217,15 @@ def _cmd_spectrum(args) -> int:
     op = _operator(args, args.surface)
     spectrum, parts = _SPECTRA[args.surface]
     spectra = parts(op, args.cutoff) if op.generic else (spectrum(op, args.cutoff),)
-    # CPython writes an int in decimal in time quadratic in its length: a
-    # multiplicity of b bits is charged (b >> 10)^2, so one under 1024 bits is free
-    work = sum((mult.bit_length() >> 10) ** 2 for part in spectra for _, mult in part)
-    _charge(work, lambda: f"writing the multiplicities in decimal needs {_echo_number(work)} work")
+    # CPython writes an int in decimal in time quadratic in its length: each
+    # multiplicity, key numerator and key denominator of b bits is charged
+    # (b >> 10)^2, so one under 1024 bits is free
+    mults = keys = 0
+    for key, mult in (entry for part in spectra for entry in part):
+        mults += (mult.bit_length() >> 10) ** 2
+        keys += (key.numerator.bit_length() >> 10) ** 2 + (key.denominator.bit_length() >> 10) ** 2
+    _charge(mults, lambda: f"writing the multiplicities in decimal needs {_echo_number(mults)} work")
+    _charge(keys, lambda: f"writing the keys in decimal needs {_echo_number(keys)} work")
     _write(args, dict(zip(("alpha_part", "beta_part"), spectra)) if op.generic else spectra[0])
     _extension_note(op)
     return 0
@@ -233,10 +239,9 @@ def _cmd_isospec(args) -> int:
         op = _operator(args, kind, side)
         sides.append((op, _SPECTRA[kind][0](op, args.cutoff)))
     (left_op, left), (right_op, right) = sides
-    payload = {"isospectral": True, "cutoff": args.cutoff}
     divergence = first_divergence(left, right, args.cutoff)
+    payload = {"isospectral": divergence is None, "cutoff": args.cutoff}
     if divergence is not None:
-        payload["isospectral"] = False
         fields = ("key", "left_multiplicity", "right_multiplicity")
         payload["first_divergence"] = dict(zip(fields, divergence))
     _write(args, payload)
@@ -277,9 +282,11 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-# Every flag that names an operator or a recovery input, declared once: a
-# command picks its flags by name, and an isospec side prefixes them.
+# Every flag of every command, declared once: a command picks its flags by
+# name and in order with one _flags call, and an isospec side prefixes them.
 _FLAGS = {
+    "kind": {"choices": ("torus", "sphere")},
+    "spectrum": {"help": "spectrum JSON file, - for stdin"},
     "lattice": {"help": "lattice JSON file, - for stdin"},
     "zn": {"type": _positive_int, "help": "standard Z^n lattice"},
     "n": {"type": _positive_int, "help": "dimension n"},
@@ -290,21 +297,21 @@ _FLAGS = {
     "copies-alpha": {"type": _positive_int},
     "copies-beta": {"type": _positive_int},
     "base": {"help": "scalar spectrum JSON of the same lattice"},
+    "cutoff": {"type": _nonnegative_rational, "help": "truncation bound (torus: units of 4 pi^2)"},
+    "bound": {"type": _nonnegative_rational},
+    "box": {"action": "store_true", "help": "use the box-scan reference enumeration"},
+    "mode": {"choices": ("merged", "generic"), "default": "merged",
+             "help": "generic keeps the alpha and beta series separate"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "output": {"help": "output file, stdout when omitted"},
 }
 # each kind's own operator flags; every kind also has p, alpha and beta
 _KIND_FLAGS = {"torus": ("lattice", "zn"), "sphere": ("n", "r2")}
 
 
-def _flags(parser, names, required=(), dash: str = "--") -> None:
+def _flags(parser, names, required, dash: str = "--") -> None:
     for name in names:
         parser.add_argument(dash + name, required=name in required, **_FLAGS[name])
-
-
-def _operator_flags(parser, kinds, side: str = "") -> None:
-    """The operator flags of ``kinds``, named ``--<side>-p`` etc. for an isospec side."""
-    shared = ("p", "alpha", "beta")
-    own = tuple(name for kind in kinds for name in _KIND_FLAGS[kind])
-    _flags(parser, own + shared, shared, f"--{side}-" if side else "--")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -319,63 +326,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
     spectrum = sub.add_parser("spectrum", help="compute a truncated spectrum")
     surface = spectrum.add_subparsers(dest="surface", required=True)
-
-    for kind, help, unit in (
-        ("torus", "flat torus R^n / lattice", ", in units of 4 pi^2"),
-        ("sphere", "round sphere S^n", ""),
-    ):
+    for kind, help in (("torus", "flat torus R^n / lattice"), ("sphere", "round sphere S^n")):
         cmd = surface.add_parser(kind, help=help)
-        _operator_flags(cmd, (kind,))
-        cmd.add_argument(
-            "--cutoff", type=_nonnegative_rational, required=True, help=f"truncation bound{unit}"
-        )
-        cmd.add_argument(
-            "--mode",
-            choices=("merged", "generic"),
-            default="merged",
-            help="generic keeps the alpha and beta series separate",
-        )
-        cmd.add_argument("--format", choices=("json", "csv"), default="json")
-        cmd.add_argument("--output", help="output file, stdout when omitted")
+        names = (*_KIND_FLAGS[kind], "p", "alpha", "beta", "cutoff", "mode", "format", "output")
+        _flags(cmd, names, ("p", "alpha", "beta", "cutoff"))
         cmd.set_defaults(handler=_cmd_spectrum)
 
     iso = sub.add_parser("isospec", help="compare two operators up to a cutoff")
     for side in ("left", "right"):
-        iso.add_argument(f"--{side}-kind", choices=("torus", "sphere"), required=True)
-        _operator_flags(iso, ("torus", "sphere"), side)
-    iso.add_argument("--cutoff", type=_nonnegative_rational, required=True)
-    iso.add_argument("--output", help="output file, stdout when omitted")
+        names = ("kind", "lattice", "zn", "n", "r2", "p", "alpha", "beta")
+        _flags(iso, names, ("kind", "p", "alpha", "beta"), f"--{side}-")
+    _flags(iso, ("cutoff", "output"), ("cutoff",))
     iso.set_defaults(handler=_cmd_isospec)
 
     recover = sub.add_parser("recover", help="run an inverse algorithm on spectrum files")
     what = recover.add_subparsers(dest="what", required=True)
-    # every recover flag after --spectrum is required; each row computes recover(args, m_spec)
-    for name, help, spectrum_help, flags, recover in (
-        ("base-set", "invert a two-scale repeated union", "spectrum JSON file, - for stdin",
+    # every recover flag but --output is required; each row computes recover(args, m_spec)
+    for name, help, flags, recover in (
+        ("base-set", "invert a two-scale repeated union",
          ("alpha", "beta", "copies-alpha", "copies-beta"), lambda args, m_spec: reconstruct_base(
              m_spec, args.alpha, args.beta, args.copies_alpha, args.copies_beta)),
-        ("torus-params", "read (alpha, beta) off a torus spectrum", "p-form spectrum JSON file",
-         ("base", "n", "p"), lambda args, m_spec: recover_torus_params(
+        ("torus-params", "read (alpha, beta) off a torus spectrum", ("base", "n", "p"),
+         lambda args, m_spec: recover_torus_params(
              m_spec, _load_spectrum(args.base), args.n, args.p)),
-        ("sphere-params", "read (alpha, beta) off a sphere spectrum", "spectrum JSON file",
-         ("n", "p", "r2"), lambda args, m_spec: recover_sphere_params(
-             m_spec, args.n, args.p, args.r2)),
-        ("radius", "read r^2 off a sphere spectrum's minimum", "spectrum JSON file",
-         ("alpha", "beta", "n", "p"), _recover_radius),
+        ("sphere-params", "read (alpha, beta) off a sphere spectrum", ("n", "p", "r2"),
+         lambda args, m_spec: recover_sphere_params(m_spec, args.n, args.p, args.r2)),
+        ("radius", "read r^2 off a sphere spectrum's minimum", ("alpha", "beta", "n", "p"),
+         _recover_radius),
     ):
         cmd = what.add_parser(name, help=help)
-        cmd.add_argument("--spectrum", required=True, help=spectrum_help)
-        _flags(cmd, flags, flags)
-        cmd.add_argument("--output")
+        _flags(cmd, ("spectrum", *flags, "output"), ("spectrum", *flags))
         cmd.set_defaults(handler=_cmd_recover, recover=recover)
 
     enum_cmd = sub.add_parser("enumerate", help="dump the dual-norm table of a lattice")
-    _flags(enum_cmd, _KIND_FLAGS["torus"])
-    enum_cmd.add_argument("--bound", type=_nonnegative_rational, required=True)
-    enum_cmd.add_argument(
-        "--box", action="store_true", help="use the box-scan reference enumeration"
-    )
-    enum_cmd.add_argument("--output")
+    _flags(enum_cmd, ("lattice", "zn", "bound", "box", "output"), ("bound",))
     enum_cmd.set_defaults(handler=_cmd_enumerate)
 
     return parser

@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, exit codes, error objects."""
 
+import argparse
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import hodgespec
+from hodgespec import cli
 from hodgespec.cli import main
 from hodgespec.isospec import BRANCH_ALPHA_FIRST, BRANCH_COINCIDENT
 from hodgespec.lattice import BUDGET_ENV_VAR, standard_lattice
@@ -819,6 +821,131 @@ def test_help_exits_zero(capsys):
     assert "spectrum" in out and "isospec" in out
 
 
+# Each leaf command's flags in order: (option, required, default, choices, type name).
+LEAF_FLAGS = {
+    "spectrum torus": [
+        ("--lattice", False, None, None, None),
+        ("--zn", False, None, None, "_positive_int"),
+        ("--p", True, None, None, "_integer"),
+        ("--alpha", True, None, None, "_rational"),
+        ("--beta", True, None, None, "_rational"),
+        ("--cutoff", True, None, None, "_nonnegative_rational"),
+        ("--mode", False, "merged", ("merged", "generic"), None),
+        ("--format", False, "json", ("json", "csv"), None),
+        ("--output", False, None, None, None),
+    ],
+    "spectrum sphere": [
+        ("--n", False, None, None, "_positive_int"),
+        ("--r2", False, None, None, "_rational"),
+        ("--p", True, None, None, "_integer"),
+        ("--alpha", True, None, None, "_rational"),
+        ("--beta", True, None, None, "_rational"),
+        ("--cutoff", True, None, None, "_nonnegative_rational"),
+        ("--mode", False, "merged", ("merged", "generic"), None),
+        ("--format", False, "json", ("json", "csv"), None),
+        ("--output", False, None, None, None),
+    ],
+    "isospec": [
+        ("--left-kind", True, None, ("torus", "sphere"), None),
+        ("--left-lattice", False, None, None, None),
+        ("--left-zn", False, None, None, "_positive_int"),
+        ("--left-n", False, None, None, "_positive_int"),
+        ("--left-r2", False, None, None, "_rational"),
+        ("--left-p", True, None, None, "_integer"),
+        ("--left-alpha", True, None, None, "_rational"),
+        ("--left-beta", True, None, None, "_rational"),
+        ("--right-kind", True, None, ("torus", "sphere"), None),
+        ("--right-lattice", False, None, None, None),
+        ("--right-zn", False, None, None, "_positive_int"),
+        ("--right-n", False, None, None, "_positive_int"),
+        ("--right-r2", False, None, None, "_rational"),
+        ("--right-p", True, None, None, "_integer"),
+        ("--right-alpha", True, None, None, "_rational"),
+        ("--right-beta", True, None, None, "_rational"),
+        ("--cutoff", True, None, None, "_nonnegative_rational"),
+        ("--output", False, None, None, None),
+    ],
+    "recover base-set": [
+        ("--spectrum", True, None, None, None),
+        ("--alpha", True, None, None, "_rational"),
+        ("--beta", True, None, None, "_rational"),
+        ("--copies-alpha", True, None, None, "_positive_int"),
+        ("--copies-beta", True, None, None, "_positive_int"),
+        ("--output", False, None, None, None),
+    ],
+    "recover torus-params": [
+        ("--spectrum", True, None, None, None),
+        ("--base", True, None, None, None),
+        ("--n", True, None, None, "_positive_int"),
+        ("--p", True, None, None, "_integer"),
+        ("--output", False, None, None, None),
+    ],
+    "recover sphere-params": [
+        ("--spectrum", True, None, None, None),
+        ("--n", True, None, None, "_positive_int"),
+        ("--p", True, None, None, "_integer"),
+        ("--r2", True, None, None, "_rational"),
+        ("--output", False, None, None, None),
+    ],
+    "recover radius": [
+        ("--spectrum", True, None, None, None),
+        ("--alpha", True, None, None, "_rational"),
+        ("--beta", True, None, None, "_rational"),
+        ("--n", True, None, None, "_positive_int"),
+        ("--p", True, None, None, "_integer"),
+        ("--output", False, None, None, None),
+    ],
+    "enumerate": [
+        ("--lattice", False, None, None, None),
+        ("--zn", False, None, None, "_positive_int"),
+        ("--bound", True, None, None, "_nonnegative_rational"),
+        ("--box", False, False, None, None),
+        ("--output", False, None, None, None),
+    ],
+}
+
+
+def leaf_parsers(parser, path=()):
+    """(command words, parser) for every leaf command below ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from leaf_parsers(child, (*path, name))
+
+
+def leaf_options(parser):
+    return [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+def test_each_leaf_command_keeps_its_flags():
+    leaves = dict(leaf_parsers(cli._build_parser()))
+    assert list(leaves) == list(LEAF_FLAGS)
+    for leaf, parser in leaves.items():
+        flags = [(*a.option_strings, a.required, a.default, a.choices,
+                  getattr(a.type, "__name__", None)) for a in leaf_options(parser)]
+        assert flags == LEAF_FLAGS[leaf], leaf
+
+
+def test_every_option_is_one_declared_flag():
+    used = set()
+    for _, parser in leaf_parsers(cli._build_parser()):
+        for action in leaf_options(parser):
+            (option,) = action.option_strings
+            name = option.removeprefix("--").removeprefix("left-").removeprefix("right-")
+            assert name in cli._FLAGS, option
+            used.add(name)
+    assert used == set(cli._FLAGS)
+
+
+@pytest.mark.parametrize("leaf", list(LEAF_FLAGS))
+def test_leaf_help_exits_zero(leaf, capsys):
+    code, out, _ = run([*leaf.split(), "--help"], capsys)
+    assert code == 0
+    assert out.startswith(f"usage: hodgespec {leaf} ")
+
+
 SPHERE_S3 = ["spectrum", "sphere", "--n", "3", "--alpha", "1", "--beta", "1", "--r2", "1",
              "--cutoff", "4"]
 
@@ -948,6 +1075,28 @@ def test_writing_huge_multiplicities_is_charged_before_any_output(within, monkey
         code, out, err = run([*argv, str(100 * (n + 200)), "--format", "csv"], capsys)
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 1 + 199
+
+
+def test_writing_wide_keys_is_charged_before_any_output(monkeypatch, capsys):
+    # S^3, p = 1, alpha = beta = 10^1000: the 78 keys up to 1600 * 10^1000 have
+    # numerators of 3322-3333 bits, each charged (bits >> 10)^2 = 9 before a digit is
+    # written; their multiplicities are small, so the multiplicity charge reads 0.
+    monkeypatch.setenv(BUDGET_ENV_VAR, "300")
+    argv = ["spectrum", "sphere", "--n", "3", "--p", "1", "--r2", "1", "--format", "csv"]
+    scale = 10**1000
+    code, out, err = run([*argv, "--alpha", str(scale), "--beta", str(scale),
+                          "--cutoff", str(1600 * scale)], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "BudgetExceeded",
+        "message": "writing the keys in decimal needs 702 work, budget is 300",
+    }
+    # at 10^300 the same 78 keys stay under 1024 bits, are free, and are written
+    scale = 10**300
+    code, out, err = run([*argv, "--alpha", str(scale), "--beta", str(scale),
+                          "--cutoff", str(1600 * scale)], capsys)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 78
 
 
 def test_spectrum_file_over_many_denominators_is_refused_before_it_is_held(within, tmp_path,
