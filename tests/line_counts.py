@@ -1,18 +1,18 @@
-"""Print the physical and code line counts of each module of a package, and the total.
+"""Print the physical and code line counts of each src/hodgespec module, and the total.
 
 Code lines are the lines that are not blank, comment or docstring.  Run as
 
-    python tests/line_counts.py [package directory, default src/hodgespec]
+    python tests/line_counts.py
 
 It prints a Markdown table, for a job summary or a terminal.
 """
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
+PACKAGE = Path(__file__).parent.parent / "src" / "hodgespec"
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
 
@@ -33,9 +33,9 @@ def counts(text: str) -> tuple[int, int]:
     return len(text.splitlines()), len(code - docstrings)
 
 
-def main(package: str = "src/hodgespec") -> None:
-    rows = [(path.name, *counts(path.read_text())) for path in sorted(Path(package).glob("*.py"))]
-    print(f"| `{package}` module | lines | code lines |")
+def main() -> None:
+    rows = [(path.name, *counts(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
+    print("| `src/hodgespec` module | lines | code lines |")
     print("|---|---:|---:|")
     for name, lines, code in rows:
         print(f"| {name} | {lines} | {code} |")
@@ -43,4 +43,4 @@ def main(package: str = "src/hodgespec") -> None:
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    main()
