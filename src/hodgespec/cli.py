@@ -19,7 +19,11 @@ classes, as ``exit_code``.  Errors print a single JSON object on standard
 error: {"error": <kind>, "message": <text>}.
 
 All stdout output is byte-deterministic for identical inputs; informational
-notes (duality-extension degrees) go to standard error.
+notes (duality-extension degrees) go to standard error.  Every output goes
+through ``_write``, which charges the decimal writing of every spectrum or
+norm table in it (a generic run's two parts together) before any text is
+made, and writes each key from its int numerator through the spectrum's
+int-key writer.
 """
 
 from __future__ import annotations
@@ -100,14 +104,10 @@ def _nonnegative_rational(text: str) -> Fraction:
 
 def _extension_note(op, side: str = "") -> None:
     # called once the command has succeeded, so an error stays the only thing on stderr
-    if not op.duality_extension:
-        return
-    where = f"{side} " if side else ""
-    print(
-        f"note: {where}degree p={op.p} is a boundary degree; "
-        "the spectrum follows the duality convention",
-        file=sys.stderr,
-    )
+    if op.duality_extension:
+        where = f"{side} " if side else ""
+        print(f"note: {where}degree p={op.p} is a boundary degree; the spectrum follows the "
+              "duality convention", file=sys.stderr)
 
 
 @contextmanager
@@ -130,27 +130,44 @@ def _unlimited_digits():
 
 def _json_value(value):
     # json.dumps hook, so rationals and records are formatted inside the lifted limit
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return value.to_json_dict()
+    return format_rational(value) if isinstance(value, Fraction) else value.to_json_dict()
 
 
-def _write(args, payload) -> None:
+def _write(args, payload, table: bool = False) -> None:
     """Write ``payload`` to ``--output``, or stdout when omitted or ``-``.
 
     The text is JSON, or CSV under ``--format csv``, which only a merged
-    spectrum has.
+    spectrum has.  With ``table`` a spectrum payload is written as
+    ``enumerate``'s norm table: its cutoff as "bound", its entries as
+    "counts", no unit.
+
+    Every spectrum written, the payload or a value of a payload dict, is
+    charged before any text is made.  CPython writes an int in decimal in
+    time quadratic in its length, so each multiplicity, then each key
+    numerator and denominator, of b bits is charged (b >> 10)^2, one under
+    1024 bits free.  A key is charged at its int numerator over the
+    spectrum's denominator, which bound its lowest terms.
     """
     csv = getattr(args, "format", "json") == "csv"
     if csv and not isinstance(payload, WeightedSpectrum):
         raise ParseError("csv output is only defined for merged spectra")
+    spectra = [part for part in (payload.values() if isinstance(payload, dict) else (payload,))
+               if isinstance(part, WeightedSpectrum)]
+    if spectra:  # a payload without one charges nothing, so it reads no budget
+        mults = sum((mult.bit_length() >> 10) ** 2 for part in spectra for _, mult in part._ints)
+        keys = sum((key.bit_length() >> 10) ** 2 + (part._den.bit_length() >> 10) ** 2
+                   for part in spectra for key, _ in part._ints)
+        for what, work in (("multiplicities", mults), ("keys", keys)):
+            _charge(work, lambda: f"writing the {what} in decimal needs {_echo_number(work)} work")
     with _unlimited_digits():
         if csv:
             unit = payload.unit.value
-            lines = ["eigenvalue_num,eigenvalue_den,unit,multiplicity"]
-            lines += [f"{k.numerator},{k.denominator},{unit},{m}" for k, m in payload.entries]
-            text = "\n".join(lines) + "\n"
+            rows = [f"{num},{den},{unit},{mult}" for num, den, mult in payload._lowest_terms()]
+            text = "\n".join(["eigenvalue_num,eigenvalue_den,unit,multiplicity", *rows, ""])
         else:
+            if table:
+                written = payload.to_json_dict()
+                payload = {"bound": written["cutoff"], "counts": written["entries"]}
             text = json.dumps(payload, indent=2, default=_json_value) + "\n"
     if args.output in (None, "-"):
         sys.stdout.write(text)
@@ -183,9 +200,7 @@ def _load_spectrum(path: str) -> WeightedSpectrum:
 def _load_lattice(path: str | None, zn: int | None, dash: str = "--") -> Lattice:
     if (path is None) == (zn is None):
         raise ParseError(f"provide exactly one of {dash}lattice and {dash}zn")
-    if zn is not None:
-        return standard_lattice(zn)
-    return Lattice.from_json_dict(_load_json(path, "lattice"))
+    return standard_lattice(zn) if zn else Lattice.from_json_dict(_load_json(path, "lattice"))
 
 
 def _operator(args, kind: str, side: str = "") -> TorusOperator | SphereOperator:
@@ -216,17 +231,8 @@ def _operator(args, kind: str, side: str = "") -> TorusOperator | SphereOperator
 def _cmd_spectrum(args) -> int:
     op = _operator(args, args.surface)
     spectrum, parts = _SPECTRA[args.surface]
-    spectra = parts(op, args.cutoff) if op.generic else (spectrum(op, args.cutoff),)
-    # CPython writes an int in decimal in time quadratic in its length: each
-    # multiplicity, key numerator and key denominator of b bits is charged
-    # (b >> 10)^2, so one under 1024 bits is free
-    mults = keys = 0
-    for key, mult in (entry for part in spectra for entry in part):
-        mults += (mult.bit_length() >> 10) ** 2
-        keys += (key.numerator.bit_length() >> 10) ** 2 + (key.denominator.bit_length() >> 10) ** 2
-    _charge(mults, lambda: f"writing the multiplicities in decimal needs {_echo_number(mults)} work")
-    _charge(keys, lambda: f"writing the keys in decimal needs {_echo_number(keys)} work")
-    _write(args, dict(zip(("alpha_part", "beta_part"), spectra)) if op.generic else spectra[0])
+    spectra = parts(op, args.cutoff) if op.generic else spectrum(op, args.cutoff)
+    _write(args, dict(zip(("alpha_part", "beta_part"), spectra)) if op.generic else spectra)
     _extension_note(op)
     return 0
 
@@ -277,8 +283,7 @@ def _recover_radius(args, m_spec: WeightedSpectrum) -> Fraction:
 def _cmd_enumerate(args) -> int:
     dual_data = dual(_load_lattice(args.lattice, args.zn))
     enumerate_fn = brute_force_enumerate if args.box else enumerate_norms
-    table = enumerate_fn(dual_data, args.bound)
-    _write(args, {"bound": table.cutoff, "counts": table.entries})
+    _write(args, enumerate_fn(dual_data, args.bound), table=True)
     return 0
 
 

@@ -139,8 +139,9 @@ def reconstruct_base(
     beta / low, where low = min(alpha, beta).  The key K reads the element
     K / (den * low), and its removal keys K * alpha / low and K * beta / low
     are ints; one off the spectrum's grid is absent from the table, so its
-    removal is refused.  A Fraction is built only for each element of C and
-    for a refusal's text.
+    removal is refused.  The base set keeps the int keys K * low's
+    denominator over den * low's numerator, and a Fraction is built only for
+    a refusal's text.
     """
     alpha, beta = _positive(NonpositiveScalar, "alpha and beta", alpha, beta)
     if min(_int(copies_alpha, "copies_alpha"), _int(copies_beta, "copies_beta")) < 1:
@@ -153,7 +154,7 @@ def reconstruct_base(
     step = lcm(*(ratio.denominator for ratio, _ in ratios))
     den = m_spec._den * step
     work = dict(m_spec._upto(m_spec.cutoff, den))
-    out: list[tuple[Fraction, int]] = []
+    out: list[tuple[int, int]] = []
     # the keys whose element is at most the guarantee, read off before the peel
     for key, _ in m_spec._upto(low * guarantee, den):
         if not work[key]:  # exhausted along the way
@@ -168,8 +169,8 @@ def reconstruct_base(
                     f"but only {_echo_number(available)} present"
                 )
             work[value] = available - needed
-        out.append((Fraction(key * low.denominator, den * low.numerator), count))
-    return WeightedSpectrum(m_spec.unit, guarantee, tuple(out))
+        out.append((key * low.denominator, count))
+    return _from_int_keys(m_spec.unit, guarantee, out, den * low.numerator)
 
 
 class _Share(_Record):

@@ -17,7 +17,11 @@ difference and spectrum assembly bring two sides to the lcm of their
 denominators and run on integers through one merge, ``_merge``: one list,
 one sort on the int key, and a sum only where keys meet; comparison reads
 the same int entries as tuples.  ``entries`` builds the Fraction keys only
-when it is read.
+when it is read.  Every written key, in ``to_json_dict`` and in the CLI's
+CSV and norm tables, comes from one int-key writer, ``_lowest_terms``: one
+gcd per key, no Fraction.  The CLI charges the decimal writing of every
+spectrum it writes before any text is made; ``to_json_dict`` itself
+charges nothing.
 
 Unit tags keep flat-torus spectra (keys are eigenvalues divided by 4*pi^2)
 from being compared with round-sphere spectra (keys are plain eigenvalues)
@@ -241,11 +245,21 @@ class WeightedSpectrum(_Record):
 
     # -- serialization ----------------------------------------------------
 
+    def _lowest_terms(self) -> Iterator[tuple[int, int, int]]:
+        """(numerator, denominator, multiplicity) of each entry, its key in lowest terms.
+
+        The one writer of keys: one gcd per key, and no Fraction built.
+        """
+        for key, mult in self._ints:
+            step = gcd(key, self._den)
+            yield key // step, self._den // step, mult
+
     def to_json_dict(self) -> dict:
         return {
             "unit": self.unit.value,
             "cutoff": format_rational(self.cutoff),
-            "entries": [[format_rational(key), mult] for key, mult in self.entries],
+            "entries": [[f"{num}/{den}" if den > 1 else str(num), mult]
+                        for num, den, mult in self._lowest_terms()],
         }
 
     @classmethod

@@ -207,7 +207,11 @@ class _SeriesFormula(_Record):
 
         Every term is charged to HODGESPEC_BUDGET before any term is made.
         Each costs 1 + min(n, last k) + min(q, n-q), which bounds the smaller
-        sides of C(j+n, n) and C(n, q), so the size of the dimension.  The two
+        sides of C(j+n, n) and C(n, q), so the size of the dimension.  A
+        second charge, before any term too, costs each term its key's
+        bits >> 10, the unit of the CLI's decimal-write charge, from the bound
+        bits(factor) + 2 bits(last + n + 1) on the bits of a key
+        factor * (j+q)(j+b); keys under 1024 bits are free and skip it.  The two
         binomials the stepping starts from are charged too
         (``rationals._charge_comb``), since ``comb`` takes more than linear time
         in the smaller side.  The boundary zero comes first.  From then on k,
@@ -230,6 +234,8 @@ class _SeriesFormula(_Record):
         count, width = last + 1 - first, 1 + min(n, last + shift) + min(q, n - q)
         _charge(count * width, lambda: f"sphere dimensions need {_echo_number(count)} terms "
                 f"times {_echo_number(width)} work")
+        if bits := (factor.bit_length() + 2 * (last + n + 1).bit_length()) >> 10:
+            _charge(count * bits, lambda: f"sphere keys need {_echo_number(count * bits)} work")
         _charge_comb(n, q)
         _charge_comb(max(first, 0) + n, n)
         if first < 0:

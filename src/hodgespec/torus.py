@@ -29,7 +29,9 @@ from math import comb
 from .errors import NonpositiveScalar, UnrepresentedNorm
 from .lattice import Lattice, _exact_counts, _walk, dual, enumerate_norms
 from .multiset import Unit, WeightedSpectrum, _operator_spectrum
-from .rationals import _degree, _echo, _echo_number, _nonnegative, _positive, _Record, _set_field
+from .rationals import (
+    _charge, _degree, _echo, _echo_number, _nonnegative, _positive, _Record, _set_field,
+)
 
 __all__ = [
     "Branch",
@@ -103,6 +105,9 @@ def _parts(op: TorusOperator, cutoff: Fraction) -> tuple[int, list, list]:
     beta_part)``, each part sorted by key and already multiplied by its
     binomial copy count (empty for zero copies).  The walk's table is sorted
     on its int keys alone, and each part reads the counts off the table.
+    Before any key is made, each part with copies is charged its norm count
+    times bits(top) >> 10, as every key is at most top: the unit of the
+    CLI's decimal-write charge.  Keys under 1024 bits are free and skip it.
     """
     alpha, beta = op.alpha, op.beta
     weight = min(w for w, copies in ((alpha, op.alpha_copies), (beta, op.beta_copies)) if copies)
@@ -112,6 +117,9 @@ def _parts(op: TorusOperator, cutoff: Fraction) -> tuple[int, list, list]:
                    // (cutoff.denominator * weight.numerator))
     den = data.scale * alpha.denominator * beta.denominator
     top = den * cutoff.numerator // cutoff.denominator
+    if bits := top.bit_length() >> 10:
+        keys = len(counts) * bits * ((op.alpha_copies > 0) + (op.beta_copies > 0))
+        _charge(keys, lambda: f"torus keys need {_echo_number(keys)} work")
     norms = sorted(counts)
 
     def part(factor: int, copies: int) -> list:

@@ -1,6 +1,6 @@
 """Test-side references: a Fraction LDL^T, the walk data read off it, the
-candidate visits of an exact layered walk, D_n^+, the rank of sparse rows
-and the polynomial-space sphere oracle.
+candidate visits of an exact layered walk, D_n^+, the rank of sparse rows,
+a recount of an isospec witness and the polynomial-space sphere oracle.
 
 The oracle rebuilds the eigenspaces behind ``hodgespec.sphere``'s closed-form
 dimensions from componentwise-harmonic, co-closed, homogeneous polynomial
@@ -15,9 +15,10 @@ from operator import itemgetter
 from typing import Hashable, Mapping, Sequence
 
 from hodgespec.errors import BudgetExceeded, DegreeOutOfRange
-from hodgespec.lattice import Lattice
+from hodgespec.lattice import Lattice, brute_force_enumerate, dual
 from hodgespec.linalg import _eliminate
 from hodgespec.rationals import sqrt_floor
+from hodgespec.torus import TorusOperator
 
 from exterior import Poly, PolyForm, contract_position, d_flat, delta_flat, homogeneous_exponents
 
@@ -98,6 +99,49 @@ def e8_plus_e8() -> Lattice:
     e8 = d_plus(8).basis
     zeros = (F(0),) * 8
     return Lattice(tuple(row + zeros for row in e8) + tuple(zeros + row for row in e8))
+
+
+def witness_multiplicity(op, key: F) -> int:
+    """The multiplicity of ``key`` in a torus or interior sphere operator's spectrum.
+
+    A torus side reads the box scan's counts at key / alpha and key / beta,
+    times the copy counts C(n-1, p-1) and C(n-1, p).  A sphere side sums the
+    factorial closed forms of the dimensions of the series terms whose value
+    is ``key``: lambda_k = beta (k+p)(k+n-p-1) / r^2 (k >= 1) and
+    mu_k = alpha (k+p)(k+n-p+1) / r^2 (k >= 0).
+    """
+    n, p = op.n, op.p
+    if isinstance(op, TorusOperator):
+        table = brute_force_enumerate(dual(op.lattice), key / min(op.alpha, op.beta))
+        alpha_copies = math.comb(n - 1, p - 1) if p else 0
+        return (alpha_copies * table.multiplicity(key / op.alpha)
+                + math.comb(n - 1, p) * table.multiplicity(key / op.beta))
+    if not 1 <= p <= n - 1:
+        raise DegreeOutOfRange(f"witness recount needs 1 <= p <= n-1, got p={p}, n={n}")
+    total = 0
+    for k in itertools.count():
+        lam = op.beta * (k + p) * (k + n - p - 1) / op.r_squared
+        mu = op.alpha * (k + p) * (k + n - p + 1) / op.r_squared
+        if min(lam, mu) > key:
+            return total
+        if k and lam == key:
+            top = math.factorial(n + k - 1) * (n + 2 * k - 1)
+            total += top // (math.factorial(p) * math.factorial(k - 1) * math.factorial(n - p - 1)
+                             * (n + k - p - 1) * (k + p))
+        if mu == key:
+            top = math.factorial(n + k) * (n + 2 * k + 1)
+            total += top // (math.factorial(p - 1) * math.factorial(k) * math.factorial(n - p)
+                             * (n + k - p + 1) * (k + p))
+
+
+def check_witness(left, right, witness: Mapping) -> None:
+    """Recount an isospec witness, ``{"key", "left_multiplicity", "right_multiplicity"}``
+    as the CLI prints it, on the two operators without the package's spectra: both
+    multiplicities must be the recounted ones, and they must differ."""
+    key = F(witness["key"])
+    counts = witness_multiplicity(left, key), witness_multiplicity(right, key)
+    assert counts == (witness["left_multiplicity"], witness["right_multiplicity"]), counts
+    assert counts[0] != counts[1]
 
 
 def rank(rows: Sequence[Mapping[Hashable, F]]) -> int:

@@ -1094,6 +1094,47 @@ def test_writing_wide_keys_is_charged_before_any_output(monkeypatch, capsys):
     assert len(out.splitlines()) == 1 + 78
 
 
+def test_enumerate_charges_writing_its_keys_before_any_output(tmp_path, monkeypatch, capsys):
+    # The dual of the line 10^-2000 Z has norms k^2 10^4000: up to 2000^2 10^4000 the 2000
+    # nonzero keys have 13288-13310 bits, each charged (bits >> 10)^2 = 144.  Unchecked,
+    # the 4001-visit walk wrote 8 MB of digits.
+    lattice = tmp_path / "line.json"
+    lattice.write_text(json.dumps({"n": 1, "basis": [[f"1/{10**2000}"]]}))
+    monkeypatch.setenv(BUDGET_ENV_VAR, "250000")
+    for box in ([], ["--box"]):
+        code, out, err = run(["enumerate", "--lattice", str(lattice), "--bound",
+                              str(2000**2 * 10**4000), *box], capsys)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "BudgetExceeded",
+            "message": "writing the keys in decimal needs 288000 work, budget is 250000",
+        }
+
+
+def test_recover_base_set_charges_writing_its_keys_before_any_output(tmp_path, monkeypatch,
+                                                                     capsys):
+    # Two copies of {k 10^2000 : k <= 1000} give back the base set, whose 1000 nonzero
+    # keys have 6644-6654 bits, each charged (bits >> 10)^2 = 36.
+    scale = 10**2000
+    m_file = tmp_path / "m.json"
+    entries = [[str(k * scale), 2] for k in range(1001)]
+    m_file.write_text(json.dumps({"unit": "plain", "cutoff": str(1000 * scale),
+                                  "entries": entries}))
+    argv = ["recover", "base-set", "--spectrum", str(m_file), "--alpha", "1", "--beta", "1",
+            "--copies-alpha", "1", "--copies-beta", "1"]
+    monkeypatch.setenv(BUDGET_ENV_VAR, "35999")
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "BudgetExceeded",
+        "message": "writing the keys in decimal needs 36000 work, budget is 35999",
+    }
+    monkeypatch.setenv(BUDGET_ENV_VAR, "36000")
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["entries"] == [[str(k * scale), 1] for k in range(1001)]
+
+
 def test_spectrum_file_over_many_denominators_is_refused_before_it_is_held(within, tmp_path,
                                                                            monkeypatch, capsys):
     # Keys 1/p over the first 6000 primes: each key would be held as an int over

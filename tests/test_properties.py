@@ -3,7 +3,11 @@
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import argparse
+import contextlib
+import io
 import itertools
+import json
 import math
 from collections import Counter
 from math import comb, factorial
@@ -13,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hodgespec import linalg
+from hodgespec import cli, linalg
 from hodgespec.errors import (
     BudgetExceeded, EmptySpectrum, NotInImage, ParseError, SingularBasis, UnrepresentedNorm
 )
@@ -45,7 +49,7 @@ from hodgespec.sphere import (
     spectrum,
     spectrum_parts,
 )
-from hodgespec.rationals import sqrt_floor
+from hodgespec.rationals import format_rational, sqrt_floor
 from hodgespec.torus import (
     Branch,
     TorusOperator,
@@ -242,6 +246,35 @@ def test_lookups_match_references_over_mixed_denominators(spectrum, key, off):
     assert retagged.with_unit(Unit.PLAIN) == spectrum
 
 
+def written(spectrum, output_format, table=False) -> str:
+    """The CLI's text for ``spectrum`` in ``output_format``; ``table`` as ``enumerate`` writes."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write(argparse.Namespace(format=output_format, output=None), spectrum, table)
+    return out.getvalue()
+
+
+@PROPERTY
+@given(mixed_spectra())
+# key 0, the integer keys 1 and 6 and the keys 1/2 and 2/3, whose numerators over the
+# least denominator 6 share a factor with it
+@example(WeightedSpectrum(Unit.FOUR_PI_SQUARED, 6, [(0, 1), (F(1, 2), 2), (F(2, 3), 1),
+                                                     (1, 3), (6, 10**400)]))
+def test_int_writer_matches_the_fraction_path(spectrum):
+    # every written key comes from the int numerators; the reference formats Fractions
+    entries = [[format_rational(key), mult] for key, mult in spectrum.entries]
+    cutoff = format_rational(spectrum.cutoff)
+    payload = {"unit": spectrum.unit.value, "cutoff": cutoff, "entries": entries}
+    assert spectrum.to_json_dict() == payload
+    assert written(spectrum, "json") == json.dumps(payload, indent=2) + "\n"
+    table = {"bound": cutoff, "counts": entries}
+    assert written(spectrum, "json", table=True) == json.dumps(table, indent=2) + "\n"
+    rows = [f"{key.numerator},{key.denominator},{spectrum.unit.value},{mult}"
+            for key, mult in spectrum.entries]
+    csv = "\n".join(["eigenvalue_num,eigenvalue_den,unit,multiplicity", *rows]) + "\n"
+    assert written(spectrum, "csv") == csv
+
+
 def reference_base(m_spec, alpha, beta, copies_alpha, copies_beta):
     """reconstruct_base one copy at a time: the base multiset, or None where it refuses."""
     guarantee = m_spec.cutoff / max(alpha, beta)
@@ -419,6 +452,27 @@ SHEARED = [
 def test_layered_walk_equals_box_scan(lattice, bound):
     data = dual(lattice)
     assert enumerate_norms(data, bound) == brute_force_enumerate(data, bound)
+
+
+@st.composite
+def unimodular_changes(draw, lattice):
+    """The lattice on another basis: 3n row operations b_i += r b_j, |r| <= 3, then sign flips."""
+    rows = [list(row) for row in lattice.basis]
+    n = len(rows)
+    for _ in range(3 * n):
+        i, j = draw(st.permutations(range(n)))[:2]
+        r = draw(st.integers(-3, 3))
+        rows[i] = [x + r * y for x, y in zip(rows[i], rows[j])]
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return Lattice(tuple(tuple(sign * x for x in row) for sign, row in zip(signs, rows)))
+
+
+@PROPERTY
+@given(small_lattices(st.integers(2, 4)), st.data(), st.fractions(0, 3, max_denominator=3))
+def test_norm_table_ignores_a_unimodular_change_of_basis(lattice, data, bound):
+    # a unimodular change of basis keeps the lattice, so its dual and every dual norm
+    other = data.draw(unimodular_changes(lattice))
+    assert enumerate_norms(dual(other), bound) == enumerate_norms(dual(lattice), bound)
 
 
 # In one dimension the whole walk is the one level whose bracket is -high..high.

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import comb
 
@@ -426,6 +427,26 @@ def test_a_dimension_charges_its_binomials_before_computing_them(within, monkeyp
     monkeypatch.delenv(BUDGET_ENV_VAR)
     with within(1), pytest.raises(BudgetExceeded, match=r"^binomial C\(3000000, 1000000\)"):
         dim_W(2000000, 1, 1000000)
+
+
+def test_wide_sphere_keys_are_charged_before_any_term(monkeypatch):
+    # S^3, p = 1, alpha = beta = 10^4000 up to 10^4000 20000^2: each series has 19999
+    # terms of 13317-bit keys, 73 MB in all, though their term charge is only 99995.
+    # The key charge, 19999 x (13318 >> 10) per series, refuses before any term exists.
+    monkeypatch.setenv(BUDGET_ENV_VAR, "200000")
+    op = SphereOperator(3, 1, 10**4000, 10**4000, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as raised:
+            spectrum(op, 10**4000 * 20000**2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == "sphere keys need 259987 work, budget is 200000"
+    assert peak < 1_000_000
+    # keys under 1024 bits are free: 10^300 keeps them there, and the budget holds
+    op = SphereOperator(3, 1, 10**300, 10**300, 1)
+    assert len(spectrum(op, 10**300 * 20000**2)) == 39998
 
 
 def test_huge_sphere_cutoff_is_refused_before_any_term(within, monkeypatch, capsys):

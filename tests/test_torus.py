@@ -257,6 +257,32 @@ def test_budget_propagates_to_enumeration(monkeypatch):
         f_spectrum(op, 100)
 
 
+def test_wide_torus_keys_are_charged_before_any_key(monkeypatch):
+    # Z^1, p = 0, alpha = beta = 10^4000 up to 10^4000 100^2: the walk visits 201
+    # vectors, and the one part's 101 keys of up to 13302 bits are charged
+    # 101 x (13302 >> 10) = 1212, so a budget between the two is the key charge's.
+    op = TorusOperator(standard_lattice(1), 0, F(10**4000), F(10**4000))
+    cutoff = 10**4000 * 100**2
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1211")
+    with pytest.raises(BudgetExceeded) as raised:
+        f_spectrum(op, cutoff)
+    assert str(raised.value) == "torus keys need 1212 work, budget is 1211"
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1212")
+    assert f_spectrum(op, cutoff).entries == tuple((10**4000 * k * k, 2 if k else 1)
+                                                   for k in range(101))
+    monkeypatch.setenv(BUDGET_ENV_VAR, "200")
+    with pytest.raises(BudgetExceeded, match="candidate visits"):
+        f_spectrum(op, cutoff)
+    # Z^2, p = 1 has both parts: 44 norms up to 100, each part charged 44 x 12
+    op = TorusOperator(standard_lattice(2), 1, F(10**4000), F(10**4000))
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1055")
+    with pytest.raises(BudgetExceeded) as raised:
+        f_spectrum(op, 10**4000 * 100)
+    assert str(raised.value) == "torus keys need 1056 work, budget is 1055"
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1056")
+    assert len(f_spectrum(op, 10**4000 * 100)) == 44
+
+
 def test_walk_stops_at_the_parts_with_copies(monkeypatch):
     # p = n has no beta part and p = 0 no alpha part, so the tiny weight on
     # the missing side must not stretch the walk to cutoff / (1/100).
