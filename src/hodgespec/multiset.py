@@ -364,9 +364,9 @@ def _merge(a, a_count: int, b, b_count: int) -> list:
             for side, copies in ((a, a_count), (b, b_count)))
     merged = [*a, *b]
     merged.sort(key=itemgetter(0))
-    if not any(map(eq, map(itemgetter(0), merged), map(itemgetter(0), islice(merged, 1, None)))):
-        return merged
     keys = [*map(itemgetter(0), merged)]
+    if not any(map(eq, keys, islice(keys, 1, None))):
+        return merged
     for i in compress(count(), map(eq, keys, islice(keys, 1, None))):
         merged[i + 1] = (keys[i], merged[i][1] + merged[i + 1][1])
         merged[i] = None

@@ -1,13 +1,15 @@
 """The golden CLI corpus: its recorded runs and the rules a replay is held to.
 
 Each ``golden/*.json`` fixture holds one run: ``argv``, an optional ``env``,
-the ``exit`` code and the exact ``stdout``.  An argument written ``@name``
-stands for the input file ``golden/inputs/name``.  The fixtures were recorded
-once from an earlier, independently tested state of the program; they are a
-byte-for-byte guard for refactors, so a mismatch means the program changed,
-never that the fixture should be rewritten.  A refusal (exit code 2 or more)
-must print exactly one ``{"error", "message"}`` object of under 1000 bytes
-on stderr.
+the ``exit`` code and the exact ``stdout``.  A refusal may also record the
+``error`` kind and a ``message_prefix`` of its stderr object, so that another
+refusal with the same exit code cannot pass for it.  An argument written
+``@name`` stands for the input file ``golden/inputs/name``.  The fixtures
+were recorded once from an earlier, independently tested state of the
+program; they are a byte-for-byte guard for refactors, so a mismatch means
+the program changed, never that the fixture should be rewritten.  A refusal
+(exit code 2 or more) must print exactly one ``{"error", "message"}`` object
+of under 1000 bytes on stderr.
 
 The module uses the standard library only, so it runs where the package is
 installed but the checkout is not importable.  Run as a script, it replays
@@ -36,6 +38,8 @@ class Case:
     env: dict[str, str]
     stdout: str
     exit: int
+    error: str | None
+    message_prefix: str | None
 
 
 def load(path: Path) -> Case:
@@ -43,7 +47,8 @@ def load(path: Path) -> Case:
     argv = [
         str(GOLDEN / "inputs" / arg[1:]) if arg.startswith("@") else arg for arg in case["argv"]
     ]
-    return Case(argv, case.get("env", {}), case["stdout"], case["exit"])
+    return Case(argv, case.get("env", {}), case["stdout"], case["exit"], case.get("error"),
+                case.get("message_prefix"))
 
 
 def mismatch(case: Case, stdout: bytes, code: int, stderr: bytes) -> str | None:
@@ -62,6 +67,10 @@ def mismatch(case: Case, stdout: bytes, code: int, stderr: bytes) -> str | None:
         return f"stderr is not one error object: {stderr[:200]!r}"
     if len(stderr) >= 1000:
         return f"stderr takes {len(stderr)} bytes, not under 1000"
+    if case.error is not None and payload["error"] != case.error:
+        return f"error {payload['error']!r}, recorded {case.error!r}"
+    if case.message_prefix is not None and not payload["message"].startswith(case.message_prefix):
+        return f"message {payload['message']!r} does not start with {case.message_prefix!r}"
     return None
 
 

@@ -34,6 +34,23 @@ def test_golden_run(path, capsys, monkeypatch):
     assert mismatch(case, captured.out.encode(), code, captured.err.encode()) is None
 
 
+# Each wide-key refusal records which refusal it is: the walk's visit budget and
+# the input constructor exit 3 with no stdout as well.
+@pytest.mark.parametrize("name", ["enumerate_refuse_wide_keys", "base_set_refuse_wide_keys"])
+def test_a_wide_key_refusal_is_told_from_other_refusals(name):
+    case = load(GOLDEN / f"{name}.json")
+    assert (case.error, case.message_prefix) == ("BudgetExceeded",
+                                                 "writing the keys in decimal needs ")
+    assert mismatch(case, b"", 3, b'{"error": "BudgetExceeded", "message": '
+                    b'"writing the keys in decimal needs 80 work, budget is 50"}') is None
+    for stderr in [
+        b'{"error": "BudgetExceeded", "message": "norm enumeration exceeded budget of 500 '
+        b'candidate visits"}',
+        b'{"error": "ParseError", "message": "writing the keys in decimal needs 80 work"}',
+    ]:
+        assert mismatch(case, b"", 3, stderr) is not None
+
+
 WITNESS_RUNS = ["isospec_sphere_left_only_key_exit1", "isospec_sphere_radius_exit1",
                 "isospec_torus_lattices_exit1", "isospec_torus_shared_key_exit1"]
 

@@ -887,7 +887,7 @@ def stepped_dims(formula, last):
     return [dim for _, _, dim in terms]
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_stepped_dimensions_equal_the_closed_forms(n):
     last = 300
     for p in range(1, n):

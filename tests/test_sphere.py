@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction as F
+from itertools import repeat
 from math import comb
 
 import pytest
@@ -100,6 +101,49 @@ def test_a_non_integral_binomial_step_is_caught(monkeypatch):
     with pytest.raises(AssertionError, match=message):
         list(f.terms(f.value(3), 1))
     assert f.dim(2) == 28
+
+
+def every_series(n):
+    """Every series of S^n at r^2 = 1 and 3/2: lambda and mu at each p, the scalar ones too."""
+    for p in range(n + 1):
+        for side in Series:
+            if (side is Series.LAMBDA and p < n) or (side is Series.MU and p > 0):
+                for r_squared in (F(1), F(3, 2)):
+                    yield _series(side, n, p, F(2, 3), r_squared)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_differences_equal_the_division_loop(n, monkeypatch):
+    # Term counts on both sides of the seeds (n of them past any boundary zero),
+    # at n on both sides of the crossover; n = 1 has constant dimensions, and the
+    # scalar series starts at j = -1.
+    counts = sorted({0, 1, max(n - 1, 0), n, n + 1, 300})
+    for formula in every_series(n):
+        den = 2 * formula.scale.denominator
+        for count in counts:
+            cutoff = formula.value(formula.start + max(count, 1) - 1) - (count == 0)
+            start, pairs = formula.terms(cutoff, den)
+            assert (start, len(pairs)) == (formula.start, count)
+            with monkeypatch.context() as patch:
+                patch.setattr(sphere, "_N0", 0)
+                assert formula.terms(cutoff, den) == (start, pairs)
+
+
+def test_a_corrupted_difference_table_is_caught(monkeypatch):
+    # The mu dimensions at n = 2, q = 1 are 2k + 3; the seeds 3, 5 give the top
+    # difference 2, read as 3, so the table's k = 4 is 3 + 4 * 3 = 15, not 11.
+    monkeypatch.setattr(sphere, "repeat", lambda value, times: repeat(value + 1, times))
+    mu = _series(Series.MU, 2, 1, 1, 1)
+    message = "^mu dimension at n=2, k=4 came out 15 by differences, not 11$"
+    with pytest.raises(AssertionError, match=message):
+        mu.terms(mu.value(4), 1)
+    # every n that uses the table, scalar series included
+    for n in range(1, sphere._N0 + 1):
+        for formula in every_series(n):
+            last = formula.start + n + 1
+            with pytest.raises(AssertionError, match=f"^{formula.series.value} dimension at "
+                               f"n={n}, k={last} came out .* by differences, not "):
+                formula.terms(formula.value(last), formula.scale.denominator)
 
 
 def test_harmonic_polynomial_dims():
