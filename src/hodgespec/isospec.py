@@ -32,7 +32,7 @@ from .errors import (
     NotInImage,
     UnitMismatch,
 )
-from .multiset import Unit, WeightedSpectrum, _from_int_keys, repeated_union
+from .multiset import Unit, WeightedSpectrum, _from_int_keys
 from .rationals import (
     _charge_comb, _degree, _echo_number, _int, _nonnegative, _positive, _Record, _set_field,
     format_rational,
@@ -99,8 +99,10 @@ def first_divergence(
     Both sides' int entries up to the bound, over the lcm of their
     denominators, are compared as tuples.  At the first index where they
     differ (or the shorter one ends) the smaller key is the divergence, as
-    stored multiplicities are positive, and both multiplicities are read off
-    by bisection.  A negative bound is refused, like a negative cutoff.
+    stored multiplicities are positive.  Both multiplicities are read at that
+    index: the entries before it are equal and smaller, so a side whose entry
+    there has another key, or that has ended, holds the divergent key 0
+    times.  A negative bound is refused, like a negative cutoff.
     """
     left._require_same_unit(right)
     bound = _nonnegative(bound)
@@ -112,8 +114,8 @@ def first_divergence(
     if a == b:
         return None
     i = next(compress(range(len(a)), map(ne, a, b)), min(len(a), len(b)))  # the first difference
-    key = Fraction(min(side[i][0] for side in (a, b) if i < len(side)), den)
-    return key, left.multiplicity(key), right.multiplicity(key)
+    key = min(side[i][0] for side in (a, b) if i < len(side))
+    return Fraction(key, den), *(dict(side[i:i + 1]).get(key, 0) for side in (a, b))
 
 
 def reconstruct_base(
@@ -263,13 +265,12 @@ def recover_torus_params(
     if m_spec.unit is not base.unit:
         raise UnitMismatch("p-form spectrum and scalar spectrum carry different units")
     _degree("torus recovery", n, p, 1)
-    # the int keys without the zero key, over the same denominator
-    positive = _from_int_keys(base.unit, base.cutoff, [e for e in base._ints if e[0]], base._den)
-    if positive.is_empty():
+    ints = [entry for entry in base._ints if entry[0]]  # the int entries without key 0
+    if not ints:
         raise CutoffTooSmall("scalar spectrum shows no positive eigenvalue")
 
-    def share(copies: int) -> _Share:
-        part = repeated_union(positive, copies, positive, 0)
+    def share(count: int) -> _Share:
+        part = _from_int_keys(base.unit, base.cutoff, [(k, count * m) for k, m in ints], base._den)
         return _Share(*part.min_entry(), part.scale)
 
     _charge_comb(n - 1, p - 1)

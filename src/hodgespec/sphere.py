@@ -121,9 +121,6 @@ class SphereOperator(_Record):
         """True on the degrees handled via duality (p = 0 and p = n)."""
         return self.p == 0 or self.p == self.n
 
-    def _require_interior(self) -> None:
-        _degree("series formulas", self.n, self.p, 1)
-
 
 def _wrong_dimension(formula: "_SeriesFormula", k: int, outcome: str) -> AssertionError:
     """The error of the series' dimension at term k, which came out ``outcome``."""
@@ -361,7 +358,7 @@ def _series_of(op: SphereOperator, cutoff: Fraction) -> tuple[int, dict[Series, 
 
 def lambda_k(op: SphereOperator, k: int) -> Fraction:
     """k-th eigenvalue of the beta series, k >= 1."""
-    op._require_interior()
+    _degree("series formulas", op.n, op.p, 1)
     if _int(k, "k") < 1:
         raise ValueError("lambda series starts at k = 1")
     return _series(Series.LAMBDA, op.n, op.p, op.beta, op.r_squared).value(k)
@@ -369,7 +366,7 @@ def lambda_k(op: SphereOperator, k: int) -> Fraction:
 
 def mu_k(op: SphereOperator, k: int) -> Fraction:
     """k-th eigenvalue of the alpha series, k >= 0."""
-    op._require_interior()
+    _degree("series formulas", op.n, op.p, 1)
     if _int(k, "k") < 0:
         raise ValueError("mu series starts at k = 0")
     return _series(Series.MU, op.n, op.p, op.alpha, op.r_squared).value(k)

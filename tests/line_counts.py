@@ -2,13 +2,16 @@
 
 Code lines are the lines that are not blank, comment or docstring.  Run as
 
-    python tests/line_counts.py
+    python tests/line_counts.py [PACKAGE_DIR]
 
-It prints a Markdown table, for a job summary or a terminal.
+PACKAGE_DIR defaults to this checkout's src/hodgespec; another checkout's
+package directory gives that tree's counts, for a before/after pair.  It
+prints a Markdown table, for a job summary or a terminal.
 """
 
 import ast
 import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -33,8 +36,10 @@ def counts(text: str) -> tuple[int, int]:
     return len(text.splitlines()), len(code - docstrings)
 
 
-def main() -> None:
-    rows = [(path.name, *counts(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
+def main(package: Path = PACKAGE) -> None:
+    rows = [(path.name, *counts(path.read_text())) for path in sorted(package.glob("*.py"))]
+    if not rows:
+        sys.exit(f"no Python modules in {package}")
     print("| `src/hodgespec` module | lines | code lines |")
     print("|---|---:|---:|")
     for name, lines, code in rows:
@@ -43,4 +48,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(*map(Path, sys.argv[1:2]))

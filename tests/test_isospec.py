@@ -235,10 +235,9 @@ def test_recover_torus_half_dimension_is_unordered():
 
 
 def test_recover_torus_random_round_trip():
+    # every degree up to n = 5, so the shares carry 1 to C(4, 2) = 6 copies
     rng = random.Random(52)
-    for _ in range(10):
-        n = rng.randrange(2, 5)
-        p = rng.randrange(1, n)
+    for n, p in ((n, p) for n in range(2, 6) for p in range(1, n)):
         alpha = F(rng.randrange(1, 6), rng.randrange(1, 3))
         beta = F(rng.randrange(1, 6), rng.randrange(1, 3))
         m, base = torus_inputs(standard_lattice(n), p, alpha, beta)
